@@ -49,7 +49,6 @@ from .decomp import (  # noqa: F401
     Orientation,
     StarDecomposition,
     ThinIndependentSet,
-    adjust_size,
     decompose,
     in_regular_orientation,
     orientation_feasible_bruteforce,

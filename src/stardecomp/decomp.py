@@ -1,8 +1,9 @@
 """Constructive k-star decompositions.
 
-Pipeline: greedy independent set -> thinning -> size adjustment -> max-flow
-in-regular orientation of the complement -> star extraction, plus verifiers
-and small-instance brute-force oracles for the orientation feasibility
+Pipeline: greedy independent set -> thinning -> size adjustment ->
+in-regular orientation of the complement by path reversal (or a Hakimi
+witness that none exists) -> star extraction, plus verifiers and
+small-instance brute-force oracles for the orientation feasibility
 condition.
 
 Tie-breaking is lowest-id-first everywhere so identical inputs give identical
@@ -11,6 +12,7 @@ decompositions.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,6 +26,7 @@ from .graphs import (
     induced_edges,
     induced_subgraph,
     is_independent,
+    is_simple,
 )
 
 
@@ -50,7 +53,8 @@ class Orientation:
 
 @dataclass
 class InfeasibleCertificate:
-    """Min-cut witness: a vertex set U with e[U] > ell * |U|."""
+    """Hakimi witness: a vertex set U with e[U] > ell * |U|, so no
+    orientation of the graph has every in-degree at most ell."""
 
     violating_set: set
     ell: int
@@ -106,31 +110,17 @@ def thin_down(g: Graph, A, d_hat) -> ThinIndependentSet:
                               verified=check_thin(g, current, d_hat))
 
 
-def adjust_size(g: Graph, thin: ThinIndependentSet, target) -> ThinIndependentSet:
-    """Trim a thin independent set down to exactly `target` members (highest
-    ids removed first); removal cannot break independence or thinness.
-    Raises SetTooSmall if the set is below target."""
-    if target < 0:
-        raise ValueError("target must be >= 0")
-    members = set(thin.members)
-    if len(members) < target:
-        raise SetTooSmall(f"have {len(members)}, need {target}")
-    for v in sorted(members, reverse=True):
-        if len(members) == target:
-            break
-        members.remove(v)
-    return ThinIndependentSet(frozenset(members), thin.d_hat, verified=True)
-
-
 def relief_trim(g: Graph, thin: ThinIndependentSet, target) -> ThinIndependentSet:
     """Trim a thin independent set to `target` members, preferring members
     whose removal relieves outside vertices sitting at the thinness bound.
 
-    Plain highest-id trimming (adjust_size) tends to leave the complement
-    with clusters of minimum-degree vertices that make the in-regular
-    orientation infeasible; relieving saturated outside vertices instead
-    raises their complement degree.  Deterministic: ties break by highest id.
+    A member's relief is the number of its edges to outside vertices with
+    at least d_hat edges into the set; each step removes the member with the
+    highest relief, ties broken by highest id.  Relieving saturated outside
+    vertices raises their complement degree, which keeps the in-regular
+    orientation of the complement feasible more often than trimming by id.
     Removal only shrinks the set, so independence and thinness are preserved.
+    Raises SetTooSmall if the set is below target.
     """
     if target < 0:
         raise ValueError("target must be >= 0")
@@ -138,94 +128,76 @@ def relief_trim(g: Graph, thin: ThinIndependentSet, target) -> ThinIndependentSe
     if len(members) < target:
         raise SetTooSmall(f"have {len(members)}, need {target}")
     d_hat = thin.d_hat
+    # The set is independent, so every neighbor of a member is outside it.
     into = {
         v: sum(1 for _, w in g.adj[v] if w in members)
         for v in range(g.n)
         if v not in members
     }
+    relief = {a: sum(1 for _, v in g.adj[a] if into[v] >= d_hat) for a in members}
+    # Max-heap on (relief, id); entries for removed members or outdated
+    # relief values are skipped when popped.
+    heap = [(-r, -a) for a, r in relief.items()]
+    heapq.heapify(heap)
     while len(members) > target:
-        best, best_key = None, None
-        for a in members:
-            relief = sum(
-                1 for _, v in g.adj[a] if v not in members and into[v] >= d_hat
-            )
-            key = (relief, a)
-            if best is None or key > best_key:
-                best, best_key = a, key
+        neg_relief, neg_a = heapq.heappop(heap)
+        best = -neg_a
+        if best not in members or -neg_relief != relief[best]:
+            continue
         members.remove(best)
         for _, v in g.adj[best]:
-            if v in into:
-                into[v] -= 1
-        into[best] = sum(1 for _, w in g.adj[best] if w in members)
+            into[v] -= 1
+            if into[v] == d_hat - 1:
+                # v dropped below the bound: its member edges relieve no more.
+                for _, a in g.adj[v]:
+                    if a in members:
+                        relief[a] -= 1
+                        heapq.heappush(heap, (-relief[a], -a))
     return ThinIndependentSet(frozenset(members), d_hat, verified=True)
 
 
-class _Dinic:
-    def __init__(self, n):
-        self.n = n
-        self.adj = [[] for _ in range(n)]
+def _unload(H: Graph, heads, indeg, x, ell):
+    """Move one unit of in-degree off vertex x by reversing a directed path.
 
-    def add_edge(self, u, v, cap):
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def _bfs(self, s, t):
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        queue = [s]
-        for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    queue.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u, t, pushed):
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.adj[u]):
-            arc = self.adj[u][self.it[u]]
-            v, cap, rev = arc
-            if cap > 0 and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, cap))
-                if got > 0:
-                    arc[1] -= got
-                    self.adj[v][rev][1] += got
-                    return got
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s, t):
-        flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, float("inf"))
-                if pushed == 0:
-                    break
-                flow += pushed
-        return flow
-
-    def reachable_from(self, s):
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+    Breadth-first search runs backwards along arcs into x (head to tail)
+    until it meets a vertex z with in-degree < ell, then flips the arcs of
+    the path from z to x.  Returns None on success, or the set of vertices
+    the search reached if it found no such z.
+    """
+    via = {x: None}  # reached vertex -> edge id of its arc toward x
+    queue = [x]
+    for y in queue:
+        for eid, w in H.adj[y]:
+            if w in via or heads[eid] != y:
+                continue
+            via[w] = eid
+            if indeg[w] < ell:
+                indeg[w] += 1
+                indeg[x] -= 1
+                while w != x:
+                    eid = via[w]
+                    heads[eid] = w
+                    u, v = H.edges[eid]
+                    w = v if u == w else u
+                return None
+            queue.append(w)
+    return set(via)
 
 
 def in_regular_orientation(H: Graph, ell, mode="exact"):
     """Orient H so that every in-degree equals ell (mode "exact") or is at
     most ell (mode "at_most"), or produce a violating vertex set.
 
-    Flow network: source -> edge node (cap 1) -> the edge's endpoint vertex
-    nodes (cap 1) -> sink (cap ell).  The orientation exists iff the max flow
-    saturates all edges; otherwise the source side of the min cut yields a set
-    U with e[U] > ell * |U|.
+    Each edge first points at whichever endpoint has the lower in-degree so
+    far (a loop at its own vertex).  Every vertex x left with in-degree above
+    ell is then unloaded by reversing paths of arcs that lead into x from a
+    vertex with in-degree below ell.  If no such path exists, the vertices
+    that can reach x form a set R that every arc into R starts in, so
+    e[R] = sum of in-degrees over R > ell * |R|: by Hakimi's theorem (an
+    orientation with in-degrees at most ell exists iff e[U] <= ell * |U| for
+    every U) no orientation exists, and R is returned as the witness.  In
+    exact mode e(H) = ell * |V|, so in-degrees at most ell are all equal to
+    ell.
     """
     if mode not in ("exact", "at_most"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -234,34 +206,21 @@ def in_regular_orientation(H: Graph, ell, mode="exact"):
         raise ValueError(f"exact mode needs e(H) = ell*|V|, got {m} != {ell * n}")
     if mode == "at_most" and m > ell * n:
         raise ValueError(f"at_most mode needs e(H) <= ell*|V|, got {m} > {ell * n}")
-    # Node layout: 0 = source, 1..m = edge nodes, m+1..m+n = vertex nodes, sink last.
-    src, sink = 0, m + n + 1
-    net = _Dinic(m + n + 2)
-    for eid, (u, v) in enumerate(H.edges):
-        net.add_edge(src, 1 + eid, 1)
-        net.add_edge(1 + eid, m + 1 + u, 1)
-        if v != u:
-            net.add_edge(1 + eid, m + 1 + v, 1)
-    for v in range(n):
-        net.add_edge(m + 1 + v, sink, ell)
-    flow = net.max_flow(src, sink)
-    if flow < m:
-        seen = net.reachable_from(src)
-        U = {v for v in range(n) if seen[m + 1 + v]}
-        induced = induced_edges(H, U)
-        if induced <= ell * len(U):
-            raise AssertionError("min-cut witness failed re-verification")
-        return InfeasibleCertificate(violating_set=U, ell=ell, induced=induced)
-    heads = [None] * m
-    for eid in range(m):
-        u, v = H.edges[eid]
-        if u == v:
-            heads[eid] = u
-            continue
-        for to, cap, _ in net.adj[1 + eid]:
-            if cap == 0 and to != src:
-                heads[eid] = to - (m + 1)
-                break
+    indeg = [0] * n
+    heads = []
+    for u, v in H.edges:
+        head = v if indeg[v] < indeg[u] else u
+        heads.append(head)
+        indeg[head] += 1
+    for x in range(n):
+        while indeg[x] > ell:
+            U = _unload(H, heads, indeg, x, ell)
+            if U is None:
+                continue
+            induced = induced_edges(H, U)
+            if induced <= ell * len(U):
+                raise AssertionError("Hakimi witness failed re-verification")
+            return InfeasibleCertificate(violating_set=U, ell=ell, induced=induced)
     return Orientation(graph=H, heads=heads)
 
 
@@ -357,9 +316,10 @@ def stars_from_orientation(g: Graph, A, orientation: Orientation, k,
 def verify_decomposition(g: Graph, sd: StarDecomposition):
     """Check that sd is a valid (near-)decomposition of g.
 
-    Returns (ok, diagnostics): star sizes equal k, every star edge is incident
-    to its center, the star edges plus leftover partition E(g) exactly, and
-    the leftover has fewer than k edges.
+    Returns (ok, diagnostics): star sizes equal k, every star has k distinct
+    leaves other than its center, every star edge is incident to its center,
+    the star edges plus leftover partition E(g) exactly, and the leftover has
+    fewer than k edges.
     """
     diagnostics = []
     claimed = []
@@ -368,6 +328,10 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
             diagnostics.append(
                 f"star at {center} has {len(leaves)} edges, expected {sd.k}"
             )
+        if center in leaves:
+            diagnostics.append(f"star at {center} has its center as a leaf")
+        if len(set(leaves)) != len(leaves):
+            diagnostics.append(f"star at {center} repeats a leaf")
         for leaf in leaves:
             claimed.append((center, leaf) if center <= leaf else (leaf, center))
     for u, v in sd.leftover:
@@ -392,15 +356,20 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
 def decompose(g: Graph, k, seed=0, max_retries=10, d_hat=None):
     """Build a k-star decomposition of a d-regular simple graph.
 
-    Runs greedy independent set -> thin_down -> adjust_size -> in-regular
-    orientation of the complement -> star extraction, retrying with fresh
-    greedy seeds on failure.  The thinness parameter defaults to k, the
-    necessary bound for complement degrees to reach d - k.
+    Runs greedy independent set -> thin_down -> relief_trim (stage label
+    "adjust_size") -> in-regular orientation of the complement -> star
+    extraction, retrying with fresh greedy seeds on failure.  The thinness
+    parameter defaults to k, the necessary bound for complement degrees to
+    reach d - k.
 
     If k does not divide e(g) the result is a near-decomposition with at most
-    k - 1 leftover edges.  Raises DecompositionFailed with the failing stage
-    after max_retries attempts.
+    k - 1 leftover edges.  Raises ValueError if g has loops or multi-edges or
+    is not regular, and DecompositionFailed with the failing stage after
+    max_retries attempts.
     """
+    if not is_simple(g):
+        raise ValueError("graph has loops or multi-edges; decompose needs a "
+                         "simple graph")
     if not g.is_regular():
         raise ValueError("graph is not regular")
     d = g.degree(0) if g.n else 0

@@ -7,6 +7,7 @@ sets of vertex ids.  Loops are allowed and count twice toward degree.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -66,8 +67,9 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def _edges_from_permuted_stubs(n, d, perm):
-    stubs = perm // d  # stub i belongs to vertex i // d
+def _sorted_pairs(stubs):
+    """Match consecutive stubs (given by their vertex ids) into (u, v) rows
+    with u <= v."""
     pairs = stubs.reshape(-1, 2)
     pairs.sort(axis=1)
     return pairs
@@ -82,13 +84,11 @@ def config_model_sample(n, d, seed):
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d = {n * d} must be even")
     rng = np.random.default_rng(seed)
-    pairs = _edges_from_permuted_stubs(n, d, rng.permutation(n * d))
+    pairs = _sorted_pairs(rng.permutation(n * d) // d)  # stub i is vertex i // d
     return Graph(n, [tuple(map(int, p)) for p in pairs])
 
 
-def _pairs_simple(pairs):
-    if np.any(pairs[:, 0] == pairs[:, 1]):
-        return False
+def _pairs_distinct(pairs):
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     s = pairs[order]
     return not np.any(np.all(s[1:] == s[:-1], axis=1))
@@ -116,8 +116,12 @@ def sample_simple(n, d, seed, max_tries=100000):
         raise ValueError(f"n*d = {n * d} must be even")
     rng = np.random.default_rng(seed)
     for tries in range(1, max_tries + 1):
-        pairs = _edges_from_permuted_stubs(n, d, rng.permutation(n * d))
-        if _pairs_simple(pairs):
+        stubs = rng.permutation(n * d) // d
+        # Most rejected tries have a loop; spotting one needs no sort.
+        if np.any(stubs[0::2] == stubs[1::2]):
+            continue
+        pairs = _sorted_pairs(stubs)
+        if _pairs_distinct(pairs):
             return Graph(n, [tuple(map(int, p)) for p in pairs]), tries
     raise RuntimeError(f"max tries exceeded ({max_tries}) for n={n}, d={d}")
 
@@ -136,8 +140,9 @@ def cut_edges(g: Graph, U) -> int:
 
 
 def edges_to(g: Graph, v, U) -> int:
-    """Number of edges between vertex v and the set U (v itself excluded)."""
-    U = set(U)
+    """Number of edges between vertex v and the set U (v itself excluded).
+
+    U is only tested for membership, so pass a set to keep this O(deg v)."""
     return sum(1 for _, w in g.adj[v] if w in U and w != v)
 
 
@@ -227,36 +232,37 @@ def induced_avg_degree_report(g: Graph, x0, rho, seed=0, samples=10000):
 
 def greedy_independent_set(g: Graph, seed) -> set:
     """Maximal independent set by min-residual-degree greedy with seeded
-    random tie-breaking.  Deterministic for a given (graph, seed)."""
+    random tie-breaking.  Deterministic for a given (graph, seed).
+
+    Each pick is the live vertex with the least (residual degree, priority).
+    A lazy heap holds one entry per degree a vertex has had; degrees only
+    fall, so a live vertex's current entry pops before its outdated ones,
+    and only entries of dead vertices need skipping.
+    """
     n = g.n
     rng = np.random.default_rng(seed)
-    priority = rng.permutation(n)
+    priority = rng.permutation(n).tolist()
     alive = [True] * n
-    deg = [0] * n
-    for v in range(n):
-        deg[v] = sum(1 for _, w in g.adj[v] if w != v)
+    deg = [sum(1 for _, w in g.adj[v] if w != v) for v in range(n)]
     # A vertex with a loop can never join an independent set.
     loopy = {u for u, v in g.edges if u == v}
+    heap = [(deg[v], priority[v], v) for v in range(n) if v not in loopy]
+    heapq.heapify(heap)
     chosen = set()
-    remaining = [v for v in range(n) if v not in loopy]
-    while True:
-        best, best_key = None, None
-        for v in remaining:
-            if not alive[v]:
-                continue
-            key = (deg[v], priority[v])
-            if best is None or key < best_key:
-                best, best_key = v, key
-        if best is None:
-            break
+    while heap:
+        best = heapq.heappop(heap)[2]
+        if not alive[best]:
+            continue
         chosen.add(best)
         dead = {best} | {w for _, w in g.adj[best] if alive[w]}
         for v in dead:
-            if alive[v]:
-                alive[v] = False
-                for _, w in g.adj[v]:
-                    if alive[w] and w != v:
-                        deg[w] -= 1
+            alive[v] = False
+        for v in dead:
+            for _, w in g.adj[v]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if w not in loopy:
+                        heapq.heappush(heap, (deg[w], priority[w], w))
     return chosen
 
 

@@ -121,6 +121,24 @@ def test_verify_rejects_tampered_decomposition(tmp_path):
     assert run(["verify", str(graph), str(sd)]) == 1
 
 
+def test_verify_rejects_repeated_leaf(tmp_path):
+    # Two parallel edges: the star 0 -> [1, 1] covers both, but a star's
+    # leaves must be distinct.
+    graph = tmp_path / "g.txt"
+    graph.write_text("2 2\n0 1\n0 1\n")
+    sd = tmp_path / "sd.txt"
+    sd.write_text("2 0\n0 1 1\n")
+    assert run(["verify", str(graph), str(sd)]) == 1
+
+
+def test_decompose_rejects_non_simple_graph(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    assert run(["sample", "--n", "40", "--d", "6", "--seed", "3",
+                "--out", str(graph)]) == 0
+    assert run(["decompose", str(graph), "--k", "4"]) == 4
+    assert "simple graph" in capsys.readouterr().err
+
+
 def test_decompose_failure_exit_code(tmp_path):
     # Petersen graph with k = 3 cannot have a large enough independent set.
     graph = tmp_path / "petersen.txt"

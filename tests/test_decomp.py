@@ -1,5 +1,7 @@
-"""Tests for the decomposition module: thinning, orientation by max flow,
-star extraction, verification, and the end-to-end pipeline."""
+"""Tests for the decomposition module: thinning, orientation by path
+reversal, star extraction, verification, and the end-to-end pipeline."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from stardecomp.decomp import (
     Orientation,
     SetTooSmall,
     StarDecomposition,
-    adjust_size,
     check_sufficiency,
     decompose,
     in_regular_orientation,
@@ -28,6 +29,7 @@ from stardecomp.graphs import (
     Graph,
     GraphFormatError,
     check_thin,
+    complete_graph,
     config_model_sample,
     cycle_graph,
     greedy_independent_set,
@@ -38,6 +40,8 @@ from stardecomp.graphs import (
     petersen_graph,
     sample_simple,
 )
+
+import quadratic_reference as ref
 
 
 def random_multigraph(seed, max_n=10, max_m=16):
@@ -65,13 +69,33 @@ def test_thin_down_rejects_dependent_set():
         thin_down(cycle_graph(4), {0, 1}, 1)
 
 
-def test_adjust_size_removes_highest_ids():
-    g = cycle_graph(8)
-    thin = thin_down(g, {0, 2, 4, 6}, d_hat=2)
-    trimmed = adjust_size(g, thin, 2)
-    assert trimmed.members == frozenset({0, 2})
-    with pytest.raises(SetTooSmall):
-        adjust_size(g, thin, 5)
+def assert_stages_match_reference(g, seed, d_hat):
+    A0 = greedy_independent_set(g, seed)
+    assert A0 == ref.greedy_independent_set(g, seed)
+    thin = thin_down(g, A0, d_hat)
+    assert thin == ref.thin_down(g, A0, d_hat)
+    for target in (0, len(thin.members) // 3, len(thin.members) // 2):
+        trimmed = relief_trim(g, thin, target)
+        assert trimmed.members == ref.relief_trim(g, thin, target).members
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_stages_match_quadratic_reference_on_multigraphs(seed, d_hat):
+    g = random_multigraph(seed, max_n=30, max_m=60)
+    assert_stages_match_reference(g, seed, d_hat)
+
+
+@lru_cache(maxsize=None)
+def sampled_400_6(seed):
+    return sample_simple(400, 6, seed)[0]
+
+
+@given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=2, max_value=5))
+@settings(max_examples=8, deadline=None)
+def test_stages_match_quadratic_reference_on_sampled_graphs(gseed, seed, d_hat):
+    assert_stages_match_reference(sampled_400_6(gseed), seed, d_hat)
 
 
 @given(st.integers(min_value=0, max_value=300))
@@ -139,6 +163,35 @@ def test_orientation_handles_loops_and_multiedges():
     assert res.in_degrees() == [2, 2, 2]
 
 
+def test_orientation_exact_on_pipeline_complement():
+    # The complement of a trimmed thin set from a real run: n = 1998, d = 5,
+    # k = 3, so H has ell * |V(H)| edges with ell = d - k = 2.
+    g, _ = sample_simple(1998, 5, seed=5)
+    thin = thin_down(g, greedy_independent_set(g, 5), 3)
+    A = relief_trim(g, thin, 1998 // 6).members
+    H, _, _ = induced_subgraph(g, set(range(g.n)) - A)
+    assert H.num_edges() == 2 * H.n
+    res = in_regular_orientation(H, 2, mode="exact")
+    assert isinstance(res, Orientation)
+    assert res.in_degrees() == [2] * H.n
+    for (u, v), head in zip(H.edges, res.heads):
+        assert head in (u, v)
+
+
+def test_orientation_infeasible_clique_among_isolated_vertices():
+    # K_{2ell+2} has (ell+1)(2ell+1) > ell(2ell+2) edges; 500 isolated
+    # vertices keep e(H) <= ell * |V| overall, so only a local witness works.
+    ell = 6
+    clique = complete_graph(2 * ell + 2)
+    offset = 300
+    g = Graph(500, [(u + offset, v + offset) for u, v in clique.edges])
+    res = in_regular_orientation(g, ell, mode="at_most")
+    assert isinstance(res, InfeasibleCertificate)
+    U = res.violating_set
+    assert U <= set(range(offset, offset + 2 * ell + 2))
+    assert res.induced == induced_edges(g, U) > ell * len(U)
+
+
 @given(st.integers(min_value=0, max_value=1000))
 @settings(max_examples=80, deadline=None)
 def test_orientation_matches_bruteforce(seed):
@@ -203,6 +256,19 @@ def test_verify_catches_missing_edges_and_sizes():
     assert any("expected 2" in msg for msg in diagnostics)
 
 
+def test_verify_rejects_center_leaf_and_repeated_leaf():
+    # Each star covers the multigraph's edges exactly, but a star edge may
+    # neither be a loop nor repeat a leaf.
+    g = Graph(2, [(0, 0), (0, 1)])
+    ok, diagnostics = verify_decomposition(g, StarDecomposition(k=2, stars=[(0, [0, 1])]))
+    assert not ok
+    assert any("center as a leaf" in msg for msg in diagnostics)
+    g = Graph(2, [(0, 1), (0, 1)])
+    ok, diagnostics = verify_decomposition(g, StarDecomposition(k=2, stars=[(0, [1, 1])]))
+    assert not ok
+    assert any("repeats a leaf" in msg for msg in diagnostics)
+
+
 def test_verify_leftover_cap():
     g = cycle_graph(4)
     sd = StarDecomposition(
@@ -235,6 +301,10 @@ def test_decompose_rejects_bad_inputs():
         decompose(g, 1, seed=0)  # k <= d/2
     with pytest.raises(ValueError):
         decompose(Graph(3, [(0, 1)]), 2, seed=0)  # not regular
+    with pytest.raises(ValueError, match="simple"):
+        decompose(Graph(2, [(0, 1)] * 3), 2, seed=0)  # 3-regular multigraph
+    with pytest.raises(ValueError, match="simple"):
+        decompose(Graph(2, [(0, 0), (1, 1)]), 2, seed=0)  # loops
 
 
 def test_decompose_petersen_obstruction():
