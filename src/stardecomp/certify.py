@@ -15,7 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class CertifyInput:
     alpha: float
     beta_grid_step: float = DEFAULT_BETA_STEP
     tau_grid_step: float = DEFAULT_TAU_STEP
-    safety_margin: float = 0.0
 
     def validate(self):
         if self.d < 3:
@@ -185,7 +184,6 @@ def check_condition(
     tau_plus,
     beta_step=DEFAULT_BETA_STEP,
     tau_step=DEFAULT_TAU_STEP,
-    safety_margin=0.0,
 ):
     """Check the two sufficient conditions for thinning down to density
     alpha_dk(d, k).
@@ -232,9 +230,9 @@ def check_condition(
         note_witness(bs, ts, vals, mask)
         # A raw violation at a grid point is a genuine counterexample on the
         # continuum; no refinement can rescue it.
-        if np.any(mask & (vals + safety_margin >= rhs)):
+        if np.any(mask & (vals >= rhs)):
             return False
-        margin = safety_margin + d * db_eff + d * bmax * dt_eff
+        margin = d * db_eff + d * bmax * dt_eff
         bad = mask & (vals + margin >= rhs)
         if not np.any(bad):
             return True
@@ -271,7 +269,6 @@ def certify(inp: CertifyInput) -> CertifyResult:
             res.tau_plus,
             beta_step=inp.beta_grid_step,
             tau_step=inp.tau_grid_step,
-            safety_margin=inp.safety_margin,
         )
     except (CertifyError, ValueError) as exc:
         return replace(res, error=str(exc))
@@ -285,13 +282,7 @@ def certify(inp: CertifyInput) -> CertifyResult:
     )
 
 
-def certify_degree(
-    d,
-    alpha,
-    beta_step=DEFAULT_BETA_STEP,
-    tau_step=DEFAULT_TAU_STEP,
-    safety_margin=0.0,
-):
+def certify_degree(d, alpha, beta_step=DEFAULT_BETA_STEP, tau_step=DEFAULT_TAU_STEP):
     """Find the largest certifiable star size for degree d at independence
     density alpha.
 
@@ -309,12 +300,7 @@ def certify_degree(
             k -= 1
             continue
         inp = CertifyInput(
-            d=d,
-            k=k,
-            alpha=alpha,
-            beta_grid_step=beta_step,
-            tau_grid_step=tau_step,
-            safety_margin=safety_margin,
+            d=d, k=k, alpha=alpha, beta_grid_step=beta_step, tau_grid_step=tau_step
         )
         res = certify(inp)
         results.append((k, res))
@@ -334,36 +320,18 @@ class DegreeRecord:
     k_ind: int
     k_certified: int | None
     exceptional: bool
-    t1: float
-    x1: float
-    x2: float
-    t2: float
-    d_hat: int
-    beta_max: float
-    condition: str  # "strong" | "weak" | "failed"
+    t1: float = float("nan")
+    x1: float = float("nan")
+    x2: float = float("nan")
+    t2: float = float("nan")
+    d_hat: int = 0
+    beta_max: float = float("nan")
+    condition: str = "failed"  # "strong" | "weak" | "failed"
     error: str | None = None
 
     def as_dict(self):
-        def num(x):
-            # NaN is not valid JSON; failed stages report null.
-            return None if x != x else x
-
-        return {
-            "d": self.d,
-            "alpha": self.alpha,
-            "alpha_source": self.alpha_source,
-            "k_ind": self.k_ind,
-            "k_certified": self.k_certified,
-            "exceptional": self.exceptional,
-            "t1": num(self.t1),
-            "x1": num(self.x1),
-            "x2": num(self.x2),
-            "t2": num(self.t2),
-            "d_hat": self.d_hat,
-            "beta_max": num(self.beta_max),
-            "condition": self.condition,
-            "error": self.error,
-        }
+        # NaN is not valid JSON; failed stages report null.
+        return {k: None if v != v else v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -399,20 +367,34 @@ def load_alpha_table(path):
     return table
 
 
+def resolve_alpha(d, table, strict):
+    """Independence density for degree d: the entry of `table` (dict
+    d -> alpha, or None) if it has one, else the built-in estimate.
+
+    Returns (alpha, source) with source "table" or "estimate".  Raises
+    KeyError if strict and the table lacks d, and ValueError if the estimate
+    is needed below d = 20, where it is undefined.
+    """
+    if table and d in table:
+        return table[d], "table"
+    if strict:
+        raise KeyError(f"alpha table has no entry for d={d}")
+    if d < 20:
+        raise ValueError("estimate fallback requires d >= 20")
+    return alpha_fc_estimate(d), "estimate"
+
+
 def _certify_one(args):
-    (d, alpha, source, beta_step, tau_step, safety_margin) = args
+    (d, alpha, source, beta_step, tau_step) = args
     k_ind = math.floor(kappa(d, alpha))
     try:
         k_cert, results = certify_degree(
-            d, alpha, beta_step=beta_step, tau_step=tau_step,
-            safety_margin=safety_margin,
+            d, alpha, beta_step=beta_step, tau_step=tau_step
         )
     except (CertifyError, ValueError) as exc:
         return DegreeRecord(
             d=d, alpha=alpha, alpha_source=source, k_ind=k_ind,
-            k_certified=None, exceptional=True, t1=float("nan"),
-            x1=float("nan"), x2=float("nan"), t2=float("nan"), d_hat=0,
-            beta_max=float("nan"), condition="failed", error=str(exc),
+            k_certified=None, exceptional=True, error=str(exc),
         )
     if k_cert is not None:
         res = dict(results)[k_cert]
@@ -447,27 +429,22 @@ def sweep(
     threads=1,
     beta_step=DEFAULT_BETA_STEP,
     tau_step=DEFAULT_TAU_STEP,
-    safety_margin=0.0,
     strict_table=False,
 ):
     """Run certify_degree over a degree range.
 
-    alpha_source "table" takes densities from alpha_table (dict d -> alpha),
-    falling back to the built-in estimate per degree unless strict_table is
-    set, in which case a missing degree raises KeyError.  Results are merged
+    alpha_source "table" takes densities from alpha_table (dict d -> alpha)
+    through resolve_alpha, falling back to the built-in estimate per degree
+    unless strict_table is set, in which case a missing degree raises
+    KeyError; alpha_source "estimate" ignores the table.  Results are merged
     in degree order, independent of worker count.
     """
+    use_table = alpha_source == "table"
+    table = alpha_table if use_table else None
     jobs = []
     for d in range(d_min, d_max + 1):
-        if alpha_source == "table" and alpha_table and d in alpha_table:
-            a, src = alpha_table[d], "table"
-        elif alpha_source == "table" and strict_table:
-            raise KeyError(f"alpha table has no entry for d={d}")
-        else:
-            if d < 20:
-                raise ValueError("estimate fallback requires d >= 20")
-            a, src = alpha_fc_estimate(d), "estimate"
-        jobs.append((d, a, src, beta_step, tau_step, safety_margin))
+        a, src = resolve_alpha(d, table, strict_table and use_table)
+        jobs.append((d, a, src, beta_step, tau_step))
 
     if threads > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:

@@ -1,21 +1,26 @@
 """Command-line interface: reproducible batch runs with machine-readable
 output.
 
+Reports go to the --out file, or to stdout when --out is absent or `-`.
+
 Exit codes: 0 success (findings included), 1 failed verification or
-decomposition, 2 usage errors, 3 missing alpha-table entry under
---strict-table, 4 I/O and parse errors.
+decomposition, 2 usage errors (including --max-retries < 1, `sample --simple`
+with d >= n, and a `sample --simple` run out of tries), 3 missing
+alpha-table entry under --strict-table, 4 I/O and parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
-from .certify import load_alpha_table, sweep
+from .certify import load_alpha_table, resolve_alpha, sweep
 from .decomp import (
     DecompositionFailed,
     decompose,
@@ -40,21 +45,37 @@ from .graphs import (
 THREADS_ENV = "STARDECOMP_THREADS"
 
 
-def _emit(payload, config, args, extra=None):
+@contextlib.contextmanager
+def _output(path):
+    """Yield the file at `path` opened for writing, or stdout when path is
+    None or "-"."""
+    if path and path != "-":
+        with open(path, "w", newline="") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
+def _emit(payload, config, args, alpha_source):
     doc = {
         "tool": "stardecomp",
         "version": __version__,
         "config": config,
+        "alpha_source": alpha_source,
         "payload": payload,
     }
-    if extra:
-        doc.update(extra)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_csv(rows, path):
+    """One header line from the keys of the first row, then one line per
+    row; nothing at all when there are no rows."""
+    with _output(path) as fh:
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def _resolved_config(args, keys):
@@ -66,32 +87,20 @@ def cmd_thresholds(args):
     if d < 3:
         print("thresholds: --d must be >= 3", file=sys.stderr)
         return 2
-    table = {}
-    if args.alpha_table:
-        table = load_alpha_table(args.alpha_table)
-    if d in table:
-        alpha_star, source = table[d], "table"
-    elif d >= 20:
-        alpha_star, source = alpha_fc_estimate(d), "estimate"
-    else:
+    table = load_alpha_table(args.alpha_table) if args.alpha_table else None
+    try:
+        alpha_star, source = resolve_alpha(d, table, strict=False)
+    except ValueError:
         # No controlled estimate below d=20; report the first-moment upper
         # bound as the stand-in, still labeled an estimate.
         alpha_star, source = alpha_fm(d), "estimate"
-    rep = threshold_report(d, alpha_star, source)
-    payload = {
-        "d": rep.d,
-        "alpha_fm": rep.alpha_fm,
-        "alpha_fc_estimate": alpha_fc_estimate(d) if d >= 20 else None,
-        "alpha_lower_ref": rep.alpha_lower_ref,
-        "alpha_star": rep.alpha_star,
-        "alpha_source": rep.alpha_source,
-        "kappa_star": rep.kappa_star,
-        "k_ind": rep.k_ind,
-        "frac_part": rep.frac_part,
-        "frac_cond_met": rep.frac_cond_met,
-    }
-    config = _resolved_config(args, ["d", "alpha_table", "out", "format"])
-    _emit(payload, config, args, extra={"alpha_source": source})
+    payload = asdict(threshold_report(d, alpha_star, source))
+    payload["alpha_fc_estimate"] = alpha_fc_estimate(d) if d >= 20 else None
+    if args.format == "csv":
+        _emit_csv([payload], args.out)
+    else:
+        config = _resolved_config(args, ["d", "alpha_table", "out", "format"])
+        _emit(payload, config, args, source)
     return 0
 
 
@@ -123,17 +132,9 @@ def cmd_certify(args):
     )
     exceptional = report.exceptional_degrees
     if args.format == "csv":
-        rows = [r.as_dict() for r in report.records]
-        fields = list(rows[0].keys()) if rows else []
-        target = open(args.out, "w", newline="") if args.out and args.out != "-" else sys.stdout
-        writer = csv.DictWriter(target, fieldnames=fields)
-        if fields:
-            writer.writeheader()
-            writer.writerows(rows)
-        if target is not sys.stdout:
-            target.close()
+        _emit_csv([r.as_dict() for r in report.records], args.out)
     else:
-        _emit(report.as_dict(), config, args, extra={"alpha_source": source})
+        _emit(report.as_dict(), config, args, source)
     if args.out and args.out != "-":
         with open(args.out + ".exceptional.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -145,43 +146,37 @@ def cmd_certify(args):
 
 
 def cmd_sample(args):
-    if args.n < 1 or args.d < 1 or (args.n * args.d) % 2 != 0:
-        print("sample: need n, d >= 1 with n*d even", file=sys.stderr)
+    if (args.n < 1 or args.d < 1 or (args.n * args.d) % 2 != 0
+            or (args.simple and args.d >= args.n)):
+        print("sample: need n, d >= 1 with n*d even, and d < n with --simple",
+              file=sys.stderr)
         return 2
     if args.simple:
-        g, tries = sample_simple(args.n, args.d, args.seed,
-                                 max_tries=args.max_retries or 100000)
+        try:
+            g, tries = sample_simple(args.n, args.d, args.seed,
+                                     max_tries=args.max_retries)
+        except RuntimeError as exc:
+            print(f"sample: {exc}; raise --max-retries", file=sys.stderr)
+            return 2
         print(f"simple after {tries} tries (rng={RNG_NAME})", file=sys.stderr)
     else:
         g = config_model_sample(args.n, args.d, args.seed)
-    if args.out and args.out != "-":
-        write_graph(g, args.out)
-    else:
-        d = max((g.degree(v) for v in range(g.n)), default=0)
-        sys.stdout.write(f"{g.n} {d}\n")
-        for u, v in g.edges:
-            sys.stdout.write(f"{u} {v}\n")
+    with _output(args.out) as fh:
+        write_graph(g, fh)
     return 0
 
 
 def cmd_decompose(args):
     g = read_graph(args.graph)
     try:
-        sd = decompose(g, args.k, seed=args.seed,
-                       max_retries=args.max_retries or 10)
+        sd = decompose(g, args.k, seed=args.seed, max_retries=args.max_retries)
     except DecompositionFailed as exc:
         print(f"decompose: failed at stage {exc.stage}: {exc.detail}")
         for seed, stage, detail in exc.attempts:
             print(f"  seed {seed}: {stage}: {detail}")
         return 1
-    if args.out and args.out != "-":
-        write_decomposition(sd, args.out)
-    else:
-        sys.stdout.write(f"{sd.k} {len(sd.leftover)}\n")
-        for center, leaves in sd.stars:
-            sys.stdout.write(" ".join(map(str, [center, *leaves])) + "\n")
-        for u, v in sd.leftover:
-            sys.stdout.write(f"{u} {v}\n")
+    with _output(args.out) as fh:
+        write_decomposition(sd, fh)
     print(f"decomposed into {len(sd.stars)} stars, leftover {len(sd.leftover)}",
           file=sys.stderr)
     return 0
@@ -198,6 +193,13 @@ def cmd_verify(args):
     for line in diagnostics:
         print(line)
     return 1
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -230,7 +232,8 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--simple", action="store_true")
-    p.add_argument("--max-retries", dest="max_retries", type=int, default=0)
+    p.add_argument("--max-retries", dest="max_retries", type=_positive_int,
+                   default=100000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
@@ -238,7 +241,8 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", dest="max_retries", type=int, default=0)
+    p.add_argument("--max-retries", dest="max_retries", type=_positive_int,
+                   default=10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 

@@ -1,10 +1,10 @@
 """Constructive k-star decompositions.
 
-Pipeline: greedy independent set -> thinning -> size adjustment ->
-in-regular orientation of the complement by path reversal (or a Hakimi
-witness that none exists) -> star extraction, plus verifiers and
-small-instance brute-force oracles for the orientation feasibility
-condition.
+Pipeline: greedy independent set -> thinning -> trimming to the target
+density (relief_trim) -> in-regular orientation of the complement by path
+reversal (or a Hakimi witness that none exists) -> star extraction, plus
+verifiers and small-instance brute-force oracles for the orientation
+feasibility condition.
 
 Tie-breaking is lowest-id-first everywhere so identical inputs give identical
 decompositions.
@@ -255,52 +255,43 @@ def orientation_feasible_bruteforce(H: Graph, ell):
     return True, None
 
 
-def stars_from_orientation(g: Graph, A, orientation: Orientation, k,
-                           vertex_map=None):
+def stars_from_orientation(g: Graph, A, orientation: Orientation, k):
     """Assemble a star decomposition from an independent set A and an
-    orientation of g[complement of A].
+    orientation of g[complement of A] as built by induced_subgraph.
 
-    Edges touching A point into A; complement-internal edges follow the given
-    orientation (vertex_map translates its vertex ids back to g's, defaulting
-    to sorted(complement)).  Each complement vertex contributes one k-star
-    (its first k out-edges in edge-id order); surplus out-edges go to
-    leftover.
+    Edges touching A point into A.  The complement-internal g-edges, in id
+    order, are the edges of orientation.graph (on the sorted complement,
+    relabeled 0..), and each takes its head from there; a graph that does
+    not match them edge for edge raises ValueError.  Each complement vertex
+    contributes one k-star (its first k out-edges in edge-id order); surplus
+    out-edges go to leftover.
     """
     A = set(A)
     comp = [v for v in range(g.n) if v not in A]
-    if vertex_map is None:
-        vertex_map = comp
-    back = {i: v for i, v in enumerate(vertex_map)}
-    # Head of every g-edge; complement-internal heads are matched up by
-    # vertex pair, parallel edges consuming heads in queue order.
-    heads = {}
-    pair_heads = {}
-    for eid, (u, v) in enumerate(orientation.graph.edges):
-        gu, gv = back[u], back[v]
-        key = (gu, gv) if gu <= gv else (gv, gu)
-        pair_heads.setdefault(key, []).append(back[orientation.heads[eid]])
+    index = {v: i for i, v in enumerate(comp)}
+    H = orientation.graph
+    if H.n != len(comp):
+        raise ValueError("orientation is not of the complement of A")
+    out_edges = {v: [] for v in comp}
+    j = 0  # edge id in H of the next complement-internal g-edge
     for eid, (u, v) in enumerate(g.edges):
         if u in A and v in A:
             raise ValueError("independent set has an internal edge")
         if u in A:
-            heads[eid] = u
+            tail = v
         elif v in A:
-            heads[eid] = v
+            tail = u
         else:
-            key = (u, v)
-            queue = pair_heads.get(key)
-            if not queue:
-                raise ValueError("orientation does not cover all complement edges")
-            heads[eid] = queue.pop(0)
-    out_edges = {v: [] for v in comp}
-    for eid, (u, v) in enumerate(g.edges):
-        tail = v if heads[eid] == u else u
-        if tail in A:
-            raise ValueError("vertex in A has an outgoing edge")
+            if j == len(H.edges) or H.edges[j] != (index[u], index[v]):
+                raise ValueError("orientation is not of the complement of A")
+            tail = v if comp[orientation.heads[j]] == u else u
+            j += 1
         out_edges[tail].append(eid)
+    if j != len(H.edges):
+        raise ValueError("orientation is not of the complement of A")
     stars, leftover = [], []
     for v in comp:
-        eids = sorted(out_edges[v])
+        eids = out_edges[v]
         if len(eids) < k:
             raise ValueError(f"vertex {v} has out-degree {len(eids)} < k={k}")
         leaves = []
@@ -404,7 +395,7 @@ def decompose(g: Graph, k, seed=0, max_retries=10, d_hat=None):
                  f"violating set of size {len(witness)}: {witness[:10]}")
             )
             continue
-        sd = stars_from_orientation(g, A, oriented, k, vertex_map=vmap)
+        sd = stars_from_orientation(g, A, oriented, k)
         ok, diagnostics = verify_decomposition(g, sd)
         if not ok:
             attempts.append((attempt_seed, "verify", "; ".join(diagnostics)))
@@ -451,15 +442,16 @@ def check_sufficiency(g: Graph, A, d_hat, c, k):
             "large_complements": iii}
 
 
-def write_decomposition(sd: StarDecomposition, path):
-    """Text format: first line `k r`, one `center leaf_1 ... leaf_k` line per
+def write_decomposition(sd: StarDecomposition, fh):
+    """Write sd to the open text file fh.
+
+    Text format: first line `k r`, one `center leaf_1 ... leaf_k` line per
     star, then r `u v` leftover lines."""
-    with open(path, "w") as fh:
-        fh.write(f"{sd.k} {len(sd.leftover)}\n")
-        for center, leaves in sd.stars:
-            fh.write(" ".join(map(str, [center, *leaves])) + "\n")
-        for u, v in sd.leftover:
-            fh.write(f"{u} {v}\n")
+    fh.write(f"{sd.k} {len(sd.leftover)}\n")
+    for center, leaves in sd.stars:
+        fh.write(" ".join(map(str, [center, *leaves])) + "\n")
+    for u, v in sd.leftover:
+        fh.write(f"{u} {v}\n")
 
 
 def read_decomposition(path) -> StarDecomposition:
@@ -470,7 +462,7 @@ def read_decomposition(path) -> StarDecomposition:
     try:
         k, r = map(int, lines[0].split())
         body = lines[1:]
-        if r > len(body):
+        if k < 1 or not 0 <= r <= len(body):
             raise ValueError
         star_lines, leftover_lines = body[: len(body) - r], body[len(body) - r:]
         stars = []

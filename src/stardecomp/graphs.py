@@ -282,14 +282,15 @@ def check_thin(g: Graph, A, d_hat) -> bool:
     return all(edges_to(g, v, A) <= d_hat for v in range(g.n) if v not in A)
 
 
-def write_graph(g: Graph, path):
-    """Text format: first line `N d` (d = max degree), then one `u v` line per
+def write_graph(g: Graph, fh):
+    """Write g to the open text file fh.
+
+    Text format: first line `N d` (d = max degree), then one `u v` line per
     edge; repeated lines encode multiplicity, `u u` a loop."""
     d = max((g.degree(v) for v in range(g.n)), default=0)
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {d}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+    fh.write(f"{g.n} {d}\n")
+    for u, v in g.edges:
+        fh.write(f"{u} {v}\n")
 
 
 def read_graph(path) -> Graph:
@@ -299,6 +300,8 @@ def read_graph(path) -> Graph:
         raise GraphFormatError(f"{path}: empty file")
     try:
         n, _ = map(int, lines[0].split())
+        if n < 0:
+            raise ValueError
         edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
         if any(len(e) != 2 for e in edges):
             raise ValueError

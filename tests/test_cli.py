@@ -1,13 +1,20 @@
 """CLI tests: subcommand behavior, exit codes, report schemas, and the
 sample -> decompose -> verify round trip."""
 
+import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stardecomp.cli import main
+from stardecomp.decomp import read_decomposition
+from stardecomp.graphs import GraphFormatError, read_graph
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -45,6 +52,19 @@ def test_thresholds_small_d_uses_first_moment_standin(tmp_path):
     jsonschema.validate(doc, load_schema("threshold_report.schema.json"))
     assert doc["payload"]["alpha_fc_estimate"] is None
     assert doc["payload"]["alpha_star"] == doc["payload"]["alpha_fm"]
+
+
+def test_thresholds_csv_format(tmp_path, capsys):
+    out = tmp_path / "thr.json"
+    assert run(["thresholds", "--d", "30", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert run(["thresholds", "--d", "30", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1
+    assert set(rows[0]) == set(payload)
+    assert rows[0]["d"] == "30"
+    assert rows[0]["alpha_source"] == "estimate"
+    assert float(rows[0]["alpha_star"]) == payload["alpha_star"]
 
 
 def test_thresholds_rejects_tiny_degree():
@@ -97,16 +117,42 @@ def test_sample_rejects_odd_stub_count():
     assert run(["sample", "--n", "3", "--d", "3"]) == 2
 
 
-def test_roundtrip_sample_decompose_verify(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--d", "6"],  # no simple graph has d >= n
+    ["--n", "200", "--d", "9", "--max-retries", "3"],  # tries run out
+])
+def test_sample_simple_failures_exit_2(argv, capsys):
+    assert run(["sample", "--simple", *argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "8", "--d", "2", "--max-retries", "0"],
+    ["decompose", "g.txt", "--k", "3", "--max-retries", "-1"],
+])
+def test_max_retries_below_one_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        run(argv)
+    assert exc_info.value.code == 2
+
+
+def test_roundtrip_sample_decompose_verify(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     sd = tmp_path / "sd.txt"
-    assert run(["sample", "--n", "60", "--d", "6", "--seed", "7", "--simple",
-                "--out", str(graph)]) == 0
+    sample = ["sample", "--n", "60", "--d", "6", "--seed", "7", "--simple"]
+    decomp = ["decompose", str(graph), "--k", "4", "--seed", "0"]
+    assert run([*sample, "--out", str(graph)]) == 0
     header = graph.read_text().splitlines()[0]
     assert header == "60 6"
-    assert run(["decompose", str(graph), "--k", "4", "--seed", "0",
-                "--out", str(sd)]) == 0
+    assert run([*decomp, "--out", str(sd)]) == 0
     assert run(["verify", str(graph), str(sd)]) == 0
+    # Without --out the same bytes go to stdout.
+    capsys.readouterr()
+    for argv, path in ((sample, graph), (decomp, sd)):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == path.read_text()
 
 
 def test_verify_rejects_tampered_decomposition(tmp_path):
@@ -144,7 +190,8 @@ def test_decompose_failure_exit_code(tmp_path):
     graph = tmp_path / "petersen.txt"
     from stardecomp.graphs import petersen_graph, write_graph
 
-    write_graph(petersen_graph(), graph)
+    with open(graph, "w") as fh:
+        write_graph(petersen_graph(), fh)
     assert run(["decompose", str(graph), "--k", "3"]) == 1
 
 
@@ -156,6 +203,44 @@ def test_malformed_graph_exit_code(tmp_path):
     graph = tmp_path / "bad.txt"
     graph.write_text("4 3\n0 1 2\n")
     assert run(["verify", str(graph), str(graph)]) == 4
+    graph.write_text("-1 3\n")
+    assert run(["decompose", str(graph), "--k", "3"]) == 4
+
+
+# Numbers come only from small integer tokens: the free text holds no
+# decimal digits, so no header can ask for a huge vertex count.  Lines of
+# integers are drawn often, so that headers and bodies that parse are common.
+_no_digits = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Nd")))
+_int = st.integers(-3, 12).map(str)
+_token = st.one_of(_int, st.sampled_from(["x", "1.5", "-", "+"]),
+                   _no_digits.filter(lambda t: len(t) <= 3))
+_line = st.one_of(
+    st.lists(_int, min_size=1, max_size=4).map(" ".join),
+    st.lists(_token, max_size=4).map(" ".join),
+)
+_file_text = st.one_of(
+    _no_digits,
+    st.lists(_line, max_size=10).map("\n".join),
+    st.tuples(_int, _int, st.lists(_line, max_size=10)).map(
+        lambda t: "\n".join([f"{t[0]} {t[1]}", *t[2]])),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph_text=_file_text, sd_text=_file_text, k=st.integers(1, 4))
+def test_parsers_and_cli_never_raise_on_arbitrary_text(graph_text, sd_text, k, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, sd = Path(tmp) / "g.txt", Path(tmp) / "sd.txt"
+        graph.write_text(graph_text)
+        sd.write_text(sd_text)
+        for parse, path in ((read_graph, graph), (read_decomposition, sd)):
+            try:
+                parse(path)
+            except GraphFormatError:
+                pass
+        assert run(["decompose", str(graph), "--k", str(k)]) in (0, 1, 4)
+        assert run(["verify", str(graph), str(sd)]) in (0, 1, 4)
 
 
 def test_sample_stdout(capsys):

@@ -226,13 +226,18 @@ def small_decomposition_instance():
 
 
 def test_stars_from_orientation_small():
-    g, A, orientation, vmap = small_decomposition_instance()
-    sd = stars_from_orientation(g, A, orientation, 2, vertex_map=vmap)
+    g, A, orientation, _ = small_decomposition_instance()
+    sd = stars_from_orientation(g, A, orientation, 2)
     ok, diagnostics = verify_decomposition(g, sd)
     assert ok, diagnostics
     assert len(sd.stars) == 3
     assert sd.leftover == []
     assert {c for c, _ in sd.stars} == {1, 3, 5}
+    # An orientation of any other graph than g[complement of A] is refused.
+    with pytest.raises(ValueError):
+        stars_from_orientation(g, {0, 3}, orientation, 2)
+    with pytest.raises(ValueError):
+        stars_from_orientation(g, A, Orientation(Graph(3, [(0, 1)]), [0]), 2)
 
 
 def test_verify_catches_double_cover():
@@ -330,7 +335,8 @@ def test_decomposition_file_roundtrip(tmp_path):
     g, _ = sample_simple(30, 4, seed=1)
     sd = decompose(g, 3, seed=0)
     path = tmp_path / "sd.txt"
-    write_decomposition(sd, path)
+    with open(path, "w") as fh:
+        write_decomposition(sd, fh)
     back = read_decomposition(path)
     assert back.k == sd.k
     assert back.stars == sd.stars
@@ -345,3 +351,7 @@ def test_read_decomposition_malformed(tmp_path):
     path.write_text("")
     with pytest.raises(GraphFormatError):
         read_decomposition(path)
+    for text in ("2 -1\n0 1 2\n", "0 0\n0\n", "-1 0\n"):  # r < 0, k < 1
+        path.write_text(text)
+        with pytest.raises(GraphFormatError):
+            read_decomposition(path)

@@ -227,7 +227,8 @@ def test_check_thin():
 def test_graph_file_roundtrip(tmp_path):
     g = config_model_sample(20, 4, seed=9)
     path = tmp_path / "g.txt"
-    write_graph(g, path)
+    with open(path, "w") as fh:
+        write_graph(g, fh)
     assert read_graph(path) == g
 
 
@@ -237,6 +238,9 @@ def test_read_graph_malformed(tmp_path):
     with pytest.raises(GraphFormatError):
         read_graph(path)
     path.write_text("")
+    with pytest.raises(GraphFormatError):
+        read_graph(path)
+    path.write_text("-1 3\n")  # negative vertex count
     with pytest.raises(GraphFormatError):
         read_graph(path)
 
