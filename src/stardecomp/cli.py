@@ -6,7 +6,8 @@ Reports go to the --out file, or to stdout when --out is absent or `-`.
 Exit codes: 0 success (findings included), 1 failed verification or
 decomposition, 2 usage errors (including --max-retries < 1, `sample --simple`
 with d >= n, and a `sample --simple` run out of tries), 3 missing
-alpha-table entry under --strict-table, 4 I/O and parse errors.
+alpha-table entry under --strict-table, 4 I/O and parse errors (including a
+graph header above graphs.MAX_VERTICES vertices).
 """
 
 from __future__ import annotations

@@ -286,6 +286,9 @@ class ThresholdReport:
     frac_part: float
     frac_cond_met: bool
     alpha_lower_ref: float
+    # The reference formula is an asymptotic bound; below d = 87 it exceeds
+    # alpha_fm and says nothing.
+    alpha_lower_ref_usable: bool
 
 
 def threshold_report(d: int, alpha_star: float, source: str) -> ThresholdReport:
@@ -299,14 +302,16 @@ def threshold_report(d: int, alpha_star: float, source: str) -> ThresholdReport:
     # If kappa_star is (numerically) an integer we report frac 0 and a failed
     # fractional-part condition rather than silently decrementing k_ind.
     cond = frac > math.log(d) ** 3 / d
+    fm, lower = alpha_fm(d), alpha_lower_ref(d)
     return ThresholdReport(
         d=d,
-        alpha_fm=alpha_fm(d),
+        alpha_fm=fm,
         alpha_source=source,
         alpha_star=alpha_star,
         kappa_star=ks,
         k_ind=k_ind,
         frac_part=frac,
         frac_cond_met=cond,
-        alpha_lower_ref=alpha_lower_ref(d),
+        alpha_lower_ref=lower,
+        alpha_lower_ref_usable=lower < fm,
     )

@@ -15,6 +15,9 @@ import numpy as np
 
 RNG_NAME = "numpy-pcg64"
 BRUTEFORCE_VERTEX_CAP = 24
+# read_graph builds one adjacency list per vertex the header names, about
+# 70 bytes each before any edge is read, so a larger count is refused.
+MAX_VERTICES = 1_000_000
 
 
 class GraphFormatError(ValueError):
@@ -307,6 +310,9 @@ def read_graph(path) -> Graph:
             raise ValueError
     except ValueError as exc:
         raise GraphFormatError(f"{path}: malformed graph file") from exc
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"{path}: {n} vertices is above the limit of {MAX_VERTICES}")
     try:
         return Graph(n, edges)
     except ValueError as exc:

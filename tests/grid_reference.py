@@ -1,0 +1,82 @@
+"""Reference oracles for the differential tests of the certifier's grid step:
+the straightforward entropy kernel, the one-shot pair-rate grid and the
+full-grid condition check.  The check builds and evaluates every (beta, tau)
+grid point, also when the strong condition already settles the verdict, so
+it shows plainly what the library's restricted check must agree with."""
+
+import numpy as np
+
+from stardecomp.certify import MAX_REFINEMENTS, CertifyError, _grid
+from stardecomp.entropy import alpha_dk
+
+
+def h_arr(x):
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+        raise ValueError("array entropy argument outside [0, 1]")
+    xc = np.clip(x, 0.0, 1.0)
+    out = np.zeros_like(xc)
+    pos = (xc > 0.0) & (xc < 1.0)
+    out[pos] = -xc[pos] * np.log(xc[pos])
+    return out
+
+
+def pair_rate_grid(d, alpha, betas, taus):
+    b = np.asarray(betas, dtype=float)[:, None]
+    t = np.asarray(taus, dtype=float)[None, :]
+    edge = (
+        2.0 * h_arr(b)
+        + 2.0 * b * (h_arr(t) + h_arr(1.0 - t))
+        + 2.0 * h_arr(alpha - t * b)
+        + 2.0 * h_arr(1.0 - 2.0 * alpha - (1.0 - t) * b)
+        - h_arr(np.full_like(b, 1.0 - 2.0 * alpha))
+    )
+    vert = h_arr(np.full((1, 1), alpha)) + h_arr(b) + h_arr(1.0 - alpha - b)
+    return d / 2.0 * edge - (d - 1) * vert
+
+
+def check_condition(d, k, d_hat, alpha, bmax, tau_plus, beta_step, tau_step):
+    if d_hat >= k:
+        raise CertifyError("bad input", f"d_hat={d_hat} >= k={k}")
+    rhs = alpha - alpha_dk(d, k)
+    strong = (d - d_hat) * bmax < rhs
+    if bmax <= 0.0:
+        return strong, True, None
+
+    witness = [None]
+
+    def note_witness(bs, ts, vals, mask):
+        if not np.any(mask):
+            return
+        vm = np.where(mask, vals, -np.inf)
+        i, j = np.unravel_index(np.argmax(vm), vm.shape)
+        slack = rhs - vals[i, j]
+        if witness[0] is None or slack < witness[0][2]:
+            witness[0] = (float(bs[i]), float(ts[j]), float(slack))
+
+    def check_box(b_lo, b_hi, t_lo, t_hi, db, dt, depth):
+        bs = _grid(max(b_lo, 0.0), b_hi, db, minimum_points=51)
+        ts = _grid(t_lo, t_hi, dt, minimum_points=51)
+        db_eff = bs[1] - bs[0]
+        dt_eff = ts[1] - ts[0]
+        rates = pair_rate_grid(d, alpha, bs, ts)
+        mask = rates >= 0.0
+        vals = (ts[None, :] * d - d_hat) * bs[:, None]
+        note_witness(bs, ts, vals, mask)
+        if np.any(mask & (vals >= rhs)):
+            return False
+        margin = d * db_eff + d * bmax * dt_eff
+        bad = mask & (vals + margin >= rhs)
+        if not np.any(bad):
+            return True
+        if depth >= MAX_REFINEMENTS:
+            return False
+        bi, ti = np.nonzero(bad)
+        nb_lo = max(b_lo, bs[bi.min()] - db_eff)
+        nb_hi = min(b_hi, bs[bi.max()] + db_eff)
+        nt_lo = max(t_lo, ts[ti.min()] - dt_eff)
+        nt_hi = min(t_hi, ts[ti.max()] + dt_eff)
+        return check_box(nb_lo, nb_hi, nt_lo, nt_hi, db / 10, dt / 10, depth + 1)
+
+    weak = check_box(0.0, bmax, tau_plus, 1.0, beta_step, tau_step, 0)
+    return strong, weak or strong, witness[0]

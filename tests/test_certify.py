@@ -3,6 +3,7 @@ the pair-rate grid checks, and degree sweeps."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardecomp.certify import (
+    GRID_BLOCK_POINTS,
     CertifyError,
     CertifyInput,
     DegreeRecord,
+    _h_arr,
     beta_max,
     certify,
     certify_degree,
@@ -30,6 +33,8 @@ from stardecomp.entropy import (
     kappa,
     pair_rate,
 )
+
+import grid_reference as ref
 
 
 def test_input_validation():
@@ -73,6 +78,98 @@ def test_pair_rate_grid_matches_scalar(seed):
             )
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_pair_rate_grid_matches_reference(seed):
+    # Blocked evaluation and the fused kernel keep every element of the
+    # one-shot evaluator, domain edges (beta = 0, tau in {0, 1}) included.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 3001))
+    alpha = float(rng.uniform(0.01, 0.49))
+    taus = np.sort(np.r_[0.0, 1.0, rng.uniform(0.0, 1.0, int(rng.integers(0, 1200)))])
+    rows = int(rng.integers(1, 3 * GRID_BLOCK_POINTS // len(taus)))
+    betas = np.linspace(0.0, min(1.0 - 2.0 * alpha, alpha), rows)
+    assert np.array_equal(pair_rate_grid(d, alpha, betas, taus),
+                          ref.pair_rate_grid(d, alpha, betas, taus))
+
+
+def test_h_arr_domain():
+    with pytest.raises(ValueError):
+        _h_arr(np.array([0.5, -2e-12]))
+    with pytest.raises(ValueError):
+        _h_arr(np.array([[0.5], [1.0 + 2e-12]]))
+    x = np.array([-1e-12, 0.0, 0.25, 1.0, 1.0 + 1e-12])
+    assert np.array_equal(_h_arr(x), ref.h_arr(x))
+    assert _h_arr(np.array([])).shape == (0,)
+
+
+def _recording(mp, module):
+    """Wrap module.pair_rate_grid so each call's (betas, taus, rates) is kept."""
+    calls, fn = [], module.pair_rate_grid
+
+    def record(d, alpha, betas, taus):
+        rates = fn(d, alpha, betas, taus)
+        calls.append((np.asarray(betas), np.asarray(taus), rates))
+        return rates
+
+    mp.setattr(module, "pair_rate_grid", record)
+    return calls
+
+
+def _assert_matches_full_grid(d, k, alpha, beta_step, tau_step):
+    """The restricted check gives the full grid's (strong, weak), evaluates
+    the same boxes, and keeps every row that holds a point able to fail the
+    check or trigger a refinement."""
+    try:
+        res = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha))
+        bmax = beta_max(d, alpha, res.tau_plus, step=beta_step)
+    except (CertifyError, ValueError):
+        return
+    args = (d, k, res.d_hat, alpha, bmax, res.tau_plus, beta_step, tau_step)
+    with pytest.MonkeyPatch.context() as mp:
+        # The package re-exports the function `certify` under the module name.
+        new_calls = _recording(mp, sys.modules["stardecomp.certify"])
+        ref_calls = _recording(mp, ref)
+        new = check_condition(*args)
+        old = ref.check_condition(*args)
+    assert new[:2] == old[:2]
+    if new[0]:
+        assert new_calls == [] and new[2] is None
+        return
+    rhs = alpha - alpha_dk(d, k)
+    assert len(new_calls) == len(ref_calls)
+    for (bs, ts, rates), (new_bs, new_ts, _) in zip(ref_calls, new_calls):
+        margin = d * (bs[1] - bs[0]) + d * bmax * (ts[1] - ts[0])
+        vals = (ts[None, :] * d - res.d_hat) * bs[:, None]
+        needed = bs[np.any((rates >= 0.0) & (vals + margin >= rhs), axis=1)]
+        assert np.array_equal(new_ts, ts)
+        assert np.isin(new_bs, bs).all() and np.isin(needed, new_bs).all()
+
+
+# Weak-only certificates at (30, 17) and (176, 92) refine once, (31, 17) does
+# not; d = 31 and 50 fail at k_ind and d = 100 is strong.
+@pytest.mark.parametrize("d, k", [(30, 17), (176, 92), (31, 17), (31, 18),
+                                  (50, 28), (100, 53)])
+def test_check_condition_matches_full_grid_on_sweep_cases(d, k):
+    _assert_matches_full_grid(d, k, alpha_fc_estimate(d), 1e-6, 1e-3)
+
+
+@given(
+    d=st.one_of(st.integers(30, 99), st.integers(100, 3000)),
+    drop=st.integers(0, 1),
+    rel=st.floats(-0.05, 0.05),
+    coarse=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_check_condition_matches_full_grid(d, drop, rel, coarse):
+    # At k_ind and k_ind - 1 around the sweep's densities; coarse steps make
+    # the margin wide, so more rows are evaluated and boxes refine.
+    alpha = alpha_fc_estimate(d) * (1.0 + rel)
+    k = math.floor(kappa(d, alpha)) - drop
+    steps = (1e-5, 1e-2) if coarse else (1e-6, 1e-3)
+    _assert_matches_full_grid(d, k, alpha, *steps)
+
+
 def test_beta_max_zero_when_rate_negative():
     # Above the first-moment bound the rate is negative at beta = 0 already.
     d = 30
@@ -112,6 +209,7 @@ def test_certify_d100_strong():
     assert res.certified
     assert res.strong_condition_met
     assert res.weak_condition_met  # strong implies weak
+    assert res.worst_witness is None  # no grid was built
 
 
 def test_certify_degree_non_exceptional():

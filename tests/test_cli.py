@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stardecomp.cli import main
 from stardecomp.decomp import read_decomposition
-from stardecomp.graphs import GraphFormatError, read_graph
+from stardecomp.graphs import MAX_VERTICES, GraphFormatError, read_graph
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -65,6 +65,17 @@ def test_thresholds_csv_format(tmp_path, capsys):
     assert rows[0]["d"] == "30"
     assert rows[0]["alpha_source"] == "estimate"
     assert float(rows[0]["alpha_star"]) == payload["alpha_star"]
+
+
+@pytest.mark.parametrize("d, usable", [(3, False), (1000, True)])
+def test_thresholds_flags_unusable_lower_reference(tmp_path, d, usable):
+    out = tmp_path / "thr.json"
+    assert run(["thresholds", "--d", str(d), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, load_schema("threshold_report.schema.json"))
+    payload = doc["payload"]
+    assert payload["alpha_lower_ref_usable"] is usable
+    assert (payload["alpha_lower_ref"] < payload["alpha_fm"]) is usable
 
 
 def test_thresholds_rejects_tiny_degree():
@@ -207,11 +218,24 @@ def test_malformed_graph_exit_code(tmp_path):
     assert run(["decompose", str(graph), "--k", "3"]) == 4
 
 
-# Numbers come only from small integer tokens: the free text holds no
-# decimal digits, so no header can ask for a huge vertex count.  Lines of
-# integers are drawn often, so that headers and bodies that parse are common.
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**8])
+def test_decompose_rejects_vertex_count_above_limit(tmp_path, capsys, n):
+    # Refused from the header alone, before one list per vertex is built.
+    graph = tmp_path / "huge.txt"
+    graph.write_text(f"{n} 0\n")
+    assert run(["decompose", str(graph), "--k", "3"]) == 4
+    err = capsys.readouterr().err
+    assert f"limit of {MAX_VERTICES}" in err and "Traceback" not in err
+
+
+# Numbers come only from integer tokens: the free text holds no decimal
+# digits.  Integers are small or above MAX_VERTICES, which read_graph refuses
+# from the header; a count just below the limit would cost ~70 MB per
+# example.  Lines of integers are drawn often, so that headers and bodies
+# that parse are common.
 _no_digits = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Nd")))
-_int = st.integers(-3, 12).map(str)
+_int = st.one_of(st.integers(-3, 12),
+                 st.sampled_from([MAX_VERTICES + 1, 10**12])).map(str)
 _token = st.one_of(_int, st.sampled_from(["x", "1.5", "-", "+"]),
                    _no_digits.filter(lambda t: len(t) <= 3))
 _line = st.one_of(

@@ -211,6 +211,12 @@ def test_reference_bound_crossing_degree():
     assert alpha_lower_ref(87) < alpha_fm(87)
 
 
+def test_threshold_report_lower_reference_usable_from_87():
+    for d in range(3, 200):
+        rep = threshold_report(d, alpha_fm(d), "estimate")
+        assert rep.alpha_lower_ref_usable == (d >= 87)
+
+
 def test_avg_degree_ceiling_roundtrip():
     for d in (6, 10, 100):
         for x in (0.05, 0.2, 0.5):
