@@ -8,9 +8,12 @@ exceptional degrees where only k_ind - 1 certifies.
 The continuum condition is checked on a rectangular (beta, tau) grid with a
 conservative Lipschitz safety margin, refined locally near violations.  The
 grid is evaluated only where it can change the verdict: not at all when the
-strong condition holds, and otherwise only on the beta rows whose largest
-(tau*d - d_hat)*beta comes within the margin of the bound.  Errors are
-one-sided: the checker may under-certify, never over-certify.
+strong condition holds, and otherwise in one blocked pass over the beta rows
+whose largest (tau*d - d_hat)*beta comes within the margin of the bound,
+each block restricted to the band of tau columns where one of its rows
+does.  The pass stops at the first raw violation, and the least-slack point
+it evaluated is reported as the witness.  Errors are one-sided: the checker
+may under-certify, never over-certify.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ DEFAULT_TAU_STEP = 1e-3
 MAX_REFINEMENTS = 3
 GRID_BLOCK_POINTS = 1 << 15
 COSTLY_DEGREE = 100
+# beta_max: scalar steps before the block scan, and the grid rate (per unit
+# of d) below which the scalar pair_rate decides a point's sign.
+SCALAR_SCAN_STEPS = 32
+NEAR_ZERO_RATE = 1e-12
 
 
 class CertifyError(RuntimeError):
@@ -84,42 +91,60 @@ class CertifyResult:
     error: str | None = None
 
 
-def _h_arr(x):
-    """Vectorized -x log x with the same clamping band as entropy.h."""
+def _h_arr(x, out=None):
+    """Vectorized -x log x with the same clamping band as entropy.h.
+
+    With `out`, an array of the shape of x, the result is written there and
+    x, which must then be a float array, is clipped to [0, 1] in place.
+    """
     x = np.asarray(x, dtype=float)
     if x.size and (x.min() < -1e-12 or x.max() > 1.0 + 1e-12):
         raise ValueError("array entropy argument outside [0, 1]")
-    xc = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(xc)
-    np.log(xc, out=out, where=(xc > 0.0) & (xc < 1.0))
-    out *= xc
+    if out is None:
+        x, out = np.clip(x, 0.0, 1.0), np.zeros_like(x)
+    else:
+        np.clip(x, 0.0, 1.0, out=x)
+        out.fill(0.0)
+    # log(1) is exactly 0, so only x = 0 needs masking.
+    np.log(x, out=out, where=x > 0.0)
+    out *= x
     return np.negative(out, out=out)
 
 
 def pair_rate_grid(d, alpha, betas, taus):
     """pair_rate evaluated on the outer grid betas x taus (numpy broadcast).
 
-    Returns an array of shape (len(betas), len(taus)).  Rows are evaluated in
-    blocks of about GRID_BLOCK_POINTS points, which keeps the temporaries in
-    cache; each element is computed on its own, so blocking changes no bit.
+    Returns an array of shape (len(betas), len(taus)).  The terms that depend
+    on one axis only are computed once; the rest is evaluated in blocks of
+    about GRID_BLOCK_POINTS rows x columns, in place in the output and two
+    scratch arrays, which keeps the temporaries in cache and allocates
+    nothing per block.  Each element goes through the operations of
+    entropy.pair_rate in its order, so blocking changes no bit.
     """
     b = np.asarray(betas, dtype=float)[:, None]
     t = np.asarray(taus, dtype=float)[None, :]
     h_t = _h_arr(t) + _h_arr(1.0 - t)
+    h_b = _h_arr(b)
+    h_edge = _h_arr(np.full((1, 1), 1.0 - 2.0 * alpha))
+    vert = _h_arr(np.full((1, 1), alpha)) + h_b + _h_arr(1.0 - alpha - b)
     out = np.empty((b.shape[0], t.shape[1]))
     rows = max(1, GRID_BLOCK_POINTS // max(t.shape[1], 1))
+    arg = np.empty((min(rows, b.shape[0]), t.shape[1]))
+    term = np.empty_like(arg)
     for i in range(0, b.shape[0], rows):
         bb = b[i : i + rows]
-        hb = _h_arr(bb)
-        edge = (
-            2.0 * hb
-            + 2.0 * bb * h_t
-            + 2.0 * _h_arr(alpha - t * bb)
-            + 2.0 * _h_arr(1.0 - 2.0 * alpha - (1.0 - t) * bb)
-            - _h_arr(np.full_like(bb, 1.0 - 2.0 * alpha))
-        )
-        vert = _h_arr(np.full((1, 1), alpha)) + hb + _h_arr(1.0 - alpha - bb)
-        out[i : i + rows] = d / 2.0 * edge - (d - 1) * vert
+        o, x, y = out[i : i + rows], arg[: len(bb)], term[: len(bb)]
+        # edge = 2h(b) + 2b(h(t) + h(1-t)) + 2h(alpha - tb)
+        #        + 2h(1 - 2alpha - (1-t)b) - h(1 - 2alpha), summed left to right
+        np.multiply(2.0 * bb, h_t, out=o)
+        np.add(2.0 * h_b[i : i + rows], o, out=o)
+        np.subtract(alpha, np.multiply(t, bb, out=x), out=x)
+        o += np.multiply(_h_arr(x, out=y), 2.0, out=y)
+        np.subtract(1.0 - 2.0 * alpha, np.multiply(1.0 - t, bb, out=x), out=x)
+        o += np.multiply(_h_arr(x, out=y), 2.0, out=y)
+        o -= h_edge
+        o *= d / 2.0
+        o -= (d - 1) * vert[i : i + rows]
     return out
 
 
@@ -148,8 +173,19 @@ def beta_max(d, alpha, tau_plus, step=DEFAULT_BETA_STEP):
     """Smallest beta > 0 at which the pair rate at (alpha, beta, tau_plus)
     turns negative, i.e. inf { beta > 0 : pair_rate < 0 }.
 
-    Located by ascending grid scan then bisection to 1e-10; the returned value
-    is rounded up by one bisection tolerance (conservative).
+    Located by an ascending scan over beta = step, step + step, ... (one
+    float addition per point) then bisection to 1e-10; the returned value is
+    rounded up by one bisection tolerance (conservative).
+
+    The scan's first SCALAR_SCAN_STEPS points are evaluated one by one with
+    the scalar pair_rate, which ends it within a few steps for most degrees.
+    Beyond them it evaluates blocks of doubling size with pair_rate_grid,
+    their points built by np.cumsum from the current beta (the same
+    sequential additions).  pair_rate_grid may differ from pair_rate in the
+    last bits, so every point of a block whose grid rate is below
+    NEAR_ZERO_RATE * d is decided by the scalar pair_rate, the first negative
+    one included; if a block leaves the entropy domain the scalar scan takes
+    over at its start.  The bracket, and so the result, is the scalar scan's.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha {alpha} outside (0, 1/2)")
@@ -160,13 +196,37 @@ def beta_max(d, alpha, tau_plus, step=DEFAULT_BETA_STEP):
         return 0.0
     tol = 1e-10
     b_hi_cap = 1.0 - 2.0 * alpha
+    near_zero = NEAR_ZERO_RATE * d
     lo = 0.0
     b = step
+    n = 0  # points scanned so far
+    vector = True
     while b < b_hi_cap:
-        if pair_rate(d, alpha, b, tau_plus) < 0.0:
+        if n < SCALAR_SCAN_STEPS or not vector:
+            if pair_rate(d, alpha, b, tau_plus) < 0.0:
+                break
+            lo = b
+            b += step
+            n += 1
+            continue
+        bs = np.cumsum(np.r_[b, np.full(min(n, GRID_BLOCK_POINTS) - 1, step)])
+        bs = bs[bs < b_hi_cap]
+        try:
+            rates = pair_rate_grid(d, alpha, bs, [tau_plus])[:, 0]
+        except ValueError:
+            # A point left the entropy domain; the scalar scan meets it in
+            # order and raises exactly where the scan would.
+            vector = False
+            continue
+        first = next((i for i in np.flatnonzero(rates < near_zero)
+                      if pair_rate(d, alpha, float(bs[i]), tau_plus) < 0.0), None)
+        if first is not None:
+            lo = float(bs[first - 1]) if first else lo
+            b = float(bs[first])
             break
-        lo = b
-        b += step
+        lo = float(bs[-1])
+        b = lo + step
+        n += len(bs)
     else:
         raise CertifyError(
             "no sign change", f"pair rate stays nonnegative up to beta={b_hi_cap}"
@@ -211,13 +271,20 @@ def check_condition(
             x10 around violations up to MAX_REFINEMENTS times.
 
     Strong implies weak, so when strong holds (or bmax <= 0) no grid is built
-    and the result is (strong, True, None).  Otherwise each box evaluates only
-    the beta rows whose largest (tau*d - d_hat) * beta plus the margin reaches
-    the bound; the verdict and every refined box are those of the full grid.
+    and the result is (strong, True, None).  Otherwise each box makes one
+    pass over the beta rows whose largest (tau*d - d_hat) * beta plus the
+    margin reaches the bound, in blocks of about GRID_BLOCK_POINTS points.  A
+    block evaluates only the tau columns from the first one where some row
+    of the block reaches the bound that way; the block stops the box at the
+    first raw violation and otherwise tracks the extent of the points within
+    the margin, which becomes the refined box.  The verdict and every refined
+    box are those of the full grid.
 
     Returns (strong, weak, worst_witness) where worst_witness is the
-    evaluated nonnegative-rate grid point maximizing (tau*d - d_hat) * beta,
-    as (beta, tau, slack), or None if there is none.
+    nonnegative-rate point of least slack alpha - alpha_dk - (tau*d - d_hat)
+    * beta among those evaluated before the verdict, as (beta, tau, slack),
+    or None if there is none.  When the check fails on a raw violation the
+    witness is a grid point with slack <= 0.
     """
     if d_hat >= k:
         raise CertifyError("bad input", f"d_hat={d_hat} >= k={k}")
@@ -227,18 +294,10 @@ def check_condition(
     if strong or bmax <= 0.0:
         return strong, True, None
 
-    witness = [None]  # best (beta, tau, slack) seen, by smallest slack
-
-    def note_witness(bs, ts, vals, mask):
-        if not np.any(mask):
-            return
-        vm = np.where(mask, vals, -np.inf)
-        i, j = np.unravel_index(np.argmax(vm), vm.shape)
-        slack = rhs - vals[i, j]
-        if witness[0] is None or slack < witness[0][2]:
-            witness[0] = (float(bs[i]), float(ts[j]), float(slack))
+    witness = None  # best (beta, tau, slack) seen, by smallest slack
 
     def check_box(b_lo, b_hi, t_lo, t_hi, db, dt, depth):
+        nonlocal witness
         # Keep at least ~50 points per axis so coarse steps on a tiny box
         # still cover it.
         bs = _grid(max(b_lo, 0.0), b_hi, db, minimum_points=51)
@@ -246,31 +305,53 @@ def check_condition(
         db_eff = bs[1] - bs[0]
         dt_eff = ts[1] - ts[0]
         margin = d * db_eff + d * bmax * dt_eff
-        # tau*d - d_hat grows with tau and beta >= 0, so (rounding included) a
-        # row peaks in its last column; below rhs - margin there it is inert.
-        bs = bs[(ts[-1] * d - d_hat) * bs + margin >= rhs]
-        rates = pair_rate_grid(d, alpha, bs, ts)
-        mask = rates >= 0.0
-        vals = (ts[None, :] * d - d_hat) * bs[:, None]
-        note_witness(bs, ts, vals, mask)
-        # A raw violation at a grid point is a genuine counterexample on the
-        # continuum; no refinement can rescue it.
-        if np.any(mask & (vals >= rhs)):
-            return False
-        bad = mask & (vals + margin >= rhs)
-        if not np.any(bad):
+        coef = ts * d - d_hat
+        # coef grows with tau and beta >= 0, so (rounding included) a row
+        # peaks in its last column; below rhs - margin there it is inert.
+        bs = bs[coef[-1] * bs + margin >= rhs]
+        # Rows and columns spanned by the points within the margin of rhs.
+        first = last = None
+        col_lo, col_hi = len(ts), -1
+        rows = max(1, GRID_BLOCK_POINTS // len(ts))
+        for i in range(0, len(bs), rows):
+            bb = bs[i : i + rows]
+            # coef * beta is monotone in beta for either sign of coef, so the
+            # block's end rows bound it; that bound grows with tau, so the
+            # columns that can reach rhs - margin are a suffix.
+            reach = np.maximum(coef * bb[0], coef * bb[-1]) + margin >= rhs
+            j0 = int(np.argmax(reach))
+            vals = coef[j0:] * bb[:, None]
+            rates = pair_rate_grid(d, alpha, bb, ts[j0:])
+            np.copyto(vals, -np.inf, where=rates < 0.0)
+            r, c = np.unravel_index(np.argmax(vals), vals.shape)
+            top = vals[r, c]
+            if top == -np.inf:
+                continue
+            if witness is None or rhs - top < witness[2]:
+                witness = (float(bb[r]), float(ts[j0 + c]), float(rhs - top))
+            # A raw violation at a grid point is a genuine counterexample on
+            # the continuum; no refinement can rescue it.
+            if top >= rhs:
+                return False
+            if top + margin < rhs:
+                continue
+            bi, ti = np.nonzero(vals + margin >= rhs)
+            first = i + bi[0] if first is None else first
+            last = i + bi[-1]
+            col_lo = min(col_lo, j0 + ti.min())
+            col_hi = max(col_hi, j0 + ti.max())
+        if first is None:
             return True
         if depth >= MAX_REFINEMENTS:
             return False
-        bi, ti = np.nonzero(bad)
-        nb_lo = max(b_lo, bs[bi.min()] - db_eff)
-        nb_hi = min(b_hi, bs[bi.max()] + db_eff)
-        nt_lo = max(t_lo, ts[ti.min()] - dt_eff)
-        nt_hi = min(t_hi, ts[ti.max()] + dt_eff)
+        nb_lo = max(b_lo, bs[first] - db_eff)
+        nb_hi = min(b_hi, bs[last] + db_eff)
+        nt_lo = max(t_lo, ts[col_lo] - dt_eff)
+        nt_hi = min(t_hi, ts[col_hi] + dt_eff)
         return check_box(nb_lo, nb_hi, nt_lo, nt_hi, db / 10, dt / 10, depth + 1)
 
     weak = check_box(0.0, bmax, tau_plus, 1.0, beta_step, tau_step, 0)
-    return strong, weak, witness[0]
+    return strong, weak, witness
 
 
 def certify(inp: CertifyInput) -> CertifyResult:

@@ -1,13 +1,16 @@
 """Command-line interface: reproducible batch runs with machine-readable
 output.
 
-Reports go to the --out file, or to stdout when --out is absent or `-`.
+Reports go to the --out file, or to stdout when --out is absent or `-`;
+summaries and diagnostics go to stderr.  `certify` with --d-min > --d-max
+reports an empty degree range: no records, exit 0.
 
 Exit codes: 0 success (findings included), 1 failed verification or
-decomposition, 2 usage errors (including --max-retries < 1, `sample --simple`
-with d >= n, and a `sample --simple` run out of tries), 3 missing
-alpha-table entry under --strict-table, 4 I/O and parse errors (including a
-graph header above graphs.MAX_VERTICES vertices).
+decomposition, 2 usage errors (including --max-retries < 1, a nonpositive
+--beta-step or --tau-step, `sample --simple` with d >= n, and a `sample
+--simple` run out of tries), 3 missing alpha-table entry under
+--strict-table, 4 I/O and parse errors (including a graph header above
+graphs.MAX_VERTICES vertices).
 """
 
 from __future__ import annotations
@@ -142,7 +145,8 @@ def cmd_certify(args):
             writer.writerow(["d"])
             for d in exceptional:
                 writer.writerow([d])
-    print("exceptional degrees:", " ".join(map(str, exceptional)) or "(none)")
+    print("exceptional degrees:", " ".join(map(str, exceptional)) or "(none)",
+          file=sys.stderr)
     return 0
 
 
@@ -203,6 +207,13 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="stardecomp")
     parser.add_argument("--version", action="version", version=__version__)
@@ -222,8 +233,10 @@ def build_parser():
     p.add_argument("--strict-table", action="store_true",
                    help="fail (exit 3) if the table lacks a degree in range")
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--beta-step", dest="beta_step", type=float, default=1e-6)
-    p.add_argument("--tau-step", dest="tau_step", type=float, default=1e-3)
+    p.add_argument("--beta-step", dest="beta_step", type=_positive_float,
+                   default=1e-6)
+    p.add_argument("--tau-step", dest="tau_step", type=_positive_float,
+                   default=1e-3)
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_certify)

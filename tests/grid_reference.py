@@ -1,13 +1,15 @@
 """Reference oracles for the differential tests of the certifier's grid step:
-the straightforward entropy kernel, the one-shot pair-rate grid and the
-full-grid condition check.  The check builds and evaluates every (beta, tau)
-grid point, also when the strong condition already settles the verdict, so
-it shows plainly what the library's restricted check must agree with."""
+the straightforward entropy kernel, the one-shot pair-rate grid, the
+full-grid condition check and the point-by-point beta_max scan.  The check
+builds and evaluates every (beta, tau) grid point, also when the strong
+condition already settles the verdict, and the scan evaluates every beta
+with the scalar pair rate, so they show plainly what the library's blocked
+and vectorised versions must agree with."""
 
 import numpy as np
 
 from stardecomp.certify import MAX_REFINEMENTS, CertifyError, _grid
-from stardecomp.entropy import alpha_dk
+from stardecomp.entropy import alpha_dk, ind_set_rate, pair_rate
 
 
 def h_arr(x):
@@ -80,3 +82,33 @@ def check_condition(d, k, d_hat, alpha, bmax, tau_plus, beta_step, tau_step):
 
     weak = check_box(0.0, bmax, tau_plus, 1.0, beta_step, tau_step, 0)
     return strong, weak or strong, witness[0]
+
+
+def beta_max(d, alpha, tau_plus, step):
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha {alpha} outside (0, 1/2)")
+    if not 0.0 < tau_plus <= 1.0:
+        raise ValueError(f"tau_plus {tau_plus} outside (0, 1]")
+    if ind_set_rate(d, alpha) < 0.0:
+        return 0.0
+    tol = 1e-10
+    b_hi_cap = 1.0 - 2.0 * alpha
+    lo = 0.0
+    b = step
+    while b < b_hi_cap:
+        if pair_rate(d, alpha, b, tau_plus) < 0.0:
+            break
+        lo = b
+        b += step
+    else:
+        raise CertifyError(
+            "no sign change", f"pair rate stays nonnegative up to beta={b_hi_cap}"
+        )
+    hi = min(b, b_hi_cap)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pair_rate(d, alpha, mid, tau_plus) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi + tol

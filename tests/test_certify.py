@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from stardecomp.certify import (
     GRID_BLOCK_POINTS,
+    SCALAR_SCAN_STEPS,
     CertifyError,
     CertifyInput,
     DegreeRecord,
@@ -26,6 +27,7 @@ from stardecomp.certify import (
     sweep,
 )
 from stardecomp.entropy import (
+    DomainError,
     alpha_dk,
     alpha_fc_estimate,
     alpha_fm,
@@ -103,23 +105,35 @@ def test_h_arr_domain():
     assert _h_arr(np.array([])).shape == (0,)
 
 
-def _recording(mp, module):
-    """Wrap module.pair_rate_grid so each call's (betas, taus, rates) is kept."""
-    calls, fn = [], module.pair_rate_grid
+def _boxes(mp, module):
+    """Wrap module._grid and module.pair_rate_grid to log each box of a
+    check: its beta and tau grids (two _grid calls open a box), then the
+    (betas, taus, rates) of every pair_rate_grid call made for it."""
+    boxes = []
+    grid, rate_grid = module._grid, module.pair_rate_grid
 
-    def record(d, alpha, betas, taus):
-        rates = fn(d, alpha, betas, taus)
-        calls.append((np.asarray(betas), np.asarray(taus), rates))
+    def record_grid(*args, **kwargs):
+        axis = grid(*args, **kwargs)
+        if not boxes or len(boxes[-1]["axes"]) == 2:
+            boxes.append({"axes": [], "calls": []})
+        boxes[-1]["axes"].append(axis)
+        return axis
+
+    def record_rates(d, alpha, betas, taus):
+        rates = rate_grid(d, alpha, betas, taus)
+        boxes[-1]["calls"].append((np.asarray(betas), np.asarray(taus), rates))
         return rates
 
-    mp.setattr(module, "pair_rate_grid", record)
-    return calls
+    mp.setattr(module, "_grid", record_grid)
+    mp.setattr(module, "pair_rate_grid", record_rates)
+    return boxes
 
 
 def _assert_matches_full_grid(d, k, alpha, beta_step, tau_step):
-    """The restricted check gives the full grid's (strong, weak), evaluates
-    the same boxes, and keeps every row that holds a point able to fail the
-    check or trigger a refinement."""
+    """The blocked, column-restricted check gives the full grid's (strong,
+    weak), builds the same sequence of boxes, and evaluates every point that
+    can fail the check or trigger a refinement, with the full grid's rate;
+    only a box that stops at a raw violation may leave later rows out."""
     try:
         res = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha))
         bmax = beta_max(d, alpha, res.tau_plus, step=beta_step)
@@ -128,22 +142,40 @@ def _assert_matches_full_grid(d, k, alpha, beta_step, tau_step):
     args = (d, k, res.d_hat, alpha, bmax, res.tau_plus, beta_step, tau_step)
     with pytest.MonkeyPatch.context() as mp:
         # The package re-exports the function `certify` under the module name.
-        new_calls = _recording(mp, sys.modules["stardecomp.certify"])
-        ref_calls = _recording(mp, ref)
+        new_boxes = _boxes(mp, sys.modules["stardecomp.certify"])
+        ref_boxes = _boxes(mp, ref)
         new = check_condition(*args)
         old = ref.check_condition(*args)
     assert new[:2] == old[:2]
     if new[0]:
-        assert new_calls == [] and new[2] is None
+        assert new_boxes == [] and new[2] is None
         return
     rhs = alpha - alpha_dk(d, k)
-    assert len(new_calls) == len(ref_calls)
-    for (bs, ts, rates), (new_bs, new_ts, _) in zip(ref_calls, new_calls):
+    # The witness has the least slack of the nonnegative-rate points evaluated.
+    slacks = [rhs - ((taus * d - res.d_hat) * betas[:, None])[block >= 0.0].max()
+              for box in new_boxes for betas, taus, block in box["calls"]
+              if np.any(block >= 0.0)]
+    assert new[2] is None if not slacks else new[2][2] == min(slacks)
+    assert len(new_boxes) == len(ref_boxes)
+    for n, (new_box, ref_box) in enumerate(zip(new_boxes, ref_boxes)):
+        assert all(map(np.array_equal, new_box["axes"], ref_box["axes"]))
+        [(bs, ts, rates)] = ref_box["calls"]
         margin = d * (bs[1] - bs[0]) + d * bmax * (ts[1] - ts[0])
         vals = (ts[None, :] * d - res.d_hat) * bs[:, None]
-        needed = bs[np.any((rates >= 0.0) & (vals + margin >= rhs), axis=1)]
-        assert np.array_equal(new_ts, ts)
-        assert np.isin(new_bs, bs).all() and np.isin(needed, new_bs).all()
+        needed = (rates >= 0.0) & (vals + margin >= rhs)
+        seen = np.zeros_like(needed)
+        for betas, taus, block in new_box["calls"]:
+            i, j0 = np.searchsorted(bs, betas), len(ts) - len(taus)
+            assert np.array_equal(bs[i], betas) and np.array_equal(ts[j0:], taus)
+            assert np.array_equal(block, rates[i, j0:])
+            seen[i, j0:] = True
+        if not new[1] and n == len(new_boxes) - 1:
+            # A failed check may stop at the first block holding a raw
+            # violation, leaving the rows after it unevaluated.
+            last = np.flatnonzero(seen.any(axis=1)).max(initial=-1)
+            if np.any((rates[: last + 1] >= 0.0) & (vals[: last + 1] >= rhs)):
+                needed[last + 1 :] = False
+        assert seen[needed].all()
 
 
 # Weak-only certificates at (30, 17) and (176, 92) refine once, (31, 17) does
@@ -195,6 +227,66 @@ def test_beta_max_rejects_bad_arguments():
         beta_max(10, 0.2, 0.0)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (CertifyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    d=st.one_of(st.integers(30, 99), st.integers(100, 3000)),
+    rel=st.floats(-0.05, 0.05),
+    tau_plus=st.floats(0.0, 1.0, exclude_min=True),
+    drop=st.sampled_from([None, 0, 1]),
+    step=st.sampled_from([1e-6, 1e-5, 1e-4]),
+)
+@settings(max_examples=60, deadline=None)
+def test_beta_max_matches_scalar_scan(d, rel, tau_plus, drop, step):
+    # tau_plus is drawn from (0, 1] or, for the long scans the sweep makes,
+    # taken from derive_dhat at k_ind - drop; failures must match too.
+    alpha = alpha_fc_estimate(d) * (1.0 + rel)
+    if drop is not None:
+        k = math.floor(kappa(d, alpha)) - drop
+        try:
+            tau_plus = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha)).tau_plus
+        except CertifyError:
+            pass
+    assert (_outcome(beta_max, d, alpha, tau_plus, step)
+            == _outcome(ref.beta_max, d, alpha, tau_plus, step))
+
+
+# The step puts the scan's first negative point at the given index: inside
+# the scalar prefix, on the first point of the first block, and on the last
+# and the first point of two adjacent blocks.
+@pytest.mark.parametrize("first", [5, SCALAR_SCAN_STEPS, 2 * SCALAR_SCAN_STEPS - 1,
+                                   2 * SCALAR_SCAN_STEPS, 4 * SCALAR_SCAN_STEPS])
+def test_beta_max_sign_change_at_scan_boundaries(first):
+    d = 50
+    alpha = alpha_fc_estimate(d)
+    tau_plus = derive_dhat(CertifyInput(d=d, k=28, alpha=alpha)).tau_plus
+    step = ref.beta_max(d, alpha, tau_plus, 1e-6) / (first + 0.5)
+    scan = np.cumsum(np.full(first + 1, step))
+    assert (pair_rate(d, alpha, float(scan[first]), tau_plus) < 0.0
+            <= pair_rate(d, alpha, float(scan[first - 1]), tau_plus))
+    assert beta_max(d, alpha, tau_plus, step) == ref.beta_max(d, alpha, tau_plus, step)
+
+
+def test_beta_max_scan_failures_match_scalar_scan():
+    # No sign change on 800 points, most of them in blocks, nor on 200 whose
+    # last block crosses beta = 1 - 2 alpha, past which the rate turns
+    # negative.
+    for args in ((10, 0.1, 0.1, 1e-3), (4, 0.4, 1.0, 1e-3)):
+        with pytest.raises(CertifyError) as exc:
+            beta_max(*args)
+        assert exc.value.reason == "no sign change"
+    # alpha - tau*beta leaves the entropy domain inside a block: the scalar
+    # scan takes over and raises at the same point as the reference.
+    args = (3, 0.2, 0.5, 1e-4)
+    assert _outcome(beta_max, *args) == _outcome(ref.beta_max, *args)
+    assert _outcome(beta_max, *args)[0] is DomainError
+
+
 def test_check_condition_rejects_dhat_at_k():
     with pytest.raises(CertifyError):
         check_condition(10, 6, 6, 0.2, 1e-4, 0.7)
@@ -210,6 +302,27 @@ def test_certify_d100_strong():
     assert res.strong_condition_met
     assert res.weak_condition_met  # strong implies weak
     assert res.worst_witness is None  # no grid was built
+
+
+@pytest.mark.parametrize("d, k", [(31, 18), (50, 28)])
+def test_failing_check_reports_a_violation_as_witness(d, k):
+    alpha = alpha_fc_estimate(d)
+    res = certify(CertifyInput(d=d, k=k, alpha=alpha))
+    assert not res.certified
+    beta, tau, slack = res.worst_witness
+    assert slack < 0.0
+    assert slack == alpha - alpha_dk(d, k) - (tau * d - res.d_hat) * beta
+    assert pair_rate(d, alpha, beta, tau) >= 0.0
+
+
+def test_weak_only_certificate_witness_has_positive_slack():
+    d, k = 30, 17
+    alpha = alpha_fc_estimate(d)
+    res = certify(CertifyInput(d=d, k=k, alpha=alpha))
+    assert res.certified and not res.strong_condition_met
+    beta, tau, slack = res.worst_witness
+    assert slack > 0.0
+    assert pair_rate(d, alpha, beta, tau) >= 0.0
 
 
 def test_certify_degree_non_exceptional():

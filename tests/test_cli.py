@@ -113,6 +113,36 @@ def test_certify_csv_format(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_certify_stdout_is_the_report(tmp_path, capsys, fmt):
+    out = tmp_path / "sweep.txt"
+    argv = ["certify", "--d-min", "30", "--d-max", "32", "--format", fmt]
+    assert run([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    # The JSON config echoes --out, which is the one field that differs.
+    expected = out.read_bytes().decode().replace(f'"out": {json.dumps(str(out))}', '"out": null')
+    assert captured.out == expected
+    assert captured.err == "exceptional degrees: 31\n"
+
+
+@pytest.mark.parametrize("flag", ["--beta-step", "--tau-step"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_certify_nonpositive_step_is_usage_error(flag, value):
+    with pytest.raises(SystemExit) as exc_info:
+        run(["certify", "--d-min", "30", "--d-max", "30", flag, value])
+    assert exc_info.value.code == 2
+
+
+def test_certify_empty_degree_range(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert run(["certify", "--d-min", "40", "--d-max", "30", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, load_schema("sweep_report.schema.json"))
+    assert doc["payload"]["records"] == []
+
+
 def test_certify_estimate_needs_d20():
     assert run(["certify", "--d-min", "10", "--d-max", "12"]) == 2
 
