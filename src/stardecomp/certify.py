@@ -14,6 +14,11 @@ each block restricted to the band of tau columns where one of its rows
 does.  The pass stops at the first raw violation, and the least-slack point
 it evaluated is reported as the witness.  Errors are one-sided: the checker
 may under-certify, never over-certify.
+
+A sweep certifies its degrees in rounds: each round derives d_hat for every
+pending (d, k) in one batch, whose bisections run as lockstep lanes that
+each return the scalar result bit for bit, then checks the degrees one by
+one; a degree that fails goes to the next round with k - 1.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-from dataclasses import asdict, dataclass, field, replace
+import os
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .entropy import (
+    _h_arr,
     alpha_dk,
     alpha_fc_estimate,
-    alpha_fm,
     avg_degree_ceiling,
     avg_degree_ceiling_inv,
     ind_set_rate,
@@ -40,11 +46,17 @@ DEFAULT_BETA_STEP = 1e-6
 DEFAULT_TAU_STEP = 1e-3
 MAX_REFINEMENTS = 3
 GRID_BLOCK_POINTS = 1 << 15
-COSTLY_DEGREE = 100
-# beta_max: scalar steps before the block scan, and the grid rate (per unit
-# of d) below which the scalar pair_rate decides a point's sign.
+# beta_max: scalar steps before the block scan, the grid rate (per unit of
+# d) below which the scalar pair_rate decides a point's sign, and the
+# bisection tolerance, which is also the smallest step it accepts.
 SCALAR_SCAN_STEPS = 32
 NEAR_ZERO_RATE = 1e-12
+BETA_TOL = 1e-10
+# Degrees certified in one set of rounds.  A degree in a block holds about
+# 0.7 KB of inputs and results until the block ends, so blocks bound the
+# memory of long sweeps; 1024 lanes amortise the bisection's per-step numpy
+# overhead.
+SWEEP_BLOCK = 1024
 
 
 class CertifyError(RuntimeError):
@@ -91,26 +103,6 @@ class CertifyResult:
     error: str | None = None
 
 
-def _h_arr(x, out=None):
-    """Vectorized -x log x with the same clamping band as entropy.h.
-
-    With `out`, an array of the shape of x, the result is written there and
-    x, which must then be a float array, is clipped to [0, 1] in place.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size and (x.min() < -1e-12 or x.max() > 1.0 + 1e-12):
-        raise ValueError("array entropy argument outside [0, 1]")
-    if out is None:
-        x, out = np.clip(x, 0.0, 1.0), np.zeros_like(x)
-    else:
-        np.clip(x, 0.0, 1.0, out=x)
-        out.fill(0.0)
-    # log(1) is exactly 0, so only x = 0 needs masking.
-    np.log(x, out=out, where=x > 0.0)
-    out *= x
-    return np.negative(out, out=out)
-
-
 def pair_rate_grid(d, alpha, betas, taus):
     """pair_rate evaluated on the outer grid betas x taus (numpy broadcast).
 
@@ -148,25 +140,77 @@ def pair_rate_grid(d, alpha, betas, taus):
     return out
 
 
-def derive_dhat(inp: CertifyInput) -> CertifyResult:
+def _per_lane(fn, *lanes):
+    """fn applied to lanes given as equal-length lists, as a list with each
+    lane's value or the exception it raised.  If a lane raises, every lane
+    runs again alone, so each keeps its own outcome."""
+    if not lanes[0]:
+        return []
+    try:
+        return fn(*(np.array(a) for a in lanes)).tolist()
+    except (ValueError, RuntimeError):
+        outcomes = []
+        for args in zip(*lanes):
+            try:
+                outcomes.append(fn(*args))
+            except (ValueError, RuntimeError) as exc:
+                outcomes.append(exc)
+        return outcomes
+
+
+def derive_dhat(inp):
     """Steps 1-3 of the decision procedure: from (d, k) derive the thinness
-    parameter d_hat via the induced-average-degree ceiling and its inverse."""
-    inp.validate()
-    d, k = inp.d, inp.k
-    t1 = 2.0 * (d - k) / d
-    if t1 <= 2.0 / d:
-        raise CertifyError("k too large", f"t1={t1} <= 2/d for d={d}, k={k}")
-    x1 = avg_degree_ceiling_inv(d, t1)
-    x2 = 1.0 - alpha_dk(d, k) - x1
-    if x2 <= 0.0:
-        raise CertifyError("x2 nonpositive", f"x1={x1} >= 1 - alpha_dk")
-    t2 = avg_degree_ceiling(d, x2)
-    d_hat = math.floor(k - t2 * d / 2.0)
-    if d_hat < 1:
-        raise CertifyError("d_hat underflow", f"d_hat={d_hat}")
-    return CertifyResult(
-        t1=t1, x1=x1, x2=x2, t2=t2, d_hat=d_hat, tau_plus=(d_hat + 1) / d
-    )
+    parameter d_hat via the induced-average-degree ceiling and its inverse.
+
+    inp is one CertifyInput, or a sequence of them taken as lanes: each step
+    solves all of them in one lockstep bisection, and the list returned
+    holds each lane's CertifyResult or the exception it raised (a
+    CertifyError with its own reason and message).  A lane's outcome is the
+    one it has alone, bit for bit.
+    """
+    if isinstance(inp, CertifyInput):
+        (res,) = derive_dhat([inp])
+        if isinstance(res, Exception):
+            raise res
+        return res
+    inputs = list(inp)
+    out = [None] * len(inputs)
+    for i, c in enumerate(inputs):
+        try:
+            c.validate()
+        except CertifyError as exc:
+            out[i] = exc
+    # Step 1: the density x1 whose ceiling is t1 = 2(d - k)/d.  validate()
+    # keeps the integer k below d - 1, so t1 >= 4/d lies inside (2/d, 1).
+    lanes = [i for i, o in enumerate(out) if o is None]
+    t1s = [2.0 * (inputs[i].d - inputs[i].k) / inputs[i].d for i in lanes]
+    x1s = _per_lane(avg_degree_ceiling_inv, [inputs[i].d for i in lanes], t1s)
+    # Step 2: the density x2 of what remains and its ceiling t2.
+    lanes2 = []
+    for i, t1, x1 in zip(lanes, t1s, x1s):
+        if isinstance(x1, Exception):
+            out[i] = x1
+            continue
+        x2 = 1.0 - alpha_dk(inputs[i].d, inputs[i].k) - x1
+        if x2 <= 0.0:
+            out[i] = CertifyError("x2 nonpositive", f"x1={x1} >= 1 - alpha_dk")
+        else:
+            lanes2.append((i, t1, x1, x2))
+    t2s = _per_lane(avg_degree_ceiling, [inputs[i].d for i, *_ in lanes2],
+                    [x2 for *_, x2 in lanes2])
+    # Step 3: d_hat.
+    for (i, t1, x1, x2), t2 in zip(lanes2, t2s):
+        d, k = inputs[i].d, inputs[i].k
+        if isinstance(t2, Exception):
+            out[i] = t2
+            continue
+        d_hat = math.floor(k - t2 * d / 2.0)
+        if d_hat < 1:
+            out[i] = CertifyError("d_hat underflow", f"d_hat={d_hat}")
+        else:
+            out[i] = CertifyResult(t1=t1, x1=x1, x2=x2, t2=t2, d_hat=d_hat,
+                                   tau_plus=(d_hat + 1) / d)
+    return out
 
 
 def beta_max(d, alpha, tau_plus, step=DEFAULT_BETA_STEP):
@@ -174,8 +218,11 @@ def beta_max(d, alpha, tau_plus, step=DEFAULT_BETA_STEP):
     turns negative, i.e. inf { beta > 0 : pair_rate < 0 }.
 
     Located by an ascending scan over beta = step, step + step, ... (one
-    float addition per point) then bisection to 1e-10; the returned value is
-    rounded up by one bisection tolerance (conservative).
+    float addition per point) then bisection to BETA_TOL = 1e-10; the
+    returned value is rounded up by one bisection tolerance (conservative).
+    A step below BETA_TOL raises ValueError: the scan would walk more than
+    (1 - 2 alpha) / BETA_TOL points to locate what the bisection cannot
+    resolve anyway.
 
     The scan's first SCALAR_SCAN_STEPS points are evaluated one by one with
     the scalar pair_rate, which ends it within a few steps for most degrees.
@@ -191,10 +238,12 @@ def beta_max(d, alpha, tau_plus, step=DEFAULT_BETA_STEP):
         raise ValueError(f"alpha {alpha} outside (0, 1/2)")
     if not 0.0 < tau_plus <= 1.0:
         raise ValueError(f"tau_plus {tau_plus} outside (0, 1]")
+    if not step >= BETA_TOL:
+        raise ValueError(f"beta step {step} below the bisection tolerance {BETA_TOL}")
     if ind_set_rate(d, alpha) < 0.0:
         # Already negative in the beta -> 0 limit: the infimum is 0.
         return 0.0
-    tol = 1e-10
+    tol = BETA_TOL
     b_hi_cap = 1.0 - 2.0 * alpha
     near_zero = NEAR_ZERO_RATE * d
     lo = 0.0
@@ -354,12 +403,17 @@ def check_condition(
     return strong, weak, witness
 
 
-def certify(inp: CertifyInput) -> CertifyResult:
-    """Run the full decision procedure for one (d, k, alpha) triple."""
-    try:
-        res = derive_dhat(inp)
-    except CertifyError as exc:
-        return CertifyResult(error=exc.reason)
+def certify(inp: CertifyInput, derived=None) -> CertifyResult:
+    """Run the full decision procedure for one (d, k, alpha) triple.
+
+    derived is derive_dhat's outcome for inp, a CertifyResult or the
+    exception it raised, when a batch has already computed it.
+    """
+    res = derive_dhat([inp])[0] if derived is None else derived
+    if isinstance(res, CertifyError):
+        return CertifyResult(error=res.reason)
+    if isinstance(res, Exception):
+        raise res
     try:
         bmax = beta_max(inp.d, inp.alpha, res.tau_plus, step=inp.beta_grid_step)
         strong, weak, witness = check_condition(
@@ -384,32 +438,65 @@ def certify(inp: CertifyInput) -> CertifyResult:
     )
 
 
+def _certify_degrees(jobs, beta_step, tau_step):
+    """certify_degree for every (d, alpha) in jobs, run in rounds.
+
+    Each round derives d_hat for the pending (d, k) of all degrees in one
+    batch, then runs beta_max and check_condition degree by degree; a degree
+    that fails goes to the next round with k - 1.  Returns, per degree,
+    certify_degree's (k_certified or None, results) or the ValueError it
+    raises.
+    """
+    out = [None] * len(jobs)
+    pending = []  # (index into jobs, next k, results so far)
+    for i, (d, alpha) in enumerate(jobs):
+        if 0.0 < alpha < 0.5:
+            pending.append((i, math.floor(kappa(d, alpha)), []))
+        else:
+            out[i] = ValueError(f"alpha {alpha} outside (0, 1/2)")
+    while pending:
+        lanes = []
+        for i, k, results in pending:
+            d, alpha = jobs[i]
+            # Star sizes the procedure does not apply to are recorded, skipped.
+            while k > d / 2 and (alpha <= alpha_dk(d, k) or k >= d - 1):
+                results.append((k, CertifyResult(error="alpha at or below alpha_dk"
+                                                 if k < d - 1 else "k too large")))
+                k -= 1
+            if k > d / 2:
+                lanes.append((i, results, CertifyInput(
+                    d=d, k=k, alpha=alpha, beta_grid_step=beta_step,
+                    tau_grid_step=tau_step)))
+            else:
+                out[i] = (None, results)
+        pending = []
+        derived = derive_dhat([inp for *_, inp in lanes])
+        for (i, results, inp), dhat in zip(lanes, derived):
+            try:
+                res = certify(inp, dhat)
+            except ValueError as exc:
+                out[i] = exc
+                continue
+            results.append((inp.k, res))
+            if res.certified:
+                out[i] = (inp.k, results)
+            else:
+                pending.append((i, inp.k - 1, results))
+    return out
+
+
 def certify_degree(d, alpha, beta_step=DEFAULT_BETA_STEP, tau_step=DEFAULT_TAU_STEP):
     """Find the largest certifiable star size for degree d at independence
     density alpha.
 
     Starts at k = floor(kappa(d, alpha)) and decrements until a k certifies or
-    k <= d/2.  Returns (k_certified or None, list of (k, CertifyResult)).
+    k <= d/2, in the rounds a sweep runs, here on one degree.  Returns
+    (k_certified or None, list of (k, CertifyResult)).
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha {alpha} outside (0, 1/2)")
-    results = []
-    k = math.floor(kappa(d, alpha))
-    while k > d / 2:
-        if alpha <= alpha_dk(d, k) or k >= d - 1:
-            results.append((k, CertifyResult(error="alpha at or below alpha_dk"
-                                             if k < d - 1 else "k too large")))
-            k -= 1
-            continue
-        inp = CertifyInput(
-            d=d, k=k, alpha=alpha, beta_grid_step=beta_step, tau_grid_step=tau_step
-        )
-        res = certify(inp)
-        results.append((k, res))
-        if res.certified:
-            return k, results
-        k -= 1
-    return None, results
+    (outcome,) = _certify_degrees([(d, alpha)], beta_step, tau_step)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -432,8 +519,10 @@ class DegreeRecord:
     error: str | None = None
 
     def as_dict(self):
-        # NaN is not valid JSON; failed stages report null.
-        return {k: None if v != v else v for k, v in asdict(self).items()}
+        # NaN is not valid JSON; failed stages report null.  The fields are
+        # flat, so no deep copy (dataclasses.asdict) is needed.
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: None if v != v else v for k, v in values}
 
 
 @dataclass
@@ -458,46 +547,70 @@ class SweepReport:
 
 
 def load_alpha_table(path):
-    """Read a CSV with header `d,alpha` into a dict degree -> alpha."""
+    """Read a CSV with header `d,alpha` into a dict degree -> alpha.
+
+    Raises ValueError naming the line for a row of other than two fields, a
+    degree that is not an integer or repeats, and an alpha that is not a
+    number in (0, 1/2) (nan and inf included).
+    """
     table = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["d", "alpha"]:
-            raise ValueError(f"{path}: expected header 'd,alpha'")
-        for row in reader:
-            table[int(row["d"])] = float(row["alpha"])
+        rows = csv.reader(fh)
+        try:
+            header = next(rows, None)
+            if header is None or [f.strip() for f in header] != ["d", "alpha"]:
+                raise ValueError("expected header 'd,alpha'")
+            for row in rows:
+                if not row:
+                    continue  # a blank line
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
+                d, alpha = int(row[0]), float(row[1])
+                if not 0.0 < alpha < 0.5:
+                    raise ValueError(f"alpha {alpha} outside (0, 1/2)")
+                if d in table:
+                    raise ValueError(f"duplicate degree {d}")
+                table[d] = alpha
+        except (ValueError, csv.Error) as exc:
+            line = max(rows.line_num, 1)  # 0 for an empty file
+            raise ValueError(f"{path}, line {line}: {exc}") from None
     return table
 
 
-def resolve_alpha(d, table, strict):
-    """Independence density for degree d: the entry of `table` (dict
-    d -> alpha, or None) if it has one, else the built-in estimate.
+def resolve_alpha(degrees, table, strict):
+    """Independence densities for a sequence of degrees: each degree's entry
+    of `table` (dict d -> alpha, or None) if it has one, else the built-in
+    estimate, computed for all such degrees in one lockstep alpha_fc_estimate.
 
-    Returns (alpha, source) with source "table" or "estimate".  Raises
-    KeyError if strict and the table lacks d, and ValueError if the estimate
-    is needed below d = 20, where it is undefined.
+    Returns a list of (alpha, source) with source "table" or "estimate".
+    Raises KeyError if strict and the table lacks a degree, and ValueError
+    if the estimate is needed below d = 20, where it is undefined, both at
+    the first such degree.
     """
-    if table and d in table:
-        return table[d], "table"
-    if strict:
-        raise KeyError(f"alpha table has no entry for d={d}")
-    if d < 20:
-        raise ValueError("estimate fallback requires d >= 20")
-    return alpha_fc_estimate(d), "estimate"
+    table = table or {}
+    estimated = []
+    for d in degrees:
+        if d in table:
+            continue
+        if strict:
+            raise KeyError(f"alpha table has no entry for d={d}")
+        if d < 20:
+            raise ValueError("estimate fallback requires d >= 20")
+        estimated.append(d)
+    estimates = iter(alpha_fc_estimate(estimated).tolist() if estimated else [])
+    return [(table[d], "table") if d in table else (next(estimates), "estimate")
+            for d in degrees]
 
 
-def _certify_one(args):
-    (d, alpha, source, beta_step, tau_step) = args
+def _record(d, alpha, source, outcome):
+    """The sweep's DegreeRecord for one degree from _certify_degrees' outcome."""
     k_ind = math.floor(kappa(d, alpha))
-    try:
-        k_cert, results = certify_degree(
-            d, alpha, beta_step=beta_step, tau_step=tau_step
-        )
-    except (CertifyError, ValueError) as exc:
+    if isinstance(outcome, Exception):
         return DegreeRecord(
             d=d, alpha=alpha, alpha_source=source, k_ind=k_ind,
-            k_certified=None, exceptional=True, error=str(exc),
+            k_certified=None, exceptional=True, error=str(outcome),
         )
+    k_cert, results = outcome
     if k_cert is not None:
         res = dict(results)[k_cert]
         cond = "strong" if res.strong_condition_met else "weak"
@@ -523,6 +636,18 @@ def _certify_one(args):
     )
 
 
+def _sweep_part(args):
+    """Records of one worker's share of the sweep, jobs of (d, alpha,
+    source), certified SWEEP_BLOCK degrees at a time."""
+    jobs, beta_step, tau_step = args
+    records = []
+    for b in range(0, len(jobs), SWEEP_BLOCK):
+        block = jobs[b : b + SWEEP_BLOCK]
+        outcomes = _certify_degrees([(d, a) for d, a, _ in block], beta_step, tau_step)
+        records += [_record(*job, outcome) for job, outcome in zip(block, outcomes)]
+    return records
+
+
 def sweep(
     d_min,
     d_max,
@@ -538,26 +663,31 @@ def sweep(
     alpha_source "table" takes densities from alpha_table (dict d -> alpha)
     through resolve_alpha, falling back to the built-in estimate per degree
     unless strict_table is set, in which case a missing degree raises
-    KeyError; alpha_source "estimate" ignores the table.  Results are merged
-    in degree order, independent of worker count.
+    KeyError; alpha_source "estimate" ignores the table.  The estimate for
+    every degree that uses it comes from one lockstep alpha_fc_estimate.
+
+    The degrees are certified in rounds (see _certify_degrees), in blocks of
+    SWEEP_BLOCK degrees: one batched derive_dhat per round over every
+    pending (d, k) of the block, a degree that fails going on with k - 1.
+    With threads > 1 the pool has min(threads, os.cpu_count(), number of
+    degrees) workers, and worker i runs the same rounds on every
+    workers-th degree from the i-th, which spreads the costly low degrees
+    evenly.  A degree's record does not depend on the other degrees of its
+    batch, so the report, merged in degree order, is the same for any
+    worker count.
     """
+    degrees = range(d_min, d_max + 1)
     use_table = alpha_source == "table"
     table = alpha_table if use_table else None
-    jobs = []
-    for d in range(d_min, d_max + 1):
-        a, src = resolve_alpha(d, table, strict_table and use_table)
-        jobs.append((d, a, src, beta_step, tau_step))
-
-    if threads > 1 and len(jobs) > 1:
-        # A degree below COSTLY_DEGREE takes up to 0.3 s and one above it a
-        # few ms at most, so the costly ones go out first and one at a time.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            costly = sum(1 for j in jobs if j[0] < COSTLY_DEGREE)
-            parts = [pool.map(_certify_one, jobs[:costly]),
-                     pool.map(_certify_one, jobs[costly:], chunksize=32)]
-            records = [r for part in parts for r in part]
+    alphas = resolve_alpha(degrees, table, strict_table and use_table)
+    jobs = [(d, a, src) for d, (a, src) in zip(degrees, alphas)]
+    workers = min(threads, os.cpu_count() or 1, len(jobs))
+    if workers > 1:
+        parts = [(jobs[i::workers], beta_step, tau_step) for i in range(workers)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            records = [r for part in pool.map(_sweep_part, parts) for r in part]
     else:
-        records = [_certify_one(j) for j in jobs]
+        records = _sweep_part((jobs, beta_step, tau_step))
     records.sort(key=lambda r: r.d)
     return SweepReport(
         d_min=d_min, d_max=d_max, alpha_source=alpha_source, records=records

@@ -7,10 +7,12 @@ reports an empty degree range: no records, exit 0.
 
 Exit codes: 0 success (findings included), 1 failed verification or
 decomposition, 2 usage errors (including --max-retries < 1, a nonpositive
---beta-step or --tau-step, `sample --simple` with d >= n, and a `sample
---simple` run out of tries), 3 missing alpha-table entry under
---strict-table, 4 I/O and parse errors (including a graph header above
-graphs.MAX_VERTICES vertices).
+--tau-step, a --beta-step below certify.BETA_TOL = 1e-10, the tolerance of
+beta_max's bisection, `sample --simple` with d >= n, and a `sample --simple`
+run out of tries), 3 missing alpha-table entry under --strict-table, 4 I/O
+and parse errors (including a graph header above graphs.MAX_VERTICES
+vertices, and an alpha table with a row of other than two fields, a
+repeated degree or an alpha outside (0, 1/2)).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .certify import load_alpha_table, resolve_alpha, sweep
+from .certify import BETA_TOL, load_alpha_table, resolve_alpha, sweep
 from .decomp import (
     DecompositionFailed,
     decompose,
@@ -93,7 +95,7 @@ def cmd_thresholds(args):
         return 2
     table = load_alpha_table(args.alpha_table) if args.alpha_table else None
     try:
-        alpha_star, source = resolve_alpha(d, table, strict=False)
+        ((alpha_star, source),) = resolve_alpha([d], table, strict=False)
     except ValueError:
         # No controlled estimate below d=20; report the first-moment upper
         # bound as the stand-in, still labeled an estimate.
@@ -214,6 +216,14 @@ def _positive_float(text):
     return value
 
 
+def _beta_step(text):
+    value = float(text)
+    if not value >= BETA_TOL:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {BETA_TOL}, the beta_max bisection tolerance, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="stardecomp")
     parser.add_argument("--version", action="version", version=__version__)
@@ -233,7 +243,7 @@ def build_parser():
     p.add_argument("--strict-table", action="store_true",
                    help="fail (exit 3) if the table lacks a degree in range")
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--beta-step", dest="beta_step", type=_positive_float,
+    p.add_argument("--beta-step", dest="beta_step", type=_beta_step,
                    default=1e-6)
     p.add_argument("--tau-step", dest="tau_step", type=_positive_float,
                    default=1e-3)

@@ -1,0 +1,95 @@
+"""Reference oracles for the differential tests of the lockstep bisection:
+the scalar bisection and the one-degree-at-a-time first-moment bound,
+average-degree ceiling, its inverse and d_hat derivation that evaluate
+every point with the scalar rates.  Every lane of the library's batched
+versions must return exactly what these return for it alone."""
+
+import math
+
+from stardecomp.certify import CertifyError, CertifyResult
+from stardecomp.entropy import (
+    MAX_BISECT_ITER,
+    ROOT_TOL,
+    DomainError,
+    alpha_dk,
+    ind_set_rate,
+    subset_rate,
+)
+
+
+def bisect_root(f, lo, hi, tol=ROOT_TOL, max_iter=MAX_BISECT_ITER):
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def alpha_fm(d):
+    if d < 3:
+        raise DomainError("d must be >= 3")
+    lo = 1e-12
+    hi = 0.5 - 1e-12
+    if ind_set_rate(d, lo) <= 0.0 or ind_set_rate(d, hi) >= 0.0:
+        raise RuntimeError(f"no sign change bracketed for d={d}")
+    return bisect_root(lambda a: ind_set_rate(d, a), lo, hi)
+
+
+def alpha_fc_estimate(d):
+    if d < 20:
+        raise DomainError("estimate only defined for d >= 20")
+    return alpha_fm(d) - (2.0 / math.e * math.log(d) / d) ** 2
+
+
+def avg_degree_ceiling(d, x):
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"x {x} outside (0, 1)")
+    f = lambda t: subset_rate(d, x, t)
+    lo, hi = x, 1.0
+    if f(lo) <= 0.0:
+        return lo
+    return bisect_root(f, lo, hi)
+
+
+def avg_degree_ceiling_inv(d, t):
+    if not 2.0 / d < t < 1.0:
+        raise DomainError(f"t {t} outside (2/d, 1)")
+    f = lambda x: subset_rate(d, x, t)
+    lo = 1e-15
+    hi = t
+    if f(hi) < 0.0:
+        raise RuntimeError(f"no sign change for inverse at t={t}")
+    return bisect_root(f, lo, hi)
+
+
+def derive_dhat(inp):
+    inp.validate()
+    d, k = inp.d, inp.k
+    t1 = 2.0 * (d - k) / d
+    if t1 <= 2.0 / d:
+        raise CertifyError("k too large", f"t1={t1} <= 2/d for d={d}, k={k}")
+    x1 = avg_degree_ceiling_inv(d, t1)
+    x2 = 1.0 - alpha_dk(d, k) - x1
+    if x2 <= 0.0:
+        raise CertifyError("x2 nonpositive", f"x1={x1} >= 1 - alpha_dk")
+    t2 = avg_degree_ceiling(d, x2)
+    d_hat = math.floor(k - t2 * d / 2.0)
+    if d_hat < 1:
+        raise CertifyError("d_hat underflow", f"d_hat={d_hat}")
+    return CertifyResult(
+        t1=t1, x1=x1, x2=x2, t2=t2, d_hat=d_hat, tau_plus=(d_hat + 1) / d
+    )

@@ -1,8 +1,13 @@
 """Tests for the certification module: the thinness-parameter derivation,
 the pair-rate grid checks, and degree sweeps."""
 
+import concurrent.futures
+import dataclasses
 import json
 import math
+import os
+import random
+import re
 import sys
 
 import numpy as np
@@ -11,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardecomp.certify import (
+    BETA_TOL,
     GRID_BLOCK_POINTS,
     SCALAR_SCAN_STEPS,
     CertifyError,
@@ -27,16 +33,20 @@ from stardecomp.certify import (
     sweep,
 )
 from stardecomp.entropy import (
+    SCALAR_LANES,
     DomainError,
     alpha_dk,
     alpha_fc_estimate,
     alpha_fm,
+    avg_degree_ceiling_inv,
     ind_set_rate,
     kappa,
     pair_rate,
 )
 
+import bisect_reference
 import grid_reference as ref
+from stardecomp.cli import main
 
 
 def test_input_validation():
@@ -398,3 +408,192 @@ def test_load_alpha_table_rejects_bad_header(tmp_path):
     path.write_text("degree,value\n30,0.1\n")
     with pytest.raises(ValueError):
         load_alpha_table(path)
+
+
+def test_beta_max_rejects_step_below_bisection_tolerance():
+    # The scan would walk (1 - 2 alpha) / step points: 1e-300 never ends.
+    alpha = alpha_fc_estimate(30)
+    for step in (1e-300, BETA_TOL / 2, float("nan")):
+        with pytest.raises(ValueError, match="bisection tolerance"):
+            beta_max(30, alpha, 0.5, step)
+
+
+# derive_dhat on batches of lanes.
+
+def _dhat_outcome(res):
+    """A lane's derive_dhat result as comparable values, or its exception."""
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    return res.t1, res.x1, res.x2, res.t2, res.d_hat, res.tau_plus
+
+
+def _reference_outcome(inp):
+    try:
+        return _dhat_outcome(bisect_reference.derive_dhat(inp))
+    except (CertifyError, ValueError, RuntimeError) as exc:
+        return _dhat_outcome(exc)
+
+
+def _inputs(lanes):
+    """CertifyInputs at k_ind - drop under the estimate, for (d, drop) lanes."""
+    out = []
+    for d, drop in lanes:
+        alpha = bisect_reference.alpha_fc_estimate(d)
+        out.append(CertifyInput(d=d, k=math.floor(kappa(d, alpha)) - drop, alpha=alpha))
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(20, 10**5), st.sampled_from([0, 1, 2])),
+                min_size=1, max_size=3 * SCALAR_LANES))
+@settings(max_examples=30, deadline=None)
+def test_derive_dhat_lanes_match_scalar_reference(lanes):
+    inputs = _inputs(lanes)
+    assert ([_dhat_outcome(r) for r in derive_dhat(inputs)]
+            == [_reference_outcome(inp) for inp in inputs])
+
+
+def test_derive_dhat_keeps_each_failing_lane(monkeypatch):
+    # Real failures: bad inputs (k >= d - 1 among them, which validate()
+    # rejects before t1 could reach 2/d) and d_hat underflow at (5, 3).  The
+    # x2 and no-sign-change failures do not occur for valid (d, k), so the
+    # inverse ceiling is shifted for d = 41 and fails for d = 43, in the
+    # library and the reference alike.
+    def faulty(inverse):
+        def shifted(d, t):
+            if np.any(np.asarray(d) == 43):
+                raise RuntimeError(f"no sign change for inverse at t={t}")
+            return inverse(d, t) + (np.asarray(d) == 41)
+        return shifted
+
+    # The package re-exports the function certify, so the module is
+    # reached through sys.modules.
+    monkeypatch.setattr(sys.modules["stardecomp.certify"], "avg_degree_ceiling_inv",
+                        faulty(avg_degree_ceiling_inv))
+    monkeypatch.setattr(bisect_reference, "avg_degree_ceiling_inv",
+                        faulty(bisect_reference.avg_degree_ceiling_inv))
+    good = _inputs([(d, d % 3) for d in range(44, 44 + 2 * SCALAR_LANES)])
+    bad = [CertifyInput(d=2, k=2, alpha=0.1), CertifyInput(d=40, k=39, alpha=0.1),
+           CertifyInput(d=40, k=20, alpha=0.1), CertifyInput(d=5, k=3, alpha=0.1),
+           CertifyInput(d=41, k=22, alpha=0.1), CertifyInput(d=43, k=23, alpha=0.1),
+           CertifyInput(d=40, k=22, alpha=0.1, tau_grid_step=0.0)]
+    inputs = good[:5] + bad + good[5:]
+    got = [_dhat_outcome(r) for r in derive_dhat(inputs)]
+    assert got == [_reference_outcome(inp) for inp in inputs]
+    reasons = [r.reason for r in derive_dhat(bad) if isinstance(r, CertifyError)]
+    assert reasons == ["bad input"] * 3 + ["d_hat underflow", "x2 nonpositive",
+                                           "bad input"]
+    assert [type(r) for r in derive_dhat(bad)][5] is RuntimeError
+    with pytest.raises(CertifyError, match="x2 nonpositive"):
+        derive_dhat(bad[4])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_derive_dhat_lane_independent_of_its_batch(seed):
+    rnd = random.Random(seed)
+    lanes = [(rnd.randint(20, 10**5), rnd.randint(0, 2)) for _ in range(3 * SCALAR_LANES)]
+    inputs = _inputs(lanes)
+    alone = [_dhat_outcome(derive_dhat([inp])[0]) for inp in inputs]
+    order = rnd.sample(range(len(inputs)), len(inputs))
+    half = len(order) // 2
+    padding = _inputs([(rnd.randint(20, 10**5), 0) for _ in range(SCALAR_LANES)])
+    padding.append(CertifyInput(d=5, k=3, alpha=0.1))
+    for batch in (order, order[:half], order[half:]):
+        got = derive_dhat([inputs[i] for i in batch])
+        assert [_dhat_outcome(r) for r in got] == [alone[i] for i in batch]
+    got = derive_dhat(padding + inputs + padding)
+    assert [_dhat_outcome(r) for r in got[len(padding):-len(padding)]] == alone
+
+
+def test_sweep_records_match_certify_degree():
+    # The rounds give each degree exactly certify_degree's attempts, also
+    # where a table alpha makes the degree fail outright.
+    table = {33: 0.7, 36: 0.0}
+    rep = sweep(30, 45, alpha_source="table", alpha_table=table)
+    for rec in rep.records:
+        assert rec.alpha == table.get(rec.d, alpha_fc_estimate(rec.d))
+        try:
+            k, results = certify_degree(rec.d, rec.alpha)
+        except ValueError as exc:
+            assert rec.error == str(exc) and rec.k_certified is None
+            continue
+        assert rec.k_certified == k
+        res = dict(results)[k] if k is not None else results[0][1]
+        # repr, so that the NaN of a stage not reached compares equal.
+        assert repr((rec.x1, rec.t2, rec.d_hat, rec.beta_max, rec.error)) == repr(
+            (res.x1, res.t2, res.d_hat, res.beta_max, res.error))
+    assert rep.records[3].error == "alpha 0.7 outside (0, 1/2)"
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_pool_size_is_capped(monkeypatch, tmp_path):
+    # A fork pool starts all max_workers processes at once; it is never
+    # larger than the CPU count or the number of degrees.  No process runs.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for d_max in (33, 31):
+        expected = json.dumps(sweep(30, d_max).as_dict(), sort_keys=True)
+        for threads in (5000, 2):
+            rep = sweep(30, d_max, threads=threads)
+            assert json.dumps(rep.as_dict(), sort_keys=True) == expected
+    assert _InlinePool.sizes == [3, 2, 2, 2]
+    out = tmp_path / "sweep.json"
+    assert main(["certify", "--d-min", "30", "--d-max", "33", "--threads", "5000",
+                 "--out", str(out)]) == 0
+    assert _InlinePool.sizes[-1] == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sweep(30, 31, threads=8)  # an unknown CPU count runs inline
+    assert len(_InlinePool.sizes) == 5
+
+
+def test_degree_record_as_dict_matches_asdict():
+    records = sweep(30, 33).records + [
+        DegreeRecord(d=10, alpha=0.2, alpha_source="table", k_ind=6,
+                     k_certified=None, exceptional=True, error="boom")]
+    for rec in records:
+        deep = {k: None if v != v else v for k, v in dataclasses.asdict(rec).items()}
+        assert rec.as_dict() == deep
+
+
+@pytest.mark.parametrize("body, message", [
+    ("30\n", "line 2: expected 2 fields, got 1"),
+    ("30,0.1\n31\n", "line 3: expected 2 fields, got 1"),
+    ("30,0.1,0.2\n", "line 2: expected 2 fields, got 3"),
+    ("30,nan\n", "line 2: alpha nan outside"),
+    ("30,inf\n", "line 2: alpha inf outside"),
+    ("30,-0.1\n", "line 2: alpha -0.1 outside"),
+    ("30,0\n", "line 2: alpha 0.0 outside"),
+    ("30,0.5\n", "line 2: alpha 0.5 outside"),
+    ("30,0.7\n", "line 2: alpha 0.7 outside"),
+    ("30,0.1\n\n31,0.1\n30,0.12\n", "line 5: duplicate degree 30"),
+    ("x,0.1\n", "line 2: invalid literal"),
+    ("30,\n", "line 2: could not convert"),
+])
+def test_load_alpha_table_rejects_bad_rows(tmp_path, body, message):
+    path = tmp_path / "alpha.csv"
+    path.write_text("d,alpha\n" + body)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}, {message}"):
+        load_alpha_table(path)
+
+
+def test_load_alpha_table_reads_spaced_header_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "alpha.csv"
+    path.write_text("d, alpha\n30, 0.14\n\n31,0.13\n")
+    assert load_alpha_table(path) == {30: 0.14, 31: 0.13}

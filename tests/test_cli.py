@@ -135,6 +135,27 @@ def test_certify_nonpositive_step_is_usage_error(flag, value):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["1e-300", "9.9e-11"])
+def test_certify_beta_step_below_bisection_tolerance_is_usage_error(value, capsys):
+    # beta_max's scan would walk (1 - 2 alpha) / step points; 1e-300 used
+    # to run without end.  The floor is BETA_TOL = 1e-10.
+    with pytest.raises(SystemExit) as exc_info:
+        run(["certify", "--d-min", "30", "--d-max", "30", "--beta-step", value])
+    assert exc_info.value.code == 2
+    assert "must be >= 1e-10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["30\n", "30,nan\n", "30,inf\n", "30,-0.1\n",
+                                  "30,0\n", "30,0.5\n", "30,0.7\n",
+                                  "30,0.14\n30,0.13\n", "30,0.14,1\n"])
+def test_bad_alpha_table_rows_exit_4(tmp_path, capsys, body):
+    table = tmp_path / "alpha.csv"
+    table.write_text("d,alpha\n" + body)
+    for argv in (["certify", "--d-min", "30", "--d-max", "30"], ["thresholds", "--d", "30"]):
+        assert run([*argv, "--alpha-table", str(table)]) == 4
+        assert f"{table}, line " in capsys.readouterr().err
+
+
 def test_certify_empty_degree_range(tmp_path):
     out = tmp_path / "sweep.json"
     assert run(["certify", "--d-min", "40", "--d-max", "30", "--out", str(out)]) == 0
@@ -295,6 +316,38 @@ def test_parsers_and_cli_never_raise_on_arbitrary_text(graph_text, sd_text, k, c
                 pass
         assert run(["decompose", str(graph), "--k", str(k)]) in (0, 1, 4)
         assert run(["verify", str(graph), str(sd)]) in (0, 1, 4)
+
+
+# Alpha tables: headers that pass or fail, rows of degrees and alphas drawn
+# from values inside and outside (0, 1/2), short and long rows, free text.
+# The sweep covers d = 100..101, where every alpha certifies in milliseconds.
+_table_field = st.one_of(
+    st.sampled_from(["100", "101", "30", "-1", "1e3", "0.09", "0.14", "0.3",
+                     "0.49", "0", "0.5", "0.7", "-0.1", "nan", "inf", "1e-300",
+                     "x", "", " 100", '"100"']),
+    _no_digits.filter(lambda t: len(t) <= 3),
+)
+_table_text = st.one_of(
+    _no_digits,
+    st.tuples(st.sampled_from(["d,alpha", "d, alpha", " d ,alpha", "alpha,d", "d", ""]),
+              st.lists(st.lists(_table_field, max_size=3).map(",".join), max_size=5)
+              ).map(lambda t: "\n".join([t[0], *t[1]])),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_table_text, strict=st.booleans())
+def test_alpha_table_cli_never_raises(text, strict, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "alpha.csv"
+        table.write_text(text)
+        argv = ["certify", "--d-min", "100", "--d-max", "101", "--alpha-table",
+                str(table), "--out", str(Path(tmp) / "sweep.json")]
+        assert run(argv + ["--strict-table"] * strict) in (0, 2, 3, 4)
+        assert run(["thresholds", "--d", "100", "--alpha-table", str(table),
+                    "--out", str(Path(tmp) / "thr.json")]) in (0, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sample_stdout(capsys):

@@ -6,12 +6,16 @@ digits and are frozen here as string-derived constants.
 """
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardecomp.entropy import (
+    NEAR_ZERO_REL,
+    SCALAR_LANES,
     DomainError,
     LabelDistribution,
     alpha_dk,
@@ -31,6 +35,8 @@ from stardecomp.entropy import (
     subset_rate,
     threshold_report,
 )
+
+import bisect_reference as ref
 
 # mpmath oracle values (30 digits, rounded to double precision on parse).
 PHI_3_01 = 0.3083818426923689331118515
@@ -291,3 +297,129 @@ def test_threshold_report_frac_condition_reference():
 def test_threshold_report_rejects_unknown_source():
     with pytest.raises(DomainError):
         threshold_report(10, 0.3, "guess")
+
+
+# The lockstep bisection.  Batches larger than SCALAR_LANES evaluate the
+# array forms of the rates, so the tests below draw more lanes than that.
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _lanes_of(fn, *lanes):
+    """fn on the lanes as arrays, or each lane's own outcome if one raises."""
+    try:
+        return fn(*map(np.array, lanes)).tolist()
+    except (ValueError, RuntimeError):
+        return [_outcome(fn, *args) for args in zip(*lanes)]
+
+
+@given(st.lists(st.integers(3, 10**5), min_size=SCALAR_LANES + 1, max_size=60))
+@settings(max_examples=25, deadline=None)
+def test_alpha_fm_lanes_match_scalar_reference(degrees):
+    assert alpha_fm(np.array(degrees)).tolist() == [ref.alpha_fm(d) for d in degrees]
+    big = [d for d in degrees if d >= 20] * 2
+    if len(big) > SCALAR_LANES:
+        assert (alpha_fc_estimate(big).tolist()
+                == [ref.alpha_fc_estimate(d) for d in big])
+
+
+@given(st.lists(st.tuples(st.integers(3, 10**5), st.floats(1e-17, 1.0, exclude_max=True)),
+                min_size=SCALAR_LANES + 1, max_size=60))
+@settings(max_examples=25, deadline=None)
+def test_avg_degree_ceiling_lanes_match_scalar_reference(lanes):
+    # Densities down to 1e-17 include lanes where f(x) <= 0 returns x.
+    d, x = zip(*lanes)
+    assert (avg_degree_ceiling(np.array(d), np.array(x)).tolist()
+            == [ref.avg_degree_ceiling(*lane) for lane in lanes])
+
+
+@given(st.lists(st.tuples(st.integers(3, 10**5), st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=SCALAR_LANES + 1, max_size=60))
+@settings(max_examples=25, deadline=None)
+def test_avg_degree_ceiling_inv_lanes_match_scalar_reference(lanes):
+    # t from just above 2/d, where some lanes have no sign change: the batch
+    # raises the first such lane's error, and alone each lane is the scalar.
+    lanes = [(d, 2.0 / d + (1.0 - 2.0 / d) * u) for d, u in lanes]
+    lanes = [(d, t) for d, t in lanes if 2.0 / d < t < 1.0]
+    if not lanes:
+        return
+    expected = [_outcome(ref.avg_degree_ceiling_inv, *lane) for lane in lanes]
+    assert _lanes_of(avg_degree_ceiling_inv, *zip(*lanes)) == expected
+    if any(isinstance(e, tuple) for e in expected):
+        first = next(e for e in expected if isinstance(e, tuple))
+        with pytest.raises(first[0], match=re.escape(first[1])):
+            avg_degree_ceiling_inv(*map(np.array, zip(*lanes)))
+
+
+def test_avg_degree_ceiling_mixes_left_endpoint_lanes():
+    # subset_rate(d, x, x) <= 0 at x = 6.9e-17 for d = 1000: that lane
+    # returns x itself while the others bisect.
+    x = np.r_[6.917034789413648e-17, np.linspace(0.01, 0.99, 2 * SCALAR_LANES)]
+    assert subset_rate(1000, float(x[0]), float(x[0])) <= 0.0
+    t = avg_degree_ceiling(1000, x)
+    assert t[0] == x[0]
+    assert t.tolist() == [ref.avg_degree_ceiling(1000, float(v)) for v in x]
+
+
+def test_bisect_root_lets_the_scalar_form_decide_near_zero():
+    # The array form is off by 1e-13 of its magnitude, far more than
+    # rounding and within NEAR_ZERO_REL: it decides the far points and exact
+    # the near ones.
+    assert 1e-13 < NEAR_ZERO_REL
+    exact = lambda c, x: x * x - c
+    fuzzy = lambda c, x: (x * x - c + 1e-13 * (x * x + c), x * x + c)
+    c = np.linspace(0.5, 3.5, 4 * SCALAR_LANES)
+    lo, hi = np.zeros_like(c), np.full_like(c, 2.0)
+    roots = bisect_root(fuzzy, lo, hi, (c,), exact)
+    assert roots.tolist() == [ref.bisect_root(lambda x: exact(v, x), 0.0, 2.0)
+                              for v in c.tolist()]
+    # Without exact the array form's own signs are used, and they differ.
+    plain = lambda c, x: fuzzy(c, x)[0]
+    assert bisect_root(plain, lo, hi, (c,)).tolist() != roots.tolist()
+
+
+def test_lanes_where_the_array_form_alone_would_decide_wrongly():
+    # Found by solving d = 3..10^5, and 20,000 random ceilings, with the
+    # near-zero rule switched off: these lanes then ended one bracket away.
+    degrees = np.r_[15918, np.arange(100, 100 + 2 * SCALAR_LANES)]
+    assert alpha_fm(degrees).tolist() == [ref.alpha_fm(int(d)) for d in degrees]
+    d = np.r_[93523, np.arange(100, 100 + 2 * SCALAR_LANES)]
+    x = np.r_[0.04631246639748576, np.linspace(0.01, 0.99, 2 * SCALAR_LANES)]
+    assert (avg_degree_ceiling(d, x).tolist()
+            == [ref.avg_degree_ceiling(int(a), float(b)) for a, b in zip(d, x)])
+
+
+def test_bisect_root_lanes_end_on_zeros_and_endpoints():
+    # Lanes that hit an exact zero at a midpoint, at lo and at hi stop
+    # there, as the scalar bisection does, while the others go on.
+    exact = lambda c, x: x - c
+    f = lambda c, x: (x - c, np.abs(x) + np.abs(c))
+    c = np.r_[0.5, 0.0, 1.0, np.linspace(0.1, 0.9, 2 * SCALAR_LANES)]
+    roots = bisect_root(f, np.zeros_like(c), np.ones_like(c), (c,), exact)
+    assert roots[:3].tolist() == [0.5, 0.0, 1.0]
+    assert roots.tolist() == [ref.bisect_root(lambda x: x - v, 0.0, 1.0)
+                              for v in c.tolist()]
+
+
+def test_bisect_root_names_the_first_lane_without_sign_change():
+    c = np.r_[np.linspace(0.1, 0.9, 20), 2.0, 3.0]
+    with pytest.raises(RuntimeError, match=r"no sign change on \[0.0, 1.0\]"):
+        bisect_root(lambda c, x: x - c, np.zeros_like(c), np.ones_like(c), (c,))
+
+
+@given(st.lists(st.integers(3, 10**5), min_size=SCALAR_LANES + 1, max_size=40,
+                unique=True),
+       st.randoms(use_true_random=False))
+@settings(max_examples=10, deadline=None)
+def test_alpha_fm_lane_independent_of_its_batch(degrees, rnd):
+    alone = {d: alpha_fm(d) for d in degrees}
+    shuffled = rnd.sample(degrees, len(degrees))
+    half = len(degrees) // 2
+    for batch in (shuffled, shuffled[:half], shuffled[half:],
+                  shuffled + [3, 4, 10**6] * SCALAR_LANES):
+        got = dict(zip(batch, alpha_fm(np.array(batch)).tolist()))
+        assert all(got[d] == alone[d] for d in batch if d in alone)
