@@ -28,8 +28,10 @@ MAX_BISECT_ITER = 200
 # d = 3..10^6, is 3.8e-16 of that sum for ind_set_rate and 2.1e-16 for
 # subset_rate.
 NEAR_ZERO_REL = 1e-12
-# Batches of at most this many lanes are evaluated with the scalar rate only.
-SCALAR_LANES = 16
+# Batches of at most this many lanes skip the array forms: below about 64
+# lanes the numpy calls of an array evaluation cost more than the scalar
+# rate on every lane (measured for alpha_fm and both ceilings).
+SCALAR_LANES = 64
 
 
 class DomainError(ValueError):
@@ -231,47 +233,49 @@ def _as_given(root, *values):
     return root.item() if all(np.ndim(v) == 0 for v in values) else root
 
 
-def _decide(f, args, x, exact, lanes=True):
-    """The values f(*args, x), one per lane.  With exact, f returns the
-    values and their terms' magnitudes, and every selected lane whose
-    |value| is at most NEAR_ZERO_REL times its magnitude takes the scalar
-    exact(*lane args, x) instead."""
-    if exact is None:
-        return np.asarray(f(*args, x), dtype=float)
-    if len(x) <= SCALAR_LANES:
-        # Too few lanes to pay for the array form: exact decides them all.
-        return np.array([exact(*p) for p in zip(*(a.tolist() for a in (*args, x)))])
-    v, magnitude = f(*args, x)
-    i = np.flatnonzero((np.abs(v) <= NEAR_ZERO_REL * magnitude) & lanes)
-    v[i] = [exact(*p) for p in zip(*(a[i].tolist() for a in (*args, x)))]
+def _decide(f, f_arr, args, x, lanes=None):
+    """The values f(*lane args, x) on the lanes selected by the boolean
+    array lanes, by default all (other entries are unset).  With f_arr,
+    every lane whose array value lies farther than NEAR_ZERO_REL times its
+    magnitude from zero keeps that value, and f decides the rest."""
+    if lanes is None:
+        lanes = np.ones(len(x), dtype=bool)
+    if f_arr is not None and len(x) > SCALAR_LANES:
+        v, magnitude = f_arr(*args, x)
+        lanes = lanes & (np.abs(v) <= NEAR_ZERO_REL * magnitude)
+    else:
+        v = np.empty(len(x))
+    i = np.flatnonzero(lanes)
+    v[i] = [f(*p) for p in zip(*(a[i].tolist() for a in (*args, x)))]
     return v
 
 
-def bisect_root(f, lo, hi, args=(), exact=None, tol=ROOT_TOL,
+def bisect_root(f, lo, hi, args=(), f_arr=None, tol=ROOT_TOL,
                 max_iter=MAX_BISECT_ITER):
     """Plain bisection for a sign change of f on [lo, hi], run on many
     brackets (lanes) in lockstep.
 
     lo and hi hold one bracket per lane (floats are one lane), args one array
-    of parameters per lane each, and f(*args, x) gives the values at the
-    points x, one per lane.  In every lane f(lo) and f(hi) must have opposite
-    (non-strict) signs, else RuntimeError; a lane returns where f is 0 or
-    the midpoint 0.5*(lo + hi) of its final bracket, with absolute tolerance
-    tol.  Float brackets return a float.
+    of parameters per lane each, and f(*lane args, x) is the lane's scalar
+    function.  In every lane f(lo) and f(hi) must have opposite (non-strict)
+    signs, else RuntimeError; a lane returns where f is 0 or the midpoint
+    0.5*(lo + hi) of its final bracket, with absolute tolerance tol.  Float
+    brackets return a float.
 
-    With exact, the lane's scalar function exact(*lane args, x), f is an
-    array form that may differ from it in the last bits and returns the
-    values together with the sums of their terms' magnitudes.  Wherever
-    |value| is at most NEAR_ZERO_REL times its magnitude, exact zeros and
-    the bracket ends included, exact decides it.  That bound lies more than
-    1000 times above the largest array/scalar gap measured, so every
-    lane makes the scalar bisection's decisions on the same midpoints: its
-    result is the scalar bisection's bit for bit, whatever the other lanes.
+    f_arr(*args, x), an array form of f that may differ from it in the last
+    bits, gives the values at the points x of all lanes together with the
+    sums of their terms' magnitudes.  Batches of more than SCALAR_LANES
+    lanes take its values wherever |value| exceeds NEAR_ZERO_REL times the
+    magnitude; f decides the rest, exact zeros and the bracket ends
+    included.  That bound lies more than 1000 times above the largest
+    array/scalar gap measured, so every lane makes the scalar bisection's
+    decisions on the same midpoints: its result is the scalar bisection's
+    bit for bit, whatever the other lanes.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (a.astype(float) for a in _lanes(lo, hi))
-    flo = _decide(f, args, lo, exact)
-    fhi = _decide(f, args, hi, exact)
+    flo = _decide(f, f_arr, args, lo)
+    fhi = _decide(f, f_arr, args, hi)
     root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     active = (flo != 0.0) & (fhi != 0.0)
     pos = flo > 0.0
@@ -283,17 +287,14 @@ def bisect_root(f, lo, hi, args=(), exact=None, tol=ROOT_TOL,
         if not active.any():
             break
         mid = 0.5 * (lo + hi)
-        fmid = _decide(f, args, mid, exact, active)
-        zero = active & (fmid == 0.0)
-        root[zero] = mid[zero]
-        active &= ~zero
-        up = active & ((fmid > 0.0) == pos)
-        lo = np.where(up, mid, lo)
-        hi = np.where(active & ~up, mid, hi)
-        done = active & (hi - lo <= tol)
-        root[done] = 0.5 * (lo[done] + hi[done])
-        active &= ~done
-    root[active] = 0.5 * (lo[active] + hi[active])
+        fmid = _decide(f, f_arr, args, mid, active)
+        # A zero closes the bracket on mid, and 0.5*(mid + mid) is mid.
+        zero = fmid == 0.0
+        same = (fmid > 0.0) == pos
+        lo = np.where(active & (same | zero), mid, lo)
+        hi = np.where(active & (~same | zero), mid, hi)
+        active &= hi - lo > tol
+    root = np.where(np.isnan(root), 0.5 * (lo + hi), root)
     return root.item() if scalar else root
 
 
@@ -306,12 +307,12 @@ def alpha_fm(d):
         raise DomainError("d must be >= 3")
     lo = np.full(len(ds), 1e-12)
     hi = np.full(len(ds), 0.5 - 1e-12)
-    flo = _decide(_ind_set_rate_arr, (ds,), lo, ind_set_rate)
-    fhi = _decide(_ind_set_rate_arr, (ds,), hi, ind_set_rate)
+    flo = _decide(ind_set_rate, _ind_set_rate_arr, (ds,), lo)
+    fhi = _decide(ind_set_rate, _ind_set_rate_arr, (ds,), hi)
     bad = (flo <= 0.0) | (fhi >= 0.0)
     if bad.any():
         raise RuntimeError(f"no sign change bracketed for d={ds[np.argmax(bad)]}")
-    return _as_given(bisect_root(_ind_set_rate_arr, lo, hi, (ds,), ind_set_rate), d)
+    return _as_given(bisect_root(ind_set_rate, lo, hi, (ds,), _ind_set_rate_arr), d)
 
 
 def alpha_fc_estimate(d):
@@ -346,13 +347,13 @@ def avg_degree_ceiling(d, x):
     bad = ~((0.0 < xs) & (xs < 1.0))
     if bad.any():
         raise DomainError(f"x {xs[np.argmax(bad)].item()} outside (0, 1)")
-    flo = _decide(_subset_rate_arr, (ds, xs), xs, subset_rate)
+    flo = _decide(subset_rate, _subset_rate_arr, (ds, xs), xs)
     # Where f(x) <= 0 the root sits at (or numerically below) the left
     # endpoint, which is the answer.
     t, todo = xs.copy(), flo > 0.0
     if todo.any():
-        t[todo] = bisect_root(_subset_rate_arr, xs[todo], 1.0,
-                              (ds[todo], xs[todo]), subset_rate)
+        t[todo] = bisect_root(subset_rate, xs[todo], 1.0,
+                              (ds[todo], xs[todo]), _subset_rate_arr)
     return _as_given(t, d, x)
 
 
@@ -367,13 +368,13 @@ def avg_degree_ceiling_inv(d, t):
         raise DomainError(f"t {ts[np.argmax(bad)].item()} outside (2/d, 1)")
     # For fixed t the map x -> subset_rate(d, x, t) is negative left of the
     # inverse point and positive right of it.
-    f = lambda d, t, x: _subset_rate_arr(d, x, t)
-    exact = lambda d, t, x: subset_rate(d, x, t)
-    fhi = _decide(f, (ds, ts), ts, exact)
+    f = lambda d, t, x: subset_rate(d, x, t)
+    f_arr = lambda d, t, x: _subset_rate_arr(d, x, t)
+    fhi = _decide(f, f_arr, (ds, ts), ts)
     if (fhi < 0.0).any():
         raise RuntimeError(
             f"no sign change for inverse at t={ts[np.argmax(fhi < 0.0)].item()}")
-    return _as_given(bisect_root(f, 1e-15, ts, (ds, ts), exact), d, t)
+    return _as_given(bisect_root(f, 1e-15, ts, (ds, ts), f_arr), d, t)
 
 
 def alpha_dk(d: int, k: int) -> float:

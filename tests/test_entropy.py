@@ -37,6 +37,7 @@ from stardecomp.entropy import (
 )
 
 import bisect_reference as ref
+import stardecomp.entropy as entropy
 
 # mpmath oracle values (30 digits, rounded to double precision on parse).
 PHI_3_01 = 0.3083818426923689331118515
@@ -301,6 +302,7 @@ def test_threshold_report_rejects_unknown_source():
 
 # The lockstep bisection.  Batches larger than SCALAR_LANES evaluate the
 # array forms of the rates, so the tests below draw more lanes than that.
+LANES = SCALAR_LANES + 40
 
 def _outcome(fn, *args):
     try:
@@ -317,7 +319,7 @@ def _lanes_of(fn, *lanes):
         return [_outcome(fn, *args) for args in zip(*lanes)]
 
 
-@given(st.lists(st.integers(3, 10**5), min_size=SCALAR_LANES + 1, max_size=60))
+@given(st.lists(st.integers(3, 10**5), min_size=SCALAR_LANES + 1, max_size=LANES))
 @settings(max_examples=25, deadline=None)
 def test_alpha_fm_lanes_match_scalar_reference(degrees):
     assert alpha_fm(np.array(degrees)).tolist() == [ref.alpha_fm(d) for d in degrees]
@@ -328,7 +330,7 @@ def test_alpha_fm_lanes_match_scalar_reference(degrees):
 
 
 @given(st.lists(st.tuples(st.integers(3, 10**5), st.floats(1e-17, 1.0, exclude_max=True)),
-                min_size=SCALAR_LANES + 1, max_size=60))
+                min_size=SCALAR_LANES + 1, max_size=LANES))
 @settings(max_examples=25, deadline=None)
 def test_avg_degree_ceiling_lanes_match_scalar_reference(lanes):
     # Densities down to 1e-17 include lanes where f(x) <= 0 returns x.
@@ -338,7 +340,7 @@ def test_avg_degree_ceiling_lanes_match_scalar_reference(lanes):
 
 
 @given(st.lists(st.tuples(st.integers(3, 10**5), st.floats(0.0, 1.0, exclude_max=True)),
-                min_size=SCALAR_LANES + 1, max_size=60))
+                min_size=SCALAR_LANES + 1, max_size=LANES))
 @settings(max_examples=25, deadline=None)
 def test_avg_degree_ceiling_inv_lanes_match_scalar_reference(lanes):
     # t from just above 2/d, where some lanes have no sign change: the batch
@@ -358,48 +360,51 @@ def test_avg_degree_ceiling_inv_lanes_match_scalar_reference(lanes):
 def test_avg_degree_ceiling_mixes_left_endpoint_lanes():
     # subset_rate(d, x, x) <= 0 at x = 6.9e-17 for d = 1000: that lane
     # returns x itself while the others bisect.
-    x = np.r_[6.917034789413648e-17, np.linspace(0.01, 0.99, 2 * SCALAR_LANES)]
+    x = np.r_[6.917034789413648e-17, np.linspace(0.01, 0.99, LANES)]
     assert subset_rate(1000, float(x[0]), float(x[0])) <= 0.0
     t = avg_degree_ceiling(1000, x)
     assert t[0] == x[0]
     assert t.tolist() == [ref.avg_degree_ceiling(1000, float(v)) for v in x]
 
 
-def test_bisect_root_lets_the_scalar_form_decide_near_zero():
+def test_bisect_root_lets_the_scalar_form_decide_near_zero(monkeypatch):
     # The array form is off by 1e-13 of its magnitude, far more than
-    # rounding and within NEAR_ZERO_REL: it decides the far points and exact
-    # the near ones.
+    # rounding and within NEAR_ZERO_REL: it decides the far points and the
+    # scalar form the near ones.
     assert 1e-13 < NEAR_ZERO_REL
-    exact = lambda c, x: x * x - c
+    f = lambda c, x: x * x - c
     fuzzy = lambda c, x: (x * x - c + 1e-13 * (x * x + c), x * x + c)
-    c = np.linspace(0.5, 3.5, 4 * SCALAR_LANES)
+    c = np.linspace(0.5, 3.5, 2 * LANES)
     lo, hi = np.zeros_like(c), np.full_like(c, 2.0)
-    roots = bisect_root(fuzzy, lo, hi, (c,), exact)
-    assert roots.tolist() == [ref.bisect_root(lambda x: exact(v, x), 0.0, 2.0)
+    roots = bisect_root(f, lo, hi, (c,), fuzzy)
+    assert roots.tolist() == [ref.bisect_root(lambda x: f(v, x), 0.0, 2.0)
                               for v in c.tolist()]
-    # Without exact the array form's own signs are used, and they differ.
-    plain = lambda c, x: fuzzy(c, x)[0]
-    assert bisect_root(plain, lo, hi, (c,)).tolist() != roots.tolist()
+    # Where the array form's own signs decide, the roots differ.
+    monkeypatch.setattr(entropy, "NEAR_ZERO_REL", 0.0)
+    assert bisect_root(f, lo, hi, (c,), fuzzy).tolist() != roots.tolist()
 
 
-def test_lanes_where_the_array_form_alone_would_decide_wrongly():
+def test_lanes_where_the_array_form_alone_would_decide_wrongly(monkeypatch):
     # Found by solving d = 3..10^5, and 20,000 random ceilings, with the
     # near-zero rule switched off: these lanes then ended one bracket away.
-    degrees = np.r_[15918, np.arange(100, 100 + 2 * SCALAR_LANES)]
-    assert alpha_fm(degrees).tolist() == [ref.alpha_fm(int(d)) for d in degrees]
-    d = np.r_[93523, np.arange(100, 100 + 2 * SCALAR_LANES)]
-    x = np.r_[0.04631246639748576, np.linspace(0.01, 0.99, 2 * SCALAR_LANES)]
-    assert (avg_degree_ceiling(d, x).tolist()
-            == [ref.avg_degree_ceiling(int(a), float(b)) for a, b in zip(d, x)])
+    degrees = np.r_[15918, np.arange(100, 100 + LANES)]
+    d = np.r_[93523, np.arange(100, 100 + LANES)]
+    x = np.r_[0.04631246639748576, np.linspace(0.01, 0.99, LANES)]
+    expected = ([ref.alpha_fm(int(v)) for v in degrees],
+                [ref.avg_degree_ceiling(int(a), float(b)) for a, b in zip(d, x)])
+    assert (alpha_fm(degrees).tolist(), avg_degree_ceiling(d, x).tolist()) == expected
+    monkeypatch.setattr(entropy, "NEAR_ZERO_REL", 0.0)
+    assert alpha_fm(degrees)[0] != expected[0][0]
+    assert avg_degree_ceiling(d, x)[0] != expected[1][0]
 
 
 def test_bisect_root_lanes_end_on_zeros_and_endpoints():
     # Lanes that hit an exact zero at a midpoint, at lo and at hi stop
     # there, as the scalar bisection does, while the others go on.
-    exact = lambda c, x: x - c
-    f = lambda c, x: (x - c, np.abs(x) + np.abs(c))
-    c = np.r_[0.5, 0.0, 1.0, np.linspace(0.1, 0.9, 2 * SCALAR_LANES)]
-    roots = bisect_root(f, np.zeros_like(c), np.ones_like(c), (c,), exact)
+    f = lambda c, x: x - c
+    f_arr = lambda c, x: (x - c, np.abs(x) + np.abs(c))
+    c = np.r_[0.5, 0.0, 1.0, np.linspace(0.1, 0.9, LANES)]
+    roots = bisect_root(f, np.zeros_like(c), np.ones_like(c), (c,), f_arr)
     assert roots[:3].tolist() == [0.5, 0.0, 1.0]
     assert roots.tolist() == [ref.bisect_root(lambda x: x - v, 0.0, 1.0)
                               for v in c.tolist()]
@@ -411,7 +416,7 @@ def test_bisect_root_names_the_first_lane_without_sign_change():
         bisect_root(lambda c, x: x - c, np.zeros_like(c), np.ones_like(c), (c,))
 
 
-@given(st.lists(st.integers(3, 10**5), min_size=SCALAR_LANES + 1, max_size=40,
+@given(st.lists(st.integers(3, 10**5), min_size=SCALAR_LANES + 1, max_size=LANES,
                 unique=True),
        st.randoms(use_true_random=False))
 @settings(max_examples=10, deadline=None)
