@@ -11,9 +11,12 @@ grid is evaluated only where it can change the verdict: not at all when the
 strong condition holds, and otherwise in one blocked pass over the beta rows
 whose largest (tau*d - d_hat)*beta comes within the margin of the bound,
 each block restricted to the band of tau columns where one of its rows
-does.  The pass stops at the first raw violation, and the least-slack point
-it evaluated is reported as the witness.  Errors are one-sided: the checker
-may under-certify, never over-certify.
+does.  A column whose rate a block computed clearly negative is dead for the
+rest of the box: the rate is concave in beta and nonnegative at beta = 0, so
+it stays negative at every larger beta (proof in check_condition).  The pass
+stops at the first raw violation, and the least-slack point it evaluated is
+reported as the witness.  Errors are one-sided: the checker may
+under-certify, never over-certify.
 
 A sweep certifies its degrees in rounds: each round derives d_hat for every
 pending (d, k) in one batch, whose bisections run as lockstep lanes that
@@ -53,6 +56,7 @@ GRID_BLOCK_POINTS = 1 << 15
 # pair_rate_grid also feeds check_condition's grid, where summing the terms'
 # magnitudes would add work at every point; pair_rate's terms are at most
 # about 3d in size, and the largest grid/scalar gap measured is 5.6e-17 * d.
+# check_condition takes a column computed below -NEAR_ZERO_RATE * d as dead.
 SCALAR_SCAN_STEPS = 32
 NEAR_ZERO_RATE = 1e-12
 BETA_TOL = 1e-10
@@ -327,11 +331,36 @@ def check_condition(
     and the result is (strong, True, None).  Otherwise each box makes one
     pass over the beta rows whose largest (tau*d - d_hat) * beta plus the
     margin reaches the bound, in blocks of about GRID_BLOCK_POINTS points.  A
-    block evaluates only the tau columns from the first one where some row
-    of the block reaches the bound that way; the block stops the box at the
-    first raw violation and otherwise tracks the extent of the points within
-    the margin, which becomes the refined box.  The verdict and every refined
-    box are those of the full grid.
+    block evaluates only the live tau columns from the first one where some
+    row of the block reaches the bound that way; the block stops the box at
+    the first raw violation and otherwise tracks the extent of the points
+    within the margin, which becomes the refined box.  After each block,
+    every column with a computed rate below -NEAR_ZERO_RATE * d is dead for
+    the rest of the box.  The verdict, the witness and every refined box are
+    those of the full grid, ValueError on leaving the entropy domain
+    included: a block that skips an end column of its band checks the
+    corners that bound the rates' entropy arguments.
+
+    Why a dead column may be skipped.  Fix tau, let c = 1 - 2 alpha, and
+    write f(beta) for the rate along the column:
+
+        f(beta) = h(beta) + d beta (h(tau) + h(1-tau)) + d h(alpha - tau beta)
+                  + d h(c - (1-tau) beta) - (d-1) h(1 - alpha - beta) + const,
+
+        f''(beta) = -1/beta - d (tau^2 / A + (1-tau)^2 / B) + (d-1) / (A + B),
+
+    with A = alpha - tau beta and B = c - (1-tau) beta, which sum to
+    1 - alpha - beta.  By the Engel form of Cauchy-Schwarz, tau^2 / A +
+    (1-tau)^2 / B >= 1 / (A + B), so f'' <= -1/beta - 1/(1 - alpha - beta)
+    < 0 inside the entropy domain: f is strictly concave.  The grid is built
+    only when bmax > 0, and beta_max returns 0 unless f(0) = ind_set_rate
+    computes >= 0.  The rate is computed to within about 1e-16 * d (a test
+    checks 1e-15 * d against 40-digit arithmetic), so at a point beta1
+    computed below -1e-12 * d the exact f(beta1) is negative and below f(0).
+    By concavity the chord from (0, f(0)) through (beta1, f(beta1)) bounds f
+    above at every larger beta, and it falls: there f <= f(beta1), so the
+    full grid too would compute a negative rate, and such points cannot fail
+    the check, set the witness or shape a refined box.
 
     Returns (strong, weak, worst_witness) where worst_witness is the
     nonnegative-rate point of least slack alpha - alpha_dk - (tau*d - d_hat)
@@ -348,6 +377,7 @@ def check_condition(
         return strong, True, None
 
     witness = None  # best (beta, tau, slack) seen, by smallest slack
+    near_zero = NEAR_ZERO_RATE * d
 
     def check_box(b_lo, b_hi, t_lo, t_hi, db, dt, depth):
         nonlocal witness
@@ -366,6 +396,7 @@ def check_condition(
         first = last = None
         col_lo, col_hi = len(ts), -1
         rows = max(1, GRID_BLOCK_POINTS // len(ts))
+        live = np.ones(len(ts), dtype=bool)  # columns not yet seen below -near_zero
         for i in range(0, len(bs), rows):
             bb = bs[i : i + rows]
             # coef * beta is monotone in beta for either sign of coef, so the
@@ -373,15 +404,24 @@ def check_condition(
             # columns that can reach rhs - margin are a suffix.
             reach = np.maximum(coef * bb[0], coef * bb[-1]) + margin >= rhs
             j0 = int(np.argmax(reach))
-            vals = coef[j0:] * bb[:, None]
-            rates = pair_rate_grid(d, alpha, bb, ts[j0:])
+            if not (live[j0] and live[-1]):
+                # The rates' entropy arguments are monotone in beta and tau,
+                # so these corners raise wherever the full block would.
+                _h_arr(np.array([alpha - ts[-1] * bb[-1], 1.0 - alpha - bb[-1],
+                                 1.0 - 2.0 * alpha - (1.0 - ts[j0]) * bb[-1]]))
+            cols = j0 + np.flatnonzero(live[j0:])
+            if not len(cols):
+                continue
+            vals = coef[cols] * bb[:, None]
+            rates = pair_rate_grid(d, alpha, bb, ts[cols])
+            live[cols[(rates < -near_zero).any(axis=0)]] = False
             np.copyto(vals, -np.inf, where=rates < 0.0)
             r, c = np.unravel_index(np.argmax(vals), vals.shape)
             top = vals[r, c]
             if top == -np.inf:
                 continue
             if witness is None or rhs - top < witness[2]:
-                witness = (float(bb[r]), float(ts[j0 + c]), float(rhs - top))
+                witness = (float(bb[r]), float(ts[cols[c]]), float(rhs - top))
             # A raw violation at a grid point is a genuine counterexample on
             # the continuum; no refinement can rescue it.
             if top >= rhs:
@@ -391,8 +431,8 @@ def check_condition(
             bi, ti = np.nonzero(vals + margin >= rhs)
             first = i + bi[0] if first is None else first
             last = i + bi[-1]
-            col_lo = min(col_lo, j0 + ti.min())
-            col_hi = max(col_hi, j0 + ti.max())
+            col_lo = min(col_lo, cols[ti.min()])
+            col_hi = max(col_hi, cols[ti.max()])
         if first is None:
             return True
         if depth >= MAX_REFINEMENTS:

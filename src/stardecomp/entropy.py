@@ -358,9 +358,15 @@ def avg_degree_ceiling(d, x):
 
 
 def avg_degree_ceiling_inv(d, t):
-    """Inverse of avg_degree_ceiling on (2/d, 1): the unique x in (0, t] whose
+    """Inverse of avg_degree_ceiling: the unique x in [1e-15, t] whose
     ceiling equals t, found by bisection on the strictly monotone map.
     Arrays of d and t are solved as lanes of one bisection.
+
+    The bisection brackets densities from 1e-15 up, so t must lie above the
+    ceiling of x = 1e-15, about 1.1 to 1.4 times 2/d: the ceiling tends to
+    2/d only like 1/log(1/x).  A t in (2/d, 1) at or below that ceiling
+    raises DomainError naming d, t and the ceiling, and so does a t outside
+    (2/d, 1); in a batch, the first failing lane's error is raised.
     """
     ds, ts = _lanes(d, np.asarray(t, dtype=float))
     bad = ~((2.0 / ds < ts) & (ts < 1.0))
@@ -370,11 +376,19 @@ def avg_degree_ceiling_inv(d, t):
     # inverse point and positive right of it.
     f = lambda d, t, x: subset_rate(d, x, t)
     f_arr = lambda d, t, x: _subset_rate_arr(d, x, t)
+    lo = np.full(len(ts), 1e-15)
     fhi = _decide(f, f_arr, (ds, ts), ts)
-    if (fhi < 0.0).any():
-        raise RuntimeError(
-            f"no sign change for inverse at t={ts[np.argmax(fhi < 0.0)].item()}")
-    return _as_given(bisect_root(f, 1e-15, ts, (ds, ts), f_arr), d, t)
+    flo = _decide(f, f_arr, (ds, ts), lo)
+    bad = (fhi < 0.0) | (flo > 0.0)
+    if bad.any():
+        i = np.argmax(bad)
+        d_i, t_i = ds[i].item(), ts[i].item()
+        if fhi[i] < 0.0:
+            raise RuntimeError(f"no sign change for inverse at t={t_i}")
+        raise DomainError(
+            f"t {t_i} at or below {avg_degree_ceiling(d_i, 1e-15)}, the ceiling "
+            f"for d={d_i} at x = 1e-15, the smallest density the inverse brackets")
+    return _as_given(bisect_root(f, lo, ts, (ds, ts), f_arr), d, t)
 
 
 def alpha_dk(d: int, k: int) -> float:

@@ -91,10 +91,10 @@ def config_model_sample(n, d, seed):
     return Graph(n, [tuple(map(int, p)) for p in pairs])
 
 
-def _pairs_distinct(pairs):
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    s = pairs[order]
-    return not np.any(np.all(s[1:] == s[:-1], axis=1))
+def _pairs_distinct(pairs, n):
+    """True iff no (u, v) row of pairs, vertex ids below n, repeats."""
+    keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    return not np.any(keys[1:] == keys[:-1])
 
 
 def is_simple(g: Graph) -> bool:
@@ -124,7 +124,7 @@ def sample_simple(n, d, seed, max_tries=100000):
         if np.any(stubs[0::2] == stubs[1::2]):
             continue
         pairs = _sorted_pairs(stubs)
-        if _pairs_distinct(pairs):
+        if _pairs_distinct(pairs, n):
             return Graph(n, [tuple(map(int, p)) for p in pairs]), tries
     raise RuntimeError(f"max tries exceeded ({max_tries}) for n={n}, d={d}")
 

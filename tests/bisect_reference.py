@@ -73,6 +73,10 @@ def avg_degree_ceiling_inv(d, t):
     hi = t
     if f(hi) < 0.0:
         raise RuntimeError(f"no sign change for inverse at t={t}")
+    if f(lo) > 0.0:
+        raise DomainError(
+            f"t {t} at or below {avg_degree_ceiling(d, lo)}, the ceiling "
+            f"for d={d} at x = 1e-15, the smallest density the inverse brackets")
     return bisect_root(f, lo, hi)
 
 

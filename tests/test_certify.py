@@ -10,6 +10,7 @@ import random
 import re
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from stardecomp.certify import (
     BETA_TOL,
     GRID_BLOCK_POINTS,
+    NEAR_ZERO_RATE,
     SCALAR_SCAN_STEPS,
     CertifyError,
     CertifyInput,
@@ -143,7 +145,9 @@ def _assert_matches_full_grid(d, k, alpha, beta_step, tau_step):
     """The blocked, column-restricted check gives the full grid's (strong,
     weak), builds the same sequence of boxes, and evaluates every point that
     can fail the check or trigger a refinement, with the full grid's rate;
-    only a box that stops at a raw violation may leave later rows out."""
+    only a box that stops at a raw violation may leave later rows out.  A
+    column is evaluated at no beta above one where it was already computed
+    below -NEAR_ZERO_RATE * d."""
     try:
         res = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha))
         bmax = beta_max(d, alpha, res.tau_plus, step=beta_step)
@@ -152,7 +156,8 @@ def _assert_matches_full_grid(d, k, alpha, beta_step, tau_step):
     args = (d, k, res.d_hat, alpha, bmax, res.tau_plus, beta_step, tau_step)
     with pytest.MonkeyPatch.context() as mp:
         # The package re-exports the function `certify` under the module name.
-        new_boxes = _boxes(mp, sys.modules["stardecomp.certify"])
+        module = sys.modules["stardecomp.certify"]
+        new_boxes = _boxes(mp, module)
         ref_boxes = _boxes(mp, ref)
         new = check_condition(*args)
         old = ref.check_condition(*args)
@@ -174,11 +179,14 @@ def _assert_matches_full_grid(d, k, alpha, beta_step, tau_step):
         vals = (ts[None, :] * d - res.d_hat) * bs[:, None]
         needed = (rates >= 0.0) & (vals + margin >= rhs)
         seen = np.zeros_like(needed)
+        dead = np.zeros(len(ts), dtype=bool)
         for betas, taus, block in new_box["calls"]:
-            i, j0 = np.searchsorted(bs, betas), len(ts) - len(taus)
-            assert np.array_equal(bs[i], betas) and np.array_equal(ts[j0:], taus)
-            assert np.array_equal(block, rates[i, j0:])
-            seen[i, j0:] = True
+            i, j = np.searchsorted(bs, betas), np.searchsorted(ts, taus)
+            assert np.array_equal(bs[i], betas) and np.array_equal(ts[j], taus)
+            assert np.array_equal(block, rates[np.ix_(i, j)])
+            assert not dead[j].any()
+            dead[j] |= (block < -module.NEAR_ZERO_RATE * d).any(axis=0)
+            seen[np.ix_(i, j)] = True
         if not new[1] and n == len(new_boxes) - 1:
             # A failed check may stop at the first block holding a raw
             # violation, leaving the rows after it unevaluated.
@@ -189,10 +197,20 @@ def _assert_matches_full_grid(d, k, alpha, beta_step, tau_step):
 
 
 # Weak-only certificates at (30, 17) and (176, 92) refine once, (31, 17) does
-# not; d = 31 and 50 fail at k_ind and d = 100 is strong.
+# not; (40, 22) and (1806, 909) are weak-only too; d = 31 and 50 fail at
+# k_ind and d = 100 is strong.
 @pytest.mark.parametrize("d, k", [(30, 17), (176, 92), (31, 17), (31, 18),
-                                  (50, 28), (100, 53)])
+                                  (50, 28), (100, 53), (40, 22), (1806, 909)])
 def test_check_condition_matches_full_grid_on_sweep_cases(d, k):
+    _assert_matches_full_grid(d, k, alpha_fc_estimate(d), 1e-6, 1e-3)
+
+
+@pytest.mark.parametrize("d, k", [(30, 17), (40, 22), (176, 92)])
+def test_check_condition_kills_columns_only_below_zero(monkeypatch, d, k):
+    # With a wide near-zero band many evaluated points lie between the cut
+    # and 0; a column dies only below the cut, so the check still matches
+    # the full grid.
+    monkeypatch.setattr(sys.modules["stardecomp.certify"], "NEAR_ZERO_RATE", 1e-4)
     _assert_matches_full_grid(d, k, alpha_fc_estimate(d), 1e-6, 1e-3)
 
 
@@ -210,6 +228,68 @@ def test_check_condition_matches_full_grid(d, drop, rel, coarse):
     k = math.floor(kappa(d, alpha)) - drop
     steps = (1e-5, 1e-2) if coarse else (1e-6, 1e-3)
     _assert_matches_full_grid(d, k, alpha, *steps)
+
+
+@pytest.mark.parametrize("d, k", [(30, 17), (40, 22), (176, 92), (100, 53)])
+def test_check_condition_raises_where_a_block_leaves_the_domain(d, k):
+    # Past beta = alpha the column tau = 1 leaves the entropy domain, after
+    # it has died; the check still raises as the blocks without dead columns
+    # do.
+    alpha = alpha_fc_estimate(d)
+    res = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha))
+    for bmax in (1.01 * alpha, 1.0 - 2.0 * alpha):
+        with pytest.raises(ValueError, match="outside"):
+            check_condition(d, k, res.d_hat, alpha, bmax, res.tau_plus)
+
+
+# The two premises of check_condition's dead-column rule, against mpmath at
+# 40 digits, the float inputs taken as exact.
+def _exact_pair_rate(d, alpha, beta, tau):
+    h = lambda x: -x * mpmath.log(x) if x > 0 else mpmath.mpf(0)
+    a, b, t = map(mpmath.mpf, (alpha, beta, tau))
+    c = 1 - 2 * a
+    edge = 2 * h(b) + 2 * b * (h(t) + h(1 - t)) + 2 * h(a - t * b) \
+        + 2 * h(c - (1 - t) * b) - h(c)
+    return mpmath.mpf(d) / 2 * edge - (d - 1) * (h(a) + h(b) + h(1 - a - b))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_pair_rate_grid_error_far_below_the_dead_column_cut(seed):
+    # Points as the sweep's grids meet them: alpha near the estimate, beta
+    # up to beta_max and tau from tau_plus.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(30, 10**5 + 1))
+    alpha = alpha_fc_estimate(d) * (1.0 + rng.uniform(-0.05, 0.05))
+    try:
+        res = derive_dhat(CertifyInput(d=d, k=math.floor(kappa(d, alpha)), alpha=alpha))
+        bmax = beta_max(d, alpha, res.tau_plus)
+    except (CertifyError, ValueError):
+        return
+    betas = np.r_[bmax, rng.uniform(0.0, bmax, 3)]
+    taus = np.r_[res.tau_plus, 1.0, rng.uniform(res.tau_plus, 1.0, 3)]
+    grid = pair_rate_grid(d, alpha, betas, taus)
+    with mpmath.workdps(40):
+        for i, b in enumerate(betas.tolist()):
+            for j, t in enumerate(taus.tolist()):
+                exact = _exact_pair_rate(d, alpha, b, t)
+                assert abs(float(grid[i, j]) - exact) <= 1e-3 * NEAR_ZERO_RATE * d
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_pair_rate_is_strictly_concave_in_beta(seed):
+    # f''(beta) <= -1/beta - 1/(1 - alpha - beta) anywhere inside the domain.
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([3, 30, 1000, 10**5]))
+    alpha = rng.uniform(0.01, 0.49)
+    tau = rng.uniform(0.0, 1.0)
+    beta = rng.uniform(0.0, 1.0) * min(1.0 - 2.0 * alpha, alpha / tau)
+    with mpmath.workdps(40):
+        f = lambda b: _exact_pair_rate(d, alpha, b, tau)
+        second = mpmath.diff(f, mpmath.mpf(beta), 2)
+        bound = -1 / mpmath.mpf(beta) - 1 / (1 - mpmath.mpf(alpha) - beta)
+        assert second <= bound * (1 - mpmath.mpf(10) ** -25)
 
 
 def test_beta_max_zero_when_rate_negative():

@@ -247,6 +247,26 @@ def test_avg_degree_ceiling_inv_domain():
         avg_degree_ceiling_inv(10, 1.0)
 
 
+@pytest.mark.parametrize("d", [10, 276, 3000])
+def test_avg_degree_ceiling_inv_names_its_smallest_ceiling(d):
+    # Just above 2/d the rate is still positive at the bracket end x = 1e-15,
+    # so the inverse reaches only t above the ceiling there.
+    floor = avg_degree_ceiling(d, 1e-15)
+    assert 1.05 * 2.0 / d < floor < 1.45 * 2.0 / d
+    for t in (2.0 / d * (1.0 + 1e-9), 0.5 * (2.0 / d + floor), floor * (1.0 - 1e-6)):
+        with pytest.raises(DomainError) as exc:
+            avg_degree_ceiling_inv(d, t)
+        assert f"t {t} " in str(exc.value)
+        assert f"{floor}, the ceiling for d={d} at x = 1e-15" in str(exc.value)
+    x = avg_degree_ceiling_inv(d, floor * 1.001)
+    assert 1e-15 <= x < 1e-12
+    # In a batch, the first failing lane's error.
+    ts = np.linspace(floor * 1.001, 0.9, SCALAR_LANES + 5)
+    ts[3], ts[7] = floor * 0.99, 2.0 / d * 1.01
+    with pytest.raises(DomainError, match=re.escape(f"t {ts[3]} ")):
+        avg_degree_ceiling_inv(np.full(len(ts), d), ts)
+
+
 @given(
     st.floats(min_value=0.01, max_value=0.49),
     st.floats(min_value=0.01, max_value=0.49),

@@ -1,6 +1,7 @@
 """Tests for the graph module: sampling, statistics, brute-force oracles,
 and file I/O."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardecomp.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
+    _pairs_distinct,
     check_thin,
     cheeger_bruteforce,
     complete_graph,
@@ -80,6 +83,34 @@ def test_sample_simple_is_simple_and_deterministic():
     assert g1 == g2 and tries1 == tries2
     assert is_simple(g1)
     assert g1.is_regular()
+
+
+def test_sample_simple_keeps_its_stream():
+    # `sample --simple --n 6000 --d 5 --seed 0`, the pipeline benchmark's
+    # graph: the same 447 tries and edges as with a row-wise duplicate check.
+    g, tries = sample_simple(6000, 5, seed=0)
+    assert tries == 447
+    assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == (
+        "179b0ae9c34a5b6384d443556adb8c1c7d5bbb2756f22b302c51e7a149274061")
+
+
+@given(st.integers(0, 10_000), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_pairs_distinct_matches_row_comparison(seed, planted):
+    # Sorted (u, v) rows as the sampler builds them, with up to 3 rows
+    # copied over others; vertex ids up to n - 1 exercise the key's range.
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 7, 6000, MAX_VERTICES]))
+    pairs = np.sort(rng.integers(0, n, size=(int(rng.integers(1, 400)), 2)), axis=1)
+    pairs[-1] = (n - 2, n - 1)
+    for _ in range(planted):
+        src, dst = rng.integers(0, len(pairs), size=2)
+        pairs[dst] = pairs[src]
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    s = pairs[order]
+    expected = not np.any(np.all(s[1:] == s[:-1], axis=1))
+    assert expected == (len(set(map(tuple, pairs.tolist()))) == len(pairs))
+    assert _pairs_distinct(pairs, n) == expected
 
 
 def exact_simplicity_probability(n, d):
