@@ -97,12 +97,14 @@ def test_sample_simple_keeps_its_stream():
 @given(st.integers(0, 10_000), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_pairs_distinct_matches_row_comparison(seed, planted):
-    # Sorted (u, v) rows as the sampler builds them, with up to 3 rows
-    # copied over others; vertex ids up to n - 1 exercise the key's range.
+    # Distinct (u, v) rows with u <= v, as the sampler builds them, in random
+    # order, then up to 3 rows copied over others; the row (n - 2, n - 1)
+    # exercises the key's range.
     rng = np.random.default_rng(seed)
     n = int(rng.choice([2, 7, 6000, MAX_VERTICES]))
-    pairs = np.sort(rng.integers(0, n, size=(int(rng.integers(1, 400)), 2)), axis=1)
-    pairs[-1] = (n - 2, n - 1)
+    drawn = rng.integers(0, n, size=(int(rng.integers(1, 400)), 2))
+    pairs = np.unique(np.sort(np.r_[drawn, [[n - 2, n - 1]]], axis=1), axis=0)
+    rng.shuffle(pairs)
     for _ in range(planted):
         src, dst = rng.integers(0, len(pairs), size=2)
         pairs[dst] = pairs[src]
