@@ -19,9 +19,10 @@ reported as the witness.  Errors are one-sided: the checker may
 under-certify, never over-certify.
 
 A sweep certifies its degrees in rounds: each round derives d_hat for every
-pending (d, k) in one batch, whose bisections run as lockstep lanes that
-each return the scalar result bit for bit, then checks the degrees one by
-one; a degree that fails goes to the next round with k - 1.
+pending (d, k) in one batch, then locates beta_max for all of them in
+another, both as lockstep lanes that each return the scalar result bit for
+bit, and checks the degrees one by one; a degree that fails goes to the
+next round with k - 1.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .entropy import (
+    SCALAR_LANES,
     _h_arr,
+    _lanes,
     alpha_dk,
     alpha_fc_estimate,
     avg_degree_ceiling,
@@ -49,9 +52,9 @@ DEFAULT_BETA_STEP = 1e-6
 DEFAULT_TAU_STEP = 1e-3
 MAX_REFINEMENTS = 3
 GRID_BLOCK_POINTS = 1 << 15
-# beta_max: scalar steps before the block scan, the grid rate (per unit of
-# d) below which the scalar pair_rate decides a point's sign, and the
-# bisection tolerance, which is also the smallest step it accepts.  The
+# beta_max: points scanned before the doubling blocks, the grid rate (per
+# unit of d) below which the scalar pair_rate decides a point's sign, and
+# the bisection tolerance, which is also the smallest step it accepts.  The
 # near-zero bound is absolute, unlike entropy.NEAR_ZERO_REL, because
 # pair_rate_grid also feeds check_condition's grid, where summing the terms'
 # magnitudes would add work at every point; pair_rate's terms are at most
@@ -112,21 +115,29 @@ class CertifyResult:
 
 
 def pair_rate_grid(d, alpha, betas, taus):
-    """pair_rate evaluated on the outer grid betas x taus (numpy broadcast).
+    """pair_rate evaluated on a grid of rows x columns (numpy broadcast).
 
-    Returns an array of shape (len(betas), len(taus)).  The terms that depend
-    on one axis only are computed once; the rest is evaluated in blocks of
-    about GRID_BLOCK_POINTS rows x columns, in place in the output and two
-    scratch arrays, which keeps the temporaries in cache and allocates
-    nothing per block.  Each element goes through the operations of
-    entropy.pair_rate in its order, so blocking changes no bit.
+    taus holds one tau per column, and d and alpha are scalars or hold one
+    value per column too.  betas is a 1-d array of rows shared by every
+    column, as in check_condition's grid, or a 2-d array of rows x columns,
+    as in beta_max, whose lanes are the columns.  Returns an array of shape
+    (rows, len(taus)).  The terms that depend on one axis only are computed
+    once; the rest is evaluated in blocks of about GRID_BLOCK_POINTS rows x
+    columns, in place in the output and two scratch arrays, which keeps the
+    temporaries in cache and allocates nothing per block.  Each element goes
+    through the operations of entropy.pair_rate in its order, so neither
+    blocking nor broadcasting changes a bit.
     """
-    b = np.asarray(betas, dtype=float)[:, None]
+    b = np.asarray(betas, dtype=float)
+    if b.ndim == 1:
+        b = b[:, None]
     t = np.asarray(taus, dtype=float)[None, :]
+    d = np.reshape(d, (1, -1))
+    alpha = np.reshape(np.asarray(alpha, dtype=float), (1, -1))
     h_t = _h_arr(t) + _h_arr(1.0 - t)
     h_b = _h_arr(b)
-    h_edge = _h_arr(np.full((1, 1), 1.0 - 2.0 * alpha))
-    vert = _h_arr(np.full((1, 1), alpha)) + h_b + _h_arr(1.0 - alpha - b)
+    h_edge = _h_arr(1.0 - 2.0 * alpha)
+    vert = _h_arr(alpha) + h_b + _h_arr(1.0 - alpha - b)
     out = np.empty((b.shape[0], t.shape[1]))
     rows = max(1, GRID_BLOCK_POINTS // max(t.shape[1], 1))
     arg = np.empty((min(rows, b.shape[0]), t.shape[1]))
@@ -232,70 +243,140 @@ def beta_max(d, alpha, tau_plus, step=DEFAULT_BETA_STEP):
     (1 - 2 alpha) / BETA_TOL points to locate what the bisection cannot
     resolve anyway.
 
-    The scan's first SCALAR_SCAN_STEPS points are evaluated one by one with
-    the scalar pair_rate, which ends it within a few steps for most degrees.
-    Beyond them it evaluates blocks of doubling size with pair_rate_grid,
-    their points built by np.cumsum from the current beta (the same
-    sequential additions).  pair_rate_grid may differ from pair_rate in the
-    last bits, so every point of a block whose grid rate is below
-    NEAR_ZERO_RATE * d is decided by the scalar pair_rate, the first negative
-    one included; if a block leaves the entropy domain the scalar scan takes
-    over at its start.  The bracket, and so the result, is the scalar scan's.
+    Scalar arguments give a float, or raise.  If any argument is a
+    sequence, the arguments are broadcast to lanes that are solved in
+    lockstep (see _scan_and_bisect), and the list returned holds each
+    lane's value or the exception it raised.  A lane's outcome is the one it
+    has alone, and the scalar scan's, bit for bit.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha {alpha} outside (0, 1/2)")
-    if not 0.0 < tau_plus <= 1.0:
-        raise ValueError(f"tau_plus {tau_plus} outside (0, 1]")
-    if not step >= BETA_TOL:
-        raise ValueError(f"beta step {step} below the bisection tolerance {BETA_TOL}")
-    if ind_set_rate(d, alpha) < 0.0:
-        # Already negative in the beta -> 0 limit: the infimum is 0.
-        return 0.0
-    tol = BETA_TOL
-    b_hi_cap = 1.0 - 2.0 * alpha
-    near_zero = NEAR_ZERO_RATE * d
-    lo = 0.0
-    b = step
-    n = 0  # points scanned so far
-    vector = True
-    while b < b_hi_cap:
-        if n < SCALAR_SCAN_STEPS or not vector:
-            if pair_rate(d, alpha, b, tau_plus) < 0.0:
-                break
-            lo = b
-            b += step
-            n += 1
-            continue
-        bs = np.cumsum(np.r_[b, np.full(min(n, GRID_BLOCK_POINTS) - 1, step)])
-        bs = bs[bs < b_hi_cap]
-        try:
-            rates = pair_rate_grid(d, alpha, bs, [tau_plus])[:, 0]
-        except ValueError:
-            # A point left the entropy domain; the scalar scan meets it in
-            # order and raises exactly where the scan would.
-            vector = False
-            continue
-        first = next((i for i in np.flatnonzero(rates < near_zero)
-                      if pair_rate(d, alpha, float(bs[i]), tau_plus) < 0.0), None)
-        if first is not None:
-            lo = float(bs[first - 1]) if first else lo
-            b = float(bs[first])
-            break
-        lo = float(bs[-1])
-        b = lo + step
-        n += len(bs)
-    else:
-        raise CertifyError(
-            "no sign change", f"pair rate stays nonnegative up to beta={b_hi_cap}"
-        )
-    hi = min(b, b_hi_cap)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pair_rate(d, alpha, mid, tau_plus) < 0.0:
-            hi = mid
+    if all(np.ndim(v) == 0 for v in (d, alpha, tau_plus, step)):
+        (res,) = beta_max([d], alpha, tau_plus, step)
+        if isinstance(res, Exception):
+            raise res
+        return res
+    lanes = _lanes(d, alpha, tau_plus, step)
+    out = []
+    for d_i, a, t, s in zip(*(v.tolist() for v in lanes)):
+        if not 0.0 < a < 0.5:
+            out.append(ValueError(f"alpha {a} outside (0, 1/2)"))
+        elif not 0.0 < t <= 1.0:
+            out.append(ValueError(f"tau_plus {t} outside (0, 1]"))
+        elif not s >= BETA_TOL:
+            out.append(ValueError(f"beta step {s} below the bisection tolerance {BETA_TOL}"))
         else:
-            lo = mid
-    return hi + tol
+            # Already negative in the beta -> 0 limit: the infimum is 0.
+            out.append(0.0 if ind_set_rate(d_i, a) < 0.0 else None)
+    todo = np.flatnonzero([o is None for o in out])
+    for i, res in zip(todo.tolist(), _scan_and_bisect(*(v[todo] for v in lanes))):
+        out[i] = res
+    return out
+
+
+def _scan_and_bisect(d, alpha, tau, step):
+    """beta_max on lanes given as 1-d arrays of valid arguments whose rate
+    at beta = 0 is nonnegative; returns a list of each lane's value or
+    exception.
+
+    Scan rounds give every lane still scanning a block of its next points,
+    built by np.cumsum from its current beta (the scalar scan's sequential
+    additions); points at or above 1 - 2 alpha are dropped, and a lane
+    leaves the scan at its first negative point.  The first
+    SCALAR_SCAN_STEPS points come one a round, or, for few lanes, as many a
+    round as fit in the SCALAR_LANES points that _first_negative decides
+    with the scalar rate one by one; then the blocks double, up to
+    GRID_BLOCK_POINTS points a round across the lanes.  Bisection
+    rounds then halve every bracket still wider than BETA_TOL on its
+    midpoint 0.5*(lo + hi), zero counting as nonnegative.  _first_negative
+    gives each point the scalar pair_rate's sign, so a lane meets the scalar
+    scan's bracket and midpoints.  A batch whose grid leaves the entropy
+    domain runs its lanes again alone, where the scalar rate meets the
+    points in order and raises where the scalar scan would.
+    """
+    try:
+        out = [None] * len(d)
+        cap = 1.0 - 2.0 * alpha
+        # hi is a lane's next point while it scans, then its bracket's end.
+        lo, hi = np.zeros(len(d)), step.astype(float)
+        lanes, scanned = np.arange(len(d)), 0
+        while len(lanes):
+            ended = hi[lanes] >= cap[lanes]
+            for i in lanes[ended].tolist():
+                out[i] = CertifyError("no sign change", "pair rate stays nonnegative "
+                                      f"up to beta={cap[i].item()}")
+            lanes = lanes[~ended]
+            if not len(lanes):
+                break
+            if scanned < SCALAR_SCAN_STEPS:
+                size = min(SCALAR_SCAN_STEPS - scanned, SCALAR_LANES // len(lanes))
+            else:
+                size = min(scanned, GRID_BLOCK_POINTS // len(lanes))
+            bs = np.empty((max(size, 1), len(lanes)))
+            bs[0], bs[1:] = hi[lanes], step[lanes]
+            bs = np.cumsum(bs, axis=0)
+            valid = bs < cap[lanes]
+            first = _first_negative(d[lanes], alpha[lanes], tau[lanes], bs, valid)
+            found = first < len(bs)
+            # The last point scanned with a nonnegative rate, -1 for none.
+            last = np.where(found, first, valid.sum(axis=0)) - 1
+            cols = np.arange(len(lanes))
+            lo[lanes] = np.where(last >= 0, bs[last, cols], lo[lanes])
+            hi[lanes] = np.where(found, bs[np.minimum(first, len(bs) - 1), cols],
+                                 lo[lanes] + step[lanes])
+            lanes = lanes[~found]
+            scanned += len(bs)
+        lanes = np.flatnonzero([o is None for o in out])
+        lo, hi, args = lo[lanes], hi[lanes], (d[lanes], alpha[lanes], tau[lanes])
+        while (run := hi - lo > BETA_TOL).any():
+            mid = 0.5 * (lo + hi)
+            neg = _first_negative(*args, mid[None, :], run[None, :]) == 0
+            hi = np.where(neg, mid, hi)
+            lo = np.where(run & ~neg, mid, lo)
+    except ValueError as exc:
+        if len(d) == 1:
+            return [exc]
+        return [_scan_and_bisect(*(v[i : i + 1] for v in (d, alpha, tau, step)))[0]
+                for i in range(len(d))]
+    for i, value in zip(lanes.tolist(), (hi + BETA_TOL).tolist()):
+        out[i] = value
+    return out
+
+
+def _first_negative(d, alpha, tau, bs, valid):
+    """For each lane, a column of bs, the row of its first point marked in
+    valid at which pair_rate is negative, or len(bs) if there is none.
+
+    d, alpha and tau hold one value per lane.  A batch of more than
+    SCALAR_LANES points goes through pair_rate_grid, whose value gives a
+    point's sign where it lies farther than NEAR_ZERO_RATE * d from zero.
+    The scalar pair_rate decides the other points, and every point of a
+    smaller batch, where one grid call costs more than the scalar rate on
+    each point; it goes through each lane's points in order and stops at
+    the first negative one.  A grid that leaves the entropy domain raises
+    its ValueError, except on a lane alone, whose points the scalar rate
+    then decides in order too.
+    """
+    rows, lanes = bs.shape
+    first, doubt = np.full(lanes, rows), valid
+    if bs.size > SCALAR_LANES:
+        try:
+            rates = pair_rate_grid(d, alpha, np.where(valid, bs, bs[:1]), tau)
+        except ValueError:
+            if lanes > 1:
+                raise
+        else:
+            near_zero = NEAR_ZERO_RATE * d
+            neg = valid & (rates < -near_zero)
+            first = np.where(neg.any(axis=0), neg.argmax(axis=0), rows)
+            doubt = (valid & ~(np.abs(rates) > near_zero)
+                     & (np.arange(rows)[:, None] < first))
+    first = first.tolist()
+    lane_args = list(zip(d.tolist(), alpha.tolist(), tau.tolist()))
+    # Transposed, nonzero lists each lane's points in ascending order.
+    for j, i in zip(*(a.tolist() for a in np.nonzero(doubt.T))):
+        d_j, alpha_j, tau_j = lane_args[j]
+        if i < first[j] and pair_rate(d_j, alpha_j, bs[i, j].item(), tau_j) < 0.0:
+            first[j] = i
+    return np.array(first)
 
 
 MAX_GRID_POINTS = 4001
@@ -447,11 +528,12 @@ def check_condition(
     return strong, weak, witness
 
 
-def certify(inp: CertifyInput, derived=None) -> CertifyResult:
+def certify(inp: CertifyInput, derived=None, bmax=None) -> CertifyResult:
     """Run the full decision procedure for one (d, k, alpha) triple.
 
     derived is derive_dhat's outcome for inp, a CertifyResult or the
-    exception it raised, when a batch has already computed it.
+    exception it raised, and bmax beta_max's outcome for it, a float or the
+    exception it raised, when a batch has already computed them.
     """
     res = derive_dhat([inp])[0] if derived is None else derived
     if isinstance(res, CertifyError):
@@ -459,7 +541,10 @@ def certify(inp: CertifyInput, derived=None) -> CertifyResult:
     if isinstance(res, Exception):
         raise res
     try:
-        bmax = beta_max(inp.d, inp.alpha, res.tau_plus, step=inp.beta_grid_step)
+        if bmax is None:
+            bmax = beta_max(inp.d, inp.alpha, res.tau_plus, step=inp.beta_grid_step)
+        elif isinstance(bmax, Exception):
+            raise bmax
         strong, weak, witness = check_condition(
             inp.d,
             inp.k,
@@ -486,10 +571,10 @@ def _certify_degrees(jobs, beta_step, tau_step):
     """certify_degree for every (d, alpha) in jobs, run in rounds.
 
     Each round derives d_hat for the pending (d, k) of all degrees in one
-    batch, then runs beta_max and check_condition degree by degree; a degree
-    that fails goes to the next round with k - 1.  Returns, per degree,
-    certify_degree's (k_certified or None, results) or the ValueError it
-    raises.
+    batch and beta_max for those it derives in another, then runs
+    check_condition degree by degree; a degree that fails goes to the next
+    round with k - 1.  Returns, per degree, certify_degree's (k_certified or
+    None, results) or the ValueError it raises.
     """
     out = [None] * len(jobs)
     pending = []  # (index into jobs, next k, results so far)
@@ -515,9 +600,13 @@ def _certify_degrees(jobs, beta_step, tau_step):
                 out[i] = (None, results)
         pending = []
         derived = derive_dhat([inp for *_, inp in lanes])
-        for (i, results, inp), dhat in zip(lanes, derived):
+        ok = [j for j, res in enumerate(derived) if isinstance(res, CertifyResult)]
+        bmax = dict(zip(ok, beta_max([lanes[j][2].d for j in ok],
+                                     [lanes[j][2].alpha for j in ok],
+                                     [derived[j].tau_plus for j in ok], beta_step)))
+        for j, ((i, results, inp), dhat) in enumerate(zip(lanes, derived)):
             try:
-                res = certify(inp, dhat)
+                res = certify(inp, dhat, bmax.get(j))
             except ValueError as exc:
                 out[i] = exc
                 continue
@@ -711,8 +800,9 @@ def sweep(
     every degree that uses it comes from one lockstep alpha_fc_estimate.
 
     The degrees are certified in rounds (see _certify_degrees), in blocks of
-    SWEEP_BLOCK degrees: one batched derive_dhat per round over every
-    pending (d, k) of the block, a degree that fails going on with k - 1.
+    SWEEP_BLOCK degrees: one batched derive_dhat and one batched beta_max
+    per round over every pending (d, k) of the block, a degree that fails
+    going on with k - 1.
     With threads > 1 the pool has min(threads, os.cpu_count(), number of
     degrees) workers, and worker i runs the same rounds on every
     workers-th degree from the i-th, which spreads the costly low degrees

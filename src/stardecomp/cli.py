@@ -6,10 +6,11 @@ summaries and diagnostics go to stderr.  `certify` with --d-min > --d-max
 reports an empty degree range: no records, exit 0.
 
 Exit codes: 0 success (findings included), 1 failed verification or
-decomposition, 2 usage errors (including --max-retries < 1, a nonpositive
---tau-step, a --beta-step below certify.BETA_TOL = 1e-10, the tolerance of
-beta_max's bisection, `sample --simple` with d >= n, and a `sample --simple`
-run out of tries), 3 missing alpha-table entry under --strict-table, 4 I/O
+decomposition, 2 usage errors (including --max-retries < 1, a --tau-step
+that is not positive and finite, a --beta-step below certify.BETA_TOL =
+1e-10, the tolerance of beta_max's bisection, or not finite, a negative
+--threads, a STARDECOMP_THREADS that is not a nonnegative integer,
+`sample --simple` with d >= n, and a `sample --simple` run out of tries), 3 missing alpha-table entry under --strict-table, 4 I/O
 and parse errors (including a graph header above graphs.MAX_VERTICES
 vertices, and an alpha table with a row of other than two fields, a
 repeated degree or an alpha outside (0, 1/2)).
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -116,7 +118,15 @@ def cmd_certify(args):
     if source == "estimate" and args.d_min < 20 and args.d_max >= args.d_min:
         print("certify: estimate-based sweeps need --d-min >= 20", file=sys.stderr)
         return 2
-    threads = args.threads or int(os.environ.get(THREADS_ENV, "1"))
+    threads = args.threads
+    if not threads:
+        text = os.environ.get(THREADS_ENV, "1")
+        try:
+            threads = _nonnegative_int(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"certify: {THREADS_ENV} must be a nonnegative integer, got {text!r}",
+                  file=sys.stderr)
+            return 2
     try:
         report = sweep(
             args.d_min,
@@ -209,18 +219,26 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text):
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
 def _beta_step(text):
     value = float(text)
-    if not value >= BETA_TOL:
+    if not BETA_TOL <= value < math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be >= {BETA_TOL}, the beta_max bisection tolerance, got {value}")
+            f"must be >= {BETA_TOL}, the beta_max bisection tolerance, and finite, "
+            f"got {value}")
     return value
 
 
@@ -242,7 +260,8 @@ def build_parser():
     p.add_argument("--alpha-table", dest="alpha_table")
     p.add_argument("--strict-table", action="store_true",
                    help="fail (exit 3) if the table lacks a degree in range")
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=_nonnegative_int, default=0,
+                   help=f"worker processes (0: take {THREADS_ENV}, default 1)")
     p.add_argument("--beta-step", dest="beta_step", type=_beta_step,
                    default=1e-6)
     p.add_argument("--tau-step", dest="tau_step", type=_positive_float,

@@ -22,6 +22,9 @@ import numpy as np
 CLAMP_TOL = 1e-12
 ROOT_TOL = 1e-12
 MAX_BISECT_ITER = 200
+# avg_degree_ceiling_inv's roots reach down to about 1e-15, where an absolute
+# ROOT_TOL would be no tolerance at all; below this density it is relative.
+INV_TOL_SCALE = 1e-3
 # Where an array form of a rate lies within NEAR_ZERO_REL times the sum of
 # its terms' magnitudes of zero, the scalar form decides its value.  The
 # largest gap measured between the two, on 1.2M random points each over
@@ -251,7 +254,7 @@ def _decide(f, f_arr, args, x, lanes=None):
 
 
 def bisect_root(f, lo, hi, args=(), f_arr=None, tol=ROOT_TOL,
-                max_iter=MAX_BISECT_ITER):
+                max_iter=MAX_BISECT_ITER, tol_scale=None):
     """Plain bisection for a sign change of f on [lo, hi], run on many
     brackets (lanes) in lockstep.
 
@@ -259,8 +262,10 @@ def bisect_root(f, lo, hi, args=(), f_arr=None, tol=ROOT_TOL,
     of parameters per lane each, and f(*lane args, x) is the lane's scalar
     function.  In every lane f(lo) and f(hi) must have opposite (non-strict)
     signs, else RuntimeError; a lane returns where f is 0 or the midpoint
-    0.5*(lo + hi) of its final bracket, with absolute tolerance tol.  Float
-    brackets return a float.
+    0.5*(lo + hi) of its final bracket, with absolute tolerance tol.  With
+    tol_scale, for positive brackets, tol is relative to hi while hi lies
+    below tol_scale, so a lane whose root lies at or above it takes the
+    same steps as without.  Float brackets return a float.
 
     f_arr(*args, x), an array form of f that may differ from it in the last
     bits, gives the values at the points x of all lanes together with the
@@ -293,7 +298,8 @@ def bisect_root(f, lo, hi, args=(), f_arr=None, tol=ROOT_TOL,
         same = (fmid > 0.0) == pos
         lo = np.where(active & (same | zero), mid, lo)
         hi = np.where(active & (~same | zero), mid, hi)
-        active &= hi - lo > tol
+        width = tol if tol_scale is None else tol * np.where(hi < tol_scale, hi, 1.0)
+        active &= hi - lo > width
     root = np.where(np.isnan(root), 0.5 * (lo + hi), root)
     return root.item() if scalar else root
 
@@ -359,8 +365,9 @@ def avg_degree_ceiling(d, x):
 
 def avg_degree_ceiling_inv(d, t):
     """Inverse of avg_degree_ceiling: the unique x in [1e-15, t] whose
-    ceiling equals t, found by bisection on the strictly monotone map.
-    Arrays of d and t are solved as lanes of one bisection.
+    ceiling equals t, found by bisection on the strictly monotone map, to
+    ROOT_TOL, relative below x = INV_TOL_SCALE.  Arrays of d and t are
+    solved as lanes of one bisection.
 
     The bisection brackets densities from 1e-15 up, so t must lie above the
     ceiling of x = 1e-15, about 1.1 to 1.4 times 2/d: the ceiling tends to
@@ -388,7 +395,8 @@ def avg_degree_ceiling_inv(d, t):
         raise DomainError(
             f"t {t_i} at or below {avg_degree_ceiling(d_i, 1e-15)}, the ceiling "
             f"for d={d_i} at x = 1e-15, the smallest density the inverse brackets")
-    return _as_given(bisect_root(f, lo, ts, (ds, ts), f_arr), d, t)
+    return _as_given(bisect_root(f, lo, ts, (ds, ts), f_arr, tol_scale=INV_TOL_SCALE),
+                     d, t)
 
 
 def alpha_dk(d: int, k: int) -> float:

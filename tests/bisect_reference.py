@@ -8,6 +8,7 @@ import math
 
 from stardecomp.certify import CertifyError, CertifyResult
 from stardecomp.entropy import (
+    INV_TOL_SCALE,
     MAX_BISECT_ITER,
     ROOT_TOL,
     DomainError,
@@ -17,7 +18,7 @@ from stardecomp.entropy import (
 )
 
 
-def bisect_root(f, lo, hi, tol=ROOT_TOL, max_iter=MAX_BISECT_ITER):
+def bisect_root(f, lo, hi, tol=ROOT_TOL, max_iter=MAX_BISECT_ITER, tol_scale=None):
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -34,7 +35,7 @@ def bisect_root(f, lo, hi, tol=ROOT_TOL, max_iter=MAX_BISECT_ITER):
             lo, flo = mid, fmid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= (tol * hi if tol_scale is not None and hi < tol_scale else tol):
             break
     return 0.5 * (lo + hi)
 
@@ -77,7 +78,7 @@ def avg_degree_ceiling_inv(d, t):
         raise DomainError(
             f"t {t} at or below {avg_degree_ceiling(d, lo)}, the ceiling "
             f"for d={d} at x = 1e-15, the smallest density the inverse brackets")
-    return bisect_root(f, lo, hi)
+    return bisect_root(f, lo, hi, tol_scale=INV_TOL_SCALE)
 
 
 def derive_dhat(inp):

@@ -3,6 +3,7 @@ the pair-rate grid checks, and degree sweeps."""
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from stardecomp.certify import (
     SCALAR_SCAN_STEPS,
     CertifyError,
     CertifyInput,
+    CertifyResult,
     DegreeRecord,
     _h_arr,
     beta_max,
@@ -496,6 +498,109 @@ def test_beta_max_rejects_step_below_bisection_tolerance():
     for step in (1e-300, BETA_TOL / 2, float("nan")):
         with pytest.raises(ValueError, match="bisection tolerance"):
             beta_max(30, alpha, 0.5, step)
+
+
+# beta_max on batches of lanes.
+
+def _sweep_lanes(lanes):
+    """beta_max arguments (d, alpha, tau_plus, step) as a sweep makes them:
+    the estimate's alpha and derive_dhat's tau_plus at k_ind - drop, for
+    (d, drop, step) lanes; lanes whose derive_dhat fails are left out."""
+    alphas = alpha_fc_estimate([d for d, _, _ in lanes]).tolist()
+    inputs = [CertifyInput(d=d, k=math.floor(kappa(d, a)) - drop, alpha=a)
+              for (d, drop, _), a in zip(lanes, alphas)]
+    return [(d, a, res.tau_plus, step)
+            for (d, _, step), a, res in zip(lanes, alphas, derive_dhat(inputs))
+            if isinstance(res, CertifyResult)]
+
+
+def _lane_outcomes(results):
+    """beta_max's list of values and exceptions as comparable outcomes."""
+    return [(type(r), str(r)) if isinstance(r, Exception) else r for r in results]
+
+
+_BETA_LANE = st.tuples(st.integers(30, 10**5) | st.integers(30, 299),
+                      st.sampled_from([0, 1]), st.sampled_from([1e-6, 1e-5, 1e-4]))
+
+
+# Batches of a few lanes, where the scalar rate decides the one-point
+# rounds, and of more than SCALAR_LANES, where pair_rate_grid does.
+@given(st.lists(_BETA_LANE, min_size=1, max_size=8)
+       | st.lists(_BETA_LANE, min_size=SCALAR_LANES + 1, max_size=2 * SCALAR_LANES))
+@settings(max_examples=20, deadline=None)
+def test_beta_max_lanes_match_scalar_scan(lanes):
+    args = _sweep_lanes(lanes)
+    got = beta_max(*zip(*args)) if args else []
+    assert _lane_outcomes(got) == [_outcome(ref.beta_max, *lane) for lane in args]
+
+
+def test_beta_max_lane_independent_of_its_batch():
+    rnd = random.Random(0)
+    args = _sweep_lanes([(rnd.randint(30, 10**5), rnd.randint(0, 1),
+                          rnd.choice([1e-6, 1e-5, 1e-4])) for _ in range(3 * SCALAR_LANES)])
+    alone = [_outcome(beta_max, *lane) for lane in args]
+    order = rnd.sample(range(len(args)), len(args))
+    half = len(order) // 2
+    padding = _sweep_lanes([(rnd.randint(30, 99), 0, 1e-6) for _ in range(SCALAR_LANES)])
+    padding.append((3, 0.2, 0.5, 1e-4))  # leaves the entropy domain
+    for batch in (order, order[:half], order[half:], order[:1]):
+        got = beta_max(*zip(*(args[i] for i in batch)))
+        assert _lane_outcomes(got) == [alone[i] for i in batch]
+    got = beta_max(*zip(*(padding + args + padding)))
+    assert _lane_outcomes(got[len(padding):-len(padding)]) == alone
+
+
+def test_beta_max_keeps_each_failing_lane():
+    # A domain exit inside a block, no sign change within 1 - 2 alpha (800
+    # points, and 200 whose last block crosses it), arguments outside their
+    # ranges, and a rate already negative at beta = 0, among lanes that
+    # bracket; in batches of more and of fewer points than SCALAR_LANES.
+    bad = [(3, 0.2, 0.5, 1e-4), (10, 0.1, 0.1, 1e-3), (4, 0.4, 1.0, 1e-3),
+           (10, 0.6, 0.5, 1e-6), (10, 0.2, 0.0, 1e-6), (30, 0.1, 0.5, BETA_TOL / 2),
+           (30, alpha_fm(30) + 0.01, 0.5, 1e-6)]
+    good = _sweep_lanes([(d, d % 2, 1e-6) for d in range(40, 40 + 2 * SCALAR_LANES)])
+    for lanes in (good[:3] + bad + good[3:], bad, bad[:1] + good[:1]):
+        expected = [_outcome(ref.beta_max, *lane) if lane[3] >= BETA_TOL
+                    else _outcome(beta_max, *lane) for lane in lanes]
+        assert _lane_outcomes(beta_max(*zip(*lanes))) == expected
+    outcomes = _lane_outcomes(beta_max(*zip(*bad)))
+    assert [o[0] if isinstance(o, tuple) else o for o in outcomes] == [
+        DomainError, CertifyError, CertifyError, ValueError, ValueError, ValueError, 0.0]
+    assert beta_max([30], 0.1, 0.5, 1e-6) == [beta_max(30, 0.1, 0.5, 1e-6)]
+
+
+def test_beta_max_lets_the_scalar_rate_decide_near_zero(monkeypatch):
+    # Grid rates fuzzed by up to half a widened near-zero band: the scalar
+    # rate decides every point in the band, so each lane still matches the
+    # scalar scan; with no band the fuzz changes results.
+    module = sys.modules["stardecomp.certify"]
+    rng = np.random.default_rng(0)
+    grid = module.pair_rate_grid
+
+    def fuzzy(d, alpha, betas, taus):
+        rates = grid(d, alpha, betas, taus)
+        return rates + rng.uniform(-0.5e-4, 0.5e-4, rates.shape) * np.asarray(d)
+
+    monkeypatch.setattr(module, "pair_rate_grid", fuzzy)
+    args = _sweep_lanes([(d, d % 2, 1e-6) for d in range(100, 100 + 2 * SCALAR_LANES)])
+    expected = [_outcome(ref.beta_max, *lane) for lane in args]
+    monkeypatch.setattr(module, "NEAR_ZERO_RATE", 1e-4)
+    assert _lane_outcomes(beta_max(*zip(*args))) == expected
+    monkeypatch.setattr(module, "NEAR_ZERO_RATE", 0.0)
+    assert _lane_outcomes(beta_max(*zip(*args))) != expected
+
+
+def test_sweep_payload_is_pinned():
+    # The exceptional degrees of the paper's range and the sha256 of the
+    # whole payload, so any change to a record's bits shows.
+    report = sweep(30, 3000)
+    assert report.exceptional_degrees == [
+        31, 33, 35, 50, 52, 54, 56, 91, 93, 95, 97, 168, 170, 172, 174, 307, 309, 311,
+        313, 556, 558, 560, 562, 564, 1001, 1003, 1005, 1007, 1009, 1011, 1794, 1796,
+        1798, 1800, 1802, 1804]
+    payload = json.dumps(report.as_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "9abb0f4f06f00b1402d8eda25fd0ad7f1332fc58616a2c1af1cff47d2b5e50c5")
 
 
 # derive_dhat on batches of lanes.

@@ -128,8 +128,10 @@ def test_certify_stdout_is_the_report(tmp_path, capsys, fmt):
 
 
 @pytest.mark.parametrize("flag", ["--beta-step", "--tau-step"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_certify_nonpositive_step_is_usage_error(flag, value):
+    # inf too: --beta-step inf reported every degree "no sign change", and
+    # --tau-step inf built a 51-point grid that certified d = 30 at k = 16.
     with pytest.raises(SystemExit) as exc_info:
         run(["certify", "--d-min", "30", "--d-max", "30", flag, value])
     assert exc_info.value.code == 2
@@ -143,6 +145,23 @@ def test_certify_beta_step_below_bisection_tolerance_is_usage_error(value, capsy
         run(["certify", "--d-min", "30", "--d-max", "30", "--beta-step", value])
     assert exc_info.value.code == 2
     assert "must be >= 1e-10" in capsys.readouterr().err
+
+
+def test_certify_negative_threads_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run(["certify", "--d-min", "30", "--d-max", "30", "--threads", "-3"])
+    assert exc_info.value.code == 2
+    assert "--threads: must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", "-2", "", "1.5"])
+def test_certify_bad_threads_variable_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("STARDECOMP_THREADS", value)
+    assert run(["certify", "--d-min", "30", "--d-max", "30"]) == 2
+    assert (f"STARDECOMP_THREADS must be a nonnegative integer, got {value!r}"
+            in capsys.readouterr().err)
+    # --threads overrides the variable.
+    assert run(["certify", "--d-min", "30", "--d-max", "30", "--threads", "1"]) == 0
 
 
 @pytest.mark.parametrize("body", ["30\n", "30,nan\n", "30,inf\n", "30,-0.1\n",

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardecomp.entropy import (
+    INV_TOL_SCALE,
     NEAR_ZERO_REL,
     SCALAR_LANES,
     DomainError,
@@ -265,6 +266,29 @@ def test_avg_degree_ceiling_inv_names_its_smallest_ceiling(d):
     ts[3], ts[7] = floor * 0.99, 2.0 / d * 1.01
     with pytest.raises(DomainError, match=re.escape(f"t {ts[3]} ")):
         avg_degree_ceiling_inv(np.full(len(ts), d), ts)
+
+
+@pytest.mark.parametrize("d, t", [(3000, None), (10, 0.22024)])
+def test_avg_degree_ceiling_inv_is_relative_near_its_floor(d, t):
+    # Near the floor the inverse is about 1e-13, below ROOT_TOL; an absolute
+    # tolerance gave an x whose ceiling was 4% (d = 3000, t 1.001 times the
+    # floor) and 2% (d = 10) above t.
+    t = 1.001 * avg_degree_ceiling(d, 1e-15) if t is None else t
+    x = avg_degree_ceiling_inv(d, t)
+    assert x < INV_TOL_SCALE
+    assert abs(avg_degree_ceiling(d, x) - t) <= 1e-8 * t
+
+
+@given(st.lists(st.tuples(st.integers(3, 10**5), st.floats(2e-3, 0.99)),
+                min_size=1, max_size=2 * SCALAR_LANES))
+@settings(max_examples=20, deadline=None)
+def test_avg_degree_ceiling_inv_keeps_the_absolute_tolerance_above_its_scale(lanes):
+    # Roots at or above INV_TOL_SCALE take the absolute rule's steps.
+    d, x = map(np.array, zip(*lanes))
+    t = avg_degree_ceiling(d, x)
+    assert avg_degree_ceiling_inv(d, t).tolist() == [
+        ref.bisect_root(lambda v: subset_rate(d_i, v, t_i), 1e-15, t_i)
+        for d_i, t_i in zip(d.tolist(), t.tolist())]
 
 
 @given(
