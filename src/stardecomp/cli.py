@@ -2,7 +2,8 @@
 output.
 
 Reports go to the --out file, or to stdout when --out is absent or `-`;
-summaries and diagnostics go to stderr.  `certify` with --d-min > --d-max
+summaries and diagnostics go to stderr.  `verify`'s report is its verdict,
+with the diagnostics of an invalid decomposition, on stdout.  `certify` with --d-min > --d-max
 reports an empty degree range: no records, exit 0.
 
 Exit codes: 0 success (findings included), 1 failed verification or
@@ -188,9 +189,10 @@ def cmd_decompose(args):
     try:
         sd = decompose(g, args.k, seed=args.seed, max_retries=args.max_retries)
     except DecompositionFailed as exc:
-        print(f"decompose: failed at stage {exc.stage}: {exc.detail}")
+        print(f"decompose: failed at stage {exc.stage}: {exc.detail}",
+              file=sys.stderr)
         for seed, stage, detail in exc.attempts:
-            print(f"  seed {seed}: {stage}: {detail}")
+            print(f"  seed {seed}: {stage}: {detail}", file=sys.stderr)
         return 1
     with _output(args.out) as fh:
         write_decomposition(sd, fh)

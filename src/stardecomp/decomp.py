@@ -6,8 +6,11 @@ reversal (or a Hakimi witness that none exists) -> star extraction, plus
 verifiers and small-instance brute-force oracles for the orientation
 feasibility condition.
 
-Tie-breaking is lowest-id-first everywhere so identical inputs give identical
-decompositions.
+The bulk stages (the counts that thinning and trimming start from, star
+extraction and verification) are numpy passes over the graph's edge and CSR
+arrays; the greedy heap, the thinning and trimming loops and path reversal
+stay sequential.  Tie-breaking is lowest-id-first everywhere so identical
+inputs give identical decompositions.
 """
 
 from __future__ import annotations
@@ -16,17 +19,20 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .entropy import alpha_dk
 from .graphs import (
     Graph,
     GraphFormatError,
     check_thin,
-    edges_to,
+    cross_ends,
     greedy_independent_set,
     induced_edges,
     induced_subgraph,
     is_independent,
     is_simple,
+    vertex_mask,
 )
 
 
@@ -86,26 +92,25 @@ def thin_down(g: Graph, A, d_hat) -> ThinIndependentSet:
 
     Outside vertices are processed in ascending id order; removal victims are
     the lowest-id neighbors still in the set.  Vertices removed from A have no
-    neighbors in A (A is independent), so one pass suffices.
+    neighbors in A (A is independent), so one pass suffices, and only the
+    vertices with more than d_hat edges into A itself can have an excess.
     """
     if not 1 <= d_hat:
         raise ValueError("d_hat must be >= 1")
     A = set(A)
     if not is_independent(g, A):
         raise ValueError("not independent")
+    _, outer = cross_ends(g, vertex_mask(g, A))
+    over = np.flatnonzero(np.bincount(outer, minlength=g.n) > d_hat)
     current = set(A)
-    for v in range(g.n):
-        if v in A:
-            continue
-        excess = edges_to(g, v, current) - d_hat
-        if excess <= 0:
-            continue
-        for w in sorted({w for _, w in g.adj[v] if w in current}):
+    for v in over.tolist():
+        into = [w for w in g.neighbors(v) if w in current]
+        excess = len(into) - d_hat
+        for w in sorted(set(into)):
             if excess <= 0:
                 break
-            lost = sum(1 for _, x in g.adj[v] if x == w)
             current.discard(w)
-            excess -= lost
+            excess -= into.count(w)
     return ThinIndependentSet(frozenset(current), d_hat,
                               verified=check_thin(g, current, d_hat))
 
@@ -128,16 +133,17 @@ def relief_trim(g: Graph, thin: ThinIndependentSet, target) -> ThinIndependentSe
     if len(members) < target:
         raise SetTooSmall(f"have {len(members)}, need {target}")
     d_hat = thin.d_hat
-    # The set is independent, so every neighbor of a member is outside it.
-    into = {
-        v: sum(1 for _, w in g.adj[v] if w in members)
-        for v in range(g.n)
-        if v not in members
-    }
-    relief = {a: sum(1 for _, v in g.adj[a] if into[v] >= d_hat) for a in members}
+    # The set is independent, so every edge of a member crosses to the
+    # outside: into[v] counts an outside v's edges into the set, relief[a]
+    # a member's edges to outside vertices at the bound.
+    inner, outer = cross_ends(g, vertex_mask(g, members))
+    into = np.bincount(outer, minlength=g.n)
+    relief = np.bincount(inner[into[outer] >= d_hat], minlength=g.n).tolist()
+    into = into.tolist()
+    indptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
     # Max-heap on (relief, id); entries for removed members or outdated
     # relief values are skipped when popped.
-    heap = [(-r, -a) for a, r in relief.items()]
+    heap = [(-relief[a], -a) for a in members]
     heapq.heapify(heap)
     while len(members) > target:
         neg_relief, neg_a = heapq.heappop(heap)
@@ -145,30 +151,36 @@ def relief_trim(g: Graph, thin: ThinIndependentSet, target) -> ThinIndependentSe
         if best not in members or -neg_relief != relief[best]:
             continue
         members.remove(best)
-        for _, v in g.adj[best]:
+        for v in nbrs[indptr[best]:indptr[best + 1]]:
             into[v] -= 1
             if into[v] == d_hat - 1:
                 # v dropped below the bound: its member edges relieve no more.
-                for _, a in g.adj[v]:
+                for a in nbrs[indptr[v]:indptr[v + 1]]:
                     if a in members:
                         relief[a] -= 1
                         heapq.heappush(heap, (-relief[a], -a))
     return ThinIndependentSet(frozenset(members), d_hat, verified=True)
 
 
-def _unload(H: Graph, heads, indeg, x, ell):
+def _unload(csr, ends, heads, indeg, x, ell):
     """Move one unit of in-degree off vertex x by reversing a directed path.
 
     Breadth-first search runs backwards along arcs into x (head to tail)
     until it meets a vertex z with in-degree < ell, then flips the arcs of
-    the path from z to x.  Returns None on success, or the set of vertices
-    the search reached if it found no such z.
+    the path from z to x.  csr is the graph's (indptr, nbrs, eids) and ends
+    its edges, all as lists.  Returns None on success, or the set of
+    vertices the search reached if it found no such z.
     """
+    indptr, nbrs, eids = csr
     via = {x: None}  # reached vertex -> edge id of its arc toward x
     queue = [x]
     for y in queue:
-        for eid, w in H.adj[y]:
-            if w in via or heads[eid] != y:
+        for i in range(indptr[y], indptr[y + 1]):
+            w = nbrs[i]
+            if w in via:
+                continue
+            eid = eids[i]
+            if heads[eid] != y:
                 continue
             via[w] = eid
             if indeg[w] < ell:
@@ -177,7 +189,7 @@ def _unload(H: Graph, heads, indeg, x, ell):
                 while w != x:
                     eid = via[w]
                     heads[eid] = w
-                    u, v = H.edges[eid]
+                    u, v = ends[eid]
                     w = v if u == w else u
                 return None
             queue.append(w)
@@ -206,15 +218,17 @@ def in_regular_orientation(H: Graph, ell, mode="exact"):
         raise ValueError(f"exact mode needs e(H) = ell*|V|, got {m} != {ell * n}")
     if mode == "at_most" and m > ell * n:
         raise ValueError(f"at_most mode needs e(H) <= ell*|V|, got {m} > {ell * n}")
+    ends = H.pairs.tolist()
     indeg = [0] * n
     heads = []
-    for u, v in H.edges:
+    for u, v in ends:
         head = v if indeg[v] < indeg[u] else u
         heads.append(head)
         indeg[head] += 1
+    csr = H.indptr.tolist(), H.nbrs.tolist(), H.eids.tolist()
     for x in range(n):
         while indeg[x] > ell:
-            U = _unload(H, heads, indeg, x, ell)
+            U = _unload(csr, ends, heads, indeg, x, ell)
             if U is None:
                 continue
             induced = induced_edges(H, U)
@@ -266,42 +280,47 @@ def stars_from_orientation(g: Graph, A, orientation: Orientation, k):
     contributes one k-star (its first k out-edges in edge-id order); surplus
     out-edges go to leftover.
     """
-    A = set(A)
-    comp = [v for v in range(g.n) if v not in A]
-    index = {v: i for i, v in enumerate(comp)}
+    mask = vertex_mask(g, A)
+    comp = np.flatnonzero(~mask)
     H = orientation.graph
     if H.n != len(comp):
         raise ValueError("orientation is not of the complement of A")
-    out_edges = {v: [] for v in comp}
-    j = 0  # edge id in H of the next complement-internal g-edge
-    for eid, (u, v) in enumerate(g.edges):
-        if u in A and v in A:
-            raise ValueError("independent set has an internal edge")
-        if u in A:
-            tail = v
-        elif v in A:
-            tail = u
-        else:
-            if j == len(H.edges) or H.edges[j] != (index[u], index[v]):
-                raise ValueError("orientation is not of the complement of A")
-            tail = v if comp[orientation.heads[j]] == u else u
-            j += 1
-        out_edges[tail].append(eid)
-    if j != len(H.edges):
+    u, v = g.pairs[:, 0], g.pairs[:, 1]
+    in_u, in_v = mask[u], mask[v]
+    if np.any(in_u & in_v):
+        raise ValueError("independent set has an internal edge")
+    inner = ~(in_u | in_v)
+    relabel = np.cumsum(~mask) - 1
+    if not np.array_equal(H.pairs, relabel[g.pairs[inner]]):
         raise ValueError("orientation is not of the complement of A")
-    stars, leftover = [], []
-    for v in comp:
-        eids = out_edges[v]
-        if len(eids) < k:
-            raise ValueError(f"vertex {v} has out-degree {len(eids)} < k={k}")
-        leaves = []
-        for eid in eids[:k]:
-            a, b = g.edges[eid]
-            leaves.append(b if a == v else a)
-        stars.append((v, leaves))
-        for eid in eids[k:]:
-            leftover.append(g.edges[eid])
+    tails = np.where(in_u, v, u)
+    head = comp[np.asarray(orientation.heads, dtype=np.int64)]
+    tails[inner] = np.where(head == u[inner], v[inner], u[inner])
+    outdeg = np.bincount(tails, minlength=g.n)
+    short = np.flatnonzero(outdeg[comp] < k)
+    if short.size:
+        w = int(comp[short[0]])
+        raise ValueError(f"vertex {w} has out-degree {outdeg[w]} < k={k}")
+    # Out-edges grouped by tail, each group in edge-id order; the first k of
+    # a group make its star.
+    order = np.argsort(tails, kind="stable")
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(outdeg) - outdeg, outdeg)
+    first = order[rank < k]
+    leaves = u[first] + v[first] - tails[first]
+    stars = list(zip(comp.tolist(), leaves.reshape(-1, k).tolist()))
+    leftover = list(map(tuple, g.pairs[order[rank >= k]].tolist()))
     return StarDecomposition(k=k, stars=stars, leftover=leftover)
+
+
+def _vertex_ids(values, n):
+    """values as an int64 array in which every id outside [0, n), however
+    large, reads -1."""
+    try:
+        ids = np.array(values, dtype=np.int64)
+    except OverflowError:
+        ids = np.array([x if 0 <= x < n else -1 for x in values], dtype=np.int64)
+    ids[(ids < 0) | (ids >= n)] = -1
+    return ids
 
 
 def verify_decomposition(g: Graph, sd: StarDecomposition):
@@ -310,10 +329,11 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
     Returns (ok, diagnostics): star sizes equal k, every star has k distinct
     leaves other than its center, every star edge is incident to its center,
     the star edges plus leftover partition E(g) exactly, and the leftover has
-    fewer than k edges.
+    fewer than k edges.  Claimed edges are counted against g's as sorted
+    keys u * n + v; a claimed pair with an id outside [0, n) is no edge of g
+    and stays out of the keys.
     """
     diagnostics = []
-    claimed = []
     for center, leaves in sd.stars:
         if len(leaves) != sd.k:
             diagnostics.append(
@@ -323,23 +343,39 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
             diagnostics.append(f"star at {center} has its center as a leaf")
         if len(set(leaves)) != len(leaves):
             diagnostics.append(f"star at {center} repeats a leaf")
-        for leaf in leaves:
-            claimed.append((center, leaf) if center <= leaf else (leaf, center))
-    for u, v in sd.leftover:
-        claimed.append((u, v) if u <= v else (v, u))
     if len(sd.leftover) > sd.k - 1:
         diagnostics.append(f"leftover has {len(sd.leftover)} edges > k-1")
-    have = Counter(claimed)
-    want = Counter(g.edges)
-    extra = have - want
-    missing = want - have
-    for e, c in sorted(extra.items()):
-        diagnostics.append(f"edge {e} covered {want[e] + c} times (edge covered twice)")
+    # Claimed edges: each star's (center, leaf) pairs, then the leftover.
+    ends_a = [c for c, leaves in sd.stars for _ in leaves] + [u for u, _ in sd.leftover]
+    ends_b = [x for _, leaves in sd.stars for x in leaves] + [v for _, v in sd.leftover]
+    n = g.n
+    a, b = _vertex_ids(ends_a, n), _vertex_ids(ends_b, n)
+    valid = (a >= 0) & (b >= 0)
+    outside = Counter(
+        (min(ends_a[i], ends_b[i]), max(ends_a[i], ends_b[i]))
+        for i in np.flatnonzero(~valid).tolist())
+    base = max(n, 1)
+    claimed = np.minimum(a, b)[valid] * base + np.maximum(a, b)[valid]
+    keys, inverse = np.unique(
+        np.concatenate([claimed, g.pairs[:, 0] * base + g.pairs[:, 1]]),
+        return_inverse=True)
+    have = np.bincount(inverse[:len(claimed)], minlength=len(keys))
+    want = np.bincount(inverse[len(claimed):], minlength=len(keys))
+    over = np.flatnonzero(have > want)
+    faults = [((key // base, key % base), h, w) for key, h, w in zip(
+        keys[over].tolist(), have[over].tolist(), want[over].tolist())]
+    faults += [(e, c, 0) for e, c in outside.items()]
+    for e, h, w in sorted(faults):
+        if w:
+            diagnostics.append(f"edge {e} covered {h} times (edge covered twice)")
+        else:
+            diagnostics.append(f"edge {e} is not in the graph (claimed {h} times)")
+    missing = np.repeat(keys, np.maximum(want - have, 0))[:10].tolist()
     if missing:
         diagnostics.append(
-            f"uncovered edges: {sorted(missing.elements())[:10]}"
+            f"uncovered edges: {[(key // base, key % base) for key in missing]}"
         )
-    if not sd.leftover and len(g.edges) % sd.k != 0:
+    if not sd.leftover and g.num_edges() % sd.k != 0:
         diagnostics.append("exact decomposition claimed but k does not divide e(G)")
     return not diagnostics, diagnostics
 

@@ -1,8 +1,12 @@
-"""Multigraph representation, configuration-model sampling, subgraph
-statistics, and small-instance brute-force oracles.
+"""Multigraphs in compressed sparse row (CSR) form, configuration-model
+sampling, subgraph statistics, and small-instance brute-force oracles.
 
-Graphs are immutable after construction.  Vertex subsets are plain Python
-sets of vertex ids.  Loops are allowed and count twice toward degree.
+A Graph is immutable after construction.  It holds its edges as an (m, 2)
+int64 array and its adjacency as CSR arrays; the bulk stages here and in
+`decomp` work on those arrays in numpy, and the inherently sequential ones
+(the greedy heap, the relief heap, path reversal) read them as Python lists
+taken once per call.  Vertex subsets are plain Python sets of vertex ids.
+Loops are allowed and count twice toward degree.
 """
 
 from __future__ import annotations
@@ -10,14 +14,21 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 
 import numpy as np
 
 RNG_NAME = "numpy-pcg64"
 BRUTEFORCE_VERTEX_CAP = 24
-# read_graph builds one adjacency list per vertex the header names, about
-# 70 bytes each before any edge is read, so a larger count is refused.
+# read_graph's Graph allocates CSR offsets and a degree count, 16 bytes per
+# vertex the header names, before any edge counts, and decompose's
+# sequential stages then hold a few hundred bytes of Python lists, sets and
+# heaps per vertex (about 40 MB at n = 10^5); a larger count is refused.
 MAX_VERTICES = 1_000_000
+# A line of a graph file's body: blank, or two whitespace-separated tokens.
+# [^\S\n] is whitespace within a line, as str.split and str.strip see it.
+_EDGE_LINE = r"[^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*)?"
+_EDGE_LINES = re.compile(rf"(?:{_EDGE_LINE}\n)*{_EDGE_LINE}")
 
 
 class GraphFormatError(ValueError):
@@ -25,49 +36,80 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Undirected multigraph on vertices 0..n-1 with an edge list.
+    """Undirected multigraph on vertices 0..n-1.
 
-    edges is a list of (u, v) pairs with u <= v; repeated pairs encode
-    multiplicity and (v, v) encodes a loop.
+    pairs is the (m, 2) int64 array of edges, u <= v in each row; repeated
+    rows encode multiplicity and (v, v) a loop.  edges is the same as a list
+    of (u, v) int tuples, built on first use.  The adjacency is in CSR form,
+    built by one stable sort of the half-edges: vertex v's entries are
+    nbrs[indptr[v]:indptr[v+1]] (neighbour ids) and eids[...] (edge ids), in
+    edge-id order, and a loop appears twice.  All arrays are read-only.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "pairs", "indptr", "nbrs", "eids", "_edges")
 
     def __init__(self, n, edges):
+        """edges: a list of (u, v) pairs or an (m, 2) integer array."""
+        ends = np.asarray(edges)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        # Ids beyond int64 leave ends an object or float array; the range
+        # test still holds there, and edges[i] keeps the ids as given.
+        bad = np.flatnonzero(np.any((ends < 0) | (ends >= n), axis=1))
+        if bad.size:
+            u, v = map(int, edges[bad[0]])
+            raise ValueError(f"edge ({u},{v}) outside vertex range [0,{n})")
+        ends = ends.astype(np.int64, copy=False)
+        lo = np.minimum(ends[:, 0], ends[:, 1])
+        hi = np.maximum(ends[:, 0], ends[:, 1])
         self.n = n
-        norm = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside vertex range [0,{n})")
-            norm.append((u, v) if u <= v else (v, u))
-        self.edges = norm
-        adj = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(norm):
-            adj[u].append((eid, v))
-            adj[v].append((eid, u))  # loops get two entries at u == v
-        self.adj = adj
+        self.pairs = np.column_stack([lo, hi])
+        # Half-edge 2e is edge e seen from lo, 2e + 1 from hi; a stable sort
+        # by tail keeps each vertex's entries in edge-id order.
+        tails = self.pairs.ravel()
+        order = np.argsort(tails, kind="stable")
+        self.nbrs = np.column_stack([hi, lo]).ravel()[order]
+        self.eids = order >> 1
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=self.indptr[1:])
+        for a in (self.pairs, self.nbrs, self.eids, self.indptr):
+            a.flags.writeable = False
+        self._edges = None
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            self._edges = list(map(tuple, self.pairs.tolist()))
+        return self._edges
+
+    def neighbors(self, v):
+        """Neighbour ids of v, one per edge end, in edge-id order."""
+        return self.nbrs[self.indptr[v]:self.indptr[v + 1]].tolist()
 
     def degree(self, v):
-        return len(self.adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
+
+    def degrees(self):
+        return np.diff(self.indptr)
 
     def num_edges(self):
-        return len(self.edges)
+        return len(self.pairs)
 
     def is_regular(self):
-        if self.n == 0:
-            return True
-        d = self.degree(0)
-        return all(self.degree(v) == d for v in range(self.n))
+        deg = self.degrees()
+        return bool(np.all(deg == deg[0])) if self.n else True
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.pairs, other.pairs)
         )
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
 def _sorted_pairs(stubs):
@@ -88,7 +130,7 @@ def config_model_sample(n, d, seed):
         raise ValueError(f"n*d = {n * d} must be even")
     rng = np.random.default_rng(seed)
     pairs = _sorted_pairs(rng.permutation(n * d) // d)  # stub i is vertex i // d
-    return Graph(n, [tuple(map(int, p)) for p in pairs])
+    return Graph(n, pairs)
 
 
 def _pairs_distinct(pairs, n):
@@ -99,12 +141,8 @@ def _pairs_distinct(pairs, n):
 
 def is_simple(g: Graph) -> bool:
     """True iff g has no loops and no repeated edges."""
-    seen = set()
-    for u, v in g.edges:
-        if u == v or (u, v) in seen:
-            return False
-        seen.add((u, v))
-    return True
+    p = g.pairs
+    return not np.any(p[:, 0] == p[:, 1]) and _pairs_distinct(p, g.n)
 
 
 def sample_simple(n, d, seed, max_tries=100000):
@@ -125,8 +163,28 @@ def sample_simple(n, d, seed, max_tries=100000):
             continue
         pairs = _sorted_pairs(stubs)
         if _pairs_distinct(pairs, n):
-            return Graph(n, [tuple(map(int, p)) for p in pairs]), tries
+            return Graph(n, pairs), tries
     raise RuntimeError(f"max tries exceeded ({max_tries}) for n={n}, d={d}")
+
+
+def vertex_mask(g: Graph, U):
+    """Boolean array over g's vertices, True on the ids in U.  Raises
+    ValueError on an id outside [0, n)."""
+    ids = np.fromiter(U, dtype=np.int64)
+    if ids.size and not (0 <= ids.min() and ids.max() < g.n):
+        raise ValueError(f"vertex ids outside [0,{g.n})")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+def cross_ends(g: Graph, mask):
+    """(inner, outer) endpoint arrays of the edges with exactly one end in
+    mask, in edge-id order; loops never cross."""
+    u, v = g.pairs[:, 0], g.pairs[:, 1]
+    in_u = mask[u]
+    cross = in_u != mask[v]
+    return np.where(in_u, u, v)[cross], np.where(in_u, v, u)[cross]
 
 
 def induced_edges(g: Graph, U) -> int:
@@ -146,7 +204,7 @@ def edges_to(g: Graph, v, U) -> int:
     """Number of edges between vertex v and the set U (v itself excluded).
 
     U is only tested for membership, so pass a set to keep this O(deg v)."""
-    return sum(1 for _, w in g.adj[v] if w in U and w != v)
+    return sum(1 for w in g.neighbors(v) if w in U and w != v)
 
 
 def induced_subgraph(g: Graph, U):
@@ -156,14 +214,12 @@ def induced_subgraph(g: Graph, U):
     original id of new vertex i and edge_map[j] the original edge id of new
     edge j.
     """
-    vmap = sorted(set(U))
-    index = {v: i for i, v in enumerate(vmap)}
-    sub_edges, emap = [], []
-    for eid, (u, v) in enumerate(g.edges):
-        if u in index and v in index:
-            sub_edges.append((index[u], index[v]))
-            emap.append(eid)
-    return Graph(len(vmap), sub_edges), vmap, emap
+    mask = vertex_mask(g, U)
+    keep = mask[g.pairs[:, 0]] & mask[g.pairs[:, 1]]
+    relabel = np.cumsum(mask) - 1  # increasing, so rows keep u <= v
+    vmap = np.flatnonzero(mask)
+    sub = Graph(len(vmap), relabel[g.pairs[keep]])
+    return sub, vmap.tolist(), np.flatnonzero(keep).tolist()
 
 
 def cheeger_bruteforce(g: Graph, x0) -> float:
@@ -196,7 +252,7 @@ def induced_avg_degree_report(g: Graph, x0, rho, seed=0, samples=10000):
     worst subset, and (exact mode only) whether the bound held everywhere.
     """
     n = g.n
-    d = max((g.degree(v) for v in range(n)), default=0)
+    d = int(g.degrees().max(initial=0))
     max_size = math.floor(x0 * n)
     worst_ratio, worst_set = 0.0, None
 
@@ -246,9 +302,11 @@ def greedy_independent_set(g: Graph, seed) -> set:
     rng = np.random.default_rng(seed)
     priority = rng.permutation(n).tolist()
     alive = [True] * n
-    deg = [sum(1 for _, w in g.adj[v] if w != v) for v in range(n)]
+    loop = g.pairs[:, 0] == g.pairs[:, 1]
+    deg = np.bincount(g.pairs[~loop].ravel(), minlength=n).tolist()
     # A vertex with a loop can never join an independent set.
-    loopy = {u for u, v in g.edges if u == v}
+    loopy = set(g.pairs[loop, 0].tolist())
+    indptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
     heap = [(deg[v], priority[v], v) for v in range(n) if v not in loopy]
     heapq.heapify(heap)
     chosen = set()
@@ -257,11 +315,11 @@ def greedy_independent_set(g: Graph, seed) -> set:
         if not alive[best]:
             continue
         chosen.add(best)
-        dead = {best} | {w for _, w in g.adj[best] if alive[w]}
+        dead = {best} | {w for w in nbrs[indptr[best]:indptr[best + 1]] if alive[w]}
         for v in dead:
             alive[v] = False
         for v in dead:
-            for _, w in g.adj[v]:
+            for w in nbrs[indptr[v]:indptr[v + 1]]:
                 if alive[w]:
                     deg[w] -= 1
                     if w not in loopy:
@@ -270,8 +328,8 @@ def greedy_independent_set(g: Graph, seed) -> set:
 
 
 def is_independent(g: Graph, A) -> bool:
-    A = set(A)
-    return not any(u in A and v in A for u, v in g.edges)
+    mask = vertex_mask(g, A)
+    return not np.any(mask[g.pairs[:, 0]] & mask[g.pairs[:, 1]])
 
 
 def check_thin(g: Graph, A, d_hat) -> bool:
@@ -279,10 +337,10 @@ def check_thin(g: Graph, A, d_hat) -> bool:
 
     Raises if A is not an independent set.
     """
-    A = set(A)
     if not is_independent(g, A):
         raise ValueError("not independent")
-    return all(edges_to(g, v, A) <= d_hat for v in range(g.n) if v not in A)
+    _, outer = cross_ends(g, vertex_mask(g, A))
+    return not np.any(np.bincount(outer, minlength=g.n) > d_hat)
 
 
 def write_graph(g: Graph, fh):
@@ -290,31 +348,36 @@ def write_graph(g: Graph, fh):
 
     Text format: first line `N d` (d = max degree), then one `u v` line per
     edge; repeated lines encode multiplicity, `u u` a loop."""
-    d = max((g.degree(v) for v in range(g.n)), default=0)
+    d = int(g.degrees().max(initial=0))
     fh.write(f"{g.n} {d}\n")
-    for u, v in g.edges:
-        fh.write(f"{u} {v}\n")
+    fh.write(("%d %d\n" * g.num_edges()) % tuple(g.pairs.ravel().tolist()))
 
 
 def read_graph(path) -> Graph:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+        text = fh.read()
+    # The header is the first non-blank line; blank lines are skipped.
+    header, _, body = text.lstrip().partition("\n")
+    if not header:
         raise GraphFormatError(f"{path}: empty file")
     try:
-        n, _ = map(int, lines[0].split())
-        if n < 0:
+        n, _ = map(int, header.split())
+        if n < 0 or not _EDGE_LINES.fullmatch(body):
             raise ValueError
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-        if any(len(e) != 2 for e in edges):
-            raise ValueError
+        tokens = body.split()
+        try:
+            ends = np.array(tokens, dtype=np.int64)
+        except OverflowError:
+            # An id beyond int64: Graph still names the first bad edge.
+            ends = np.array([int(t) for t in tokens], dtype=object)
+        ends = ends.reshape(-1, 2)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: malformed graph file") from exc
     if n > MAX_VERTICES:
         raise GraphFormatError(
             f"{path}: {n} vertices is above the limit of {MAX_VERTICES}")
     try:
-        return Graph(n, edges)
+        return Graph(n, ends)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
 

@@ -1,13 +1,27 @@
-"""Reference oracles for the differential tests: the straightforward
-quadratic versions of the greedy independent set, thinning and relief
-trimming.  Each rescans every vertex or member on every pick, which makes the
-selection rule easy to read off; the library versions must pick the same
-vertices."""
+"""Reference oracles for the differential tests.
+
+The straightforward quadratic versions of the greedy independent set,
+thinning and relief trimming rescan every vertex or member on every pick,
+which makes the selection rule easy to read off; the library versions must
+pick the same vertices.  The line-by-line graph parser, the dictionary
+relabelling of induced_subgraph, the edge-by-edge star extraction and the
+Counter-based verifier are the per-edge Python loops the numpy versions
+replaced; those must return equal results (the verifier's diagnostics
+differ only where a claimed pair is no edge of the graph, which this one
+reports as covered)."""
+
+from collections import Counter
 
 import numpy as np
 
-from stardecomp.decomp import ThinIndependentSet
-from stardecomp.graphs import check_thin, is_independent
+from stardecomp.decomp import Orientation, StarDecomposition, ThinIndependentSet
+from stardecomp.graphs import (
+    MAX_VERTICES,
+    Graph,
+    GraphFormatError,
+    check_thin,
+    is_independent,
+)
 
 
 def greedy_independent_set(g, seed):
@@ -17,7 +31,7 @@ def greedy_independent_set(g, seed):
     alive = [True] * n
     deg = [0] * n
     for v in range(n):
-        deg[v] = sum(1 for _, w in g.adj[v] if w != v)
+        deg[v] = sum(1 for w in g.neighbors(v) if w != v)
     loopy = {u for u, v in g.edges if u == v}
     chosen = set()
     remaining = [v for v in range(n) if v not in loopy]
@@ -32,11 +46,11 @@ def greedy_independent_set(g, seed):
         if best is None:
             break
         chosen.add(best)
-        dead = {best} | {w for _, w in g.adj[best] if alive[w]}
+        dead = {best} | {w for w in g.neighbors(best) if alive[w]}
         for v in dead:
             if alive[v]:
                 alive[v] = False
-                for _, w in g.adj[v]:
+                for w in g.neighbors(v):
                     if alive[w] and w != v:
                         deg[w] -= 1
     return chosen
@@ -44,7 +58,7 @@ def greedy_independent_set(g, seed):
 
 def _edges_to(g, v, U):
     U = set(U)
-    return sum(1 for _, w in g.adj[v] if w in U and w != v)
+    return sum(1 for w in g.neighbors(v) if w in U and w != v)
 
 
 def thin_down(g, A, d_hat):
@@ -60,10 +74,10 @@ def thin_down(g, A, d_hat):
         excess = _edges_to(g, v, current) - d_hat
         if excess <= 0:
             continue
-        for w in sorted({w for _, w in g.adj[v] if w in current}):
+        for w in sorted({w for w in g.neighbors(v) if w in current}):
             if excess <= 0:
                 break
-            lost = sum(1 for _, x in g.adj[v] if x == w)
+            lost = sum(1 for x in g.neighbors(v) if x == w)
             current.discard(w)
             excess -= lost
     return ThinIndependentSet(frozenset(current), d_hat,
@@ -76,7 +90,7 @@ def relief_trim(g, thin, target):
         raise ValueError(f"have {len(members)}, need {target}")
     d_hat = thin.d_hat
     into = {
-        v: sum(1 for _, w in g.adj[v] if w in members)
+        v: sum(1 for w in g.neighbors(v) if w in members)
         for v in range(g.n)
         if v not in members
     }
@@ -84,14 +98,143 @@ def relief_trim(g, thin, target):
         best, best_key = None, None
         for a in members:
             relief = sum(
-                1 for _, v in g.adj[a] if v not in members and into[v] >= d_hat
+                1 for v in g.neighbors(a) if v not in members and into[v] >= d_hat
             )
             key = (relief, a)
             if best is None or key > best_key:
                 best, best_key = a, key
         members.remove(best)
-        for _, v in g.adj[best]:
+        for v in g.neighbors(best):
             if v in into:
                 into[v] -= 1
-        into[best] = sum(1 for _, w in g.adj[best] if w in members)
+        into[best] = sum(1 for w in g.neighbors(best) if w in members)
     return ThinIndependentSet(frozenset(members), d_hat, verified=True)
+
+
+def read_graph(path) -> Graph:
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise GraphFormatError(f"{path}: empty file")
+    try:
+        n, _ = map(int, lines[0].split())
+        if n < 0:
+            raise ValueError
+        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
+        if any(len(e) != 2 for e in edges):
+            raise ValueError
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: malformed graph file") from exc
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"{path}: {n} vertices is above the limit of {MAX_VERTICES}")
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+
+
+def induced_subgraph(g: Graph, U):
+    """Subgraph on U with vertices relabeled 0..|U|-1 in sorted id order.
+
+    Returns (subgraph, vertex_map, edge_map) where vertex_map[i] is the
+    original id of new vertex i and edge_map[j] the original edge id of new
+    edge j.
+    """
+    vmap = sorted(set(U))
+    index = {v: i for i, v in enumerate(vmap)}
+    sub_edges, emap = [], []
+    for eid, (u, v) in enumerate(g.edges):
+        if u in index and v in index:
+            sub_edges.append((index[u], index[v]))
+            emap.append(eid)
+    return Graph(len(vmap), sub_edges), vmap, emap
+
+
+def stars_from_orientation(g: Graph, A, orientation: Orientation, k):
+    """Assemble a star decomposition from an independent set A and an
+    orientation of g[complement of A] as built by induced_subgraph.
+
+    Edges touching A point into A.  The complement-internal g-edges, in id
+    order, are the edges of orientation.graph (on the sorted complement,
+    relabeled 0..), and each takes its head from there; a graph that does
+    not match them edge for edge raises ValueError.  Each complement vertex
+    contributes one k-star (its first k out-edges in edge-id order); surplus
+    out-edges go to leftover.
+    """
+    A = set(A)
+    comp = [v for v in range(g.n) if v not in A]
+    index = {v: i for i, v in enumerate(comp)}
+    H = orientation.graph
+    if H.n != len(comp):
+        raise ValueError("orientation is not of the complement of A")
+    out_edges = {v: [] for v in comp}
+    j = 0  # edge id in H of the next complement-internal g-edge
+    for eid, (u, v) in enumerate(g.edges):
+        if u in A and v in A:
+            raise ValueError("independent set has an internal edge")
+        if u in A:
+            tail = v
+        elif v in A:
+            tail = u
+        else:
+            if j == len(H.edges) or H.edges[j] != (index[u], index[v]):
+                raise ValueError("orientation is not of the complement of A")
+            tail = v if comp[orientation.heads[j]] == u else u
+            j += 1
+        out_edges[tail].append(eid)
+    if j != len(H.edges):
+        raise ValueError("orientation is not of the complement of A")
+    stars, leftover = [], []
+    for v in comp:
+        eids = out_edges[v]
+        if len(eids) < k:
+            raise ValueError(f"vertex {v} has out-degree {len(eids)} < k={k}")
+        leaves = []
+        for eid in eids[:k]:
+            a, b = g.edges[eid]
+            leaves.append(b if a == v else a)
+        stars.append((v, leaves))
+        for eid in eids[k:]:
+            leftover.append(g.edges[eid])
+    return StarDecomposition(k=k, stars=stars, leftover=leftover)
+
+
+def verify_decomposition(g: Graph, sd: StarDecomposition):
+    """Check that sd is a valid (near-)decomposition of g.
+
+    Returns (ok, diagnostics): star sizes equal k, every star has k distinct
+    leaves other than its center, every star edge is incident to its center,
+    the star edges plus leftover partition E(g) exactly, and the leftover has
+    fewer than k edges.
+    """
+    diagnostics = []
+    claimed = []
+    for center, leaves in sd.stars:
+        if len(leaves) != sd.k:
+            diagnostics.append(
+                f"star at {center} has {len(leaves)} edges, expected {sd.k}"
+            )
+        if center in leaves:
+            diagnostics.append(f"star at {center} has its center as a leaf")
+        if len(set(leaves)) != len(leaves):
+            diagnostics.append(f"star at {center} repeats a leaf")
+        for leaf in leaves:
+            claimed.append((center, leaf) if center <= leaf else (leaf, center))
+    for u, v in sd.leftover:
+        claimed.append((u, v) if u <= v else (v, u))
+    if len(sd.leftover) > sd.k - 1:
+        diagnostics.append(f"leftover has {len(sd.leftover)} edges > k-1")
+    have = Counter(claimed)
+    want = Counter(g.edges)
+    extra = have - want
+    missing = want - have
+    for e, c in sorted(extra.items()):
+        diagnostics.append(f"edge {e} covered {want[e] + c} times (edge covered twice)")
+    if missing:
+        diagnostics.append(
+            f"uncovered edges: {sorted(missing.elements())[:10]}"
+        )
+    if not sd.leftover and len(g.edges) % sd.k != 0:
+        diagnostics.append("exact decomposition claimed but k does not divide e(G)")
+    return not diagnostics, diagnostics

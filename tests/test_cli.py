@@ -266,14 +266,22 @@ def test_decompose_rejects_non_simple_graph(tmp_path, capsys):
     assert "simple graph" in capsys.readouterr().err
 
 
-def test_decompose_failure_exit_code(tmp_path):
+def test_decompose_failure_exit_code(tmp_path, capsys):
     # Petersen graph with k = 3 cannot have a large enough independent set.
     graph = tmp_path / "petersen.txt"
     from stardecomp.graphs import petersen_graph, write_graph
 
     with open(graph, "w") as fh:
         write_graph(petersen_graph(), fh)
-    assert run(["decompose", str(graph), "--k", "3"]) == 1
+    assert run(["decompose", str(graph), "--k", "3", "--max-retries", "2"]) == 1
+    # The failure report is a diagnostic: stderr, nothing on stdout.
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "decompose: failed at stage adjust_size: have 4, need 5",
+        "  seed 0: adjust_size: have 4, need 5",
+        "  seed 1: adjust_size: have 4, need 5",
+    ]
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -299,13 +307,14 @@ def test_decompose_rejects_vertex_count_above_limit(tmp_path, capsys, n):
 
 
 # Numbers come only from integer tokens: the free text holds no decimal
-# digits.  Integers are small or above MAX_VERTICES, which read_graph refuses
-# from the header; a count just below the limit would cost ~70 MB per
+# digits.  Integers are small, above MAX_VERTICES (which read_graph refuses
+# in a header), or beyond int64 either way; a vertex count just below the
+# limit would cost 16 MB in read_graph and some 400 MB in decompose per
 # example.  Lines of integers are drawn often, so that headers and bodies
 # that parse are common.
 _no_digits = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Nd")))
 _int = st.one_of(st.integers(-3, 12),
-                 st.sampled_from([MAX_VERTICES + 1, 10**12])).map(str)
+                 st.sampled_from([MAX_VERTICES + 1, 10**12, 10**20, -10**20])).map(str)
 _token = st.one_of(_int, st.sampled_from(["x", "1.5", "-", "+"]),
                    _no_digits.filter(lambda t: len(t) <= 3))
 _line = st.one_of(
@@ -320,9 +329,19 @@ _file_text = st.one_of(
 )
 
 
+# Decomposition files that parse, on K4 or on a drawn graph: every star line
+# holds k + 1 drawn integers, so leaves and centers are often >= n, negative,
+# or beyond int64.
+_K4 = "4 3\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+_sd_lines = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(_int, min_size=k + 1, max_size=k + 1).map(" ".join), max_size=6
+).map(lambda rows: "\n".join([f"{k} 0", *rows])))
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(graph_text=_file_text, sd_text=_file_text, k=st.integers(1, 4))
+@given(graph_text=st.one_of(_file_text, st.just(_K4)),
+       sd_text=st.one_of(_file_text, _sd_lines), k=st.integers(1, 4))
 def test_parsers_and_cli_never_raise_on_arbitrary_text(graph_text, sd_text, k, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         graph, sd = Path(tmp) / "g.txt", Path(tmp) / "sd.txt"

@@ -1,6 +1,10 @@
 """Tests for the decomposition module: thinning, orientation by path
 reversal, star extraction, verification, and the end-to-end pipeline."""
 
+import ast
+import hashlib
+import io
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +43,7 @@ from stardecomp.graphs import (
     is_independent,
     petersen_graph,
     sample_simple,
+    write_graph,
 )
 
 import quadratic_reference as ref
@@ -274,6 +279,122 @@ def test_verify_rejects_center_leaf_and_repeated_leaf():
     assert any("repeats a leaf" in msg for msg in diagnostics)
 
 
+@pytest.mark.parametrize("leaf", [-1, 9, 10**12, -10**20, 10**20])
+def test_verify_reports_a_pair_outside_the_graph(leaf):
+    # Star 0 -> [1, 2, leaf] on K4: the pair (0, leaf) is no edge of K4, and
+    # (0, 3) goes uncovered.  Ids outside [0, n) never reach the key u * n + v,
+    # so they can neither wrap nor overflow it.
+    g = complete_graph(4)
+    sd = StarDecomposition(k=3, stars=[(0, [1, 2, leaf]), (1, [2, 3, 0]), (2, [3, 0, 1])])
+    ok, diagnostics = verify_decomposition(g, sd)
+    assert not ok
+    e = (min(0, leaf), max(0, leaf))
+    assert f"edge {e} is not in the graph (claimed 1 times)" in diagnostics
+    assert not any("covered twice" in msg and str(e) in msg for msg in diagnostics)
+    # (0, 1), (0, 2) and (1, 2) are each claimed twice: true double covers.
+    assert "edge (0, 1) covered 2 times (edge covered twice)" in diagnostics
+
+
+def claimed_stars(g, rng, k):
+    """A star decomposition of g from a random orientation: each vertex's
+    out-edges in id order, k at a time, the remainder as leftover.  Loops
+    become stars with the center as a leaf."""
+    out = {}
+    for u, v in g.edges:
+        tail = (u, v)[int(rng.integers(2))]
+        out.setdefault(tail, []).append(v if tail == u else u)
+    stars, leftover = [], []
+    for c, leaves in sorted(out.items()):
+        whole = len(leaves) - len(leaves) % k
+        stars += [(c, leaves[i:i + k]) for i in range(0, whole, k)]
+        leftover += [(c, x) for x in leaves[whole:]]
+    return StarDecomposition(k=k, stars=stars, leftover=leftover)
+
+
+def mutate(sd, g, rng):
+    """One fault in place: a swapped leaf, a duplicated star, a leaf that is
+    negative or >= n, a dropped or an extra leftover edge, or a loop claimed
+    as a star edge."""
+    stars, leftover = sd.stars, sd.leftover
+    fault = int(rng.integers(6))
+    if fault in (0, 2, 5) and stars:
+        i = int(rng.integers(len(stars)))
+        c, leaves = stars[i]
+        leaves = list(leaves)
+        j = int(rng.integers(len(leaves)))
+        if fault == 0:
+            leaves[j] = int(rng.integers(g.n))
+        elif fault == 2:
+            leaves[j] = [-1, g.n, g.n + 7, 10**12, -10**20, 10**20][int(rng.integers(6))]
+        else:
+            leaves[j] = c
+        stars[i] = (c, leaves)
+    elif fault == 1 and stars:
+        stars.append(stars[int(rng.integers(len(stars)))])
+    elif fault == 3 and leftover:
+        del leftover[int(rng.integers(len(leftover)))]
+    else:
+        leftover.append((int(rng.integers(g.n)), int(rng.integers(g.n))))
+
+
+def reference_diagnostics(g, diagnostics):
+    """The Counter-based verifier's diagnostics with its one fixed message:
+    a claimed pair that is no edge of g is not 'covered twice'."""
+    edges = set(g.edges)
+    fixed = []
+    for msg in diagnostics:
+        m = re.fullmatch(r"edge (\(.*\)) covered (\d+) times \(edge covered twice\)", msg)
+        if m and ast.literal_eval(m[1]) not in edges:
+            msg = f"edge {m[1]} is not in the graph (claimed {m[2]} times)"
+        fixed.append(msg)
+    return fixed
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_verify_matches_counter_reference(seed, k, faults):
+    g = random_multigraph(seed, max_n=12, max_m=30)
+    rng = np.random.default_rng(seed)
+    sd = claimed_stars(g, rng, k)
+    for _ in range(faults):
+        mutate(sd, g, rng)
+    ok, diagnostics = verify_decomposition(g, sd)
+    ref_ok, ref_diagnostics = ref.verify_decomposition(g, sd)
+    assert ok == ref_ok
+    assert diagnostics == reference_diagnostics(g, ref_diagnostics)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2))
+@settings(max_examples=200, deadline=None)
+def test_stars_from_orientation_matches_reference(seed, k, fault):
+    # A random orientation of the complement of a greedy set.  After the
+    # complement is taken, fault 1 swaps a member of the set with an outside
+    # vertex and fault 2 adds an outside vertex, so the orientation no longer
+    # fits or the set is no longer independent.
+    g = random_multigraph(seed, max_n=30, max_m=60)
+    rng = np.random.default_rng(seed)
+    A = greedy_independent_set(g, seed)
+    H, _, _ = induced_subgraph(g, set(range(g.n)) - A)
+    orientation = Orientation(H, [(u, v)[int(rng.integers(2))] for u, v in H.edges])
+    outside = sorted(set(range(g.n)) - A)
+    if fault and outside:
+        A = A | {int(rng.choice(outside))}
+        if fault == 1:
+            A = A - {int(rng.choice(sorted(A)))}
+    try:
+        expected = ref.stars_from_orientation(g, A, orientation, k)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            stars_from_orientation(g, A, orientation, k)
+        # Either scan reports a short vertex only once every edge fits.
+        if "out-degree" in str(exc):
+            assert str(got.value) == str(exc)
+    else:
+        assert stars_from_orientation(g, A, orientation, k) == expected
+
+
 def test_verify_leftover_cap():
     g = cycle_graph(4)
     sd = StarDecomposition(
@@ -291,6 +412,20 @@ def test_decompose_small_regular_graph():
     assert ok, diagnostics
     assert len(sd.stars) == 60 * 6 // (2 * 4)
     assert sd.leftover == []
+
+
+def test_pipeline_files_keep_their_bytes():
+    # `sample --simple --n 6000 --d 5 --seed 0` and `decompose --k 3 --seed 0`
+    # on it, the pipeline benchmark's files: pinned so that a change to the
+    # graph core cannot move a byte of either unnoticed.
+    g, _ = sample_simple(6000, 5, seed=0)
+    graph_file, decomposition_file = io.StringIO(), io.StringIO()
+    write_graph(g, graph_file)
+    write_decomposition(decompose(g, 3, seed=0), decomposition_file)
+    assert hashlib.sha256(graph_file.getvalue().encode()).hexdigest() == (
+        "59d6a8e519c3471e5a8ae093492ba3ed7ebad79f417f42fbfe3246d5525fa6df")
+    assert hashlib.sha256(decomposition_file.getvalue().encode()).hexdigest() == (
+        "9420157240d013f4266fb42001d27aec222daeb95324670a1eb50f42f072b717")
 
 
 def test_decompose_deterministic():

@@ -3,6 +3,8 @@ and file I/O."""
 
 import hashlib
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from stardecomp.graphs import (
     write_graph,
 )
 
+import quadratic_reference as ref
+
 
 def random_multigraph(seed, max_n=12, max_m=20):
     rng = np.random.default_rng(seed)
@@ -53,6 +57,29 @@ def test_graph_normalizes_edges():
 def test_graph_rejects_out_of_range():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    # The message names the first bad edge as given, ids beyond int64 too.
+    for edges, named in (([(0, 1), (2, -1), (0, 3)], "(2,-1)"),
+                         ([(1, 2), (0, 10**20)], f"(0,{10**20})"),
+                         ([(2**63, 0)], f"({2**63},0)"),
+                         (np.array([[0, 1], [5, 0]]), "(5,0)")):
+        with pytest.raises(ValueError, match=rf"edge \({named[1:-1]}\) outside"):
+            Graph(3, edges)
+
+
+def test_graph_csr_arrays():
+    # Edge ids 0..3; the loop (1, 1) appears twice at 1, the repeated (0, 2)
+    # once per copy, each vertex's entries in edge-id order.
+    g = Graph(3, [(2, 0), (1, 1), (0, 2), (2, 1)])
+    assert g.pairs.tolist() == [[0, 2], [1, 1], [0, 2], [1, 2]]
+    assert g.indptr.tolist() == [0, 2, 5, 8]
+    assert [g.neighbors(v) for v in range(3)] == [[2, 2], [1, 1, 2], [0, 0, 1]]
+    assert g.eids.tolist() == [0, 2, 1, 1, 3, 0, 2, 3]
+    assert [g.degree(v) for v in range(3)] == g.degrees().tolist() == [2, 3, 3]
+    assert Graph(3, np.array([[2, 0], [1, 1], [0, 2], [2, 1]])) == g
+    assert Graph(0, []).num_edges() == 0 and Graph(0, []).is_regular()
+    assert not hasattr(g, "adj")
+    with pytest.raises(ValueError):
+        g.pairs[0, 0] = 1  # read-only
 
 
 def test_loop_counts_twice_toward_degree():
@@ -193,6 +220,18 @@ def test_induced_subgraph_maps():
     assert [g.edges[e] for e in emap] == [(1, 2), (2, 3)]
 
 
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_induced_subgraph_matches_reference(seed):
+    g = random_multigraph(seed, max_n=30, max_m=60)
+    rng = np.random.default_rng(seed)
+    U = set(rng.choice(g.n, size=int(rng.integers(0, g.n + 1)), replace=False).tolist())
+    sub, vmap, emap = induced_subgraph(g, U)
+    ref_sub, ref_vmap, ref_emap = ref.induced_subgraph(g, U)
+    assert sub == ref_sub and sub.n == ref_sub.n
+    assert (vmap, emap) == (ref_vmap, ref_emap)
+
+
 def cheeger_second_opinion(g, x0):
     """Combination-based reimplementation of the subset scan."""
     import math
@@ -241,7 +280,7 @@ def test_greedy_independent_set_valid(seed, gseed):
     for v in range(g.n):
         if v in A or v in loopy:
             continue
-        assert any(w in A for _, w in g.adj[v]), f"vertex {v} extendable"
+        assert any(w in A for w in g.neighbors(v)), f"vertex {v} extendable"
 
 
 def test_greedy_independent_set_deterministic():
@@ -276,6 +315,57 @@ def test_read_graph_malformed(tmp_path):
     path.write_text("-1 3\n")  # negative vertex count
     with pytest.raises(GraphFormatError):
         read_graph(path)
+
+
+# Whitespace within a line as str.split sees it, line ends that text mode
+# turns into newlines, and tokens that int() takes, refuses or takes only
+# beyond int64.
+_SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "\u2028", "\u3000"]
+_ENDS = ["\n", "\r\n", "\r", "\n\n", "\n \t\n"]
+_ODD_TOKENS = ["x", "1.5", "+1", "-0", "1_0", "\u0663", "0x1", "-1", "7",
+               str(10**20), str(-10**20), str(2**63)]
+
+
+def graph_text(seed):
+    """A random multigraph's file with random spacing, blank lines and line
+    ends; half the time with one or two faults: an odd token, a line of one
+    or three tokens, or a header that is short, negative or too large."""
+    rng = np.random.default_rng(seed)
+    g = random_multigraph(seed)
+    pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
+    rows = [[str(g.n), str(max(g.degrees()))]] + [[str(u), str(v)] for u, v in g.edges]
+    for _ in range(int(rng.integers(0, 3)) if rng.integers(2) else 0):
+        row = rows[int(rng.integers(len(rows)))]
+        fault = int(rng.integers(4))
+        if fault == 0:
+            row[int(rng.integers(len(row)))] = pick(_ODD_TOKENS)
+        elif fault == 1:
+            row.append(pick(_ODD_TOKENS))
+        elif fault == 2:
+            del row[int(rng.integers(len(row)))]
+        else:
+            rows[0][0] = pick(["-2", str(MAX_VERTICES + 1), "x", str(10**20)])
+    lines = [pick(["", " "]) + pick(_SPACES).join(row) + pick(["", "\t"]) for row in rows]
+    return pick(["", "\n", " \r\n"]) + "".join(ln + pick(_ENDS) for ln in lines)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_read_graph_matches_line_parser(seed):
+    # The numpy parser accepts and refuses what the line-by-line one does,
+    # with the same message, and builds the same graph.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text(graph_text(seed), encoding="utf-8")
+        try:
+            expected = ref.read_graph(path)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                read_graph(path)
+            assert str(got.value) == str(exc)
+        else:
+            g = read_graph(path)
+            assert g == expected and g.n == expected.n
 
 
 def test_petersen_structure():
