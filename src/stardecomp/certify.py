@@ -5,24 +5,19 @@ set is assumed to exist — decide whether the thin-set + orientation method
 guarantees a k-star decomposition a.a.s., and sweep degree ranges to find the
 exceptional degrees where only k_ind - 1 certifies.
 
-The continuum condition is checked on a rectangular (beta, tau) grid with a
-conservative Lipschitz safety margin, refined locally near violations.  The
-grid is evaluated only where it can change the verdict: not at all when the
-strong condition holds, and otherwise in one blocked pass over the beta rows
-whose largest (tau*d - d_hat)*beta comes within the margin of the bound,
-each block restricted to the band of tau columns where one of its rows
-does.  A column whose rate a block computed clearly negative is dead for the
-rest of the box: the rate is concave in beta and nonnegative at beta = 0, so
-it stays negative at every larger beta (proof in check_condition).  The pass
-stops at the first raw violation, and the least-slack point it evaluated is
-reported as the witness.  Errors are one-sided: the checker may
-under-certify, never over-certify.
+The condition asks that (tau*d - d_hat) * beta < alpha - alpha_dk wherever
+the pair rate at (alpha, beta, tau) is nonnegative, for beta > 0 and tau in
+[tau_plus, 1].  The rate is concave in beta and falls in tau past
+alpha/(1 - alpha) (proofs in check_condition), so that region is
+{beta <= r(tau)} with r nonincreasing, and the check is one-dimensional: a
+branch-and-bound over tau on a rigorous upper bound r_hi(tau) of r(tau),
+found by halving and bisection on the computed rate with a stated bound on
+its float error.  beta_max is r_hi(tau_plus).  Errors are one-sided: the
+checker may under-certify, never over-certify.
 
-A sweep certifies its degrees in rounds: each round derives d_hat for every
-pending (d, k) in one batch, then locates beta_max for all of them in
-another, both as lockstep lanes that each return the scalar result bit for
-bit, and checks the degrees one by one; a degree that fails goes to the
-next round with k - 1.
+A sweep certifies its degrees in rounds, each batching every pending (d, k)
+as lockstep lanes whose results do not depend on the rest of their batch; a
+degree that fails goes to the next round with k - 1.
 """
 
 from __future__ import annotations
@@ -36,37 +31,34 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .entropy import (
-    SCALAR_LANES,
     _h_arr,
     _lanes,
     alpha_dk,
     alpha_fc_estimate,
     avg_degree_ceiling,
     avg_degree_ceiling_inv,
-    ind_set_rate,
     kappa,
     pair_rate,
 )
 
+# Steps of the (beta, tau) grid of earlier versions: validated, no effect.
 DEFAULT_BETA_STEP = 1e-6
 DEFAULT_TAU_STEP = 1e-3
-MAX_REFINEMENTS = 3
-GRID_BLOCK_POINTS = 1 << 15
-# beta_max: points scanned before the doubling blocks, the grid rate (per
-# unit of d) below which the scalar pair_rate decides a point's sign, and
-# the bisection tolerance, which is also the smallest step it accepts.  The
-# near-zero bound is absolute, unlike entropy.NEAR_ZERO_REL, because
-# pair_rate_grid also feeds check_condition's grid, where summing the terms'
-# magnitudes would add work at every point; pair_rate's terms are at most
-# about 3d in size, and the largest grid/scalar gap measured is 5.6e-17 * d.
-# check_condition takes a column computed below -NEAR_ZERO_RATE * d as dead.
-SCALAR_SCAN_STEPS = 32
-NEAR_ZERO_RATE = 1e-12
-BETA_TOL = 1e-10
-# Degrees certified in one set of rounds.  A degree in a block holds about
-# 0.7 KB of inputs and results until the block ends, so blocks bound the
-# memory of long sweeps; 1024 lanes amortise the bisection's per-step numpy
-# overhead.
+# A computed pair rate below -RATE_EPS * d is surely negative: against
+# 40-digit arithmetic its error is at most 2.1e-16 * d on 6000 points near
+# the roots over d = 30..10^6, and a test bounds it by RATE_EPS * d / 2.
+RATE_EPS = 2e-15
+# Roots are bracketed to a relative ROOT_REL_TOL, ROOT_POINTS points (three
+# halvings) a lane per round; a lane whose rate at beta = 0 lies within
+# RATE_EPS * d of 0 may stop at MAX_ROOT_ROUNDS, its bracket still valid.
+ROOT_REL_TOL = 1e-9
+ROOT_POINTS = 7
+MAX_ROOT_ROUNDS = 200
+# Depth at which a tau interval still open leaves its degree uncertified.
+MAX_DEPTH = 20
+# Degrees certified in one set of rounds.  A degree holds about 0.7 KB until
+# its block ends, so blocks bound the memory of long sweeps; 1024 lanes
+# amortise the per-round numpy overhead of the lockstep solves.
 SWEEP_BLOCK = 1024
 
 
@@ -108,55 +100,41 @@ class CertifyResult:
     beta_max: float = float("nan")
     strong_condition_met: bool = False
     weak_condition_met: bool = False
-    # (beta, tau, slack) of the evaluated nonnegative-rate grid point with the
-    # least slack; None if there is none, as when the strong condition holds.
+    # (beta, tau, slack) of the evaluated point of nonnegative rate with the
+    # least slack; None when the strong condition holds.
     worst_witness: tuple | None = None
     error: str | None = None
 
 
 def pair_rate_grid(d, alpha, betas, taus):
-    """pair_rate evaluated on a grid of rows x columns (numpy broadcast).
-
-    taus holds one tau per column, and d and alpha are scalars or hold one
-    value per column too.  betas is a 1-d array of rows shared by every
-    column, as in check_condition's grid, or a 2-d array of rows x columns,
-    as in beta_max, whose lanes are the columns.  Returns an array of shape
-    (rows, len(taus)).  The terms that depend on one axis only are computed
-    once; the rest is evaluated in blocks of about GRID_BLOCK_POINTS rows x
-    columns, in place in the output and two scratch arrays, which keeps the
-    temporaries in cache and allocates nothing per block.  Each element goes
-    through the operations of entropy.pair_rate in its order, so neither
-    blocking nor broadcasting changes a bit.
-    """
+    """pair_rate on a grid of rows x columns (numpy broadcast): taus holds
+    one tau per column, d and alpha are scalars or hold one value per column
+    too, and betas is a 1-d array of rows shared by every column or a 2-d
+    array of rows x columns, as in the root solves, whose lanes are the
+    columns.  Each element goes through entropy.pair_rate's operations in
+    its order, so its value does not depend on the other elements."""
     b = np.asarray(betas, dtype=float)
     if b.ndim == 1:
         b = b[:, None]
     t = np.asarray(taus, dtype=float)[None, :]
     d = np.reshape(d, (1, -1))
     alpha = np.reshape(np.asarray(alpha, dtype=float), (1, -1))
-    h_t = _h_arr(t) + _h_arr(1.0 - t)
+    c = 1.0 - 2.0 * alpha
     h_b = _h_arr(b)
-    h_edge = _h_arr(1.0 - 2.0 * alpha)
+    # edge = 2h(b) + 2b(h(t) + h(1-t)) + 2h(alpha - tb) + 2h(c - (1-t)b)
+    #        - h(c), summed left to right
+    edge = (2.0 * h_b + 2.0 * b * (_h_arr(t) + _h_arr(1.0 - t))
+            + 2.0 * _h_arr(alpha - t * b) + 2.0 * _h_arr(c - (1.0 - t) * b) - _h_arr(c))
     vert = _h_arr(alpha) + h_b + _h_arr(1.0 - alpha - b)
-    out = np.empty((b.shape[0], t.shape[1]))
-    rows = max(1, GRID_BLOCK_POINTS // max(t.shape[1], 1))
-    arg = np.empty((min(rows, b.shape[0]), t.shape[1]))
-    term = np.empty_like(arg)
-    for i in range(0, b.shape[0], rows):
-        bb = b[i : i + rows]
-        o, x, y = out[i : i + rows], arg[: len(bb)], term[: len(bb)]
-        # edge = 2h(b) + 2b(h(t) + h(1-t)) + 2h(alpha - tb)
-        #        + 2h(1 - 2alpha - (1-t)b) - h(1 - 2alpha), summed left to right
-        np.multiply(2.0 * bb, h_t, out=o)
-        np.add(2.0 * h_b[i : i + rows], o, out=o)
-        np.subtract(alpha, np.multiply(t, bb, out=x), out=x)
-        o += np.multiply(_h_arr(x, out=y), 2.0, out=y)
-        np.subtract(1.0 - 2.0 * alpha, np.multiply(1.0 - t, bb, out=x), out=x)
-        o += np.multiply(_h_arr(x, out=y), 2.0, out=y)
-        o -= h_edge
-        o *= d / 2.0
-        o -= (d - 1) * vert[i : i + rows]
-    return out
+    return d / 2.0 * edge - (d - 1) * vert
+
+
+def _only(outcomes):
+    """The outcome of a batch of one lane, raised if it is an exception."""
+    (res,) = outcomes
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def _per_lane(fn, *lanes):
@@ -188,10 +166,7 @@ def derive_dhat(inp):
     one it has alone, bit for bit.
     """
     if isinstance(inp, CertifyInput):
-        (res,) = derive_dhat([inp])
-        if isinstance(res, Exception):
-            raise res
-        return res
+        return _only(derive_dhat([inp]))
     inputs = list(inp)
     out = [None] * len(inputs)
     for i, c in enumerate(inputs):
@@ -232,198 +207,100 @@ def derive_dhat(inp):
     return out
 
 
-def beta_max(d, alpha, tau_plus, step=DEFAULT_BETA_STEP):
-    """Smallest beta > 0 at which the pair rate at (alpha, beta, tau_plus)
-    turns negative, i.e. inf { beta > 0 : pair_rate < 0 }.
+def _cap(alpha, tau):
+    """The largest beta in the pair rate's domain: beta <= 1 - 2 alpha (B
+    fits beside A) and tau * beta <= alpha (B's edges into A fit in A's)."""
+    return np.minimum(1.0 - 2.0 * alpha, alpha / tau)
 
-    Located by an ascending scan over beta = step, step + step, ... (one
-    float addition per point) then bisection to BETA_TOL = 1e-10; the
-    returned value is rounded up by one bisection tolerance (conservative).
-    A step below BETA_TOL raises ValueError: the scan would walk more than
-    (1 - 2 alpha) / BETA_TOL points to locate what the bisection cannot
-    resolve anyway.
 
-    Scalar arguments give a float, or raise.  If any argument is a
-    sequence, the arguments are broadcast to lanes that are solved in
-    lockstep (see _scan_and_bisect), and the list returned holds each
-    lane's value or the exception it raised.  A lane's outcome is the one it
-    has alone, and the scalar scan's, bit for bit.
+def _roots(d, alpha, tau, top):
+    """Brackets of r(tau), the end of {beta : pair rate >= 0}, on lanes of
+    1-d arrays whose rate at beta = 0 is nonnegative; top is each lane's
+    domain cap or a proven upper bound on r(tau).
+
+    A lane halves from top to the first point not surely negative (computed
+    rate >= -RATE_EPS * d), then bisects that factor-2 bracket to a relative
+    ROOT_REL_TOL; a round evaluates the next ROOT_POINTS halvings, or the
+    dyadic points inside the bracket, in one pair_rate_grid call.  Returns
+    (r_lo, r_hi): r_hi is the bracket's upper end, where the exact rate is
+    negative, or top if no point below it is surely negative; r_lo is the
+    largest point met whose computed rate is >= 0 (0 if none).  No point
+    leaves the domain, and a lane's points do not depend on other lanes.
     """
-    if all(np.ndim(v) == 0 for v in (d, alpha, tau_plus, step)):
-        (res,) = beta_max([d], alpha, tau_plus, step)
-        if isinstance(res, Exception):
-            raise res
-        return res
-    lanes = _lanes(d, alpha, tau_plus, step)
+    # lo = 0 marks a lane still halving.  hi = 2 top is never evaluated: the
+    # first round's first point is top itself.
+    lo, hi, r_lo, run = np.zeros(len(d)), 2.0 * top, np.zeros(len(d)), np.arange(len(d))
+    steps = np.arange(1, ROOT_POINTS + 1)[:, None]
+    for _ in range(MAX_ROOT_ROUNDS):
+        if not len(run):
+            break
+        l, h = lo[run], hi[run]
+        halving = l == 0.0
+        pts = np.where(halving, h * 0.5 ** steps, l + (h - l) * (steps / (ROOT_POINTS + 1.0)))
+        rates = pair_rate_grid(d[run], alpha[run], pts, tau[run])
+        r_lo[run] = np.maximum(r_lo[run], np.where(rates >= 0.0, pts, 0.0).max(axis=0))
+        # Halving goes down the rows to the first point not surely negative,
+        # bisection up the rows to the first point that is; prev is the row
+        # before that point, or the bracket's end.
+        hit = (rates < -RATE_EPS * d[run]) != halving
+        found, i, cols = hit.any(axis=0), hit.argmax(axis=0), np.arange(len(run))
+        at_i = pts[i, cols]
+        prev = np.where(i > 0, pts[i - 1, cols], np.where(halving, h, l))
+        lo[run] = np.select([halving & found, halving, found], [at_i, l, prev], pts[-1])
+        hi[run] = np.minimum(np.select([halving & found, halving, found],
+                                       [prev, pts[-1], at_i], h), top[run])
+        run = run[(lo[run] == 0.0) | (hi[run] - lo[run] > ROOT_REL_TOL * hi[run])]
+    return r_lo, hi
+
+
+def beta_max(d, alpha, tau_plus):
+    """r_hi(tau_plus) (see _roots), a rigorous upper bound on the beta up
+    to which the pair rate at (alpha, beta, tau_plus) is nonnegative; 0 when
+    pair_rate at beta = 0, which is ind_set_rate, is negative.
+
+    Scalar arguments give a float, or raise ValueError for an alpha outside
+    (0, 1/2) or a tau_plus outside (0, 1].  If any argument is a sequence,
+    they are broadcast to lanes solved in lockstep, and the list returned
+    holds each lane's value or exception, independent of the rest.
+    """
+    if all(np.ndim(v) == 0 for v in (d, alpha, tau_plus)):
+        return _only(beta_max([d], alpha, tau_plus))
+    lanes = _lanes(d, alpha, tau_plus)
     out = []
-    for d_i, a, t, s in zip(*(v.tolist() for v in lanes)):
+    for d_i, a, t in zip(*(v.tolist() for v in lanes)):
         if not 0.0 < a < 0.5:
             out.append(ValueError(f"alpha {a} outside (0, 1/2)"))
         elif not 0.0 < t <= 1.0:
             out.append(ValueError(f"tau_plus {t} outside (0, 1]"))
-        elif not s >= BETA_TOL:
-            out.append(ValueError(f"beta step {s} below the bisection tolerance {BETA_TOL}"))
         else:
-            # Already negative in the beta -> 0 limit: the infimum is 0.
-            out.append(0.0 if ind_set_rate(d_i, a) < 0.0 else None)
+            out.append(0.0 if pair_rate(d_i, a, 0.0, t) < 0.0 else None)
     todo = np.flatnonzero([o is None for o in out])
-    for i, res in zip(todo.tolist(), _scan_and_bisect(*(v[todo] for v in lanes))):
-        out[i] = res
-    return out
-
-
-def _scan_and_bisect(d, alpha, tau, step):
-    """beta_max on lanes given as 1-d arrays of valid arguments whose rate
-    at beta = 0 is nonnegative; returns a list of each lane's value or
-    exception.
-
-    Scan rounds give every lane still scanning a block of its next points,
-    built by np.cumsum from its current beta (the scalar scan's sequential
-    additions); points at or above 1 - 2 alpha are dropped, and a lane
-    leaves the scan at its first negative point.  The first
-    SCALAR_SCAN_STEPS points come one a round, or, for few lanes, as many a
-    round as fit in the SCALAR_LANES points that _first_negative decides
-    with the scalar rate one by one; then the blocks double, up to
-    GRID_BLOCK_POINTS points a round across the lanes.  Bisection
-    rounds then halve every bracket still wider than BETA_TOL on its
-    midpoint 0.5*(lo + hi), zero counting as nonnegative.  _first_negative
-    gives each point the scalar pair_rate's sign, so a lane meets the scalar
-    scan's bracket and midpoints.  A batch whose grid leaves the entropy
-    domain runs its lanes again alone, where the scalar rate meets the
-    points in order and raises where the scalar scan would.
-    """
-    try:
-        out = [None] * len(d)
-        cap = 1.0 - 2.0 * alpha
-        # hi is a lane's next point while it scans, then its bracket's end.
-        lo, hi = np.zeros(len(d)), step.astype(float)
-        lanes, scanned = np.arange(len(d)), 0
-        while len(lanes):
-            ended = hi[lanes] >= cap[lanes]
-            for i in lanes[ended].tolist():
-                out[i] = CertifyError("no sign change", "pair rate stays nonnegative "
-                                      f"up to beta={cap[i].item()}")
-            lanes = lanes[~ended]
-            if not len(lanes):
-                break
-            if scanned < SCALAR_SCAN_STEPS:
-                size = min(SCALAR_SCAN_STEPS - scanned, SCALAR_LANES // len(lanes))
-            else:
-                size = min(scanned, GRID_BLOCK_POINTS // len(lanes))
-            bs = np.empty((max(size, 1), len(lanes)))
-            bs[0], bs[1:] = hi[lanes], step[lanes]
-            bs = np.cumsum(bs, axis=0)
-            valid = bs < cap[lanes]
-            first = _first_negative(d[lanes], alpha[lanes], tau[lanes], bs, valid)
-            found = first < len(bs)
-            # The last point scanned with a nonnegative rate, -1 for none.
-            last = np.where(found, first, valid.sum(axis=0)) - 1
-            cols = np.arange(len(lanes))
-            lo[lanes] = np.where(last >= 0, bs[last, cols], lo[lanes])
-            hi[lanes] = np.where(found, bs[np.minimum(first, len(bs) - 1), cols],
-                                 lo[lanes] + step[lanes])
-            lanes = lanes[~found]
-            scanned += len(bs)
-        lanes = np.flatnonzero([o is None for o in out])
-        lo, hi, args = lo[lanes], hi[lanes], (d[lanes], alpha[lanes], tau[lanes])
-        while (run := hi - lo > BETA_TOL).any():
-            mid = 0.5 * (lo + hi)
-            neg = _first_negative(*args, mid[None, :], run[None, :]) == 0
-            hi = np.where(neg, mid, hi)
-            lo = np.where(run & ~neg, mid, lo)
-    except ValueError as exc:
-        if len(d) == 1:
-            return [exc]
-        return [_scan_and_bisect(*(v[i : i + 1] for v in (d, alpha, tau, step)))[0]
-                for i in range(len(d))]
-    for i, value in zip(lanes.tolist(), (hi + BETA_TOL).tolist()):
+    d, alpha, tau = (v[todo] for v in lanes)
+    for i, value in zip(todo.tolist(), _roots(d, alpha, tau, _cap(alpha, tau))[1].tolist()):
         out[i] = value
     return out
 
 
-def _first_negative(d, alpha, tau, bs, valid):
-    """For each lane, a column of bs, the row of its first point marked in
-    valid at which pair_rate is negative, or len(bs) if there is none.
-
-    d, alpha and tau hold one value per lane.  A batch of more than
-    SCALAR_LANES points goes through pair_rate_grid, whose value gives a
-    point's sign where it lies farther than NEAR_ZERO_RATE * d from zero.
-    The scalar pair_rate decides the other points, and every point of a
-    smaller batch, where one grid call costs more than the scalar rate on
-    each point; it goes through each lane's points in order and stops at
-    the first negative one.  A grid that leaves the entropy domain raises
-    its ValueError, except on a lane alone, whose points the scalar rate
-    then decides in order too.
-    """
-    rows, lanes = bs.shape
-    first, doubt = np.full(lanes, rows), valid
-    if bs.size > SCALAR_LANES:
-        try:
-            rates = pair_rate_grid(d, alpha, np.where(valid, bs, bs[:1]), tau)
-        except ValueError:
-            if lanes > 1:
-                raise
-        else:
-            near_zero = NEAR_ZERO_RATE * d
-            neg = valid & (rates < -near_zero)
-            first = np.where(neg.any(axis=0), neg.argmax(axis=0), rows)
-            doubt = (valid & ~(np.abs(rates) > near_zero)
-                     & (np.arange(rows)[:, None] < first))
-    first = first.tolist()
-    lane_args = list(zip(d.tolist(), alpha.tolist(), tau.tolist()))
-    # Transposed, nonzero lists each lane's points in ascending order.
-    for j, i in zip(*(a.tolist() for a in np.nonzero(doubt.T))):
-        d_j, alpha_j, tau_j = lane_args[j]
-        if i < first[j] and pair_rate(d_j, alpha_j, bs[i, j].item(), tau_j) < 0.0:
-            first[j] = i
-    return np.array(first)
-
-
-MAX_GRID_POINTS = 4001
-
-
-def _grid(lo, hi, step, minimum_points=2):
-    n = max(minimum_points, int(math.ceil((hi - lo) / step)) + 1)
-    # Cap grid size; the Lipschitz margin uses the effective spacing, so a
-    # coarser-than-requested grid stays conservative.
-    return np.linspace(lo, hi, min(n, MAX_GRID_POINTS))
-
-
-def check_condition(
-    d,
-    k,
-    d_hat,
-    alpha,
-    bmax,
-    tau_plus,
-    beta_step=DEFAULT_BETA_STEP,
-    tau_step=DEFAULT_TAU_STEP,
-):
+def check_condition(d, k, d_hat, alpha, bmax, tau_plus):
     """Check the two sufficient conditions for thinning down to density
-    alpha_dk(d, k).
+    alpha_dk(d, k), given bmax = beta_max(d, alpha, tau_plus).  With
+    rhs = alpha - alpha_dk(d, k):
 
-    strong: (d - d_hat) * bmax < alpha - alpha_dk(d, k)
-    weak:   (tau*d - d_hat) * beta < alpha - alpha_dk(d, k) at every grid point
-            (beta, tau) in (0, bmax] x [tau_plus, 1] with nonnegative pair
-            rate, with a per-cell Lipschitz margin added; the grid is refined
-            x10 around violations up to MAX_REFINEMENTS times.
+    strong: (d - d_hat) * bmax < rhs;
+    weak:   (tau*d - d_hat) * beta < rhs at every beta > 0 and tau in
+            [tau_plus, 1] where the pair rate is nonnegative.
 
-    Strong implies weak, so when strong holds (or bmax <= 0) no grid is built
-    and the result is (strong, True, None).  Otherwise each box makes one
-    pass over the beta rows whose largest (tau*d - d_hat) * beta plus the
-    margin reaches the bound, in blocks of about GRID_BLOCK_POINTS points.  A
-    block evaluates only the live tau columns from the first one where some
-    row of the block reaches the bound that way; the block stops the box at
-    the first raw violation and otherwise tracks the extent of the points
-    within the margin, which becomes the refined box.  After each block,
-    every column with a computed rate below -NEAR_ZERO_RATE * d is dead for
-    the rest of the box.  The verdict, the witness and every refined box are
-    those of the full grid, ValueError on leaving the entropy domain
-    included: a block that skips an end column of its band checks the
-    corners that bound the rates' entropy arguments.
+    Both rest on tau_plus > alpha/(1 - alpha); where it fails, CertifyError.
+    Strong implies weak, so when strong holds (or bmax <= 0) the result is
+    (strong, True, None).  Otherwise a branch-and-bound over tau decides
+    weak: [a, b] is discharged when (b*d - d_hat)^+ * r_hi(a) < rhs (r_hi
+    from _roots); it fails the check when (a*d - d_hat) * r_hi(a) >= rhs,
+    as no interval from a can be discharged, or when still open at depth
+    MAX_DEPTH; else it splits at m, which needs only r(m), solved down from
+    r_hi(a).  Each level solves all its roots, across lanes, in one _roots.
 
-    Why a dead column may be skipped.  Fix tau, let c = 1 - 2 alpha, and
-    write f(beta) for the rate along the column:
+    The region is {beta <= r(tau)}.  Fix tau, let c = 1 - 2 alpha, and
+    write f(beta) for the rate:
 
         f(beta) = h(beta) + d beta (h(tau) + h(1-tau)) + d h(alpha - tau beta)
                   + d h(c - (1-tau) beta) - (d-1) h(1 - alpha - beta) + const,
@@ -433,148 +310,121 @@ def check_condition(
     with A = alpha - tau beta and B = c - (1-tau) beta, which sum to
     1 - alpha - beta.  By the Engel form of Cauchy-Schwarz, tau^2 / A +
     (1-tau)^2 / B >= 1 / (A + B), so f'' <= -1/beta - 1/(1 - alpha - beta)
-    < 0 inside the entropy domain: f is strictly concave.  The grid is built
-    only when bmax > 0, and beta_max returns 0 unless f(0) = ind_set_rate
-    computes >= 0.  The rate is computed to within about 1e-16 * d (a test
-    checks 1e-15 * d against 40-digit arithmetic), so at a point beta1
-    computed below -1e-12 * d the exact f(beta1) is negative and below f(0).
-    By concavity the chord from (0, f(0)) through (beta1, f(beta1)) bounds f
-    above at every larger beta, and it falls: there f <= f(beta1), so the
-    full grid too would compute a negative rate, and such points cannot fail
-    the check, set the witness or shape a refined box.
+    < 0 inside the entropy domain: f is strictly concave.  The search runs
+    only when bmax > 0, that is f(0) = ind_set_rate >= 0, so f >= 0 exactly
+    on some [0, r(tau)], and f < 0 past any point where f < 0: the chord
+    from (0, f(0)) bounds it there.  The rate is computed to within about
+    1e-16 * d, so where it computes below -RATE_EPS * d it is negative.
 
-    Returns (strong, weak, worst_witness) where worst_witness is the
-    nonnegative-rate point of least slack alpha - alpha_dk - (tau*d - d_hat)
-    * beta among those evaluated before the verdict, as (beta, tau, slack),
-    or None if there is none.  When the check fails on a raw violation the
-    witness is a grid point with slack <= 0.
+    r is nonincreasing.  Fix beta > 0; the terms that depend on tau give
+
+        df/dtau = d beta log[(1-tau)(alpha - tau beta) / (tau (c - (1-tau) beta))],
+
+    and, the tau (1-tau) beta terms cancelling, the ratio is below 1 iff
+    (1-tau) alpha < tau (1 - 2 alpha), iff tau > alpha/(1 - alpha).  Past
+    that point f falls strictly in tau at every beta > 0, so the region at
+    tau lies inside the one at any smaller tau: r(tau) <= r(a) < r_hi(a) for
+    tau >= a >= tau_plus.  Hence every point of the region over [a, b] has
+    (tau*d - d_hat) * beta <= (b*d - d_hat)^+ * r_hi(a), the discharge
+    bound; the strong condition is that bound over [tau_plus, 1].
+
+    Returns (strong, weak, worst_witness): of the points (r_lo(a), a) the
+    search met (see _roots), the one of least slack rhs - (a*d - d_hat) *
+    r_lo(a), as (beta, tau, slack), where slack <= 0 is a violation; None
+    when strong holds or bmax <= 0.  Scalar arguments give that tuple, or
+    raise; sequences are broadcast to lanes, as in beta_max.
     """
-    if d_hat >= k:
-        raise CertifyError("bad input", f"d_hat={d_hat} >= k={k}")
-    rhs = alpha - alpha_dk(d, k)
-    strong = (d - d_hat) * bmax < rhs
-
-    if strong or bmax <= 0.0:
-        return strong, True, None
-
-    witness = None  # best (beta, tau, slack) seen, by smallest slack
-    near_zero = NEAR_ZERO_RATE * d
-
-    def check_box(b_lo, b_hi, t_lo, t_hi, db, dt, depth):
-        nonlocal witness
-        # Keep at least ~50 points per axis so coarse steps on a tiny box
-        # still cover it.
-        bs = _grid(max(b_lo, 0.0), b_hi, db, minimum_points=51)
-        ts = _grid(t_lo, t_hi, dt, minimum_points=51)
-        db_eff = bs[1] - bs[0]
-        dt_eff = ts[1] - ts[0]
-        margin = d * db_eff + d * bmax * dt_eff
-        coef = ts * d - d_hat
-        # coef grows with tau and beta >= 0, so (rounding included) a row
-        # peaks in its last column; below rhs - margin there it is inert.
-        bs = bs[coef[-1] * bs + margin >= rhs]
-        # Rows and columns spanned by the points within the margin of rhs.
-        first = last = None
-        col_lo, col_hi = len(ts), -1
-        rows = max(1, GRID_BLOCK_POINTS // len(ts))
-        live = np.ones(len(ts), dtype=bool)  # columns not yet seen below -near_zero
-        for i in range(0, len(bs), rows):
-            bb = bs[i : i + rows]
-            # coef * beta is monotone in beta for either sign of coef, so the
-            # block's end rows bound it; that bound grows with tau, so the
-            # columns that can reach rhs - margin are a suffix.
-            reach = np.maximum(coef * bb[0], coef * bb[-1]) + margin >= rhs
-            j0 = int(np.argmax(reach))
-            if not (live[j0] and live[-1]):
-                # The rates' entropy arguments are monotone in beta and tau,
-                # so these corners raise wherever the full block would.
-                _h_arr(np.array([alpha - ts[-1] * bb[-1], 1.0 - alpha - bb[-1],
-                                 1.0 - 2.0 * alpha - (1.0 - ts[j0]) * bb[-1]]))
-            cols = j0 + np.flatnonzero(live[j0:])
-            if not len(cols):
-                continue
-            vals = coef[cols] * bb[:, None]
-            rates = pair_rate_grid(d, alpha, bb, ts[cols])
-            live[cols[(rates < -near_zero).any(axis=0)]] = False
-            np.copyto(vals, -np.inf, where=rates < 0.0)
-            r, c = np.unravel_index(np.argmax(vals), vals.shape)
-            top = vals[r, c]
-            if top == -np.inf:
-                continue
-            if witness is None or rhs - top < witness[2]:
-                witness = (float(bb[r]), float(ts[cols[c]]), float(rhs - top))
-            # A raw violation at a grid point is a genuine counterexample on
-            # the continuum; no refinement can rescue it.
-            if top >= rhs:
-                return False
-            if top + margin < rhs:
-                continue
-            bi, ti = np.nonzero(vals + margin >= rhs)
-            first = i + bi[0] if first is None else first
-            last = i + bi[-1]
-            col_lo = min(col_lo, cols[ti.min()])
-            col_hi = max(col_hi, cols[ti.max()])
-        if first is None:
-            return True
-        if depth >= MAX_REFINEMENTS:
-            return False
-        nb_lo = max(b_lo, bs[first] - db_eff)
-        nb_hi = min(b_hi, bs[last] + db_eff)
-        nt_lo = max(t_lo, ts[col_lo] - dt_eff)
-        nt_hi = min(t_hi, ts[col_hi] + dt_eff)
-        return check_box(nb_lo, nb_hi, nt_lo, nt_hi, db / 10, dt / 10, depth + 1)
-
-    weak = check_box(0.0, bmax, tau_plus, 1.0, beta_step, tau_step, 0)
-    return strong, weak, witness
+    if all(np.ndim(v) == 0 for v in (d, k, d_hat, alpha, bmax, tau_plus)):
+        return _only(check_condition([d], k, d_hat, alpha, bmax, tau_plus))
+    lanes = _lanes(d, k, d_hat, alpha, bmax, tau_plus)
+    out, rhs = [], []
+    for d_i, k_i, dh, a, bm, t in zip(*(v.tolist() for v in lanes)):
+        rhs.append(math.nan)
+        try:
+            if dh >= k_i:
+                raise CertifyError("bad input", f"d_hat={dh} >= k={k_i}")
+            if not 0.0 < a < 0.5:
+                raise ValueError(f"alpha {a} outside (0, 1/2)")
+            if not 0.0 < t <= 1.0:
+                raise ValueError(f"tau_plus {t} outside (0, 1]")
+            if not t > a / (1.0 - a):
+                raise CertifyError("pair rate not monotone in tau",
+                                   f"tau_plus={t} <= alpha/(1 - alpha)")
+            rhs[-1] = a - alpha_dk(d_i, k_i)
+        except (CertifyError, ValueError) as exc:
+            out.append(exc)
+            continue
+        strong = (d_i - dh) * bm < rhs[-1]
+        out.append((strong, True, None) if strong or bm <= 0.0 else None)
+    todo = np.flatnonzero([o is None for o in out])
+    d, _, d_hat, alpha, _, tau_plus = (v[todo] for v in lanes)
+    for i, res in zip(todo.tolist(),
+                      _branch_and_bound(d, d_hat, alpha, np.array(rhs)[todo], tau_plus)):
+        out[i] = res
+    return out
 
 
-def certify(inp: CertifyInput, derived=None, bmax=None) -> CertifyResult:
+def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus):
+    """check_condition's (False, weak, witness) on lanes given as 1-d
+    arrays that passed its checks and failed the strong condition."""
+    weak = np.ones(len(d), dtype=bool)
+    # The open intervals [a, b], each with its lane, r_lo(a) and r_hi(a),
+    # and the (lane, slack, beta, tau) of every point evaluated.
+    lane, a, b = np.arange(len(d)), tau_plus.astype(float), np.ones(len(d))
+    r_lo, r_hi = _roots(d, alpha, a, _cap(alpha, a))
+    seen = []
+    for depth in range(MAX_DEPTH + 1):
+        dl, dh, rl = d[lane], d_hat[lane], rhs[lane]
+        seen.append((lane, rl - (a * dl - dh) * r_lo, r_lo, a))
+        is_open = np.maximum(b * dl - dh, 0.0) * r_hi >= rl
+        stuck = (a * dl - dh) * r_hi >= rl  # so is any violation, as a*d - d_hat >= 1
+        weak[lane[stuck | (is_open & (depth == MAX_DEPTH))]] = False
+        keep = is_open & weak[lane]
+        lane, a, b, r_lo, r_hi = (v[keep] for v in (lane, a, b, r_lo, r_hi))
+        if not len(lane):
+            break
+        # r(m) <= r(a) < r_hi(a) for m > a.
+        m = 0.5 * (a + b)
+        m_lo, m_hi = _roots(d[lane], alpha[lane], m, np.minimum(r_hi, _cap(alpha[lane], m)))
+        lane, a, b = np.r_[lane, lane], np.r_[a, m], np.r_[m, b]
+        r_lo, r_hi = np.r_[r_lo, m_lo], np.r_[r_hi, m_hi]
+    # Each lane's point of least slack, the smallest tau among equals.
+    lane, slack, beta, tau = map(np.concatenate, zip(*seen))
+    order = np.lexsort((tau, slack, lane))
+    first = order[np.diff(lane[order], prepend=-1) != 0]
+    return [(False, ok, (bt, t, sl)) for ok, bt, t, sl in
+            zip(weak.tolist(), beta[first].tolist(), tau[first].tolist(), slack[first].tolist())]
+
+
+def certify(inp: CertifyInput, derived=None, bmax=None, checked=None) -> CertifyResult:
     """Run the full decision procedure for one (d, k, alpha) triple.
 
-    derived is derive_dhat's outcome for inp, a CertifyResult or the
-    exception it raised, and bmax beta_max's outcome for it, a float or the
-    exception it raised, when a batch has already computed them.
+    derived, bmax and checked are the outcomes (value or exception) of
+    derive_dhat, beta_max and check_condition for inp, when a batch has
+    already computed them.
     """
     res = derive_dhat([inp])[0] if derived is None else derived
     if isinstance(res, CertifyError):
         return CertifyResult(error=res.reason)
-    if isinstance(res, Exception):
-        raise res
+    res = _only([res])
     try:
-        if bmax is None:
-            bmax = beta_max(inp.d, inp.alpha, res.tau_plus, step=inp.beta_grid_step)
-        elif isinstance(bmax, Exception):
-            raise bmax
-        strong, weak, witness = check_condition(
-            inp.d,
-            inp.k,
-            res.d_hat,
-            inp.alpha,
-            bmax,
-            res.tau_plus,
-            beta_step=inp.beta_grid_step,
-            tau_step=inp.tau_grid_step,
-        )
+        bmax = beta_max(inp.d, inp.alpha, res.tau_plus) if bmax is None else _only([bmax])
+        strong, weak, witness = _only([checked]) if checked is not None else check_condition(
+            inp.d, inp.k, res.d_hat, inp.alpha, bmax, res.tau_plus)
     except (CertifyError, ValueError) as exc:
         return replace(res, error=str(exc))
-    return replace(
-        res,
-        beta_max=bmax,
-        strong_condition_met=strong,
-        weak_condition_met=weak,
-        worst_witness=witness,
-        certified=strong or weak,
-    )
+    return replace(res, beta_max=bmax, strong_condition_met=strong, weak_condition_met=weak,
+                   worst_witness=witness, certified=strong or weak)
 
 
 def _certify_degrees(jobs, beta_step, tau_step):
     """certify_degree for every (d, alpha) in jobs, run in rounds.
 
     Each round derives d_hat for the pending (d, k) of all degrees in one
-    batch and beta_max for those it derives in another, then runs
-    check_condition degree by degree; a degree that fails goes to the next
-    round with k - 1.  Returns, per degree, certify_degree's (k_certified or
-    None, results) or the ValueError it raises.
+    batch, beta_max for those it derives in another and check_condition for
+    those in a third; a degree that fails goes to the next round with
+    k - 1.  Returns, per degree, certify_degree's (k_certified or None,
+    results) or the ValueError it raises.
     """
     out = [None] * len(jobs)
     pending = []  # (index into jobs, next k, results so far)
@@ -599,14 +449,19 @@ def _certify_degrees(jobs, beta_step, tau_step):
             else:
                 out[i] = (None, results)
         pending = []
-        derived = derive_dhat([inp for *_, inp in lanes])
+        inputs = [inp for *_, inp in lanes]
+        derived = derive_dhat(inputs)
         ok = [j for j, res in enumerate(derived) if isinstance(res, CertifyResult)]
-        bmax = dict(zip(ok, beta_max([lanes[j][2].d for j in ok],
-                                     [lanes[j][2].alpha for j in ok],
-                                     [derived[j].tau_plus for j in ok], beta_step)))
+        bmax = dict(zip(ok, beta_max([inputs[j].d for j in ok], [inputs[j].alpha for j in ok],
+                                     [derived[j].tau_plus for j in ok])))
+        ok = [j for j in ok if not isinstance(bmax[j], Exception)]
+        checked = dict(zip(ok, check_condition(
+            [inputs[j].d for j in ok], [inputs[j].k for j in ok],
+            [derived[j].d_hat for j in ok], [inputs[j].alpha for j in ok],
+            [bmax[j] for j in ok], [derived[j].tau_plus for j in ok])))
         for j, ((i, results, inp), dhat) in enumerate(zip(lanes, derived)):
             try:
-                res = certify(inp, dhat, bmax.get(j))
+                res = certify(inp, dhat, bmax.get(j), checked.get(j))
             except ValueError as exc:
                 out[i] = exc
                 continue
@@ -626,10 +481,7 @@ def certify_degree(d, alpha, beta_step=DEFAULT_BETA_STEP, tau_step=DEFAULT_TAU_S
     k <= d/2, in the rounds a sweep runs, here on one degree.  Returns
     (k_certified or None, list of (k, CertifyResult)).
     """
-    (outcome,) = _certify_degrees([(d, alpha)], beta_step, tau_step)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _only(_certify_degrees([(d, alpha)], beta_step, tau_step))
 
 
 @dataclass
@@ -800,9 +652,8 @@ def sweep(
     every degree that uses it comes from one lockstep alpha_fc_estimate.
 
     The degrees are certified in rounds (see _certify_degrees), in blocks of
-    SWEEP_BLOCK degrees: one batched derive_dhat and one batched beta_max
-    per round over every pending (d, k) of the block, a degree that fails
-    going on with k - 1.
+    SWEEP_BLOCK degrees, each round batching every pending (d, k) of the
+    block, a degree that fails going on with k - 1.
     With threads > 1 the pool has min(threads, os.cpu_count(), number of
     degrees) workers, and worker i runs the same rounds on every
     workers-th degree from the i-th, which spreads the costly low degrees

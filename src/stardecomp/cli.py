@@ -6,12 +6,15 @@ summaries and diagnostics go to stderr.  `verify`'s report is its verdict,
 with the diagnostics of an invalid decomposition, on stdout.  `certify` with --d-min > --d-max
 reports an empty degree range: no records, exit 0.
 
+`certify`'s --beta-step and --tau-step, the steps of an earlier (beta, tau)
+grid, are still validated and echoed in the config, and have no effect.
+
 Exit codes: 0 success (findings included), 1 failed verification or
 decomposition, 2 usage errors (including --max-retries < 1, a --tau-step
-that is not positive and finite, a --beta-step below certify.BETA_TOL =
-1e-10, the tolerance of beta_max's bisection, or not finite, a negative
---threads, a STARDECOMP_THREADS that is not a nonnegative integer,
-`sample --simple` with d >= n, and a `sample --simple` run out of tries), 3 missing alpha-table entry under --strict-table, 4 I/O
+that is not positive and finite, a --beta-step below MIN_BETA_STEP = 1e-10
+or not finite, a negative --threads, a STARDECOMP_THREADS that is not a
+nonnegative integer, `sample --simple` with d >= n, and a `sample --simple`
+run out of tries), 3 missing alpha-table entry under --strict-table, 4 I/O
 and parse errors (including a graph header above graphs.MAX_VERTICES
 vertices, and an alpha table with a row of other than two fields, a
 repeated degree or an alpha outside (0, 1/2)).
@@ -29,7 +32,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .certify import BETA_TOL, load_alpha_table, resolve_alpha, sweep
+from .certify import load_alpha_table, resolve_alpha, sweep
 from .decomp import (
     DecompositionFailed,
     decompose,
@@ -52,6 +55,7 @@ from .graphs import (
 )
 
 THREADS_ENV = "STARDECOMP_THREADS"
+MIN_BETA_STEP = 1e-10  # the floor of the step's earlier beta_max scan
 
 
 @contextlib.contextmanager
@@ -237,10 +241,9 @@ def _positive_float(text):
 
 def _beta_step(text):
     value = float(text)
-    if not BETA_TOL <= value < math.inf:
+    if not MIN_BETA_STEP <= value < math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be >= {BETA_TOL}, the beta_max bisection tolerance, and finite, "
-            f"got {value}")
+            f"must be >= {MIN_BETA_STEP} and finite, got {value}")
     return value
 
 
@@ -265,9 +268,9 @@ def build_parser():
     p.add_argument("--threads", type=_nonnegative_int, default=0,
                    help=f"worker processes (0: take {THREADS_ENV}, default 1)")
     p.add_argument("--beta-step", dest="beta_step", type=_beta_step,
-                   default=1e-6)
+                   default=1e-6, help="validated and echoed; has no effect")
     p.add_argument("--tau-step", dest="tau_step", type=_positive_float,
-                   default=1e-3)
+                   default=1e-3, help="validated and echoed; has no effect")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_certify)

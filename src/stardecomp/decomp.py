@@ -249,7 +249,6 @@ def orientation_feasible_bruteforce(H: Graph, ell):
     if n > 20:
         raise ValueError(f"n={n} exceeds brute-force cap 20")
     exact = H.num_edges() == ell * n
-    deg = [H.degree(v) for v in range(n)]
     masks = [(u, v) for u, v in H.edges]
     for S in range(1, 1 << n):
         U = [v for v in range(n) if S >> v & 1]
@@ -491,8 +490,11 @@ def write_decomposition(sd: StarDecomposition, fh):
 
 
 def read_decomposition(path) -> StarDecomposition:
+    """Read write_decomposition's format, skipping blank lines, with one
+    numpy parse of the ids once each line holds k + 1 tokens (a star) or 2
+    (the last r, leftover pairs); ids beyond int64 stay Python ints."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     if not lines:
         raise GraphFormatError(f"{path}: empty file")
     try:
@@ -500,17 +502,19 @@ def read_decomposition(path) -> StarDecomposition:
         body = lines[1:]
         if k < 1 or not 0 <= r <= len(body):
             raise ValueError
-        star_lines, leftover_lines = body[: len(body) - r], body[len(body) - r:]
-        stars = []
-        for ln in star_lines:
-            parts = list(map(int, ln.split()))
-            if len(parts) != k + 1:
-                raise ValueError
-            stars.append((parts[0], parts[1:]))
-        leftover = []
-        for ln in leftover_lines:
-            u, v = map(int, ln.split())
-            leftover.append((u, v))
+        n_stars = len(body) - r
+        counts = np.fromiter(map(len, map(str.split, body)), dtype=np.int64, count=len(body))
+        if (counts[:n_stars] != k + 1).any() or (counts[n_stars:] != 2).any():
+            raise ValueError
+        tokens = " ".join(body).split()
+        try:
+            ids = np.array(tokens, dtype=np.int64)
+        except OverflowError:
+            ids = np.array([int(t) for t in tokens], dtype=object)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: malformed decomposition file") from exc
+    width = k + 1 if n_stars else 1
+    rows = ids[: n_stars * width].reshape(n_stars, width)
+    stars = list(zip(rows[:, 0].tolist(), rows[:, 1:].tolist()))
+    leftover = list(map(tuple, ids[len(ids) - 2 * r:].reshape(r, 2).tolist()))
     return StarDecomposition(k=k, stars=stars, leftover=leftover)

@@ -190,20 +190,12 @@ def subset_rate(d: int, x: float, t: float) -> float:
     )
 
 
-def _h_arr(x, out=None):
-    """Vectorized -x log x with the same clamping band as h.
-
-    With `out`, an array of the shape of x, the result is written there and
-    x, which must then be a float array, is clipped to [0, 1] in place.
-    """
+def _h_arr(x):
+    """Vectorized -x log x with the same clamping band as h."""
     x = np.asarray(x, dtype=float)
     if x.size and (x.min() < -CLAMP_TOL or x.max() > 1.0 + CLAMP_TOL):
         raise ValueError("array entropy argument outside [0, 1]")
-    if out is None:
-        x, out = np.clip(x, 0.0, 1.0), np.zeros_like(x)
-    else:
-        np.clip(x, 0.0, 1.0, out=x)
-        out.fill(0.0)
+    x, out = np.clip(x, 0.0, 1.0), np.zeros_like(x)
     # log(1) is exactly 0, so only x = 0 needs masking.
     np.log(x, out=out, where=x > 0.0)
     out *= x

@@ -1,12 +1,20 @@
 """Reference oracles for the differential tests of the lockstep bisection:
 the scalar bisection and the one-degree-at-a-time first-moment bound,
 average-degree ceiling, its inverse and d_hat derivation that evaluate
-every point with the scalar rates.  Every lane of the library's batched
-versions must return exactly what these return for it alone."""
+every point with the scalar rates, and the pair rate's root solve scanning
+one point at a time.  Every lane of the library's batched versions must
+return exactly what these return for it alone."""
 
 import math
 
-from stardecomp.certify import CertifyError, CertifyResult
+from stardecomp.certify import (
+    RATE_EPS,
+    ROOT_POINTS,
+    ROOT_REL_TOL,
+    CertifyError,
+    CertifyResult,
+    pair_rate_grid,
+)
 from stardecomp.entropy import (
     INV_TOL_SCALE,
     MAX_BISECT_ITER,
@@ -14,6 +22,7 @@ from stardecomp.entropy import (
     DomainError,
     alpha_dk,
     ind_set_rate,
+    pair_rate,
     subset_rate,
 )
 
@@ -98,3 +107,35 @@ def derive_dhat(inp):
     return CertifyResult(
         t1=t1, x1=x1, x2=x2, t2=t2, d_hat=d_hat, tau_plus=(d_hat + 1) / d
     )
+
+
+def beta_max(d, alpha, tau):
+    """r_hi(tau) scanned one point at a time: down the halvings of the
+    domain cap to the first point not surely negative, then, round by
+    round, up the bracket's dyadic points to the first one that is.  Each
+    point's rate is the library's kernel on that point alone."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha {alpha} outside (0, 1/2)")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau_plus {tau} outside (0, 1]")
+    if pair_rate(d, alpha, 0.0, tau) < 0.0:
+        return 0.0
+
+    def negative(beta):
+        return pair_rate_grid([d], [alpha], [[beta]], [tau])[0, 0] < -RATE_EPS * d
+
+    hi = min(1.0 - 2.0 * alpha, alpha / tau)
+    if not negative(hi):
+        return hi
+    lo = 0.5 * hi
+    while negative(lo):
+        hi, lo = lo, 0.5 * lo
+    while hi - lo > ROOT_REL_TOL * hi:
+        base, width = lo, hi - lo
+        for j in range(1, ROOT_POINTS + 1):
+            beta = base + width * (j / (ROOT_POINTS + 1.0))
+            if negative(beta):
+                hi = beta
+                break
+            lo = beta
+    return hi

@@ -1,15 +1,24 @@
-"""Reference oracles for the differential tests of the certifier's grid step:
-the straightforward entropy kernel, the one-shot pair-rate grid, the
-full-grid condition check and the point-by-point beta_max scan.  The check
-builds and evaluates every (beta, tau) grid point, also when the strong
-condition already settles the verdict, and the scan evaluates every beta
-with the scalar pair rate, so they show plainly what the library's blocked
-and vectorised versions must agree with."""
+"""Reference oracles from the certifier's earlier, two-dimensional check: the
+straightforward entropy kernel and one-shot pair-rate grid, the full-grid
+condition check on a (beta, tau) grid with a Lipschitz safety margin,
+refined around violations, and the point-by-point beta_max scan it took as
+input.  The check evaluates every grid point, also when the strong condition
+already settles the verdict.
+
+The grid is a one-sided oracle for the one-dimensional check: its margin
+makes it conservative, so wherever it certifies, check_condition must
+certify too.  The one-shot pair-rate grid must agree with the library's
+element by element."""
+
+import math
 
 import numpy as np
 
-from stardecomp.certify import MAX_REFINEMENTS, CertifyError, _grid
+from stardecomp.certify import CertifyError
 from stardecomp.entropy import alpha_dk, ind_set_rate, pair_rate
+
+MAX_GRID_POINTS = 4001
+MAX_REFINEMENTS = 3
 
 
 def h_arr(x):
@@ -35,6 +44,13 @@ def pair_rate_grid(d, alpha, betas, taus):
     )
     vert = h_arr(np.full((1, 1), alpha)) + h_arr(b) + h_arr(1.0 - alpha - b)
     return d / 2.0 * edge - (d - 1) * vert
+
+
+def _grid(lo, hi, step, minimum_points=2):
+    n = max(minimum_points, int(math.ceil((hi - lo) / step)) + 1)
+    # Cap grid size; the Lipschitz margin uses the effective spacing, so a
+    # coarser-than-requested grid stays conservative.
+    return np.linspace(lo, hi, min(n, MAX_GRID_POINTS))
 
 
 def check_condition(d, k, d_hat, alpha, bmax, tau_plus, beta_step, tau_step):

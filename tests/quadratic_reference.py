@@ -3,7 +3,8 @@
 The straightforward quadratic versions of the greedy independent set,
 thinning and relief trimming rescan every vertex or member on every pick,
 which makes the selection rule easy to read off; the library versions must
-pick the same vertices.  The line-by-line graph parser, the dictionary
+pick the same vertices.  The line-by-line graph and decomposition parsers,
+the dictionary
 relabelling of induced_subgraph, the edge-by-edge star extraction and the
 Counter-based verifier are the per-edge Python loops the numpy versions
 replaced; those must return equal results (the verifier's diagnostics
@@ -132,6 +133,32 @@ def read_graph(path) -> Graph:
         return Graph(n, edges)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
+
+
+def read_decomposition(path) -> StarDecomposition:
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise GraphFormatError(f"{path}: empty file")
+    try:
+        k, r = map(int, lines[0].split())
+        body = lines[1:]
+        if k < 1 or not 0 <= r <= len(body):
+            raise ValueError
+        star_lines, leftover_lines = body[: len(body) - r], body[len(body) - r:]
+        stars = []
+        for ln in star_lines:
+            parts = list(map(int, ln.split()))
+            if len(parts) != k + 1:
+                raise ValueError
+            stars.append((parts[0], parts[1:]))
+        leftover = []
+        for ln in leftover_lines:
+            u, v = map(int, ln.split())
+            leftover.append((u, v))
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: malformed decomposition file") from exc
+    return StarDecomposition(k=k, stars=stars, leftover=leftover)
 
 
 def induced_subgraph(g: Graph, U):

@@ -1,5 +1,5 @@
 """Tests for the certification module: the thinness-parameter derivation,
-the pair-rate grid checks, and degree sweeps."""
+the pair rate's roots and the one-dimensional check, and degree sweeps."""
 
 import concurrent.futures
 import dataclasses
@@ -18,10 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stardecomp.certify import (
-    BETA_TOL,
-    GRID_BLOCK_POINTS,
-    NEAR_ZERO_RATE,
-    SCALAR_SCAN_STEPS,
+    RATE_EPS,
     CertifyError,
     CertifyInput,
     CertifyResult,
@@ -97,16 +94,20 @@ def test_pair_rate_grid_matches_scalar(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_pair_rate_grid_matches_reference(seed):
-    # Blocked evaluation and the fused kernel keep every element of the
-    # one-shot evaluator, domain edges (beta = 0, tau in {0, 1}) included.
+    # The kernel keeps every element of the one-shot evaluator, domain edges
+    # (beta = 0, tau in {0, 1}) included, also with one d, alpha and beta
+    # row per column, as the root solves call it.
     rng = np.random.default_rng(seed)
     d = int(rng.integers(3, 3001))
     alpha = float(rng.uniform(0.01, 0.49))
     taus = np.sort(np.r_[0.0, 1.0, rng.uniform(0.0, 1.0, int(rng.integers(0, 1200)))])
-    rows = int(rng.integers(1, 3 * GRID_BLOCK_POINTS // len(taus)))
+    rows = int(rng.integers(1, 40))
     betas = np.linspace(0.0, min(1.0 - 2.0 * alpha, alpha), rows)
-    assert np.array_equal(pair_rate_grid(d, alpha, betas, taus),
-                          ref.pair_rate_grid(d, alpha, betas, taus))
+    expected = ref.pair_rate_grid(d, alpha, betas, taus)
+    assert np.array_equal(pair_rate_grid(d, alpha, betas, taus), expected)
+    lanes = np.broadcast_to(betas[:, None], expected.shape)
+    assert np.array_equal(
+        pair_rate_grid([d] * len(taus), [alpha] * len(taus), lanes, taus), expected)
 
 
 def test_h_arr_domain():
@@ -119,101 +120,35 @@ def test_h_arr_domain():
     assert _h_arr(np.array([])).shape == (0,)
 
 
-def _boxes(mp, module):
-    """Wrap module._grid and module.pair_rate_grid to log each box of a
-    check: its beta and tau grids (two _grid calls open a box), then the
-    (betas, taus, rates) of every pair_rate_grid call made for it."""
-    boxes = []
-    grid, rate_grid = module._grid, module.pair_rate_grid
-
-    def record_grid(*args, **kwargs):
-        axis = grid(*args, **kwargs)
-        if not boxes or len(boxes[-1]["axes"]) == 2:
-            boxes.append({"axes": [], "calls": []})
-        boxes[-1]["axes"].append(axis)
-        return axis
-
-    def record_rates(d, alpha, betas, taus):
-        rates = rate_grid(d, alpha, betas, taus)
-        boxes[-1]["calls"].append((np.asarray(betas), np.asarray(taus), rates))
-        return rates
-
-    mp.setattr(module, "_grid", record_grid)
-    mp.setattr(module, "pair_rate_grid", record_rates)
-    return boxes
-
-
-def _assert_matches_full_grid(d, k, alpha, beta_step, tau_step):
-    """The blocked, column-restricted check gives the full grid's (strong,
-    weak), builds the same sequence of boxes, and evaluates every point that
-    can fail the check or trigger a refinement, with the full grid's rate;
-    only a box that stops at a raw violation may leave later rows out.  A
-    column is evaluated at no beta above one where it was already computed
-    below -NEAR_ZERO_RATE * d."""
+def _sweep_case(d, k, alpha):
+    """derive_dhat's result and beta_max at (d, k, alpha), or None where
+    derive_dhat fails."""
     try:
         res = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha))
-        bmax = beta_max(d, alpha, res.tau_plus, step=beta_step)
+    except (CertifyError, ValueError, RuntimeError):
+        return None
+    return res, beta_max(d, alpha, res.tau_plus)
+
+
+def _full_grid(d, k, alpha, res, steps=(1e-6, 1e-3)):
+    """(strong, weak) of the earlier two-dimensional check on its own
+    scan's beta_max; (False, False) where the scan fails."""
+    try:
+        bmax = ref.beta_max(d, alpha, res.tau_plus, steps[0])
+        return ref.check_condition(d, k, res.d_hat, alpha, bmax, res.tau_plus, *steps)[:2]
     except (CertifyError, ValueError):
-        return
-    args = (d, k, res.d_hat, alpha, bmax, res.tau_plus, beta_step, tau_step)
-    with pytest.MonkeyPatch.context() as mp:
-        # The package re-exports the function `certify` under the module name.
-        module = sys.modules["stardecomp.certify"]
-        new_boxes = _boxes(mp, module)
-        ref_boxes = _boxes(mp, ref)
-        new = check_condition(*args)
-        old = ref.check_condition(*args)
-    assert new[:2] == old[:2]
-    if new[0]:
-        assert new_boxes == [] and new[2] is None
-        return
-    rhs = alpha - alpha_dk(d, k)
-    # The witness has the least slack of the nonnegative-rate points evaluated.
-    slacks = [rhs - ((taus * d - res.d_hat) * betas[:, None])[block >= 0.0].max()
-              for box in new_boxes for betas, taus, block in box["calls"]
-              if np.any(block >= 0.0)]
-    assert new[2] is None if not slacks else new[2][2] == min(slacks)
-    assert len(new_boxes) == len(ref_boxes)
-    for n, (new_box, ref_box) in enumerate(zip(new_boxes, ref_boxes)):
-        assert all(map(np.array_equal, new_box["axes"], ref_box["axes"]))
-        [(bs, ts, rates)] = ref_box["calls"]
-        margin = d * (bs[1] - bs[0]) + d * bmax * (ts[1] - ts[0])
-        vals = (ts[None, :] * d - res.d_hat) * bs[:, None]
-        needed = (rates >= 0.0) & (vals + margin >= rhs)
-        seen = np.zeros_like(needed)
-        dead = np.zeros(len(ts), dtype=bool)
-        for betas, taus, block in new_box["calls"]:
-            i, j = np.searchsorted(bs, betas), np.searchsorted(ts, taus)
-            assert np.array_equal(bs[i], betas) and np.array_equal(ts[j], taus)
-            assert np.array_equal(block, rates[np.ix_(i, j)])
-            assert not dead[j].any()
-            dead[j] |= (block < -module.NEAR_ZERO_RATE * d).any(axis=0)
-            seen[np.ix_(i, j)] = True
-        if not new[1] and n == len(new_boxes) - 1:
-            # A failed check may stop at the first block holding a raw
-            # violation, leaving the rows after it unevaluated.
-            last = np.flatnonzero(seen.any(axis=1)).max(initial=-1)
-            if np.any((rates[: last + 1] >= 0.0) & (vals[: last + 1] >= rhs)):
-                needed[last + 1 :] = False
-        assert seen[needed].all()
+        return False, False
 
 
-# Weak-only certificates at (30, 17) and (176, 92) refine once, (31, 17) does
-# not; (40, 22) and (1806, 909) are weak-only too; d = 31 and 50 fail at
-# k_ind and d = 100 is strong.
+# Weak-only certificates at (30, 17), (176, 92), (40, 22) and (1806, 909);
+# (31, 17) certifies too, d = 31 and 50 fail at k_ind and d = 100 is strong.
 @pytest.mark.parametrize("d, k", [(30, 17), (176, 92), (31, 17), (31, 18),
                                   (50, 28), (100, 53), (40, 22), (1806, 909)])
 def test_check_condition_matches_full_grid_on_sweep_cases(d, k):
-    _assert_matches_full_grid(d, k, alpha_fc_estimate(d), 1e-6, 1e-3)
-
-
-@pytest.mark.parametrize("d, k", [(30, 17), (40, 22), (176, 92)])
-def test_check_condition_kills_columns_only_below_zero(monkeypatch, d, k):
-    # With a wide near-zero band many evaluated points lie between the cut
-    # and 0; a column dies only below the cut, so the check still matches
-    # the full grid.
-    monkeypatch.setattr(sys.modules["stardecomp.certify"], "NEAR_ZERO_RATE", 1e-4)
-    _assert_matches_full_grid(d, k, alpha_fc_estimate(d), 1e-6, 1e-3)
+    alpha = alpha_fc_estimate(d)
+    res, bmax = _sweep_case(d, k, alpha)
+    got = check_condition(d, k, res.d_hat, alpha, bmax, res.tau_plus)
+    assert got[:2] == _full_grid(d, k, alpha, res)
 
 
 @given(
@@ -222,30 +157,24 @@ def test_check_condition_kills_columns_only_below_zero(monkeypatch, d, k):
     rel=st.floats(-0.05, 0.05),
     coarse=st.booleans(),
 )
-@settings(max_examples=40, deadline=None)
-def test_check_condition_matches_full_grid(d, drop, rel, coarse):
-    # At k_ind and k_ind - 1 around the sweep's densities; coarse steps make
-    # the margin wide, so more rows are evaluated and boxes refine.
+@settings(max_examples=200, deadline=None)
+def test_check_condition_certifies_wherever_the_full_grid_does(d, drop, rel, coarse):
+    # At k_ind and k_ind - 1 around the sweep's densities; coarse steps widen
+    # the grid's margin, so that it certifies less.
     alpha = alpha_fc_estimate(d) * (1.0 + rel)
     k = math.floor(kappa(d, alpha)) - drop
-    steps = (1e-5, 1e-2) if coarse else (1e-6, 1e-3)
-    _assert_matches_full_grid(d, k, alpha, *steps)
+    case = _sweep_case(d, k, alpha)
+    if case is None:
+        return
+    res, bmax = case
+    _, weak, _ = check_condition(d, k, res.d_hat, alpha, bmax, res.tau_plus)
+    if not weak:
+        steps = (1e-5, 1e-2) if coarse else (1e-6, 1e-3)
+        assert _full_grid(d, k, alpha, res, steps) == (False, False)
 
 
-@pytest.mark.parametrize("d, k", [(30, 17), (40, 22), (176, 92), (100, 53)])
-def test_check_condition_raises_where_a_block_leaves_the_domain(d, k):
-    # Past beta = alpha the column tau = 1 leaves the entropy domain, after
-    # it has died; the check still raises as the blocks without dead columns
-    # do.
-    alpha = alpha_fc_estimate(d)
-    res = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha))
-    for bmax in (1.01 * alpha, 1.0 - 2.0 * alpha):
-        with pytest.raises(ValueError, match="outside"):
-            check_condition(d, k, res.d_hat, alpha, bmax, res.tau_plus)
-
-
-# The two premises of check_condition's dead-column rule, against mpmath at
-# 40 digits, the float inputs taken as exact.
+# The premises of check_condition's proofs and the bound RATE_EPS, against
+# mpmath at 40 digits, the float inputs taken as exact.
 def _exact_pair_rate(d, alpha, beta, tau):
     h = lambda x: -x * mpmath.log(x) if x > 0 else mpmath.mpf(0)
     a, b, t = map(mpmath.mpf, (alpha, beta, tau))
@@ -255,27 +184,34 @@ def _exact_pair_rate(d, alpha, beta, tau):
     return mpmath.mpf(d) / 2 * edge - (d - 1) * (h(a) + h(b) + h(1 - a - b))
 
 
+def _draw_case(rng):
+    """(d, alpha, derive_dhat's result, beta_max) as the sweep meets them,
+    d log-uniform on 30..10^6 and alpha within 5% of the estimate, or None
+    where derive_dhat fails."""
+    d = int(np.exp(rng.uniform(np.log(30), np.log(10**6))))
+    alpha = alpha_fc_estimate(d) * (1.0 + rng.uniform(-0.05, 0.05))
+    case = _sweep_case(d, math.floor(kappa(d, alpha)), alpha)
+    return None if case is None else (d, alpha, *case)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_pair_rate_grid_error_far_below_the_dead_column_cut(seed):
-    # Points as the sweep's grids meet them: alpha near the estimate, beta
-    # up to beta_max and tau from tau_plus.
+def test_pair_rate_grid_error_within_half_of_rate_eps(seed):
+    # Points as the root solves meet them: beta up to ten times beta_max
+    # (capped at alpha, the domain's end at tau = 1) and tau from tau_plus.
     rng = np.random.default_rng(seed)
-    d = int(rng.integers(30, 10**5 + 1))
-    alpha = alpha_fc_estimate(d) * (1.0 + rng.uniform(-0.05, 0.05))
-    try:
-        res = derive_dhat(CertifyInput(d=d, k=math.floor(kappa(d, alpha)), alpha=alpha))
-        bmax = beta_max(d, alpha, res.tau_plus)
-    except (CertifyError, ValueError):
+    case = _draw_case(rng)
+    if case is None:
         return
-    betas = np.r_[bmax, rng.uniform(0.0, bmax, 3)]
+    d, alpha, res, bmax = case
+    betas = np.minimum(np.r_[bmax, rng.uniform(0.0, bmax, 3), 10.0 * bmax], alpha)
     taus = np.r_[res.tau_plus, 1.0, rng.uniform(res.tau_plus, 1.0, 3)]
     grid = pair_rate_grid(d, alpha, betas, taus)
     with mpmath.workdps(40):
         for i, b in enumerate(betas.tolist()):
             for j, t in enumerate(taus.tolist()):
                 exact = _exact_pair_rate(d, alpha, b, t)
-                assert abs(float(grid[i, j]) - exact) <= 1e-3 * NEAR_ZERO_RATE * d
+                assert abs(float(grid[i, j]) - exact) <= 0.5 * RATE_EPS * d
 
 
 @given(st.integers(0, 10_000))
@@ -292,6 +228,45 @@ def test_pair_rate_is_strictly_concave_in_beta(seed):
         second = mpmath.diff(f, mpmath.mpf(beta), 2)
         bound = -1 / mpmath.mpf(beta) - 1 / (1 - mpmath.mpf(alpha) - beta)
         assert second <= bound * (1 - mpmath.mpf(10) ** -25)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_pair_rate_falls_in_tau_past_alpha_over_one_minus_alpha(seed):
+    # df/dtau = d beta log[(1-tau)(alpha - tau beta) / (tau (c - (1-tau) beta))],
+    # negative for tau > alpha/(1 - alpha) at every beta > 0 in the domain.
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([3, 30, 1000, 10**5, 10**6]))
+    alpha = rng.uniform(0.001, 0.49)
+    tau = rng.uniform(alpha / (1.0 - alpha), 1.0 - 1e-6)
+    beta = rng.uniform(1e-9, 0.99) * min(1.0 - 2.0 * alpha, alpha / tau)
+    with mpmath.workdps(40):
+        a, b, t = map(mpmath.mpf, (alpha, beta, tau))
+        slope = mpmath.diff(lambda x: _exact_pair_rate(d, alpha, beta, x), t)
+        closed = d * b * mpmath.log((1 - t) * (a - t * b) / (t * (1 - 2 * a - (1 - t) * b)))
+        assert slope < 0
+        assert abs(slope - closed) <= mpmath.mpf(10) ** -20 * abs(closed)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_beta_max_is_past_the_root_at_any_tau(seed):
+    # r_hi(tau) = beta_max(d, alpha, tau), at tau_plus and at a tau in
+    # [tau_plus, 1] as the search meets it: the exact rate is negative there.
+    # Above the first-moment bound it is 0 instead.
+    rng = np.random.default_rng(seed)
+    case = _draw_case(rng)
+    if case is None:
+        return
+    d, alpha, res, bmax = case
+    if ind_set_rate(d, alpha) < 0.0:
+        assert bmax == 0.0
+        return
+    tau = res.tau_plus + rng.uniform(0.0, 1.0) * (1.0 - res.tau_plus)
+    with mpmath.workdps(40):
+        for t, r_hi in ((res.tau_plus, bmax), (tau, beta_max(d, alpha, tau))):
+            assert 0.0 < r_hi < min(1.0 - 2.0 * alpha, alpha / t)
+            assert _exact_pair_rate(d, alpha, r_hi, t) < 0
 
 
 def test_beta_max_zero_when_rate_negative():
@@ -326,57 +301,23 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@given(
-    d=st.one_of(st.integers(30, 99), st.integers(100, 3000)),
-    rel=st.floats(-0.05, 0.05),
-    tau_plus=st.floats(0.0, 1.0, exclude_min=True),
-    drop=st.sampled_from([None, 0, 1]),
-    step=st.sampled_from([1e-6, 1e-5, 1e-4]),
-)
-@settings(max_examples=60, deadline=None)
-def test_beta_max_matches_scalar_scan(d, rel, tau_plus, drop, step):
-    # tau_plus is drawn from (0, 1] or, for the long scans the sweep makes,
-    # taken from derive_dhat at k_ind - drop; failures must match too.
-    alpha = alpha_fc_estimate(d) * (1.0 + rel)
-    if drop is not None:
-        k = math.floor(kappa(d, alpha)) - drop
-        try:
-            tau_plus = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha)).tau_plus
-        except CertifyError:
-            pass
-    assert (_outcome(beta_max, d, alpha, tau_plus, step)
-            == _outcome(ref.beta_max, d, alpha, tau_plus, step))
+def test_check_condition_needs_tau_plus_past_alpha_over_one_minus_alpha():
+    # Both conditions rest on the rate falling in tau, which it does only
+    # past alpha/(1 - alpha) = 0.25 here.
+    with pytest.raises(CertifyError, match="not monotone in tau"):
+        check_condition(100, 53, 30, 0.2, 1e-6, 0.25)
+    assert check_condition(100, 53, 30, 0.2, 0.0, 0.2500001) == (True, True, None)
 
 
-# The step puts the scan's first negative point at the given index: inside
-# the scalar prefix, on the first point of the first block, and on the last
-# and the first point of two adjacent blocks.
-@pytest.mark.parametrize("first", [5, SCALAR_SCAN_STEPS, 2 * SCALAR_SCAN_STEPS - 1,
-                                   2 * SCALAR_SCAN_STEPS, 4 * SCALAR_SCAN_STEPS])
-def test_beta_max_sign_change_at_scan_boundaries(first):
-    d = 50
+def test_open_interval_at_the_depth_cap_fails_the_degree(monkeypatch):
+    # (30, 17) certifies only through the search, which splits [tau_plus, 1].
+    d, k = 30, 17
     alpha = alpha_fc_estimate(d)
-    tau_plus = derive_dhat(CertifyInput(d=d, k=28, alpha=alpha)).tau_plus
-    step = ref.beta_max(d, alpha, tau_plus, 1e-6) / (first + 0.5)
-    scan = np.cumsum(np.full(first + 1, step))
-    assert (pair_rate(d, alpha, float(scan[first]), tau_plus) < 0.0
-            <= pair_rate(d, alpha, float(scan[first - 1]), tau_plus))
-    assert beta_max(d, alpha, tau_plus, step) == ref.beta_max(d, alpha, tau_plus, step)
-
-
-def test_beta_max_scan_failures_match_scalar_scan():
-    # No sign change on 800 points, most of them in blocks, nor on 200 whose
-    # last block crosses beta = 1 - 2 alpha, past which the rate turns
-    # negative.
-    for args in ((10, 0.1, 0.1, 1e-3), (4, 0.4, 1.0, 1e-3)):
-        with pytest.raises(CertifyError) as exc:
-            beta_max(*args)
-        assert exc.value.reason == "no sign change"
-    # alpha - tau*beta leaves the entropy domain inside a block: the scalar
-    # scan takes over and raises at the same point as the reference.
-    args = (3, 0.2, 0.5, 1e-4)
-    assert _outcome(beta_max, *args) == _outcome(ref.beta_max, *args)
-    assert _outcome(beta_max, *args)[0] is DomainError
+    res, bmax = _sweep_case(d, k, alpha)
+    args = (d, k, res.d_hat, alpha, bmax, res.tau_plus)
+    assert check_condition(*args)[:2] == (False, True)
+    monkeypatch.setattr(sys.modules["stardecomp.certify"], "MAX_DEPTH", 0)
+    assert check_condition(*args)[:2] == (False, False)
 
 
 def test_check_condition_rejects_dhat_at_k():
@@ -492,102 +433,106 @@ def test_load_alpha_table_rejects_bad_header(tmp_path):
         load_alpha_table(path)
 
 
-def test_beta_max_rejects_step_below_bisection_tolerance():
-    # The scan would walk (1 - 2 alpha) / step points: 1e-300 never ends.
-    alpha = alpha_fc_estimate(30)
-    for step in (1e-300, BETA_TOL / 2, float("nan")):
-        with pytest.raises(ValueError, match="bisection tolerance"):
-            beta_max(30, alpha, 0.5, step)
-
-
-# beta_max on batches of lanes.
+# beta_max and check_condition on batches of lanes.
 
 def _sweep_lanes(lanes):
-    """beta_max arguments (d, alpha, tau_plus, step) as a sweep makes them:
-    the estimate's alpha and derive_dhat's tau_plus at k_ind - drop, for
-    (d, drop, step) lanes; lanes whose derive_dhat fails are left out."""
-    alphas = alpha_fc_estimate([d for d, _, _ in lanes]).tolist()
+    """(d, alpha, tau_plus, k, d_hat, *extra) as a sweep makes them: the
+    estimate's alpha and derive_dhat's tau_plus at k_ind - drop, for
+    (d, drop, *extra) lanes; lanes whose derive_dhat fails are left out."""
+    alphas = alpha_fc_estimate([d for d, *_ in lanes]).tolist()
     inputs = [CertifyInput(d=d, k=math.floor(kappa(d, a)) - drop, alpha=a)
-              for (d, drop, _), a in zip(lanes, alphas)]
-    return [(d, a, res.tau_plus, step)
-            for (d, _, step), a, res in zip(lanes, alphas, derive_dhat(inputs))
+              for (d, drop, *_), a in zip(lanes, alphas)]
+    return [(inp.d, inp.alpha, res.tau_plus, inp.k, res.d_hat, *extra)
+            for inp, res, (_, _, *extra) in zip(inputs, derive_dhat(inputs), lanes)
             if isinstance(res, CertifyResult)]
 
 
 def _lane_outcomes(results):
-    """beta_max's list of values and exceptions as comparable outcomes."""
+    """A list of lane values and exceptions as comparable outcomes."""
     return [(type(r), str(r)) if isinstance(r, Exception) else r for r in results]
 
 
-_BETA_LANE = st.tuples(st.integers(30, 10**5) | st.integers(30, 299),
-                      st.sampled_from([0, 1]), st.sampled_from([1e-6, 1e-5, 1e-4]))
+def _batches(rnd, n):
+    """Lane indices in a random order, each half of that order, one lane."""
+    order = rnd.sample(range(n), n)
+    return order, order[: n // 2], order[n // 2:], order[:1]
 
 
-# Batches of a few lanes, where the scalar rate decides the one-point
-# rounds, and of more than SCALAR_LANES, where pair_rate_grid does.
-@given(st.lists(_BETA_LANE, min_size=1, max_size=8)
-       | st.lists(_BETA_LANE, min_size=SCALAR_LANES + 1, max_size=2 * SCALAR_LANES))
+_RATE_LANE = st.tuples(st.integers(30, 10**6) | st.integers(30, 299), st.sampled_from([0, 1]),
+                      st.none() | st.floats(0.0, 1.0))
+
+
+# Batches of a few lanes and of many, each at tau_plus (None) or at a tau
+# that fraction of the way from tau_plus to 1.
+@given(st.lists(_RATE_LANE, min_size=1, max_size=8)
+       | st.lists(_RATE_LANE, min_size=SCALAR_LANES + 1, max_size=2 * SCALAR_LANES))
 @settings(max_examples=20, deadline=None)
 def test_beta_max_lanes_match_scalar_scan(lanes):
-    args = _sweep_lanes(lanes)
+    args = [(d, a, t if frac is None else t + frac * (1.0 - t))
+            for d, a, t, _, _, frac in _sweep_lanes(lanes)]
     got = beta_max(*zip(*args)) if args else []
-    assert _lane_outcomes(got) == [_outcome(ref.beta_max, *lane) for lane in args]
+    assert _lane_outcomes(got) == [_outcome(bisect_reference.beta_max, *lane) for lane in args]
+
+
+def test_beta_max_scan_failures_match_scalar_scan():
+    # Where the rate does not turn surely negative below the domain cap
+    # min(1 - 2 alpha, alpha / tau), the cap is the value, in a batch as in
+    # the scalar scan: the cap alpha / tau at (3, 0.2, 0.5), 1 - 2 alpha at
+    # (10, 0.1, 0.1) and (4, 0.4, 1.0); (30, 0.1, 1.0) brackets a root below
+    # its cap.
+    lanes = [(3, 0.2, 0.5), (10, 0.1, 0.1), (4, 0.4, 1.0), (30, 0.1, 1.0)]
+    expected = [bisect_reference.beta_max(*lane) for lane in lanes]
+    assert beta_max(*zip(*lanes)) == expected
+    assert expected[:3] == [min(1.0 - 2.0 * a, a / t) for _, a, t in lanes[:3]]
+    assert expected[3] < min(1.0 - 2.0 * 0.1, 0.1 / 1.0)
 
 
 def test_beta_max_lane_independent_of_its_batch():
+    # beta_max at tau_plus and at a tau drawn from [tau_plus, 1], where it is
+    # the search's r_hi(tau), and check_condition's verdicts and witnesses:
+    # a lane's outcome in any batch is the one it has alone.  The padding
+    # holds lanes that fail or end at a domain cap.
     rnd = random.Random(0)
-    args = _sweep_lanes([(rnd.randint(30, 10**5), rnd.randint(0, 1),
-                          rnd.choice([1e-6, 1e-5, 1e-4])) for _ in range(3 * SCALAR_LANES)])
-    alone = [_outcome(beta_max, *lane) for lane in args]
-    order = rnd.sample(range(len(args)), len(args))
-    half = len(order) // 2
-    padding = _sweep_lanes([(rnd.randint(30, 99), 0, 1e-6) for _ in range(SCALAR_LANES)])
-    padding.append((3, 0.2, 0.5, 1e-4))  # leaves the entropy domain
-    for batch in (order, order[:half], order[half:], order[:1]):
-        got = beta_max(*zip(*(args[i] for i in batch)))
+    cases = _sweep_lanes([(rnd.choice([rnd.randint(30, 299), rnd.randint(30, 10**5)]),
+                           rnd.randint(0, 1)) for _ in range(3 * SCALAR_LANES)])
+    lanes = [(d, a, t) for d, a, t, *_ in cases]
+    lanes += [(d, a, t + rnd.random() * (1.0 - t)) for d, a, t in lanes]
+    alone = [_outcome(beta_max, *lane) for lane in lanes]
+    padding = [(3, 0.2, 0.5), (10, 0.1, 0.1), (10, 0.6, 0.5), (30, 0.3, 0.5)]
+    for batch in _batches(rnd, len(lanes)):
+        got = beta_max(*zip(*(lanes[i] for i in batch)))
         assert _lane_outcomes(got) == [alone[i] for i in batch]
-    got = beta_max(*zip(*(padding + args + padding)))
+    got = beta_max(*zip(*(padding + lanes + padding)))
     assert _lane_outcomes(got[len(padding):-len(padding)]) == alone
+
+    lanes = [(d, k, d_hat, a, bmax, t) for (d, a, t, k, d_hat), bmax in zip(cases, alone)]
+    alone = [_outcome(check_condition, *lane) for lane in lanes]
+    assert sum(not strong for strong, _, _ in alone) >= 10  # lanes that search
+    padding = [(100, 53, 53, 0.2, 1e-6, 0.5), (100, 53, 30, 0.2, 1e-6, 0.25),
+               (100, 53, 30, 0.6, 1e-6, 0.5), (100, 50, 30, 0.2, 1e-6, 0.5)]
+    for batch in _batches(rnd, len(lanes)):
+        got = check_condition(*zip(*(lanes[i] for i in batch)))
+        assert _lane_outcomes(got) == [alone[i] for i in batch]
+    got = check_condition(*zip(*(padding + lanes + padding)))
+    assert _lane_outcomes(got[len(padding):-len(padding)]) == alone
+    assert [type(o) for o in got[:len(padding)]] == [CertifyError, CertifyError,
+                                                     ValueError, DomainError]
 
 
 def test_beta_max_keeps_each_failing_lane():
-    # A domain exit inside a block, no sign change within 1 - 2 alpha (800
-    # points, and 200 whose last block crosses it), arguments outside their
-    # ranges, and a rate already negative at beta = 0, among lanes that
-    # bracket; in batches of more and of fewer points than SCALAR_LANES.
-    bad = [(3, 0.2, 0.5, 1e-4), (10, 0.1, 0.1, 1e-3), (4, 0.4, 1.0, 1e-3),
-           (10, 0.6, 0.5, 1e-6), (10, 0.2, 0.0, 1e-6), (30, 0.1, 0.5, BETA_TOL / 2),
-           (30, alpha_fm(30) + 0.01, 0.5, 1e-6)]
-    good = _sweep_lanes([(d, d % 2, 1e-6) for d in range(40, 40 + 2 * SCALAR_LANES)])
-    for lanes in (good[:3] + bad + good[3:], bad, bad[:1] + good[:1]):
-        expected = [_outcome(ref.beta_max, *lane) if lane[3] >= BETA_TOL
-                    else _outcome(beta_max, *lane) for lane in lanes]
+    # Arguments outside their ranges and a rate already negative at beta = 0,
+    # among lanes that bracket a root and lanes whose rate does not turn
+    # surely negative before the domain cap min(1 - 2 alpha, alpha / tau),
+    # which is then their value; in batches of many lanes and of few.
+    bad = [(10, 0.6, 0.5), (10, 0.2, 0.0), (30, alpha_fm(30) + 0.01, 0.5)]
+    capped = [(3, 0.2, 0.5), (10, 0.1, 0.1), (4, 0.4, 1.0)]
+    good = [lane[:3] for lane in _sweep_lanes([(d, d % 2) for d in range(40, 40 + 2 * SCALAR_LANES)])]
+    for lanes in (good[:3] + bad + capped + good[3:], bad, bad[:1] + good[:1]):
+        expected = [_outcome(bisect_reference.beta_max, *lane) for lane in lanes]
         assert _lane_outcomes(beta_max(*zip(*lanes))) == expected
-    outcomes = _lane_outcomes(beta_max(*zip(*bad)))
-    assert [o[0] if isinstance(o, tuple) else o for o in outcomes] == [
-        DomainError, CertifyError, CertifyError, ValueError, ValueError, ValueError, 0.0]
-    assert beta_max([30], 0.1, 0.5, 1e-6) == [beta_max(30, 0.1, 0.5, 1e-6)]
-
-
-def test_beta_max_lets_the_scalar_rate_decide_near_zero(monkeypatch):
-    # Grid rates fuzzed by up to half a widened near-zero band: the scalar
-    # rate decides every point in the band, so each lane still matches the
-    # scalar scan; with no band the fuzz changes results.
-    module = sys.modules["stardecomp.certify"]
-    rng = np.random.default_rng(0)
-    grid = module.pair_rate_grid
-
-    def fuzzy(d, alpha, betas, taus):
-        rates = grid(d, alpha, betas, taus)
-        return rates + rng.uniform(-0.5e-4, 0.5e-4, rates.shape) * np.asarray(d)
-
-    monkeypatch.setattr(module, "pair_rate_grid", fuzzy)
-    args = _sweep_lanes([(d, d % 2, 1e-6) for d in range(100, 100 + 2 * SCALAR_LANES)])
-    expected = [_outcome(ref.beta_max, *lane) for lane in args]
-    monkeypatch.setattr(module, "NEAR_ZERO_RATE", 1e-4)
-    assert _lane_outcomes(beta_max(*zip(*args))) == expected
-    monkeypatch.setattr(module, "NEAR_ZERO_RATE", 0.0)
-    assert _lane_outcomes(beta_max(*zip(*args))) != expected
+    outcomes = beta_max(*zip(*bad))
+    assert [type(o) for o in outcomes[:2]] == [ValueError, ValueError] and outcomes[2] == 0.0
+    assert beta_max([30], 0.1, 0.5) == [beta_max(30, 0.1, 0.5)]
 
 
 def test_sweep_payload_is_pinned():
@@ -600,7 +545,7 @@ def test_sweep_payload_is_pinned():
         1798, 1800, 1802, 1804]
     payload = json.dumps(report.as_dict(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "9abb0f4f06f00b1402d8eda25fd0ad7f1332fc58616a2c1af1cff47d2b5e50c5")
+        "13265da2427d9d7fe7b2b747db4e0775a5a07d910af77cb74275fa82df7910da")
 
 
 # derive_dhat on batches of lanes.

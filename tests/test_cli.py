@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import jsonschema
@@ -139,12 +140,27 @@ def test_certify_nonpositive_step_is_usage_error(flag, value):
 
 @pytest.mark.parametrize("value", ["1e-300", "9.9e-11"])
 def test_certify_beta_step_below_bisection_tolerance_is_usage_error(value, capsys):
-    # beta_max's scan would walk (1 - 2 alpha) / step points; 1e-300 used
-    # to run without end.  The floor is BETA_TOL = 1e-10.
+    # The floor cli.MIN_BETA_STEP = 1e-10 was the tolerance of the bisection
+    # after beta_max's scan, which walked (1 - 2 alpha) / step points; 1e-300
+    # ran without end.  The step now has no effect and keeps its validation.
     with pytest.raises(SystemExit) as exc_info:
         run(["certify", "--d-min", "30", "--d-max", "30", "--beta-step", value])
     assert exc_info.value.code == 2
     assert "must be >= 1e-10" in capsys.readouterr().err
+
+
+def test_certify_steps_have_no_effect(tmp_path):
+    # The smallest --beta-step accepted, whose scan took 18 s at d = 30, and a
+    # fine --tau-step give the defaults' payload at once; config echoes them.
+    fine, default = tmp_path / "fine.json", tmp_path / "default.json"
+    argv = ["certify", "--d-min", "30", "--d-max", "30"]
+    t0 = time.monotonic()
+    assert run([*argv, "--beta-step", "1e-10", "--tau-step", "1e-9", "--out", str(fine)]) == 0
+    assert time.monotonic() - t0 < 3.0
+    assert run([*argv, "--out", str(default)]) == 0
+    fine_doc, default_doc = (json.loads(p.read_text()) for p in (fine, default))
+    assert fine_doc["payload"] == default_doc["payload"]
+    assert (fine_doc["config"]["beta_step"], fine_doc["config"]["tau_step"]) == (1e-10, 1e-9)
 
 
 def test_certify_negative_threads_is_usage_error(capsys):

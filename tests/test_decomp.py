@@ -5,7 +5,9 @@ import ast
 import hashlib
 import io
 import re
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +478,61 @@ def test_decomposition_file_roundtrip(tmp_path):
     assert back.k == sd.k
     assert back.stars == sd.stars
     assert back.leftover == list(sd.leftover)
+
+
+# Whitespace within a line as str.split sees it, line ends that text mode
+# turns into newlines, and tokens that int() takes, refuses or takes only
+# beyond int64.
+_SPACES = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "\u2028", "\u3000"]
+_ENDS = ["\n", "\r\n", "\r", "\n\n", "\n \t\n"]
+_ODD_TOKENS = ["x", "1.5", "+1", "-0", "1_0", "\u0663", "0x1", "-1", "7",
+               str(10**20), str(-10**20), str(2**63)]
+
+
+def decomposition_text(seed):
+    """A random decomposition file (k from 1, so that a star line can look
+    like a leftover line) with random spacing, blank lines and line ends;
+    half the time with one or two faults: an odd token, a line one token
+    short or long, or a header entry that is 0, negative, too large for the
+    file or no integer."""
+    rng = np.random.default_rng(seed)
+    pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
+    ids = lambda m: [str(v) for v in rng.integers(0, 50, m).tolist()]  # noqa: E731
+    k, r = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+    rows = ([[str(k), str(r)]] + [ids(k + 1) for _ in range(int(rng.integers(0, 6)))]
+            + [ids(2) for _ in range(r)])
+    for _ in range(int(rng.integers(0, 3)) if rng.integers(2) else 0):
+        row = rows[int(rng.integers(len(rows)))]
+        fault = int(rng.integers(4)) if row else 1
+        if fault == 0:
+            row[int(rng.integers(len(row)))] = pick(_ODD_TOKENS)
+        elif fault == 1:
+            row.append(pick(_ODD_TOKENS))
+        elif fault == 2:
+            del row[int(rng.integers(len(row)))]
+        else:
+            rows[0] = [str(k), str(r)]
+            rows[0][int(rng.integers(2))] = pick(["0", "-1", "9", "x", str(10**20)])
+    lines = [pick(["", " "]) + pick(_SPACES).join(row) + pick(["", "\t"]) for row in rows]
+    return pick(["", "\n", " \r\n"]) + "".join(ln + pick(_ENDS) for ln in lines)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_read_decomposition_matches_line_parser(seed):
+    # The numpy parser accepts and refuses what the line-by-line one does,
+    # with the same message, and reads the same decomposition.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sd.txt"
+        path.write_text(decomposition_text(seed), encoding="utf-8")
+        try:
+            expected = ref.read_decomposition(path)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                read_decomposition(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert read_decomposition(path) == expected
 
 
 def test_read_decomposition_malformed(tmp_path):
