@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from stardecomp.certify import (
     RATE_EPS,
+    ROOT_REL_TOL,
     CertifyError,
     CertifyInput,
     CertifyResult,
@@ -301,6 +302,46 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+@given(
+    d=st.one_of(st.integers(30, 99), st.integers(100, 3000)),
+    rel=st.floats(-0.05, 0.05),
+    tau_plus=st.floats(0.0, 1.0, exclude_min=True),
+    drop=st.sampled_from([None, 0, 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_beta_max_matches_scalar_scan(d, rel, tau_plus, drop):
+    # tau_plus is drawn from (0, 1] or, for the roots the sweep solves,
+    # taken from derive_dhat at k_ind - drop; failures must match too.
+    alpha = alpha_fc_estimate(d) * (1.0 + rel)
+    if drop is not None:
+        k = math.floor(kappa(d, alpha)) - drop
+        try:
+            tau_plus = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha)).tau_plus
+        except CertifyError:
+            pass
+    assert (_outcome(beta_max, d, alpha, tau_plus)
+            == _outcome(bisect_reference.beta_max, d, alpha, tau_plus))
+
+
+# The earlier absolute-step scan (grid_reference.beta_max), with its first
+# negative point at the given index: inside the 32-point scalar prefix of
+# the blocked scan that preceded the root solve, on the first point of its
+# first block, and on the last and the first point of two adjacent blocks.
+# Wherever the sign change falls, the scan's value, within 2e-10 above the
+# root, agrees with r_hi, within a relative ROOT_REL_TOL above it.
+@pytest.mark.parametrize("first", [5, 32, 63, 64, 128])
+def test_beta_max_sign_change_at_scan_boundaries(first):
+    d = 50
+    alpha = alpha_fc_estimate(d)
+    tau_plus = derive_dhat(CertifyInput(d=d, k=28, alpha=alpha)).tau_plus
+    step = ref.beta_max(d, alpha, tau_plus, 1e-6) / (first + 0.5)
+    scan = np.cumsum(np.full(first + 1, step))
+    assert (pair_rate(d, alpha, float(scan[first]), tau_plus) < 0.0
+            <= pair_rate(d, alpha, float(scan[first - 1]), tau_plus))
+    scanned = ref.beta_max(d, alpha, tau_plus, step)
+    assert scanned - 2e-10 <= beta_max(d, alpha, tau_plus) <= scanned * (1.0 + ROOT_REL_TOL)
+
+
 def test_check_condition_needs_tau_plus_past_alpha_over_one_minus_alpha():
     # Both conditions rest on the rate falling in tau, which it does only
     # past alpha/(1 - alpha) = 0.25 here.
@@ -533,6 +574,43 @@ def test_beta_max_keeps_each_failing_lane():
     outcomes = beta_max(*zip(*bad))
     assert [type(o) for o in outcomes[:2]] == [ValueError, ValueError] and outcomes[2] == 0.0
     assert beta_max([30], 0.1, 0.5) == [beta_max(30, 0.1, 0.5)]
+
+
+def test_beta_max_lets_the_scalar_rate_decide_near_zero(monkeypatch):
+    # Grid rates fuzzed by up to half a widened RATE_EPS band, on sweep lanes
+    # and on lanes with alpha about alpha_fm(d), where the rate at beta = 0
+    # lies near 0: the scalar rate there still decides which lanes are 0,
+    # and every other value is still past the root; with no band the fuzz
+    # puts values below it.
+    module = sys.modules["stardecomp.certify"]
+    lanes = [lane[:3] for lane in
+             _sweep_lanes([(d, d % 2) for d in range(100, 100 + 2 * SCALAR_LANES)])]
+    for d in (30, 100, 1000):
+        a = alpha_fm(d)
+        lanes += [(d, x, 0.9) for x in (a * (1 - 1e-9), math.nextafter(a, 0.0), a,
+                                        a * (1 + 1e-9))]
+    zeros = [pair_rate(d, a, 0.0, t) < 0.0 for d, a, t in lanes]
+    assert 0 < sum(zeros) < len(lanes)
+    grid = module.pair_rate_grid
+
+    def past_the_root(eps):
+        rng = np.random.default_rng(0)
+
+        def fuzzy(d, alpha, betas, taus):
+            rates = grid(d, alpha, betas, taus)
+            return rates + rng.uniform(-0.5e-4, 0.5e-4, rates.shape) * np.asarray(d)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "pair_rate_grid", fuzzy)
+            mp.setattr(module, "RATE_EPS", eps)
+            got = beta_max(*zip(*lanes))
+        assert [value == 0.0 for value in got] == zeros
+        with mpmath.workdps(40):
+            return [value == 0.0 or _exact_pair_rate(d, a, value, t) < 0
+                    for value, (d, a, t) in zip(got, lanes)]
+
+    assert all(past_the_root(1e-4))
+    assert not all(past_the_root(0.0))
 
 
 def test_sweep_payload_is_pinned():
