@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .entropy import (
-    _h_arr,
     _lanes,
     alpha_dk,
     alpha_fc_estimate,
@@ -41,9 +40,6 @@ from .entropy import (
     pair_rate,
 )
 
-# Steps of the (beta, tau) grid of earlier versions: validated, no effect.
-DEFAULT_BETA_STEP = 1e-6
-DEFAULT_TAU_STEP = 1e-3
 # A computed pair rate below -RATE_EPS * d is surely negative: against
 # 40-digit arithmetic its error is at most 2.1e-16 * d on 6000 points near
 # the roots over d = 30..10^6, and a test bounds it by RATE_EPS * d / 2.
@@ -75,16 +71,12 @@ class CertifyInput:
     d: int
     k: int
     alpha: float
-    beta_grid_step: float = DEFAULT_BETA_STEP
-    tau_grid_step: float = DEFAULT_TAU_STEP
 
     def validate(self):
         if self.d < 3:
             raise CertifyError("bad input", f"d={self.d} < 3")
         if not self.d / 2 < self.k < self.d - 1:
             raise CertifyError("bad input", f"k={self.k} outside (d/2, d-1)")
-        if self.beta_grid_step <= 0 or self.tau_grid_step <= 0:
-            raise CertifyError("bad input", "grid steps must be positive")
         return self
 
 
@@ -107,26 +99,15 @@ class CertifyResult:
 
 
 def pair_rate_grid(d, alpha, betas, taus):
-    """pair_rate on a grid of rows x columns (numpy broadcast): taus holds
-    one tau per column, d and alpha are scalars or hold one value per column
-    too, and betas is a 1-d array of rows shared by every column or a 2-d
-    array of rows x columns, as in the root solves, whose lanes are the
-    columns.  Each element goes through entropy.pair_rate's operations in
-    its order, so its value does not depend on the other elements."""
+    """entropy.pair_rate on a grid of rows x columns: taus holds one tau per
+    column, d and alpha are scalars or hold one value per column too, and
+    betas is a 1-d array of rows shared by every column or a 2-d array of
+    rows x columns, as in the root solves, whose lanes are the columns.
+    pair_rate is elementwise, so an element's value does not depend on the
+    other elements."""
     b = np.asarray(betas, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    t = np.asarray(taus, dtype=float)[None, :]
-    d = np.reshape(d, (1, -1))
-    alpha = np.reshape(np.asarray(alpha, dtype=float), (1, -1))
-    c = 1.0 - 2.0 * alpha
-    h_b = _h_arr(b)
-    # edge = 2h(b) + 2b(h(t) + h(1-t)) + 2h(alpha - tb) + 2h(c - (1-t)b)
-    #        - h(c), summed left to right
-    edge = (2.0 * h_b + 2.0 * b * (_h_arr(t) + _h_arr(1.0 - t))
-            + 2.0 * _h_arr(alpha - t * b) + 2.0 * _h_arr(c - (1.0 - t) * b) - _h_arr(c))
-    vert = _h_arr(alpha) + h_b + _h_arr(1.0 - alpha - b)
-    return d / 2.0 * edge - (d - 1) * vert
+    return pair_rate(np.reshape(d, (1, -1)), np.reshape(alpha, (1, -1)),
+                     b[:, None] if b.ndim == 1 else b, np.reshape(taus, (1, -1)))
 
 
 def _only(outcomes):
@@ -209,8 +190,11 @@ def derive_dhat(inp):
 
 def _cap(alpha, tau):
     """The largest beta in the pair rate's domain: beta <= 1 - 2 alpha (B
-    fits beside A) and tau * beta <= alpha (B's edges into A fit in A's)."""
-    return np.minimum(1.0 - 2.0 * alpha, alpha / tau)
+    fits beside A) and tau * beta <= alpha (B's edges into A fit in A's).
+    Where tau < alpha, alpha / tau > 1 >= 1 - 2 alpha, so taking alpha for
+    tau there leaves the minimum as it is, and a subnormal tau cannot
+    overflow the quotient."""
+    return np.minimum(1.0 - 2.0 * alpha, alpha / np.maximum(tau, alpha))
 
 
 def _roots(d, alpha, tau, top):
@@ -265,17 +249,19 @@ def beta_max(d, alpha, tau_plus):
     """
     if all(np.ndim(v) == 0 for v in (d, alpha, tau_plus)):
         return _only(beta_max([d], alpha, tau_plus))
-    lanes = _lanes(d, alpha, tau_plus)
-    out = []
-    for d_i, a, t in zip(*(v.tolist() for v in lanes)):
+    d, alpha, tau = _lanes(d, alpha, tau_plus)
+    out = [None] * len(d)
+    for i, (a, t) in enumerate(zip(alpha.tolist(), tau.tolist())):
         if not 0.0 < a < 0.5:
-            out.append(ValueError(f"alpha {a} outside (0, 1/2)"))
+            out[i] = ValueError(f"alpha {a} outside (0, 1/2)")
         elif not 0.0 < t <= 1.0:
-            out.append(ValueError(f"tau_plus {t} outside (0, 1]"))
-        else:
-            out.append(0.0 if pair_rate(d_i, a, 0.0, t) < 0.0 else None)
-    todo = np.flatnonzero([o is None for o in out])
-    d, alpha, tau = (v[todo] for v in lanes)
+            out[i] = ValueError(f"tau_plus {t} outside (0, 1]")
+    ok = np.flatnonzero([o is None for o in out])
+    negative = pair_rate(d[ok], alpha[ok], 0.0, tau[ok]) < 0.0
+    for i in ok[negative].tolist():
+        out[i] = 0.0
+    todo = ok[~negative]
+    d, alpha, tau = d[todo], alpha[todo], tau[todo]
     for i, value in zip(todo.tolist(), _roots(d, alpha, tau, _cap(alpha, tau))[1].tolist()):
         out[i] = value
     return out
@@ -417,7 +403,7 @@ def certify(inp: CertifyInput, derived=None, bmax=None, checked=None) -> Certify
                    worst_witness=witness, certified=strong or weak)
 
 
-def _certify_degrees(jobs, beta_step, tau_step):
+def _certify_degrees(jobs):
     """certify_degree for every (d, alpha) in jobs, run in rounds.
 
     Each round derives d_hat for the pending (d, k) of all degrees in one
@@ -443,9 +429,7 @@ def _certify_degrees(jobs, beta_step, tau_step):
                                                  if k < d - 1 else "k too large")))
                 k -= 1
             if k > d / 2:
-                lanes.append((i, results, CertifyInput(
-                    d=d, k=k, alpha=alpha, beta_grid_step=beta_step,
-                    tau_grid_step=tau_step)))
+                lanes.append((i, results, CertifyInput(d=d, k=k, alpha=alpha)))
             else:
                 out[i] = (None, results)
         pending = []
@@ -473,7 +457,7 @@ def _certify_degrees(jobs, beta_step, tau_step):
     return out
 
 
-def certify_degree(d, alpha, beta_step=DEFAULT_BETA_STEP, tau_step=DEFAULT_TAU_STEP):
+def certify_degree(d, alpha):
     """Find the largest certifiable star size for degree d at independence
     density alpha.
 
@@ -481,7 +465,7 @@ def certify_degree(d, alpha, beta_step=DEFAULT_BETA_STEP, tau_step=DEFAULT_TAU_S
     k <= d/2, in the rounds a sweep runs, here on one degree.  Returns
     (k_certified or None, list of (k, CertifyResult)).
     """
-    return _only(_certify_degrees([(d, alpha)], beta_step, tau_step))
+    return _only(_certify_degrees([(d, alpha)]))
 
 
 @dataclass
@@ -621,14 +605,13 @@ def _record(d, alpha, source, outcome):
     )
 
 
-def _sweep_part(args):
+def _sweep_part(jobs):
     """Records of one worker's share of the sweep, jobs of (d, alpha,
     source), certified SWEEP_BLOCK degrees at a time."""
-    jobs, beta_step, tau_step = args
     records = []
     for b in range(0, len(jobs), SWEEP_BLOCK):
         block = jobs[b : b + SWEEP_BLOCK]
-        outcomes = _certify_degrees([(d, a) for d, a, _ in block], beta_step, tau_step)
+        outcomes = _certify_degrees([(d, a) for d, a, _ in block])
         records += [_record(*job, outcome) for job, outcome in zip(block, outcomes)]
     return records
 
@@ -639,8 +622,6 @@ def sweep(
     alpha_source="estimate",
     alpha_table=None,
     threads=1,
-    beta_step=DEFAULT_BETA_STEP,
-    tau_step=DEFAULT_TAU_STEP,
     strict_table=False,
 ):
     """Run certify_degree over a degree range.
@@ -668,11 +649,11 @@ def sweep(
     jobs = [(d, a, src) for d, (a, src) in zip(degrees, alphas)]
     workers = min(threads, os.cpu_count() or 1, len(jobs))
     if workers > 1:
-        parts = [(jobs[i::workers], beta_step, tau_step) for i in range(workers)]
+        parts = [jobs[i::workers] for i in range(workers)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = [r for part in pool.map(_sweep_part, parts) for r in part]
     else:
-        records = _sweep_part((jobs, beta_step, tau_step))
+        records = _sweep_part(jobs)
     records.sort(key=lambda r: r.d)
     return SweepReport(
         d_min=d_min, d_max=d_max, alpha_source=alpha_source, records=records

@@ -139,8 +139,6 @@ def cmd_certify(args):
             alpha_source=source,
             alpha_table=table,
             threads=threads,
-            beta_step=args.beta_step,
-            tau_step=args.tau_step,
             strict_table=args.strict_table,
         )
     except KeyError as exc:

@@ -4,16 +4,18 @@ induced-subgraph densities in random d-regular graphs.
 Everything here is pure and stateless: same inputs, bit-identical outputs.
 All logarithms are natural.
 
-The scalar rates are the reference.  The roots of the first-moment bound,
-the average-degree ceiling and its inverse come from one bisection that
-runs many brackets (lanes) in lockstep on numpy array forms of the rates;
-the scalar rate decides every sign the array form leaves in doubt, so each
-lane returns the scalar bisection's result bit for bit, and a scalar
-argument is a lane of one.
+Each rate has one implementation, a numpy function of scalars or broadcast
+arrays: a scalar input gives a float, and each element's value comes from
+its own arguments alone, so it is the same in any array.  The roots of the
+first-moment bound, the average-degree ceiling and its inverse come from one
+bisection that runs many brackets (lanes) in lockstep on those functions; a
+scalar argument is a lane of one, and a lane's result does not depend on the
+other lanes of its batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,51 +27,63 @@ MAX_BISECT_ITER = 200
 # avg_degree_ceiling_inv's roots reach down to about 1e-15, where an absolute
 # ROOT_TOL would be no tolerance at all; below this density it is relative.
 INV_TOL_SCALE = 1e-3
-# Where an array form of a rate lies within NEAR_ZERO_REL times the sum of
-# its terms' magnitudes of zero, the scalar form decides its value.  The
-# largest gap measured between the two, on 1.2M random points each over
-# d = 3..10^6, is 3.8e-16 of that sum for ind_set_rate and 2.1e-16 for
-# subset_rate.
-NEAR_ZERO_REL = 1e-12
-# Batches of at most this many lanes skip the array forms: below about 64
-# lanes the numpy calls of an array evaluation cost more than the scalar
-# rate on every lane (measured for alpha_fm and both ceilings).
-SCALAR_LANES = 64
 
 
 class DomainError(ValueError):
     """Argument outside the allowed domain (beyond the clamping band)."""
 
 
-def h(x):
-    """-x*log(x) with h(0) = h(1) = 0.
+def _given(v):
+    """v as a float if it is a scalar, else the array."""
+    return float(v) if isinstance(v, float) or v.ndim == 0 else v
 
-    Values in [-1e-12, 0] are clamped to 0 (they arise from float
-    cancellation at domain boundaries); anything below is a hard error.
+
+def _reject(bad, message, *values):
+    """Raise DomainError if any element of bad is set; message is formatted
+    with the values at the first such element."""
+    if (bad if isinstance(bad, bool) else bad.any()):
+        shape = np.broadcast_shapes(np.shape(bad), *map(np.shape, values))
+        i = np.argmax(np.broadcast_to(bad, shape))
+        raise DomainError(message.format(
+            *(np.broadcast_to(v, shape).flat[i].item() for v in values)))
+
+
+def h(x):
+    """-x*log(x) elementwise, with h(0) = h(1) = 0; a scalar gives a float.
+
+    Values in [-1e-12, 0] and [1, 1 + 1e-12] are clamped (they arise from
+    float cancellation at domain boundaries); anything beyond is a hard error.
     """
-    if x < 0.0:
-        if x < -CLAMP_TOL:
-            raise DomainError(f"h() argument {x} below -{CLAMP_TOL}")
-        return 0.0
-    if x >= 1.0:
-        if x > 1.0 + CLAMP_TOL:
-            raise DomainError(f"h() argument {x} above 1")
-        return 0.0
-    if x == 0.0:
-        return 0.0
-    return -x * math.log(x)
+    x = np.asarray(x, dtype=float)
+    if x.size and (x.min() < -CLAMP_TOL or x.max() > 1.0 + CLAMP_TOL):
+        bad = (x < -CLAMP_TOL) | (x > 1.0 + CLAMP_TOL)
+        raise DomainError(f"h() argument {x[bad].flat[0]} outside [0, 1]")
+    x, out = np.clip(x, 0.0, 1.0), np.zeros_like(x)
+    # log(1) is exactly 0, so only x = 0 needs masking.
+    np.log(x, out=out, where=x > 0.0)
+    out *= x
+    return _given(np.negative(out, out=out))
+
+
+def _hs(*xs):
+    """[h(x) for x in xs] through one h call, as floats if every x is a
+    scalar: a numpy call costs microseconds, however small its arrays."""
+    if all(isinstance(x, (float, int)) for x in xs):
+        return h(np.array(xs, dtype=float)).tolist()
+    flat = [np.ravel(x) for x in xs]
+    values = h(np.concatenate(flat))
+    ends = itertools.accumulate(len(f) for f in flat)
+    return [values[e - len(f):e].reshape(np.shape(x)) for x, f, e in zip(xs, flat, ends)]
 
 
 def shannon_entropy(probs):
     """Shannon entropy (nats) of a discrete distribution given as a sequence."""
-    total = 0.0
-    for p in probs:
-        if p < -CLAMP_TOL:
-            raise DomainError(f"negative probability {p}")
-        total += p
+    p = np.asarray(probs, dtype=float)
+    _reject(p < -CLAMP_TOL, "negative probability {}", p)
+    total = p.sum()
     if abs(total - 1.0) > 1e-12:
         raise DomainError(f"probabilities sum to {total}, expected 1")
-    return sum(h(p) for p in probs)
+    return float(np.sum(h(p)))
 
 
 @dataclass(frozen=True)
@@ -117,42 +131,40 @@ def first_moment_rate(dist: LabelDistribution, d: int) -> float:
     if d < 3:
         raise DomainError("d must be >= 3")
     dist.validate()
-    h_edge = sum(h(p) for p in dist.edge_probs.values())
-    h_vertex = sum(h(p) for p in dist.vertex_probs.values())
-    return d / 2.0 * h_edge - (d - 1) * h_vertex
+    edge = list(dist.edge_probs.values())
+    hs = _hs(*edge, *dist.vertex_probs.values())
+    return d / 2.0 * sum(hs[:len(edge)]) - (d - 1) * sum(hs[len(edge):])
 
 
-def ind_set_rate(d: int, alpha: float) -> float:
+def ind_set_rate(d, alpha):
     """Growth rate of the expected number of independent sets of density alpha:
     h(a) + (d/2) h(1-2a) - (d-1) h(1-a).  Negative above the first-moment bound.
     """
-    if alpha < -CLAMP_TOL or alpha > 0.5 + CLAMP_TOL:
-        raise DomainError(f"alpha {alpha} outside [0, 1/2]")
-    return h(alpha) + d / 2.0 * h(1.0 - 2.0 * alpha) - (d - 1) * h(1.0 - alpha)
+    _reject((alpha < -CLAMP_TOL) | (alpha > 0.5 + CLAMP_TOL), "alpha {} outside [0, 1/2]",
+            alpha)
+    h_a, h_c, h_r = _hs(alpha, 1.0 - 2.0 * alpha, 1.0 - alpha)
+    return _given(h_a + d / 2.0 * h_c - (d - 1) * h_r)
 
 
-def pair_rate(d: int, alpha: float, beta: float, tau: float) -> float:
+def pair_rate(d, alpha, beta, tau):
     """Growth rate of the expected number of pairs (A, B) where A is an
     independent set of density alpha and B a disjoint set of density beta whose
     vertices send tau*d edges into A on average.
 
     Reduces to ind_set_rate(d, alpha) at beta = 0 for every tau.
     """
-    if alpha < -CLAMP_TOL or alpha > 0.5 + CLAMP_TOL:
-        raise DomainError(f"alpha {alpha} outside [0, 1/2]")
-    if beta < -CLAMP_TOL or beta > 1.0 - 2.0 * alpha + CLAMP_TOL:
-        raise DomainError(f"beta {beta} outside [0, 1-2*alpha]")
-    if tau < -CLAMP_TOL or tau > 1.0 + CLAMP_TOL:
-        raise DomainError(f"tau {tau} outside [0, 1]")
-    edge_part = (
-        2.0 * h(beta)
-        + 2.0 * beta * (h(tau) + h(1.0 - tau))
-        + 2.0 * h(alpha - tau * beta)
-        + 2.0 * h(1.0 - 2.0 * alpha - (1.0 - tau) * beta)
-        - h(1.0 - 2.0 * alpha)
-    )
-    vertex_part = h(alpha) + h(beta) + h(1.0 - alpha - beta)
-    return d / 2.0 * edge_part - (d - 1) * vertex_part
+    _reject((alpha < -CLAMP_TOL) | (alpha > 0.5 + CLAMP_TOL), "alpha {} outside [0, 1/2]",
+            alpha)
+    _reject((beta < -CLAMP_TOL) | (beta > 1.0 - 2.0 * alpha + CLAMP_TOL),
+            "beta {} outside [0, 1-2*alpha]", beta)
+    _reject((tau < -CLAMP_TOL) | (tau > 1.0 + CLAMP_TOL), "tau {} outside [0, 1]", tau)
+    c = 1.0 - 2.0 * alpha
+    h_b, h_t, h_1t, h_a_tb, h_c_tb, h_c, h_a, h_r = _hs(
+        beta, tau, 1.0 - tau, alpha - tau * beta, c - (1.0 - tau) * beta, c, alpha,
+        1.0 - alpha - beta)
+    edge_part = 2.0 * h_b + 2.0 * beta * (h_t + h_1t) + 2.0 * h_a_tb + 2.0 * h_c_tb - h_c
+    vertex_part = h_a + h_b + h_r
+    return _given(d / 2.0 * edge_part - (d - 1) * vertex_part)
 
 
 def coupling_entropy_gap(a1: float, a2: float, p12: float) -> float:
@@ -167,12 +179,13 @@ def coupling_entropy_gap(a1: float, a2: float, p12: float) -> float:
         raise DomainError("a1 and a2 must be positive")
     if p12 < -CLAMP_TOL or p12 > min(a1, a2) + CLAMP_TOL:
         raise DomainError(f"p12 {p12} outside [0, min(a1,a2)]")
-    best = 2.0 * h(a1) + 2.0 * h(a2) - h(a1 + a2)
-    actual = h(a1 - p12) + 2.0 * h(p12) + h(a2 - p12)
+    h1, h2, h12, h1p, hp, h2p = _hs(a1, a2, a1 + a2, a1 - p12, p12, a2 - p12)
+    best = 2.0 * h1 + 2.0 * h2 - h12
+    actual = h1p + 2.0 * hp + h2p
     return best - actual
 
 
-def subset_rate(d: int, x: float, t: float) -> float:
+def subset_rate(d, x, t):
     """Growth rate (divided by d/2) of the expected number of density-x vertex
     subsets whose induced subgraph has average degree t*d:
 
@@ -180,42 +193,10 @@ def subset_rate(d: int, x: float, t: float) -> float:
 
     Strictly decreasing in t on [x, 1] for fixed x in (0, 1).
     """
-    if x < -CLAMP_TOL or t > 1.0 + CLAMP_TOL or x > t + CLAMP_TOL:
-        raise DomainError(f"need 0 <= x <= t <= 1, got x={x}, t={t}")
-    return (
-        h(t * x)
-        + 2.0 * h((1.0 - t) * x)
-        + h(1.0 - (2.0 - t) * x)
-        - (2.0 - 2.0 / d) * (h(x) + h(1.0 - x))
-    )
-
-
-def _h_arr(x):
-    """Vectorized -x log x with the same clamping band as h."""
-    x = np.asarray(x, dtype=float)
-    if x.size and (x.min() < -CLAMP_TOL or x.max() > 1.0 + CLAMP_TOL):
-        raise ValueError("array entropy argument outside [0, 1]")
-    x, out = np.clip(x, 0.0, 1.0), np.zeros_like(x)
-    # log(1) is exactly 0, so only x = 0 needs masking.
-    np.log(x, out=out, where=x > 0.0)
-    out *= x
-    return np.negative(out, out=out)
-
-
-# Array forms of ind_set_rate and subset_rate, one lane per element, in the
-# scalar forms' operation order (only np.log may differ from math.log).  Each
-# returns the rates and the sums of the magnitudes of their terms, which
-# bound the rounding error.
-def _ind_set_rate_arr(d, alpha):
-    a = _h_arr(alpha) + d / 2.0 * _h_arr(1.0 - 2.0 * alpha)
-    b = (d - 1) * _h_arr(1.0 - alpha)
-    return a - b, a + b
-
-
-def _subset_rate_arr(d, x, t):
-    a = _h_arr(t * x) + 2.0 * _h_arr((1.0 - t) * x) + _h_arr(1.0 - (2.0 - t) * x)
-    b = (2.0 - 2.0 / d) * (_h_arr(x) + _h_arr(1.0 - x))
-    return a - b, a + b
+    _reject((x < -CLAMP_TOL) | (t > 1.0 + CLAMP_TOL) | (x > t + CLAMP_TOL),
+            "need 0 <= x <= t <= 1, got x={}, t={}", x, t)
+    h_tx, h_rx, h_s, h_x, h_1x = _hs(t * x, (1.0 - t) * x, 1.0 - (2.0 - t) * x, x, 1.0 - x)
+    return _given(h_tx + 2.0 * h_rx + h_s - (2.0 - 2.0 / d) * (h_x + h_1x))
 
 
 def _lanes(*values):
@@ -228,51 +209,25 @@ def _as_given(root, *values):
     return root.item() if all(np.ndim(v) == 0 for v in values) else root
 
 
-def _decide(f, f_arr, args, x, lanes=None):
-    """The values f(*lane args, x) on the lanes selected by the boolean
-    array lanes, by default all (other entries are unset).  With f_arr,
-    every lane whose array value lies farther than NEAR_ZERO_REL times its
-    magnitude from zero keeps that value, and f decides the rest."""
-    if lanes is None:
-        lanes = np.ones(len(x), dtype=bool)
-    if f_arr is not None and len(x) > SCALAR_LANES:
-        v, magnitude = f_arr(*args, x)
-        lanes = lanes & (np.abs(v) <= NEAR_ZERO_REL * magnitude)
-    else:
-        v = np.empty(len(x))
-    i = np.flatnonzero(lanes)
-    v[i] = [f(*p) for p in zip(*(a[i].tolist() for a in (*args, x)))]
-    return v
-
-
-def bisect_root(f, lo, hi, args=(), f_arr=None, tol=ROOT_TOL,
-                max_iter=MAX_BISECT_ITER, tol_scale=None):
+def bisect_root(f, lo, hi, args=(), tol=ROOT_TOL, max_iter=MAX_BISECT_ITER,
+                tol_scale=None):
     """Plain bisection for a sign change of f on [lo, hi], run on many
     brackets (lanes) in lockstep.
 
     lo and hi hold one bracket per lane (floats are one lane), args one array
-    of parameters per lane each, and f(*lane args, x) is the lane's scalar
-    function.  In every lane f(lo) and f(hi) must have opposite (non-strict)
-    signs, else RuntimeError; a lane returns where f is 0 or the midpoint
-    0.5*(lo + hi) of its final bracket, with absolute tolerance tol.  With
-    tol_scale, for positive brackets, tol is relative to hi while hi lies
-    below tol_scale, so a lane whose root lies at or above it takes the
-    same steps as without.  Float brackets return a float.
-
-    f_arr(*args, x), an array form of f that may differ from it in the last
-    bits, gives the values at the points x of all lanes together with the
-    sums of their terms' magnitudes.  Batches of more than SCALAR_LANES
-    lanes take its values wherever |value| exceeds NEAR_ZERO_REL times the
-    magnitude; f decides the rest, exact zeros and the bracket ends
-    included.  That bound lies more than 1000 times above the largest
-    array/scalar gap measured, so every lane makes the scalar bisection's
-    decisions on the same midpoints: its result is the scalar bisection's
-    bit for bit, whatever the other lanes.
+    of parameters per lane each, and f(*args, x) the values of all lanes at
+    their points x, each from its own lane's arguments alone, so that a lane
+    makes the same steps, and returns the same bits, in any batch.  In every
+    lane f(lo) and f(hi) must have opposite (non-strict) signs, else
+    RuntimeError; a lane returns where f is 0 or the midpoint 0.5*(lo + hi)
+    of its final bracket, with absolute tolerance tol.  With tol_scale, for
+    positive brackets, tol is relative to hi while hi lies below tol_scale,
+    so a lane whose root lies at or above it takes the same steps as
+    without.  Float brackets return a float.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (a.astype(float) for a in _lanes(lo, hi))
-    flo = _decide(f, f_arr, args, lo)
-    fhi = _decide(f, f_arr, args, hi)
+    flo, fhi = f(*args, lo), f(*args, hi)
     root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     active = (flo != 0.0) & (fhi != 0.0)
     pos = flo > 0.0
@@ -284,7 +239,7 @@ def bisect_root(f, lo, hi, args=(), f_arr=None, tol=ROOT_TOL,
         if not active.any():
             break
         mid = 0.5 * (lo + hi)
-        fmid = _decide(f, f_arr, args, mid, active)
+        fmid = f(*args, mid)
         # A zero closes the bracket on mid, and 0.5*(mid + mid) is mid.
         zero = fmid == 0.0
         same = (fmid > 0.0) == pos
@@ -305,12 +260,10 @@ def alpha_fm(d):
         raise DomainError("d must be >= 3")
     lo = np.full(len(ds), 1e-12)
     hi = np.full(len(ds), 0.5 - 1e-12)
-    flo = _decide(ind_set_rate, _ind_set_rate_arr, (ds,), lo)
-    fhi = _decide(ind_set_rate, _ind_set_rate_arr, (ds,), hi)
-    bad = (flo <= 0.0) | (fhi >= 0.0)
+    bad = (ind_set_rate(ds, lo) <= 0.0) | (ind_set_rate(ds, hi) >= 0.0)
     if bad.any():
         raise RuntimeError(f"no sign change bracketed for d={ds[np.argmax(bad)]}")
-    return _as_given(bisect_root(ind_set_rate, lo, hi, (ds,), _ind_set_rate_arr), d)
+    return _as_given(bisect_root(ind_set_rate, lo, hi, (ds,)), d)
 
 
 def alpha_fc_estimate(d):
@@ -345,13 +298,11 @@ def avg_degree_ceiling(d, x):
     bad = ~((0.0 < xs) & (xs < 1.0))
     if bad.any():
         raise DomainError(f"x {xs[np.argmax(bad)].item()} outside (0, 1)")
-    flo = _decide(subset_rate, _subset_rate_arr, (ds, xs), xs)
     # Where f(x) <= 0 the root sits at (or numerically below) the left
     # endpoint, which is the answer.
-    t, todo = xs.copy(), flo > 0.0
+    t, todo = xs.copy(), subset_rate(ds, xs, xs) > 0.0
     if todo.any():
-        t[todo] = bisect_root(subset_rate, xs[todo], 1.0,
-                              (ds[todo], xs[todo]), _subset_rate_arr)
+        t[todo] = bisect_root(subset_rate, xs[todo], 1.0, (ds[todo], xs[todo]))
     return _as_given(t, d, x)
 
 
@@ -374,10 +325,8 @@ def avg_degree_ceiling_inv(d, t):
     # For fixed t the map x -> subset_rate(d, x, t) is negative left of the
     # inverse point and positive right of it.
     f = lambda d, t, x: subset_rate(d, x, t)
-    f_arr = lambda d, t, x: _subset_rate_arr(d, x, t)
     lo = np.full(len(ts), 1e-15)
-    fhi = _decide(f, f_arr, (ds, ts), ts)
-    flo = _decide(f, f_arr, (ds, ts), lo)
+    fhi, flo = f(ds, ts, ts), f(ds, ts, lo)
     bad = (fhi < 0.0) | (flo > 0.0)
     if bad.any():
         i = np.argmax(bad)
@@ -387,8 +336,7 @@ def avg_degree_ceiling_inv(d, t):
         raise DomainError(
             f"t {t_i} at or below {avg_degree_ceiling(d_i, 1e-15)}, the ceiling "
             f"for d={d_i} at x = 1e-15, the smallest density the inverse brackets")
-    return _as_given(bisect_root(f, lo, ts, (ds, ts), f_arr, tol_scale=INV_TOL_SCALE),
-                     d, t)
+    return _as_given(bisect_root(f, lo, ts, (ds, ts), tol_scale=INV_TOL_SCALE), d, t)
 
 
 def alpha_dk(d: int, k: int) -> float:

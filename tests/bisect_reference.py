@@ -1,9 +1,14 @@
 """Reference oracles for the differential tests of the lockstep bisection:
-the scalar bisection and the one-degree-at-a-time first-moment bound,
-average-degree ceiling, its inverse and d_hat derivation that evaluate
-every point with the scalar rates, and the pair rate's root solve scanning
-one point at a time.  Every lane of the library's batched versions must
-return exactly what these return for it alone."""
+the scalar bisection, and the one-degree-at-a-time first-moment bound,
+average-degree ceiling, its inverse and d_hat derivation, which evaluate
+every point with the earlier scalar rates below (math.log, one point a
+call); and the pair rate's root solve scanning one point at a time.
+
+The library's rates may differ from the scalar ones in the last bits, which
+can flip a sign only where a rate lies within rounding of zero, so each lane
+of the library's bisections must end within one final bracket of these
+(within_bracket).  The root scan evaluates the library's own pair rate, and
+each lane of beta_max must return exactly what it returns for that lane."""
 
 import math
 
@@ -16,15 +21,54 @@ from stardecomp.certify import (
     pair_rate_grid,
 )
 from stardecomp.entropy import (
+    CLAMP_TOL,
     INV_TOL_SCALE,
     MAX_BISECT_ITER,
     ROOT_TOL,
     DomainError,
     alpha_dk,
-    ind_set_rate,
     pair_rate,
-    subset_rate,
 )
+
+
+def h(x):
+    if x < 0.0:
+        if x < -CLAMP_TOL:
+            raise DomainError(f"h() argument {x} below -{CLAMP_TOL}")
+        return 0.0
+    if x >= 1.0:
+        if x > 1.0 + CLAMP_TOL:
+            raise DomainError(f"h() argument {x} above 1")
+        return 0.0
+    if x == 0.0:
+        return 0.0
+    return -x * math.log(x)
+
+
+def ind_set_rate(d, alpha):
+    if alpha < -CLAMP_TOL or alpha > 0.5 + CLAMP_TOL:
+        raise DomainError(f"alpha {alpha} outside [0, 1/2]")
+    return h(alpha) + d / 2.0 * h(1.0 - 2.0 * alpha) - (d - 1) * h(1.0 - alpha)
+
+
+def subset_rate(d, x, t):
+    if x < -CLAMP_TOL or t > 1.0 + CLAMP_TOL or x > t + CLAMP_TOL:
+        raise DomainError(f"need 0 <= x <= t <= 1, got x={x}, t={t}")
+    return (
+        h(t * x)
+        + 2.0 * h((1.0 - t) * x)
+        + h(1.0 - (2.0 - t) * x)
+        - (2.0 - 2.0 / d) * (h(x) + h(1.0 - x))
+    )
+
+
+def within_bracket(got, expected, tol_scale=None):
+    """Whether a root got lies within one final bracket of this module's
+    bisection on both sides of its root expected: 2 ROOT_TOL, relative to
+    the root below tol_scale."""
+    scale = max(got, expected)
+    width = ROOT_TOL * (scale if tol_scale is not None and scale < tol_scale else 1.0)
+    return abs(got - expected) <= 2.0 * width
 
 
 def bisect_root(f, lo, hi, tol=ROOT_TOL, max_iter=MAX_BISECT_ITER, tol_scale=None):
