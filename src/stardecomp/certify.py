@@ -26,7 +26,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,9 +53,10 @@ MAX_ROOT_ROUNDS = 200
 # Depth at which a tau interval still open leaves its degree uncertified.
 MAX_DEPTH = 20
 # Degrees certified in one set of rounds.  A degree holds about 0.7 KB until
-# its block ends, so blocks bound the memory of long sweeps; 1024 lanes
-# amortise the per-round numpy overhead of the lockstep solves.
-SWEEP_BLOCK = 1024
+# its block ends, so a block holds at most about 3 MB and blocks bound the
+# memory of long sweeps; 4096 lanes take the paper's range 30..3000 in one
+# block and amortise the per-round numpy overhead of the lockstep solves.
+SWEEP_BLOCK = 4096
 
 
 class CertifyError(RuntimeError):
@@ -489,9 +490,9 @@ class DegreeRecord:
 
     def as_dict(self):
         # NaN is not valid JSON; failed stages report null.  The fields are
-        # flat, so no deep copy (dataclasses.asdict) is needed.
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {k: None if v != v else v for k, v in values}
+        # flat, so no deep copy (dataclasses.asdict) is needed, and __init__
+        # sets every field in declaration order, so vars() holds them in it.
+        return {k: None if v != v else v for k, v in vars(self).items()}
 
 
 @dataclass

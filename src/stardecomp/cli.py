@@ -56,6 +56,9 @@ from .graphs import (
 
 THREADS_ENV = "STARDECOMP_THREADS"
 MIN_BETA_STEP = 1e-10  # the floor of the step's earlier beta_max scan
+# Exact types, not isinstance: a subclass, of dict or list above all, is
+# walked by _dumps rather than taken for a scalar.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 @contextlib.contextmanager
@@ -69,6 +72,28 @@ def _output(path):
         yield sys.stdout
 
 
+def _dumps(obj, level=0):
+    """json.dumps(obj, indent=2, sort_keys=True) for obj at nesting `level`,
+    every dict key a str.
+
+    With indent the json module encodes in Python.  Here a nonempty
+    container of plain scalars goes through json's C encoder in one call,
+    its item separator carrying the newline and indent, and only containers
+    that hold something else are walked in Python."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = "\n" + "  " * (level + 1)
+    values = obj.values() if isinstance(obj, dict) else obj
+    if _SCALARS.issuperset(map(type, values)):
+        body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+    elif isinstance(obj, dict):
+        body = "{%s}" % ("," + inner).join(
+            json.dumps(k) + ": " + _dumps(obj[k], level + 1) for k in sorted(obj))
+    else:
+        body = "[%s]" % ("," + inner).join(_dumps(v, level + 1) for v in obj)
+    return body[0] + inner + body[1:-1] + "\n" + "  " * level + body[-1]
+
+
 def _emit(payload, config, args, alpha_source):
     doc = {
         "tool": "stardecomp",
@@ -78,7 +103,7 @@ def _emit(payload, config, args, alpha_source):
         "payload": payload,
     }
     with _output(args.out) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(_dumps(doc) + "\n")
 
 
 def _emit_csv(rows, path):

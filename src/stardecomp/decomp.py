@@ -483,10 +483,11 @@ def write_decomposition(sd: StarDecomposition, fh):
     Text format: first line `k r`, one `center leaf_1 ... leaf_k` line per
     star, then r `u v` leftover lines."""
     fh.write(f"{sd.k} {len(sd.leftover)}\n")
-    for center, leaves in sd.stars:
-        fh.write(" ".join(map(str, [center, *leaves])) + "\n")
-    for u, v in sd.leftover:
-        fh.write(f"{u} {v}\n")
+    lines = "".join(["%d" + " %d" * len(leaves) + "\n" for _, leaves in sd.stars])
+    lines += "%d %d\n" * len(sd.leftover)
+    ids = [x for center, leaves in sd.stars for x in (center, *leaves)]
+    ids += [x for edge in sd.leftover for x in edge]
+    fh.write(lines % tuple(ids))
 
 
 def read_decomposition(path) -> StarDecomposition:

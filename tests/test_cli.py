@@ -4,6 +4,7 @@ sample -> decompose -> verify round trip."""
 import csv
 import io
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stardecomp.cli import main
+from stardecomp.cli import _dumps, main
 from stardecomp.decomp import read_decomposition
 from stardecomp.graphs import MAX_VERTICES, GraphFormatError, read_graph
 
@@ -197,6 +198,45 @@ def test_certify_empty_degree_range(tmp_path):
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, load_schema("sweep_report.schema.json"))
     assert doc["payload"]["records"] == []
+
+
+# JSON trees for the report writer: dicts with str keys, lists, tuples (json
+# writes them as lists) and empty containers at every depth, over scalars
+# the encoder treats specially: ints beyond 2**64, nan, +-inf, -0.0, and text
+# holding newlines, quotes, braces, the writer's own separator and non-ASCII.
+_json_text = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["a\nb", 'say "hi"', "{", "}]", ",\n  {", "\\", "", "é ✓ \u2028"]),
+)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**40]),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    _json_text, st.sampled_from([[], (), {}]),
+)
+_json_trees = st.recursive(_json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_json_text, kids, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_json_trees)
+def test_report_writer_matches_the_indented_stdlib_writer(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--d-min", "30", "--d-max", "40"],
+    ["thresholds", "--d", "100"],
+    ["certify", "--d-min", "40", "--d-max", "30"],
+])
+def test_json_reports_keep_the_indented_layout(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_certify_estimate_needs_d20():
