@@ -15,14 +15,16 @@ found by halving and bisection on the computed rate with a stated bound on
 its float error.  beta_max is r_hi(tau_plus).  Errors are one-sided: the
 checker may under-certify, never over-certify.
 
-A sweep certifies its degrees in rounds, each batching every pending (d, k)
-as lockstep lanes whose results do not depend on the rest of their batch; a
-degree that fails goes to the next round with k - 1.
+A sweep certifies its degrees in rounds.  A round holds every pending
+(d, k) as numpy columns, which go through the array cores of derive_dhat,
+beta_max and check_condition as lockstep lanes whose results do not depend
+on the rest of their batch; a degree that fails goes to the next round with
+k - 1, and its record is built once, from the columns of the round that
+decides it.  The public functions are thin wrappers over the same cores.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 import os
@@ -119,22 +121,70 @@ def _only(outcomes):
     return res
 
 
-def _per_lane(fn, *lanes):
-    """fn applied to lanes given as equal-length lists, as a list with each
-    lane's value or the exception it raised.  If a lane raises, every lane
-    runs again alone, so each keeps its own outcome."""
-    if not lanes[0]:
-        return []
+def _live(n, errors):
+    """The lanes of n that errors holds no exception for, in order."""
+    live = np.ones(n, dtype=bool)
+    live[list(errors)] = False
+    return np.flatnonzero(live)
+
+
+def _per_lane(fn, lanes, errors, *columns):
+    """fn on the given lanes (indices) of the columns, as an array of their
+    values: a lane that raises gets nan, and its exception in the dict
+    errors.  If a lane raises, every lane runs again alone, so each keeps
+    its own outcome."""
+    args = [c[lanes] for c in columns]
+    if not len(lanes):
+        return np.empty(0)
     try:
-        return fn(*(np.array(a) for a in lanes)).tolist()
+        return fn(*args)
     except (ValueError, RuntimeError):
-        outcomes = []
-        for args in zip(*lanes):
+        values = np.full(len(lanes), np.nan)
+        for j, (i, *lane) in enumerate(zip(lanes.tolist(), *(a.tolist() for a in args))):
             try:
-                outcomes.append(fn(*args))
+                values[j] = fn(*lane)
             except (ValueError, RuntimeError) as exc:
-                outcomes.append(exc)
-        return outcomes
+                errors[i] = exc
+        return values
+
+
+def _derive(d, k):
+    """derive_dhat on lanes of 1-d arrays d and k: the columns t1, x1, x2,
+    t2, d_hat and tau_plus, nan (d_hat 0) where a lane fails, and a dict
+    from each failing lane to its exception."""
+    n = len(d)
+    t1, x1, x2, t2 = (np.full(n, np.nan) for _ in range(4))
+    d_hat, errors = np.zeros(n, dtype=int), {}
+    for i in np.flatnonzero((d < 3) | ~((d / 2 < k) & (k < d - 1))).tolist():
+        try:
+            CertifyInput(d=d.item(i), k=k.item(i), alpha=math.nan).validate()
+        except CertifyError as exc:
+            errors[i] = exc
+    # Step 1: the density x1 whose ceiling is t1 = 2(d - k)/d.  validate()
+    # keeps the integer k below d - 1, so t1 >= 4/d lies inside (2/d, 1).
+    lanes = _live(n, errors)
+    t1[lanes] = 2.0 * (d[lanes] - k[lanes]) / d[lanes]
+    x1[lanes] = _per_lane(avg_degree_ceiling_inv, lanes, errors, d, t1)
+    # Step 2: the density x2 = 1 - alpha_dk(d, k) - x1 of what remains and
+    # its ceiling t2.
+    lanes = _live(n, errors)
+    x2[lanes] = 1.0 - (1.0 - d[lanes] / (2.0 * k[lanes])) - x1[lanes]
+    for i in lanes[x2[lanes] <= 0.0].tolist():
+        errors[i] = CertifyError("x2 nonpositive", f"x1={x1.item(i)} >= 1 - alpha_dk")
+    lanes = _live(n, errors)
+    t2[lanes] = _per_lane(avg_degree_ceiling, lanes, errors, d, x2)
+    # Step 3: d_hat.
+    lanes = _live(n, errors)
+    d_hat[lanes] = np.floor(k[lanes] - t2[lanes] * d[lanes] / 2.0)
+    for i in lanes[d_hat[lanes] < 1].tolist():
+        errors[i] = CertifyError("d_hat underflow", f"d_hat={d_hat.item(i)}")
+    failed = list(errors)
+    for column in (t1, x1, x2, t2):
+        column[failed] = np.nan
+    d_hat[failed] = 0
+    tau_plus, lanes = np.full(n, np.nan), _live(n, errors)
+    tau_plus[lanes] = (d_hat[lanes] + 1) / d[lanes]
+    return t1, x1, x2, t2, d_hat, tau_plus, errors
 
 
 def derive_dhat(inp):
@@ -150,43 +200,12 @@ def derive_dhat(inp):
     if isinstance(inp, CertifyInput):
         return _only(derive_dhat([inp]))
     inputs = list(inp)
-    out = [None] * len(inputs)
-    for i, c in enumerate(inputs):
-        try:
-            c.validate()
-        except CertifyError as exc:
-            out[i] = exc
-    # Step 1: the density x1 whose ceiling is t1 = 2(d - k)/d.  validate()
-    # keeps the integer k below d - 1, so t1 >= 4/d lies inside (2/d, 1).
-    lanes = [i for i, o in enumerate(out) if o is None]
-    t1s = [2.0 * (inputs[i].d - inputs[i].k) / inputs[i].d for i in lanes]
-    x1s = _per_lane(avg_degree_ceiling_inv, [inputs[i].d for i in lanes], t1s)
-    # Step 2: the density x2 of what remains and its ceiling t2.
-    lanes2 = []
-    for i, t1, x1 in zip(lanes, t1s, x1s):
-        if isinstance(x1, Exception):
-            out[i] = x1
-            continue
-        x2 = 1.0 - alpha_dk(inputs[i].d, inputs[i].k) - x1
-        if x2 <= 0.0:
-            out[i] = CertifyError("x2 nonpositive", f"x1={x1} >= 1 - alpha_dk")
-        else:
-            lanes2.append((i, t1, x1, x2))
-    t2s = _per_lane(avg_degree_ceiling, [inputs[i].d for i, *_ in lanes2],
-                    [x2 for *_, x2 in lanes2])
-    # Step 3: d_hat.
-    for (i, t1, x1, x2), t2 in zip(lanes2, t2s):
-        d, k = inputs[i].d, inputs[i].k
-        if isinstance(t2, Exception):
-            out[i] = t2
-            continue
-        d_hat = math.floor(k - t2 * d / 2.0)
-        if d_hat < 1:
-            out[i] = CertifyError("d_hat underflow", f"d_hat={d_hat}")
-        else:
-            out[i] = CertifyResult(t1=t1, x1=x1, x2=x2, t2=t2, d_hat=d_hat,
-                                   tau_plus=(d_hat + 1) / d)
-    return out
+    if not inputs:
+        return []
+    *columns, errors = _derive(np.array([c.d for c in inputs]), np.array([c.k for c in inputs]))
+    fields = ("t1", "x1", "x2", "t2", "d_hat", "tau_plus")
+    return [errors[i] if i in errors else CertifyResult(**dict(zip(fields, values)))
+            for i, values in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 def _cap(alpha, tau):
@@ -250,22 +269,26 @@ def beta_max(d, alpha, tau_plus):
     """
     if all(np.ndim(v) == 0 for v in (d, alpha, tau_plus)):
         return _only(beta_max([d], alpha, tau_plus))
-    d, alpha, tau = _lanes(d, alpha, tau_plus)
-    out = [None] * len(d)
-    for i, (a, t) in enumerate(zip(alpha.tolist(), tau.tolist())):
-        if not 0.0 < a < 0.5:
-            out[i] = ValueError(f"alpha {a} outside (0, 1/2)")
-        elif not 0.0 < t <= 1.0:
-            out[i] = ValueError(f"tau_plus {t} outside (0, 1]")
-    ok = np.flatnonzero([o is None for o in out])
-    negative = pair_rate(d[ok], alpha[ok], 0.0, tau[ok]) < 0.0
-    for i in ok[negative].tolist():
-        out[i] = 0.0
-    todo = ok[~negative]
-    d, alpha, tau = d[todo], alpha[todo], tau[todo]
-    for i, value in zip(todo.tolist(), _roots(d, alpha, tau, _cap(alpha, tau))[1].tolist()):
-        out[i] = value
-    return out
+    values, errors = _beta_max(*_lanes(d, alpha, tau_plus))
+    return [errors.get(i, v) for i, v in enumerate(values.tolist())]
+
+
+def _beta_max(d, alpha, tau):
+    """beta_max on lanes of 1-d arrays: its values, nan where a lane fails,
+    and a dict from each failing lane to its exception."""
+    values, errors = np.full(len(d), np.nan), {}
+    ok = (0.0 < alpha) & (alpha < 0.5) & (0.0 < tau) & (tau <= 1.0)
+    for i in np.flatnonzero(~ok).tolist():
+        a, t = alpha.item(i), tau.item(i)
+        errors[i] = ValueError(f"alpha {a} outside (0, 1/2)" if not 0.0 < a < 0.5
+                               else f"tau_plus {t} outside (0, 1]")
+    lanes = np.flatnonzero(ok)
+    d, alpha, tau = d[lanes], alpha[lanes], tau[lanes]
+    negative = pair_rate(d, alpha, 0.0, tau) < 0.0
+    values[lanes[negative]] = 0.0
+    d, alpha, tau = d[~negative], alpha[~negative], tau[~negative]
+    values[lanes[~negative]] = _roots(d, alpha, tau, _cap(alpha, tau))[1]
+    return values, errors
 
 
 def check_condition(d, k, d_hat, alpha, bmax, tau_plus):
@@ -323,37 +346,59 @@ def check_condition(d, k, d_hat, alpha, bmax, tau_plus):
     """
     if all(np.ndim(v) == 0 for v in (d, k, d_hat, alpha, bmax, tau_plus)):
         return _only(check_condition([d], k, d_hat, alpha, bmax, tau_plus))
-    lanes = _lanes(d, k, d_hat, alpha, bmax, tau_plus)
-    out, rhs = [], []
-    for d_i, k_i, dh, a, bm, t in zip(*(v.tolist() for v in lanes)):
-        rhs.append(math.nan)
-        try:
-            if dh >= k_i:
-                raise CertifyError("bad input", f"d_hat={dh} >= k={k_i}")
-            if not 0.0 < a < 0.5:
-                raise ValueError(f"alpha {a} outside (0, 1/2)")
-            if not 0.0 < t <= 1.0:
-                raise ValueError(f"tau_plus {t} outside (0, 1]")
-            if not t > a / (1.0 - a):
-                raise CertifyError("pair rate not monotone in tau",
-                                   f"tau_plus={t} <= alpha/(1 - alpha)")
-            rhs[-1] = a - alpha_dk(d_i, k_i)
-        except (CertifyError, ValueError) as exc:
-            out.append(exc)
-            continue
-        strong = (d_i - dh) * bm < rhs[-1]
-        out.append((strong, True, None) if strong or bm <= 0.0 else None)
-    todo = np.flatnonzero([o is None for o in out])
-    d, _, d_hat, alpha, _, tau_plus = (v[todo] for v in lanes)
-    for i, res in zip(todo.tolist(),
-                      _branch_and_bound(d, d_hat, alpha, np.array(rhs)[todo], tau_plus)):
-        out[i] = res
-    return out
+    strong, weak, witness, errors = _check(*_lanes(d, k, d_hat, alpha, bmax, tau_plus))
+    return [errors[i] if i in errors else (s, w, None if b != b else (b, t, slack))
+            for i, (s, w, (b, t, slack)) in
+            enumerate(zip(strong.tolist(), weak.tolist(), witness.tolist()))]
+
+
+def _condition_error(d, k, d_hat, alpha, tau_plus):
+    """The exception check_condition gives a lane, or None."""
+    try:
+        if d_hat >= k:
+            raise CertifyError("bad input", f"d_hat={d_hat} >= k={k}")
+        if not 0.0 < alpha < 0.5:
+            raise ValueError(f"alpha {alpha} outside (0, 1/2)")
+        if not 0.0 < tau_plus <= 1.0:
+            raise ValueError(f"tau_plus {tau_plus} outside (0, 1]")
+        if not tau_plus > alpha / (1.0 - alpha):
+            raise CertifyError("pair rate not monotone in tau",
+                               f"tau_plus={tau_plus} <= alpha/(1 - alpha)")
+        alpha_dk(d, k)
+    except (CertifyError, ValueError) as exc:
+        return exc
+    return None
+
+
+def _check(d, k, d_hat, alpha, bmax, tau_plus):
+    """check_condition on lanes of 1-d arrays: the columns strong and weak
+    (False where a lane fails), the witness as rows (beta, tau, slack), nan
+    where check_condition gives None, and a dict from each failing lane to
+    its exception."""
+    n = len(d)
+    strong, weak = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    witness = np.full((n, 3), np.nan)
+    ok = (~(d_hat >= k) & (0.0 < alpha) & (alpha < 0.5) & (0.0 < tau_plus) & (tau_plus <= 1.0)
+          & ~(2 * k <= d))
+    ok[ok] = tau_plus[ok] > alpha[ok] / (1.0 - alpha[ok])
+    errors = {i: _condition_error(d.item(i), k.item(i), d_hat.item(i), alpha.item(i),
+                                  tau_plus.item(i)) for i in np.flatnonzero(~ok).tolist()}
+    lanes = np.flatnonzero(ok)
+    d, d_hat, alpha, bmax, tau_plus = (v[lanes] for v in (d, d_hat, alpha, bmax, tau_plus))
+    rhs = alpha - (1.0 - d / (2.0 * k[lanes]))  # alpha - alpha_dk(d, k)
+    strong[lanes] = (d - d_hat) * bmax < rhs
+    search = ~strong[lanes] & ~(bmax <= 0.0)
+    weak[lanes[~search]] = True
+    if search.any():
+        weak[lanes[search]], witness[lanes[search]] = _branch_and_bound(
+            *(v[search] for v in (d, d_hat, alpha, rhs, tau_plus)))
+    return strong, weak, witness, errors
 
 
 def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus):
-    """check_condition's (False, weak, witness) on lanes given as 1-d
-    arrays that passed its checks and failed the strong condition."""
+    """check_condition's weak column and witness rows (beta, tau, slack) on
+    lanes given as 1-d arrays that passed its checks and failed the strong
+    condition."""
     weak = np.ones(len(d), dtype=bool)
     # The open intervals [a, b], each with its lane, r_lo(a) and r_hi(a),
     # and the (lane, slack, beta, tau) of every point evaluated.
@@ -379,8 +424,7 @@ def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus):
     lane, slack, beta, tau = map(np.concatenate, zip(*seen))
     order = np.lexsort((tau, slack, lane))
     first = order[np.diff(lane[order], prepend=-1) != 0]
-    return [(False, ok, (bt, t, sl)) for ok, bt, t, sl in
-            zip(weak.tolist(), beta[first].tolist(), tau[first].tolist(), slack[first].tolist())]
+    return weak, np.stack([beta[first], tau[first], slack[first]], axis=1)
 
 
 def certify(inp: CertifyInput, derived=None, bmax=None, checked=None) -> CertifyResult:
@@ -388,7 +432,9 @@ def certify(inp: CertifyInput, derived=None, bmax=None, checked=None) -> Certify
 
     derived, bmax and checked are the outcomes (value or exception) of
     derive_dhat, beta_max and check_condition for inp, when a batch has
-    already computed them.
+    already computed them.  Sweeps and certify_degree do not call it: their
+    rounds run the same stages on columns (_Attempts.run) and give each
+    attempt the result certify gives.
     """
     res = derive_dhat([inp])[0] if derived is None else derived
     if isinstance(res, CertifyError):
@@ -404,58 +450,106 @@ def certify(inp: CertifyInput, derived=None, bmax=None, checked=None) -> Certify
                    worst_witness=witness, certified=strong or weak)
 
 
-def _certify_degrees(jobs):
-    """certify_degree for every (d, alpha) in jobs, run in rounds.
+class _Attempts:
+    """One round's attempts as columns: lane i is certify's result for star
+    size k[i] at degree deg[i], an index into the degrees of
+    _certify_degrees.  A column holds CertifyResult's default where a lane
+    did not reach its stage."""
 
-    Each round derives d_hat for the pending (d, k) of all degrees in one
-    batch, beta_max for those it derives in another and check_condition for
-    those in a third; a degree that fails goes to the next round with
-    k - 1.  Returns, per degree, certify_degree's (k_certified or None,
-    results) or the ValueError it raises.
+    def __init__(self, deg, k):
+        n = len(deg)
+        self.deg, self.k = deg, k
+        self.t1, self.x1, self.x2, self.t2, self.tau_plus, self.beta_max = (
+            np.full(n, np.nan) for _ in range(6))
+        self.d_hat = np.zeros(n, dtype=int)
+        self.strong, self.weak = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        self.witness = np.full((n, 3), np.nan)  # rows (beta, tau, slack); nan for None
+        self.error = np.full(n, None, dtype=object)
+
+    def run(self, d, alpha):
+        """Fill the columns for lanes at degrees d and densities alpha (1-d
+        arrays) through the cores of derive_dhat, beta_max and
+        check_condition, each on all lanes still going in one batch.  Returns
+        a dict from lane to the exception certify raises for it, a
+        derive_dhat error other than a CertifyError."""
+        k = self.k
+        *derived, failed = _derive(d, k)
+        self.t1, self.x1, self.x2, self.t2, self.d_hat, self.tau_plus = derived
+        raised = {i: exc for i, exc in failed.items() if not isinstance(exc, CertifyError)}
+        for i, exc in failed.items():
+            if i not in raised:
+                self.error[i] = exc.reason
+        lanes = _live(len(d), failed)
+        self.beta_max[lanes], failed = _beta_max(d[lanes], alpha[lanes], self.tau_plus[lanes])
+        self.error[lanes[list(failed)]] = [str(exc) for exc in failed.values()]
+        lanes = np.delete(lanes, list(failed))
+        (self.strong[lanes], self.weak[lanes], self.witness[lanes], failed) = _check(
+            d[lanes], k[lanes], self.d_hat[lanes], alpha[lanes], self.beta_max[lanes],
+            self.tau_plus[lanes])
+        # certify reports derive_dhat's result with the error, beta_max unset.
+        lanes = lanes[list(failed)]
+        self.error[lanes] = [str(exc) for exc in failed.values()]
+        self.beta_max[lanes] = np.nan
+        return raised
+
+    def result(self, i):
+        """Lane i as a CertifyResult."""
+        beta, tau, slack = self.witness[i].tolist()
+        strong, weak = self.strong.item(i), self.weak.item(i)
+        return CertifyResult(
+            certified=strong or weak, t1=self.t1.item(i), x1=self.x1.item(i),
+            x2=self.x2.item(i), t2=self.t2.item(i), d_hat=self.d_hat.item(i),
+            tau_plus=self.tau_plus.item(i), beta_max=self.beta_max.item(i),
+            strong_condition_met=strong, weak_condition_met=weak,
+            worst_witness=None if beta != beta else (beta, tau, slack), error=self.error[i])
+
+
+def _certify_degrees(ds, alphas):
+    """certify_degree for every degree of ds at the density of alphas, in
+    rounds.
+
+    A round holds the pending (d, k) of all degrees as columns and makes
+    their attempts in one _Attempts.run; a degree that fails goes on to the
+    next round with k - 1.  No CertifyInput or CertifyResult is made.
+    Returns (errors, attempts): errors maps a degree's position to the
+    ValueError that certify_degree raises for it, and attempts lists the
+    rounds' _Attempts in the order made, so that a degree's lanes, in that
+    order, are certify_degree's attempts (unless the degree is in errors).
     """
-    out = [None] * len(jobs)
-    pending = []  # (index into jobs, next k, results so far)
-    for i, (d, alpha) in enumerate(jobs):
-        if 0.0 < alpha < 0.5:
-            pending.append((i, math.floor(kappa(d, alpha)), []))
-        else:
-            out[i] = ValueError(f"alpha {alpha} outside (0, 1/2)")
-    while pending:
-        lanes = []
-        for i, k, results in pending:
-            d, alpha = jobs[i]
-            # Star sizes the procedure does not apply to are recorded, skipped.
-            while k > d / 2 and (alpha <= alpha_dk(d, k) or k >= d - 1):
-                results.append((k, CertifyResult(error="alpha at or below alpha_dk"
-                                                 if k < d - 1 else "k too large")))
-                k -= 1
-            if k > d / 2:
-                lanes.append((i, results, CertifyInput(d=d, k=k, alpha=alpha)))
-            else:
-                out[i] = (None, results)
-        pending = []
-        inputs = [inp for *_, inp in lanes]
-        derived = derive_dhat(inputs)
-        ok = [j for j, res in enumerate(derived) if isinstance(res, CertifyResult)]
-        bmax = dict(zip(ok, beta_max([inputs[j].d for j in ok], [inputs[j].alpha for j in ok],
-                                     [derived[j].tau_plus for j in ok])))
-        ok = [j for j in ok if not isinstance(bmax[j], Exception)]
-        checked = dict(zip(ok, check_condition(
-            [inputs[j].d for j in ok], [inputs[j].k for j in ok],
-            [derived[j].d_hat for j in ok], [inputs[j].alpha for j in ok],
-            [bmax[j] for j in ok], [derived[j].tau_plus for j in ok])))
-        for j, ((i, results, inp), dhat) in enumerate(zip(lanes, derived)):
-            try:
-                res = certify(inp, dhat, bmax.get(j), checked.get(j))
-            except ValueError as exc:
-                out[i] = exc
-                continue
-            results.append((inp.k, res))
-            if res.certified:
-                out[i] = (inp.k, results)
-            else:
-                pending.append((i, inp.k - 1, results))
-    return out
+    d, alpha = np.asarray(ds), np.asarray(alphas, dtype=float)
+    valid = (0.0 < alpha) & (alpha < 0.5)
+    errors = {i: ValueError(f"alpha {alphas[i]} outside (0, 1/2)")
+              for i in np.flatnonzero(~valid).tolist()}
+    deg = np.flatnonzero(valid)
+    k = np.floor(d[deg] / (2.0 * (1.0 - alpha[deg]))).astype(int)  # floor(kappa)
+    attempts = []
+    while len(deg):
+        # Star sizes the procedure does not apply to are recorded, skipped.
+        while True:
+            dd = d[deg]
+            big = np.flatnonzero(k > dd / 2)
+            too_large = k[big] >= dd[big] - 1
+            skip = big[too_large | (alpha[deg[big]] <= 1.0 - dd[big] / (2.0 * k[big]))]
+            if not len(skip):
+                break
+            attempts.append(_Attempts(deg[skip], k[skip]))
+            attempts[-1].error[:] = np.where(k[skip] >= dd[skip] - 1, "k too large",
+                                             "alpha at or below alpha_dk")
+            k[skip] -= 1
+        going = k > d[deg] / 2
+        deg, k = deg[going], k[going]
+        if not len(deg):
+            break
+        attempts.append(_Attempts(deg, k))
+        raised = attempts[-1].run(d[deg], alpha[deg])
+        for i, exc in sorted(raised.items()):
+            if not isinstance(exc, ValueError):
+                raise exc
+            errors[deg.item(i)] = exc
+        going = ~(attempts[-1].strong | attempts[-1].weak)
+        going[list(raised)] = False
+        deg, k = deg[going], k[going] - 1
+    return errors, attempts
 
 
 def certify_degree(d, alpha):
@@ -466,7 +560,11 @@ def certify_degree(d, alpha):
     k <= d/2, in the rounds a sweep runs, here on one degree.  Returns
     (k_certified or None, list of (k, CertifyResult)).
     """
-    return _only(_certify_degrees([(d, alpha)]))
+    errors, attempts = _certify_degrees([d], [alpha])
+    if errors:
+        raise errors[0]
+    results = [(att.k.item(0), att.result(0)) for att in attempts]
+    return (results[-1][0] if results and results[-1][1].certified else None), results
 
 
 @dataclass
@@ -572,49 +670,47 @@ def resolve_alpha(degrees, table, strict):
             for d in degrees]
 
 
-def _record(d, alpha, source, outcome):
-    """The sweep's DegreeRecord for one degree from _certify_degrees' outcome."""
-    k_ind = math.floor(kappa(d, alpha))
-    if isinstance(outcome, Exception):
-        return DegreeRecord(
-            d=d, alpha=alpha, alpha_source=source, k_ind=k_ind,
-            k_certified=None, exceptional=True, error=str(outcome),
-        )
-    k_cert, results = outcome
-    if k_cert is not None:
-        res = dict(results)[k_cert]
-        cond = "strong" if res.strong_condition_met else "weak"
-    else:
-        # Report the intermediates of the first (largest-k) attempt.
-        res = results[0][1] if results else CertifyResult(error="no k in range")
-        cond = "failed"
-    return DegreeRecord(
-        d=d,
-        alpha=alpha,
-        alpha_source=source,
-        k_ind=k_ind,
-        k_certified=k_cert,
-        exceptional=(k_cert is None or k_cert < k_ind),
-        t1=res.t1,
-        x1=res.x1,
-        x2=res.x2,
-        t2=res.t2,
-        d_hat=res.d_hat,
-        beta_max=res.beta_max,
-        condition=cond,
-        error=res.error,
-    )
+def _records(jobs):
+    """The sweep's DegreeRecords for jobs of (d, alpha, source), certified
+    in one set of rounds.  A degree reports the attempt that certifies it,
+    else its first (largest-k) one, taken from the rounds' columns."""
+    ds, alphas, _ = zip(*jobs)
+    errors, attempts = _certify_degrees(ds, alphas)
+    n = len(jobs)
+    k_cert, d_hat = np.full(n, -1), np.zeros(n, dtype=int)
+    t1, x1, x2, t2, bmax = (np.full(n, np.nan) for _ in range(5))
+    condition = np.full(n, "failed", dtype=object)
+    error = np.full(n, "no k in range", dtype=object)
+    seen = np.zeros(n, dtype=bool)
+    for att in attempts:
+        certified = att.strong | att.weak
+        take = certified | ~seen[att.deg]
+        seen[att.deg] = True
+        for column, lanes in ((t1, att.t1), (x1, att.x1), (x2, att.x2), (t2, att.t2),
+                              (d_hat, att.d_hat), (bmax, att.beta_max), (error, att.error)):
+            column[att.deg[take]] = lanes[take]
+        k_cert[att.deg[certified]] = att.k[certified]
+        condition[att.deg[certified]] = np.where(att.strong[certified], "strong", "weak")
+    failed = list(errors)
+    for column in (t1, x1, x2, t2, bmax):
+        column[failed] = np.nan
+    d_hat[failed] = 0
+    error[failed] = [str(exc) for exc in errors.values()]
+    records = []
+    for (d, alpha, source), k, *fields in zip(
+            jobs, k_cert.tolist(), t1.tolist(), x1.tolist(), x2.tolist(), t2.tolist(),
+            d_hat.tolist(), bmax.tolist(), condition.tolist(), error.tolist()):
+        k_ind = math.floor(kappa(d, alpha))
+        k = None if k < 0 else k
+        records.append(DegreeRecord(d, alpha, source, k_ind, k, k is None or k < k_ind, *fields))
+    return records
 
 
 def _sweep_part(jobs):
     """Records of one worker's share of the sweep, jobs of (d, alpha,
     source), certified SWEEP_BLOCK degrees at a time."""
-    records = []
-    for b in range(0, len(jobs), SWEEP_BLOCK):
-        block = jobs[b : b + SWEEP_BLOCK]
-        outcomes = _certify_degrees([(d, a) for d, a, _ in block])
-        records += [_record(*job, outcome) for job, outcome in zip(block, outcomes)]
-    return records
+    return [record for b in range(0, len(jobs), SWEEP_BLOCK)
+            for record in _records(jobs[b : b + SWEEP_BLOCK])]
 
 
 def sweep(
@@ -650,6 +746,8 @@ def sweep(
     jobs = [(d, a, src) for d, (a, src) in zip(degrees, alphas)]
     workers = min(threads, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        import concurrent.futures
+
         parts = [jobs[i::workers] for i in range(workers)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = [r for part in pool.map(_sweep_part, parts) for r in part]

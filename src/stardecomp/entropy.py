@@ -55,12 +55,21 @@ def h(x):
     float cancellation at domain boundaries); anything beyond is a hard error.
     """
     x = np.asarray(x, dtype=float)
-    if x.size and (x.min() < -CLAMP_TOL or x.max() > 1.0 + CLAMP_TOL):
+    lo, hi = (x.min(), x.max()) if x.size else (1.0, 1.0)
+    if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
         bad = (x < -CLAMP_TOL) | (x > 1.0 + CLAMP_TOL)
         raise DomainError(f"h() argument {x[bad].flat[0]} outside [0, 1]")
-    x, out = np.clip(x, 0.0, 1.0), np.zeros_like(x)
-    # log(1) is exactly 0, so only x = 0 needs masking.
-    np.log(x, out=out, where=x > 0.0)
+    # A NaN argument makes lo and hi NaN, which fail both tests below, so it
+    # takes the clip and the masked log.
+    if not (lo >= 0.0 and hi <= 1.0):
+        x = np.clip(x, 0.0, 1.0)
+    if lo > 0.0:
+        # out=, since a 0-d log would return a scalar.
+        out = np.log(x, out=np.empty_like(x))
+    else:
+        # log(1) is exactly 0, so only x = 0 needs masking; h(0) is -0.0.
+        out = np.zeros_like(x)
+        np.log(x, out=out, where=x > 0.0)
     out *= x
     return _given(np.negative(out, out=out))
 

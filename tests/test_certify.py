@@ -25,6 +25,7 @@ from stardecomp.certify import (
     CertifyInput,
     CertifyResult,
     DegreeRecord,
+    _sweep_part,
     beta_max,
     certify,
     certify_degree,
@@ -32,6 +33,7 @@ from stardecomp.certify import (
     derive_dhat,
     load_alpha_table,
     pair_rate_grid,
+    resolve_alpha,
     sweep,
 )
 from stardecomp.entropy import (
@@ -49,6 +51,7 @@ from stardecomp.entropy import (
 
 import bisect_reference
 import grid_reference as ref
+import rounds_reference
 from stardecomp.cli import main
 
 # The size of a large batch of lanes in the tests below.
@@ -600,6 +603,33 @@ def test_sweep_payload_is_pinned():
         "13265da2427d9d7fe7b2b747db4e0775a5a07d910af77cb74275fa82df7910da")
 
 
+def test_sweep_record_independent_of_its_batch():
+    # A degree's record is the one it has alone, inside 30..3000, shuffled,
+    # in parts of a shuffled sample, and padded with degrees that fail,
+    # skip star sizes or take many rounds.
+    rnd = random.Random(0)
+    degrees = range(30, 3001)
+    jobs = [(d, a, src) for d, (a, src) in zip(degrees, resolve_alpha(degrees, None, False))]
+    full = [repr(vars(r)) for r in _sweep_part(jobs)]
+    order = rnd.sample(range(len(jobs)), len(jobs))
+    got = _sweep_part([jobs[i] for i in order])
+    assert [repr(vars(r)) for r in got] == [full[i] for i in order]
+    weak = [i for i, r in enumerate(full) if "'condition': 'weak'" in r]
+    exceptional = [i for i, r in enumerate(full) if "'exceptional': True" in r]
+    picked = rnd.sample(range(len(jobs)), LANES) + rnd.sample(weak, 8)
+    picked += rnd.sample(exceptional, 8)
+    for i in picked:
+        assert repr(vars(_sweep_part([jobs[i]])[0])) == full[i]
+    for batch in _batches(rnd, len(picked)):
+        got = _sweep_part([jobs[picked[j]] for j in batch])
+        assert [repr(vars(r)) for r in got] == [full[picked[j]] for j in batch]
+    padding = [(33, 0.7, "table"), (40, 0.001, "table"), (24, alpha_dk(24, 14), "table"),
+               (60, 0.49, "table"), (5, 0.3, "table"),
+               (10**5, alpha_fc_estimate(10**5), "estimate")]
+    got = _sweep_part(padding + [jobs[i] for i in picked] + padding)
+    assert [repr(vars(r)) for r in got[len(padding):-len(padding)]] == [full[i] for i in picked]
+
+
 # derive_dhat on batches of lanes.
 
 def _dhat_outcome(res):
@@ -795,3 +825,100 @@ def test_load_alpha_table_reads_spaced_header_and_skips_blank_lines(tmp_path):
     path = tmp_path / "alpha.csv"
     path.write_text("d, alpha\n30, 0.14\n\n31,0.13\n")
     assert load_alpha_table(path) == {30: 0.14, 31: 0.13}
+
+
+# The rounds on columns against their per-lane form (rounds_reference).
+
+_ALPHA_KINDS = ["estimate", "uniform", "alpha_dk", "outside", "high"]
+
+
+def _faulty_inverse(inverse, raising):
+    """avg_degree_ceiling_inv shifted up by 1 at degrees 1 mod 7, so that x2
+    turns nonpositive, and failing with a DomainError at degrees 2 mod 7
+    and, if raising, with a RuntimeError at degrees 3 mod 7."""
+    def patched(d, t):
+        dd = np.asarray(d)
+        if np.any(dd % 7 == 2):
+            raise DomainError(f"no inverse at d={d}")
+        if raising and np.any(dd % 7 == 3):
+            raise RuntimeError(f"no sign change for inverse at d={d}")
+        x = inverse(d, t) + (dd % 7 == 1)
+        return x.item() if np.ndim(x) == 0 else x
+    return patched
+
+
+def _outcome_repr(fn, *args):
+    """repr of fn's value, or of the type and message of what it raises;
+    repr, so that NaN compares equal and an int differs from a float."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, RuntimeError) as exc:
+        return repr((type(exc), str(exc)))
+
+
+def _assert_rounds_match_reference(d_min, d_max, table, fault=None):
+    """The sweep's records and every degree's certify_degree attempts equal
+    the per-lane rounds'; returns the repr of them all."""
+    degrees = range(d_min, d_max + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        if fault is not None:
+            for module in (sys.modules["stardecomp.certify"], rounds_reference):
+                mp.setattr(module, "avg_degree_ceiling_inv",
+                           _faulty_inverse(avg_degree_ceiling_inv, fault == "raise"))
+        alphas = resolve_alpha(degrees, table, False)
+        jobs = [(d, a, src) for d, (a, src) in zip(degrees, alphas)]
+        seen = [_outcome_repr(lambda: [vars(r) for r in sweep(
+            d_min, d_max, alpha_source="table", alpha_table=table).records])]
+        assert seen[0] == _outcome_repr(
+            lambda: [vars(r) for r in rounds_reference._sweep_part(jobs)])
+        for d, alpha, _ in jobs:
+            seen.append(_outcome_repr(certify_degree, d, alpha))
+            assert seen[-1] == _outcome_repr(rounds_reference.certify_degree, d, alpha)
+    return "".join(seen)
+
+
+@given(d_min=st.integers(3, 99) | st.integers(100, 3000), size=st.integers(1, 6),
+       fault=st.sampled_from([None, "shift", "raise"]), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_rounds_match_the_per_lane_reference(d_min, size, fault, data):
+    # Table alphas reach every branch: outside (0, 1/2); at or below
+    # alpha_dk (exactly alpha_dk(d, k), or one ulp off) and k >= d - 1
+    # (high); d_hat underflow at small d; tau_plus <= alpha/(1 - alpha)
+    # (high); and, through the faulty inverse, x2 nonpositive, the
+    # inverse's DomainError and a RuntimeError, which ends the sweep.
+    # Where no k certifies, a degree makes a round for each k down to d/2,
+    # so alpha stays below 0.4, where some k certifies, from d = 100 on.
+    table = {}
+    for d in range(d_min, d_min + size):
+        small = d < 100
+        kind = data.draw(st.sampled_from(_ALPHA_KINDS[d < 20 : None if small else -1]))
+        if kind == "uniform":
+            table[d] = data.draw(st.floats(0.0, 0.5 if small else 0.4,
+                                           exclude_min=True, exclude_max=True))
+        elif kind == "high":
+            table[d] = data.draw(st.floats(0.45, 0.5, exclude_max=True))
+        elif kind == "alpha_dk":
+            k = data.draw(st.integers(d // 2 + 1, d - 1 if small else int(d / 1.2)))
+            alpha = alpha_dk(d, k)
+            table[d] = float(np.nextafter(alpha, data.draw(st.sampled_from([0.0, 1.0]))
+                                          ) if data.draw(st.booleans()) else alpha)
+        elif kind == "outside":
+            table[d] = data.draw(st.sampled_from([0.0, 0.5, 0.7]))
+    _assert_rounds_match_reference(d_min, d_min + size - 1, table, fault)
+
+
+def test_rounds_reference_cases_reach_every_branch():
+    # The faulty inverse fails at 9, 16, ..., 44 and shifts 8, 15, ...;
+    # kappa(24, alpha_dk(24, 14)) is exactly 14.
+    table = {d: 0.49 for d in range(3, 20)}
+    table.update({5: 0.3, 20: 0.7, 21: 0.0, 24: alpha_dk(24, 14), 25: 0.49, 26: 0.45,
+                  40: 0.001})
+    errors = {e.split(":")[0] for e in re.findall(
+        r"error'?(?::|=) '([^']*)'", _assert_rounds_match_reference(3, 45, table, "shift"))}
+    assert errors == {"alpha 0.7 outside (0, 1/2)", "alpha 0.0 outside (0, 1/2)",
+                      "no k in range", "k too large", "alpha at or below alpha_dk",
+                      "x2 nonpositive", "d_hat underflow", "pair rate not monotone in tau",
+                      *(f"no inverse at d={d}" for d in range(9, 45, 7))}
+    # A RuntimeError and kappa's DomainError end the sweep, alike in both.
+    assert "RuntimeError" in _assert_rounds_match_reference(30, 40, {}, "raise")
+    assert "DomainError" in _assert_rounds_match_reference(30, 33, {31: -0.1})

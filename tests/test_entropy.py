@@ -67,6 +67,32 @@ def test_h_clamping_band():
         h(1.001)
 
 
+def _masked_h(x):
+    """h in its masked form: every argument clipped to [0, 1], then the log
+    taken where it is positive into zeros, so that h(0) is -0.0."""
+    x = np.asarray(x, dtype=float)
+    x, out = np.clip(x, 0.0, 1.0), np.zeros_like(x)
+    np.log(x, out=out, where=x > 0.0)
+    out *= x
+    return np.negative(out, out=out)
+
+
+_H_INNER = st.floats(0.0, 1.0, exclude_min=True)
+_H_ANY = (_H_INNER | st.floats(-1e-12, 1e-12) | st.floats(1.0, 1.0 + 1e-12)
+          | st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nan]))
+
+
+# Arrays with no zero (h takes the unmasked log) and with any values of the
+# clamping bands, each also as a 0-d array; lists may be empty.
+@given(st.lists(_H_INNER, max_size=40) | st.lists(_H_ANY, max_size=40), st.booleans())
+@settings(max_examples=300)
+def test_h_matches_the_masked_log_bit_for_bit(values, zero_d):
+    x = np.array(values[0] if zero_d and values else values, dtype=float)
+    got, expected = np.asarray(h(x), dtype=float), _masked_h(x)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.reshape(-1).view(np.int64), expected.reshape(-1).view(np.int64))
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_h_nonnegative_and_bounded(x):
     val = h(x)
