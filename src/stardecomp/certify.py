@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -427,27 +427,15 @@ def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus):
     return weak, np.stack([beta[first], tau[first], slack[first]], axis=1)
 
 
-def certify(inp: CertifyInput, derived=None, bmax=None, checked=None) -> CertifyResult:
-    """Run the full decision procedure for one (d, k, alpha) triple.
-
-    derived, bmax and checked are the outcomes (value or exception) of
-    derive_dhat, beta_max and check_condition for inp, when a batch has
-    already computed them.  Sweeps and certify_degree do not call it: their
-    rounds run the same stages on columns (_Attempts.run) and give each
-    attempt the result certify gives.
-    """
-    res = derive_dhat([inp])[0] if derived is None else derived
-    if isinstance(res, CertifyError):
-        return CertifyResult(error=res.reason)
-    res = _only([res])
-    try:
-        bmax = beta_max(inp.d, inp.alpha, res.tau_plus) if bmax is None else _only([bmax])
-        strong, weak, witness = _only([checked]) if checked is not None else check_condition(
-            inp.d, inp.k, res.d_hat, inp.alpha, bmax, res.tau_plus)
-    except (CertifyError, ValueError) as exc:
-        return replace(res, error=str(exc))
-    return replace(res, beta_max=bmax, strong_condition_met=strong, weak_condition_met=weak,
-                   worst_witness=witness, certified=strong or weak)
+def certify(inp: CertifyInput) -> CertifyResult:
+    """Run the full decision procedure for one (d, k, alpha) triple, as a
+    round of one lane (_Attempts.run), the way sweeps and certify_degree
+    run it."""
+    attempt = _Attempts(np.zeros(1, dtype=int), np.array([inp.k]))
+    raised = attempt.run(np.array([inp.d]), np.array([inp.alpha]))
+    if raised:
+        raise raised[0]
+    return attempt.result(0)
 
 
 class _Attempts:

@@ -1,16 +1,16 @@
 """Constructive k-star decompositions.
 
 Pipeline: greedy independent set -> thinning -> trimming to the target
-density (relief_trim) -> in-regular orientation of the complement by path
-reversal (or a Hakimi witness that none exists) -> star extraction, plus
-verifiers and small-instance brute-force oracles for the orientation
-feasibility condition.
+density (relief_trim) -> in-regular orientation of the complement, a
+forced-edge start repaired by path reversal (or a Hakimi witness that none
+exists) -> star extraction, plus verifiers and small-instance brute-force
+oracles for the orientation feasibility condition.
 
 The bulk stages (the counts that thinning and trimming start from, star
 extraction and verification) are numpy passes over the graph's edge and CSR
-arrays; the greedy heap, the thinning and trimming loops and path reversal
-stay sequential.  Tie-breaking is lowest-id-first everywhere so identical
-inputs give identical decompositions.
+arrays; the greedy heap, the thinning and trimming loops, the orientation's
+start and path reversal stay sequential.  Tie-breaking is lowest-id-first
+everywhere so identical inputs give identical decompositions.
 """
 
 from __future__ import annotations
@@ -141,14 +141,15 @@ def relief_trim(g: Graph, thin: ThinIndependentSet, target) -> ThinIndependentSe
     relief = np.bincount(inner[into[outer] >= d_hat], minlength=g.n).tolist()
     into = into.tolist()
     indptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
-    # Max-heap on (relief, id); entries for removed members or outdated
-    # relief values are skipped when popped.
-    heap = [(-relief[a], -a) for a in members]
+    # Max-heap on (relief, id) as the min-heap of keys -(relief * n + id);
+    # entries for removed members or outdated relief values are skipped
+    # when popped.
+    n = g.n
+    heap = [-(relief[a] * n + a) for a in members]
     heapq.heapify(heap)
     while len(members) > target:
-        neg_relief, neg_a = heapq.heappop(heap)
-        best = -neg_a
-        if best not in members or -neg_relief != relief[best]:
+        key_relief, best = divmod(-heapq.heappop(heap), n)
+        if best not in members or key_relief != relief[best]:
             continue
         members.remove(best)
         for v in nbrs[indptr[best]:indptr[best + 1]]:
@@ -158,7 +159,7 @@ def relief_trim(g: Graph, thin: ThinIndependentSet, target) -> ThinIndependentSe
                 for a in nbrs[indptr[v]:indptr[v + 1]]:
                     if a in members:
                         relief[a] -= 1
-                        heapq.heappush(heap, (-relief[a], -a))
+                        heapq.heappush(heap, -(relief[a] * n + a))
     return ThinIndependentSet(frozenset(members), d_hat, verified=True)
 
 
@@ -196,20 +197,87 @@ def _unload(csr, ends, heads, indeg, x, ell):
     return set(via)
 
 
+def _forced_start(csr, ends, ell):
+    """Heads and in-degrees of an orientation of every edge, built so that
+    few in-degrees exceed ell.
+
+    free[v] counts v's edge ends not yet oriented (a loop's two).  A vertex
+    with free ends is forced when its in-degree has reached ell, so that
+    all its free edges should point away, or when its need ell - indeg is
+    at least free[v], so that all of them should point in; forced vertices
+    are settled from a LIFO stack.  When none is left, the lowest-id edge
+    not yet oriented points at the endpoint whose need is the larger share
+    of its free ends (the lower id on a tie; a loop at its vertex).
+    """
+    indptr, nbrs, eids = csr
+    n, m = len(indptr) - 1, len(ends)
+    heads, indeg = [-1] * m, [0] * n
+    free = [indptr[v + 1] - indptr[v] for v in range(n)]
+    stack = [v for v in range(n - 1, -1, -1) if free[v] and (ell <= 0 or ell >= free[v])]
+    edge = 0
+    while True:
+        while stack:
+            v = stack.pop()
+            if not free[v]:
+                continue
+            # Forced is kept as edges are oriented, so v with in-degree
+            # below ell has need >= free[v]: every free edge points in.
+            into = indeg[v] < ell
+            for i in range(indptr[v], indptr[v + 1]):
+                e = eids[i]
+                if heads[e] >= 0:
+                    continue
+                w = nbrs[i]
+                free[w] -= 1  # a loop (w == v) points at v either way
+                if into:
+                    heads[e] = v
+                    indeg[v] += 1
+                else:
+                    heads[e] = w
+                    indeg[w] += 1
+                if free[w] and (indeg[w] >= ell or ell - indeg[w] >= free[w]):
+                    stack.append(w)
+            free[v] = 0
+        while edge < m and heads[edge] >= 0:
+            edge += 1
+        if edge == m:
+            return heads, indeg
+        u, v = ends[edge]
+        # Neither endpoint is forced, so 0 < need < free at both.
+        if (ell - indeg[v]) * free[u] > (ell - indeg[u]) * free[v]:
+            u, v = v, u
+        heads[edge] = u
+        indeg[u] += 1
+        free[u] -= 1
+        free[v] -= 1
+        for w in (u, v):
+            if free[w] and (indeg[w] >= ell or ell - indeg[w] >= free[w]):
+                stack.append(w)
+
+
 def in_regular_orientation(H: Graph, ell, mode="exact"):
     """Orient H so that every in-degree equals ell (mode "exact") or is at
     most ell (mode "at_most"), or produce a violating vertex set.
 
-    Each edge first points at whichever endpoint has the lower in-degree so
-    far (a loop at its own vertex).  Every vertex x left with in-degree above
-    ell is then unloaded by reversing paths of arcs that lead into x from a
-    vertex with in-degree below ell.  If no such path exists, the vertices
-    that can reach x form a set R that every arc into R starts in, so
-    e[R] = sum of in-degrees over R > ell * |R|: by Hakimi's theorem (an
-    orientation with in-degrees at most ell exists iff e[U] <= ell * |U| for
-    every U) no orientation exists, and R is returned as the witness.  In
-    exact mode e(H) = ell * |V|, so in-degrees at most ell are all equal to
-    ell.
+    The orientation starts from _forced_start, and every vertex x left with
+    in-degree above ell is then unloaded by reversing paths of arcs that
+    lead into x from a vertex with in-degree below ell.  If no such path
+    exists, the vertices that can reach x form a set R that every arc into R
+    starts in, so e[R] = sum of in-degrees over R > ell * |R|: by Hakimi's
+    theorem (an orientation with in-degrees at most ell exists iff
+    e[U] <= ell * |U| for every U) no orientation exists, and R is returned
+    as the witness.  In exact mode e(H) = ell * |V|, so in-degrees at most
+    ell are all equal to ell.
+
+    The repair is exact from any start: a reversal moves one unit of
+    in-degree from x to a vertex below ell, so it makes no new excess, and
+    the witness argument uses only the orientation at hand, not how it was
+    built.  The start decides only how much repair is left; on sampled
+    pipeline complements it leaves a handful of units, where orienting each
+    edge toward the lower in-degree left hundreds.  The start is linear:
+    each vertex's CSR range is scanned once, when it is settled; each push
+    onto the stack follows an edge end being oriented; and the pointer to
+    the lowest-id free edge only advances.
     """
     if mode not in ("exact", "at_most"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -219,13 +287,8 @@ def in_regular_orientation(H: Graph, ell, mode="exact"):
     if mode == "at_most" and m > ell * n:
         raise ValueError(f"at_most mode needs e(H) <= ell*|V|, got {m} > {ell * n}")
     ends = H.pairs.tolist()
-    indeg = [0] * n
-    heads = []
-    for u, v in ends:
-        head = v if indeg[v] < indeg[u] else u
-        heads.append(head)
-        indeg[head] += 1
     csr = H.indptr.tolist(), H.nbrs.tolist(), H.eids.tolist()
+    heads, indeg = _forced_start(csr, ends, ell)
     for x in range(n):
         while indeg[x] > ell:
             U = _unload(csr, ends, heads, indeg, x, ell)

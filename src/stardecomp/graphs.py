@@ -41,7 +41,7 @@ class Graph:
     pairs is the (m, 2) int64 array of edges, u <= v in each row; repeated
     rows encode multiplicity and (v, v) a loop.  edges is the same as a list
     of (u, v) int tuples, built on first use.  The adjacency is in CSR form,
-    built by one stable sort of the half-edges: vertex v's entries are
+    built by one sort of the half-edges: vertex v's entries are
     nbrs[indptr[v]:indptr[v+1]] (neighbour ids) and eids[...] (edge ids), in
     edge-id order, and a loop appears twice.  All arrays are read-only.
     """
@@ -66,10 +66,17 @@ class Graph:
         hi = np.maximum(ends[:, 0], ends[:, 1])
         self.n = n
         self.pairs = np.column_stack([lo, hi])
-        # Half-edge 2e is edge e seen from lo, 2e + 1 from hi; a stable sort
-        # by tail keeps each vertex's entries in edge-id order.
+        # Half-edge 2e is edge e seen from lo, 2e + 1 from hi.  Sorting the
+        # keys tail * 2m + half-edge sorts by tail, each vertex's entries in
+        # edge-id order, as a stable argsort would; the keys are distinct
+        # and below n * 2m, which must fit in int64 so that none wraps.
         tails = self.pairs.ravel()
-        order = np.argsort(tails, kind="stable")
+        half = len(tails)
+        if n * half >= 2**63:
+            raise ValueError(f"n * 2m = {n * half} overflows the CSR sort keys")
+        keys = tails * half + np.arange(half)
+        keys.sort()
+        order = keys % max(half, 1)
         self.nbrs = np.column_stack([hi, lo]).ravel()[order]
         self.eids = order >> 1
         self.indptr = np.zeros(n + 1, dtype=np.int64)
@@ -112,14 +119,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
-def _sorted_pairs(stubs):
-    """Match consecutive stubs (given by their vertex ids) into (u, v) rows
-    with u <= v."""
-    pairs = stubs.reshape(-1, 2)
-    pairs.sort(axis=1)
-    return pairs
-
-
 def config_model_sample(n, d, seed):
     """Sample the configuration model: a uniform perfect matching of the n*d
     half-edges.  The result is d-regular (loops count twice) but may have
@@ -129,13 +128,16 @@ def config_model_sample(n, d, seed):
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d = {n * d} must be even")
     rng = np.random.default_rng(seed)
-    pairs = _sorted_pairs(rng.permutation(n * d) // d)  # stub i is vertex i // d
-    return Graph(n, pairs)
+    # Stub i is vertex i // d; consecutive stubs are matched.
+    return Graph(n, (rng.permutation(n * d) // d).reshape(-1, 2))
 
 
 def _pairs_distinct(pairs, n):
-    """True iff no (u, v) row of pairs, vertex ids below n, repeats."""
-    keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    """True iff no edge of pairs, (m, 2) rows of vertex ids below n read as
+    unordered pairs, repeats."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort()
     return not np.any(keys[1:] == keys[:-1])
 
 
@@ -156,12 +158,19 @@ def sample_simple(n, d, seed, max_tries=100000):
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d = {n * d} must be even")
     rng = np.random.default_rng(seed)
+    # Each try shuffles one buffer refilled with the stubs' owners.  The
+    # Fisher-Yates swaps do not depend on the values swapped, and
+    # permutation(n * d) shuffles arange(n * d), so a try draws what
+    # config_model_sample draws, permutation(n * d) // d.
+    owners = np.arange(n * d) // d
+    stubs = np.empty_like(owners)
     for tries in range(1, max_tries + 1):
-        stubs = rng.permutation(n * d) // d
+        stubs[:] = owners
+        rng.shuffle(stubs)
+        pairs = stubs.reshape(-1, 2)
         # Most rejected tries have a loop; spotting one needs no sort.
-        if np.any(stubs[0::2] == stubs[1::2]):
+        if np.any(pairs[:, 0] == pairs[:, 1]):
             continue
-        pairs = _sorted_pairs(stubs)
         if _pairs_distinct(pairs, n):
             return Graph(n, pairs), tries
     raise RuntimeError(f"max tries exceeded ({max_tries}) for n={n}, d={d}")
@@ -300,18 +309,22 @@ def greedy_independent_set(g: Graph, seed) -> set:
     """
     n = g.n
     rng = np.random.default_rng(seed)
-    priority = rng.permutation(n).tolist()
+    priority = rng.permutation(n)
+    # A heap key deg * n + priority orders as (deg, priority), and the
+    # priority, a permutation of the ids, names the vertex through inverse.
+    inverse = np.argsort(priority).tolist()
+    priority = priority.tolist()
     alive = [True] * n
     loop = g.pairs[:, 0] == g.pairs[:, 1]
     deg = np.bincount(g.pairs[~loop].ravel(), minlength=n).tolist()
     # A vertex with a loop can never join an independent set.
     loopy = set(g.pairs[loop, 0].tolist())
     indptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
-    heap = [(deg[v], priority[v], v) for v in range(n) if v not in loopy]
+    heap = [deg[v] * n + priority[v] for v in range(n) if v not in loopy]
     heapq.heapify(heap)
     chosen = set()
     while heap:
-        best = heapq.heappop(heap)[2]
+        best = inverse[heapq.heappop(heap) % n]
         if not alive[best]:
             continue
         chosen.add(best)
@@ -323,7 +336,7 @@ def greedy_independent_set(g: Graph, seed) -> set:
                 if alive[w]:
                     deg[w] -= 1
                     if w not in loopy:
-                        heapq.heappush(heap, (deg[w], priority[w], w))
+                        heapq.heappush(heap, deg[w] * n + priority[w])
     return chosen
 
 

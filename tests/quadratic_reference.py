@@ -9,18 +9,27 @@ relabelling of induced_subgraph, the edge-by-edge star extraction and the
 Counter-based verifier are the per-edge Python loops the numpy versions
 replaced; those must return equal results (the verifier's diagnostics
 differ only where a claimed pair is no edge of the graph, which this one
-reports as covered)."""
+reports as covered).  in_regular_orientation is the path-reversal
+orientation started from each edge pointing at its endpoint of lower
+in-degree so far; the library's forced-edge start must reach the same
+feasibility verdicts."""
 
 from collections import Counter
 
 import numpy as np
 
-from stardecomp.decomp import Orientation, StarDecomposition, ThinIndependentSet
+from stardecomp.decomp import (
+    InfeasibleCertificate,
+    Orientation,
+    StarDecomposition,
+    ThinIndependentSet,
+)
 from stardecomp.graphs import (
     MAX_VERTICES,
     Graph,
     GraphFormatError,
     check_thin,
+    induced_edges,
     is_independent,
 )
 
@@ -265,3 +274,53 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
     if not sd.leftover and len(g.edges) % sd.k != 0:
         diagnostics.append("exact decomposition claimed but k does not divide e(G)")
     return not diagnostics, diagnostics
+
+
+def _unload(csr, ends, heads, indeg, x, ell):
+    indptr, nbrs, eids = csr
+    via = {x: None}
+    queue = [x]
+    for y in queue:
+        for i in range(indptr[y], indptr[y + 1]):
+            w = nbrs[i]
+            if w in via:
+                continue
+            eid = eids[i]
+            if heads[eid] != y:
+                continue
+            via[w] = eid
+            if indeg[w] < ell:
+                indeg[w] += 1
+                indeg[x] -= 1
+                while w != x:
+                    eid = via[w]
+                    heads[eid] = w
+                    u, v = ends[eid]
+                    w = v if u == w else u
+                return None
+            queue.append(w)
+    return set(via)
+
+
+def in_regular_orientation(H: Graph, ell, mode="exact"):
+    m, n = H.num_edges(), H.n
+    if mode == "exact" and m != ell * n:
+        raise ValueError(f"exact mode needs e(H) = ell*|V|, got {m} != {ell * n}")
+    if mode == "at_most" and m > ell * n:
+        raise ValueError(f"at_most mode needs e(H) <= ell*|V|, got {m} > {ell * n}")
+    ends = H.pairs.tolist()
+    indeg = [0] * n
+    heads = []
+    for u, v in ends:
+        head = v if indeg[v] < indeg[u] else u
+        heads.append(head)
+        indeg[head] += 1
+    csr = H.indptr.tolist(), H.nbrs.tolist(), H.eids.tolist()
+    for x in range(n):
+        while indeg[x] > ell:
+            U = _unload(csr, ends, heads, indeg, x, ell)
+            if U is None:
+                continue
+            return InfeasibleCertificate(violating_set=U, ell=ell,
+                                         induced=induced_edges(H, U))
+    return Orientation(graph=H, heads=heads)

@@ -922,3 +922,31 @@ def test_rounds_reference_cases_reach_every_branch():
     # A RuntimeError and kappa's DomainError end the sweep, alike in both.
     assert "RuntimeError" in _assert_rounds_match_reference(30, 40, {}, "raise")
     assert "DomainError" in _assert_rounds_match_reference(30, 33, {31: -0.1})
+
+
+@given(d=st.integers(3, 99) | st.integers(100, 3000), kind=st.sampled_from(_ALPHA_KINDS),
+       fault=st.sampled_from([None, "shift", "raise"]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_certify_matches_the_per_lane_reference(d, kind, fault, data):
+    # k runs from d/2 to d, so both ends fail validation; the alphas and the
+    # faulty inverse reach the branches of the rounds test above.
+    k = data.draw(st.integers(d // 2, d))
+    if kind == "estimate":
+        alpha = alpha_fc_estimate(max(d, 20))
+    elif kind == "uniform":
+        alpha = data.draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    elif kind == "high":
+        alpha = data.draw(st.floats(0.45, 0.5, exclude_max=True))
+    elif kind == "alpha_dk" and d / 2 < k:
+        alpha = alpha_dk(d, k)
+        if data.draw(st.booleans()):
+            alpha = float(np.nextafter(alpha, data.draw(st.sampled_from([0.0, 1.0]))))
+    else:
+        alpha = data.draw(st.sampled_from([0.0, 0.5, 0.7, -0.1]))
+    inp = CertifyInput(d=d, k=k, alpha=alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        if fault is not None:
+            for module in (sys.modules["stardecomp.certify"], rounds_reference):
+                mp.setattr(module, "avg_degree_ceiling_inv",
+                           _faulty_inverse(avg_degree_ceiling_inv, fault == "raise"))
+        assert _outcome_repr(certify, inp) == _outcome_repr(rounds_reference.certify, inp)

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import io
 import re
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -183,6 +184,45 @@ def test_orientation_exact_on_pipeline_complement():
     assert res.in_degrees() == [2] * H.n
     for (u, v), head in zip(H.edges, res.heads):
         assert head in (u, v)
+
+
+def test_orientation_start_leaves_little_to_repair(monkeypatch):
+    # On the complement above, the forced-edge start leaves 2 units of
+    # excess in-degree, each moved by one path reversal; the start that
+    # points each edge at its endpoint of lower in-degree left 309.
+    g, _ = sample_simple(1998, 5, seed=5)
+    thin = thin_down(g, greedy_independent_set(g, 5), 3)
+    A = relief_trim(g, thin, 1998 // 6).members
+    H, _, _ = induced_subgraph(g, set(range(g.n)) - A)
+    module = sys.modules["stardecomp.decomp"]
+    unload, calls = module._unload, []
+    monkeypatch.setattr(module, "_unload", lambda *args: calls.append(1) or unload(*args))
+    assert isinstance(in_regular_orientation(H, 2, mode="exact"), Orientation)
+    assert 1 <= len(calls) <= 10
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["exact", "at_most"]))
+@settings(max_examples=200, deadline=None)
+def test_orientation_verdicts_match_reference_and_bruteforce(seed, mode):
+    # Random multigraphs with loops and repeated edges, clustered on a few
+    # vertices half the time so that many are infeasible.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    ell = int(rng.integers(0, 4))
+    m = ell * n if mode == "exact" else int(rng.integers(0, ell * n + 1))
+    pool = n if rng.integers(2) else max(1, n // 3)
+    g = Graph(n, rng.integers(0, pool, size=(m, 2)))
+    feasible, _ = orientation_feasible_bruteforce(g, ell)
+    res = in_regular_orientation(g, ell, mode)
+    assert isinstance(res, Orientation) == feasible
+    assert isinstance(ref.in_regular_orientation(g, ell, mode), Orientation) == feasible
+    if feasible:
+        assert all(head in e for e, head in zip(g.edges, res.heads))
+        indeg = res.in_degrees()
+        assert indeg == [ell] * n if mode == "exact" else max(indeg, default=0) <= ell
+    else:
+        U = res.violating_set
+        assert res.induced == induced_edges(g, U) > ell * len(U)
 
 
 def test_orientation_infeasible_clique_among_isolated_vertices():
@@ -427,7 +467,7 @@ def test_pipeline_files_keep_their_bytes():
     assert hashlib.sha256(graph_file.getvalue().encode()).hexdigest() == (
         "59d6a8e519c3471e5a8ae093492ba3ed7ebad79f417f42fbfe3246d5525fa6df")
     assert hashlib.sha256(decomposition_file.getvalue().encode()).hexdigest() == (
-        "9420157240d013f4266fb42001d27aec222daeb95324670a1eb50f42f072b717")
+        "46c232831b563d09de6c3498a51ec6f80d431e7de102ae0998a672e7328f8544")
 
 
 def test_decompose_deterministic():

@@ -37,6 +37,7 @@ from stardecomp.graphs import (
 )
 
 import quadratic_reference as ref
+import sampler_reference
 
 
 def random_multigraph(seed, max_n=12, max_m=20):
@@ -119,6 +120,49 @@ def test_sample_simple_keeps_its_stream():
     assert tries == 447
     assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == (
         "179b0ae9c34a5b6384d443556adb8c1c7d5bbb2756f22b302c51e7a149274061")
+
+
+def _sample_outcome(sampler, *args):
+    """(pairs, tries) of a sampler's graph, or the type and message of what
+    it raises."""
+    try:
+        g, tries = sampler(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return g.pairs.tolist(), tries
+
+
+@given(st.integers(0, 40), st.integers(0, 6), st.integers(0, 2**32), st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_samplers_match_the_fresh_permutation_reference(n, d, seed, max_tries):
+    # Same tries from the same stream, the same rows, and the same
+    # RuntimeError when the tries run out (odd n*d: the same ValueError).
+    assert _sample_outcome(sample_simple, n, d, seed, max_tries) == _sample_outcome(
+        sampler_reference.sample_simple, n, d, seed, max_tries)
+    assert _sample_outcome(lambda *a: (config_model_sample(*a), 0), n, d, seed) == (
+        _sample_outcome(lambda *a: (sampler_reference.config_model_sample(*a), 0),
+                        n, d, seed))
+
+
+@given(st.integers(0, 12), st.integers(0, 24), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_graph_csr_matches_a_stable_argsort(n, m, seed):
+    # Random multigraphs with loops and repeated edges; n = 0 and m = 0
+    # give graphs with no edges.
+    rng = np.random.default_rng(seed)
+    g = Graph(n, rng.integers(0, n, size=(m if n else 0, 2)))
+    tails = g.pairs.ravel()
+    order = np.argsort(tails, kind="stable")
+    assert g.indptr.tolist() == [0, *np.cumsum(np.bincount(tails, minlength=n)).tolist()]
+    assert g.nbrs.tolist() == g.pairs[:, ::-1].ravel()[order].tolist()
+    assert g.eids.tolist() == (order >> 1).tolist()
+
+
+def test_graph_refuses_csr_sort_keys_beyond_int64():
+    # The keys tail * 2m + half-edge reach n * 2m; at 2**63 they would wrap.
+    for n, edges in ((2**62, [(0, 1)]), (2**61, [(0, 1), (2, 3)]), (2**70, [(0, 0)])):
+        with pytest.raises(ValueError, match="overflows the CSR sort keys"):
+            Graph(n, edges)
 
 
 @given(st.integers(0, 10_000), st.integers(0, 3))
