@@ -19,8 +19,9 @@ A sweep certifies its degrees in rounds.  A round holds every pending
 (d, k) as numpy columns, which go through the array cores of derive_dhat,
 beta_max and check_condition as lockstep lanes whose results do not depend
 on the rest of their batch; a degree that fails goes to the next round with
-k - 1, and its record is built once, from the columns of the round that
-decides it.  The public functions are thin wrappers over the same cores.
+k - 1, and its row of the report's columns (SweepColumns) is filled from
+the columns of the round that decides it; a DegreeRecord is made only when
+read.  The public functions are thin wrappers over the same cores.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -557,7 +558,8 @@ def certify_degree(d, alpha):
 
 @dataclass
 class DegreeRecord:
-    """One row of a sweep report (matches the emitted JSON/CSV fields)."""
+    """One row of a sweep report (matches the emitted JSON/CSV fields), made
+    from the report's SweepColumns when read."""
 
     d: int
     alpha: float
@@ -581,25 +583,81 @@ class DegreeRecord:
         return {k: None if v != v else v for k, v in vars(self).items()}
 
 
+class SweepColumns:
+    """A sweep's records as columns: `arrays` maps each DegreeRecord field,
+    in field order, to a numpy array with an entry for each degree.  A float
+    column holds nan where its record does; k_certified, alpha_source,
+    condition and error are object columns, k_certified None where no k
+    certifies and error None where there is none.
+
+    As a sequence it holds the DegreeRecords, each made when it is read."""
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+
+    def __len__(self):
+        return len(self.arrays["d"])
+
+    def __iter__(self):
+        for row in zip(*(a.tolist() for a in self.arrays.values())):
+            yield DegreeRecord(*row)
+
+    def __getitem__(self, index):
+        """The record at an int index, or the list of those of a slice."""
+        if isinstance(index, slice):
+            return list(self._take(index))
+        (record,) = self._take([index])
+        return record
+
+    def _take(self, index):
+        return SweepColumns({name: a[index] for name, a in self.arrays.items()})
+
+    @classmethod
+    def concat(cls, parts):
+        """The rows of parts, one part after another."""
+        return cls({name: np.concatenate([p.arrays[name] for p in parts])
+                    for name in parts[0].arrays})
+
+    @classmethod
+    def interleave(cls, parts):
+        """The columns whose rows i, i + len(parts), i + 2 len(parts), ...
+        are those of parts[i]."""
+        arrays = {}
+        for name, first in parts[0].arrays.items():
+            arrays[name] = np.empty(sum(map(len, parts)), dtype=first.dtype)
+            for i, part in enumerate(parts):
+                arrays[name][i :: len(parts)] = part.arrays[name]
+        return cls(arrays)
+
+
 @dataclass
 class SweepReport:
     d_min: int
     d_max: int
     alpha_source: str
-    records: list = field(default_factory=list)
+    columns: SweepColumns
+
+    @property
+    def records(self):
+        """The DegreeRecords, made from the columns at each read."""
+        return list(self.columns)
 
     @property
     def exceptional_degrees(self):
-        return [r.d for r in self.records if r.exceptional]
+        arrays = self.columns.arrays
+        return arrays["d"][arrays["exceptional"]].tolist()
 
-    def as_dict(self):
+    def summary(self):
+        """as_dict without its records."""
         return {
             "d_min": self.d_min,
             "d_max": self.d_max,
             "alpha_source": self.alpha_source,
             "exceptional_degrees": self.exceptional_degrees,
-            "records": [r.as_dict() for r in self.records],
         }
+
+    def as_dict(self):
+        return {**self.summary(), "records": [r.as_dict() for r in self.columns]}
 
 
 def load_alpha_table(path):
@@ -659,10 +717,11 @@ def resolve_alpha(degrees, table, strict):
 
 
 def _records(jobs):
-    """The sweep's DegreeRecords for jobs of (d, alpha, source), certified
-    in one set of rounds.  A degree reports the attempt that certifies it,
-    else its first (largest-k) one, taken from the rounds' columns."""
-    ds, alphas, _ = zip(*jobs)
+    """The sweep's records, as SweepColumns, for jobs of (d, alpha, source)
+    certified in one set of rounds.  A degree reports the attempt that
+    certifies it, else its first (largest-k) one, taken from the rounds'
+    columns.  No DegreeRecord is made."""
+    ds, alphas = [d for d, _, _ in jobs], [a for _, a, _ in jobs]
     errors, attempts = _certify_degrees(ds, alphas)
     n = len(jobs)
     k_cert, d_hat = np.full(n, -1), np.zeros(n, dtype=int)
@@ -684,21 +743,26 @@ def _records(jobs):
         column[failed] = np.nan
     d_hat[failed] = 0
     error[failed] = [str(exc) for exc in errors.values()]
-    records = []
-    for (d, alpha, source), k, *fields in zip(
-            jobs, k_cert.tolist(), t1.tolist(), x1.tolist(), x2.tolist(), t2.tolist(),
-            d_hat.tolist(), bmax.tolist(), condition.tolist(), error.tolist()):
-        k_ind = math.floor(kappa(d, alpha))
-        k = None if k < 0 else k
-        records.append(DegreeRecord(d, alpha, source, k_ind, k, k is None or k < k_ind, *fields))
-    return records
+    d, alpha = np.array(ds, dtype=int), np.array(alphas, dtype=float)
+    outside = np.flatnonzero(~((0.0 <= alpha) & (alpha < 1.0)))
+    if len(outside):
+        kappa(ds[outside[0]], alphas[outside[0]])  # raises kappa's DomainError
+    k_ind = np.floor(d / (2.0 * (1.0 - alpha))).astype(int)  # floor(kappa), bit for bit
+    k_certified = k_cert.astype(object)
+    k_certified[k_cert < 0] = None
+    return SweepColumns({
+        "d": d, "alpha": alpha, "alpha_source": np.array([s for _, _, s in jobs], dtype=object),
+        "k_ind": k_ind, "k_certified": k_certified, "exceptional": (k_cert < 0) | (k_cert < k_ind),
+        "t1": t1, "x1": x1, "x2": x2, "t2": t2, "d_hat": d_hat, "beta_max": bmax,
+        "condition": condition, "error": error})
 
 
 def _sweep_part(jobs):
-    """Records of one worker's share of the sweep, jobs of (d, alpha,
-    source), certified SWEEP_BLOCK degrees at a time."""
-    return [record for b in range(0, len(jobs), SWEEP_BLOCK)
-            for record in _records(jobs[b : b + SWEEP_BLOCK])]
+    """SweepColumns of one worker's share of the sweep, jobs of (d, alpha,
+    source), certified SWEEP_BLOCK degrees at a time.  An empty share gives
+    empty columns."""
+    return SweepColumns.concat([_records(jobs[b : b + SWEEP_BLOCK])
+                                for b in range(0, len(jobs) or 1, SWEEP_BLOCK)])
 
 
 def sweep(
@@ -725,7 +789,8 @@ def sweep(
     workers-th degree from the i-th, which spreads the costly low degrees
     evenly.  A degree's record does not depend on the other degrees of its
     batch, so the report, merged in degree order, is the same for any
-    worker count.
+    worker count.  Workers return SweepColumns, which are interleaved back
+    into degree order.
     """
     degrees = range(d_min, d_max + 1)
     use_table = alpha_source == "table"
@@ -736,12 +801,9 @@ def sweep(
     if workers > 1:
         import concurrent.futures
 
-        parts = [jobs[i::workers] for i in range(workers)]
+        shares = [jobs[i::workers] for i in range(workers)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [r for part in pool.map(_sweep_part, parts) for r in part]
+            columns = SweepColumns.interleave(list(pool.map(_sweep_part, shares)))
     else:
-        records = _sweep_part(jobs)
-    records.sort(key=lambda r: r.d)
-    return SweepReport(
-        d_min=d_min, d_max=d_max, alpha_source=alpha_source, records=records
-    )
+        columns = _sweep_part(jobs)
+    return SweepReport(d_min=d_min, d_max=d_max, alpha_source=alpha_source, columns=columns)

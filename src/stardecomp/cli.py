@@ -31,8 +31,10 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__
-from .certify import load_alpha_table, resolve_alpha, sweep
+from .certify import SweepColumns, load_alpha_table, resolve_alpha, sweep
 from .decomp import (
     DecompositionFailed,
     decompose,
@@ -57,8 +59,11 @@ from .graphs import (
 THREADS_ENV = "STARDECOMP_THREADS"
 MIN_BETA_STEP = 1e-10  # the floor of the step's earlier beta_max scan
 # Exact types, not isinstance: a subclass, of dict or list above all, is
-# walked by _dumps rather than taken for a scalar.
+# walked by _chunks rather than taken for a scalar.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+# Rows of a report held as columns formatted at a time: the text of 4096
+# sweep records is about 1.8 MB.
+ROWS_PER_WRITE = 4096
 
 
 @contextlib.contextmanager
@@ -72,26 +77,67 @@ def _output(path):
         yield sys.stdout
 
 
-def _dumps(obj, level=0):
-    """json.dumps(obj, indent=2, sort_keys=True) for obj at nesting `level`,
-    every dict key a str.
+def _chunks(obj, level=0):
+    """The text of json.dumps(obj, indent=2, sort_keys=True) for obj at
+    nesting `level`, every dict key a str, in pieces; SweepColumns are
+    written as the list of their records' as_dict() (_record_chunks).
 
     With indent the json module encodes in Python.  Here a nonempty
     container of plain scalars goes through json's C encoder in one call,
     its item separator carrying the newline and indent, and only containers
     that hold something else are walked in Python."""
+    if isinstance(obj, SweepColumns):
+        yield from _record_chunks(obj.arrays, level)
+        return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     inner = "\n" + "  " * (level + 1)
-    values = obj.values() if isinstance(obj, dict) else obj
-    if _SCALARS.issuperset(map(type, values)):
+    is_dict = isinstance(obj, dict)
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
         body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-    elif isinstance(obj, dict):
-        body = "{%s}" % ("," + inner).join(
-            json.dumps(k) + ": " + _dumps(obj[k], level + 1) for k in sorted(obj))
-    else:
-        body = "[%s]" % ("," + inner).join(_dumps(v, level + 1) for v in obj)
-    return body[0] + inner + body[1:-1] + "\n" + "  " * level + body[-1]
+        yield body[0] + inner + body[1:-1] + "\n" + "  " * level + body[-1]
+        return
+    yield "{" if is_dict else "["
+    for i, key in enumerate(sorted(obj) if is_dict else range(len(obj))):
+        yield ("," if i else "") + inner + (json.dumps(key) + ": " if is_dict else "")
+        yield from _chunks(obj[key], level + 1)
+    yield "\n" + "  " * level + ("}" if is_dict else "]")
+
+
+def _dumps(obj, level=0):
+    """_chunks(obj, level) as one string."""
+    return "".join(_chunks(obj, level))
+
+
+def _json_texts(column):
+    """The JSON text of each entry of a numpy column, as json.dumps writes
+    it, with nan as null, from one json.dumps of the whole column: json
+    escapes a newline inside a string, so one between items splits them."""
+    text = json.dumps(column.tolist(), separators=("\n", ":"))[1:-1]
+    if column.dtype.kind == "f":
+        text = text.replace("NaN", "null")
+    return text.split("\n")
+
+
+def _record_chunks(arrays, level):
+    """_chunks of the list of flat records held as columns, `arrays` mapping
+    each field to a numpy array, with nan as null: each row fills one %
+    template, and ROWS_PER_WRITE rows are formatted at a time."""
+    n = len(next(iter(arrays.values()), ()))
+    if not n:
+        yield "[]"
+        return
+    inner, field_inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    names = sorted(arrays)
+    template = "{%s%s}" % (field_inner, ("," + field_inner).join(
+        json.dumps(name) + ": %s" for name in names) + inner)
+    yield "["
+    for start in range(0, n, ROWS_PER_WRITE):
+        texts = [_json_texts(arrays[name][start : start + ROWS_PER_WRITE]) for name in names]
+        yield ("," if start else "") + inner + ("," + inner).join(
+            map(template.__mod__, zip(*texts)))
+    yield "\n" + "  " * level + "]"
 
 
 def _emit(payload, config, args, alpha_source):
@@ -103,17 +149,33 @@ def _emit(payload, config, args, alpha_source):
         "payload": payload,
     }
     with _output(args.out) as fh:
-        fh.write(_dumps(doc) + "\n")
+        fh.writelines(_chunks(doc))
+        fh.write("\n")
 
 
-def _emit_csv(rows, path):
-    """One header line from the keys of the first row, then one line per
-    row; nothing at all when there are no rows."""
+def _emit_csv(columns, path):
+    """One header line of the names of `columns`, which map each field to a
+    numpy array, all of one length, then one line per row, nan in a float
+    column as an empty field; nothing at all when there are no rows.
+    ROWS_PER_WRITE rows are formatted at a time."""
+    n = len(next(iter(columns.values()), ()))
     with _output(path) as fh:
-        if rows:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        if not n:
+            return
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        for start in range(0, n, ROWS_PER_WRITE):
+            writer.writerows(zip(*(_csv_values(a[start : start + ROWS_PER_WRITE])
+                                   for a in columns.values())))
+
+
+def _csv_values(column):
+    """A numpy column as a list of Python values, None for nan."""
+    if column.dtype.kind != "f":
+        return column.tolist()
+    values = column.astype(object)
+    values[np.isnan(column)] = None
+    return values.tolist()
 
 
 def _resolved_config(args, keys):
@@ -135,7 +197,8 @@ def cmd_thresholds(args):
     payload = asdict(threshold_report(d, alpha_star, source))
     payload["alpha_fc_estimate"] = alpha_fc_estimate(d) if d >= 20 else None
     if args.format == "csv":
-        _emit_csv([payload], args.out)
+        # One row of object columns, whose values are written as they are.
+        _emit_csv({k: np.array([v], dtype=object) for k, v in payload.items()}, args.out)
     else:
         config = _resolved_config(args, ["d", "alpha_table", "out", "format"])
         _emit(payload, config, args, source)
@@ -176,9 +239,9 @@ def cmd_certify(args):
     )
     exceptional = report.exceptional_degrees
     if args.format == "csv":
-        _emit_csv([r.as_dict() for r in report.records], args.out)
+        _emit_csv(report.columns.arrays, args.out)
     else:
-        _emit(report.as_dict(), config, args, source)
+        _emit({**report.summary(), "records": report.columns}, config, args, source)
     if args.out and args.out != "-":
         with open(args.out + ".exceptional.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -791,6 +791,27 @@ def test_sweep_pool_size_is_capped(monkeypatch, tmp_path):
     assert len(_InlinePool.sizes) == 5
 
 
+def test_cli_sweep_makes_no_degree_record(monkeypatch, tmp_path):
+    # The CLI's sweep carries columns from the rounds to the writers, on one
+    # worker and in pool workers (here the inline stand-in): no DegreeRecord
+    # is made.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a DegreeRecord was made")
+
+    monkeypatch.setattr(DegreeRecord, "__init__", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for threads in ("1", "2"):
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"sweep-{threads}.{fmt}"
+            assert main(["certify", "--d-min", "30", "--d-max", "200", "--threads", threads,
+                         "--format", fmt, "--out", str(out)]) == 0
+    assert _InlinePool.sizes == [2, 2]
+    with pytest.raises(AssertionError, match="DegreeRecord"):
+        sweep(30, 31).records
+
+
 def test_degree_record_as_dict_matches_asdict():
     records = sweep(30, 33).records + [
         DegreeRecord(d=10, alpha=0.2, alpha_source="table", k_ind=6,
