@@ -6,22 +6,22 @@ Usage (standard library only):
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --pr N \\
         --workload sweep_1w [--workload decompose_large] --pairs 10 \\
-        [--seconds T] [--seed S] [--traced] [--claim WORKLOAD:METRIC:EXPECTED] \\
-        [--summary TEXT] [--out PATH]
+        [--claim WORKLOAD:METRIC:EXPECTED] [--summary TEXT]
 
-Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0` once in each checkout: the parent first in even pairs (0, 2, ...)
-and the change first in odd ones.  The last two lines of a run's standard
-output are its `detail` record and its metrics.  T defaults to BENCHMARK.json's
-run_seconds.  With --traced, each side then makes one `--trace 1` run per
-workload for the per-layer metrics.
+Each pair runs `python3 perfbench/run.py --workload W --seed 0 --seconds T
+--trace 0` once in each checkout, T being BENCHMARK.json's run_seconds: the
+parent first in even pairs (0, 2, ...) and the change first in odd ones.  The
+last two lines of a run's standard output are its `detail` record and its
+metrics.  After the pairs, each side makes one `--trace 1` run per workload
+for the per-layer metrics.
 
 For each workload and side the file holds every run's end-to-end metrics,
 their median and quartiles (statistics.quantiles, n=4), and, for each metric,
 the number of pairs the change won (BENCHMARK.json says which way is better;
 ties count for neither side).  It also holds the machine, both provenance
-records and both src/ line counts.  The file is rewritten after every pair,
-so an interrupted run keeps the pairs it finished.
+records and both src/ line counts.  The file, BENCH_<pr>.json in the change
+checkout, is rewritten after every pair, so an interrupted run keeps the
+pairs it finished.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_bench(root, workload, seed, seconds, trace):
-    """One perfbench run in checkout `root`: (detail, report)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def run_bench(root, workload, seconds, trace):
+    """One perfbench run in checkout `root`, seed 0: (detail, report)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -81,20 +81,16 @@ def main(argv=None):
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--traced", action="store_true")
     ap.add_argument("--claim", help="WORKLOAD:METRIC:EXPECTED, recorded as given")
     ap.add_argument("--summary", help="what the change does, recorded as given")
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    out = args.out or args.change / f"BENCH_{args.pr}.json"
+    out = args.change / f"BENCH_{args.pr}.json"
 
     doc = {"pr": args.pr}
     if args.summary:
@@ -103,7 +99,7 @@ def main(argv=None):
         workload, metric, expected = args.claim.split(":", 2)
         doc["claim"] = {"workload": workload, "metric": metric, "expected": expected}
     doc["method"] = (
-        f"scripts/bench_pairs.py: python3 perfbench/run.py --workload W --seed {args.seed} "
+        "scripts/bench_pairs.py: python3 perfbench/run.py --workload W --seed 0 "
         f"--seconds {seconds:g} --trace 0, {args.pairs} pairs a workload, the parent first "
         "in even pairs and the change first in odd ones; medians and quartiles "
         "(statistics.quantiles, n=4) over the pairs; a pair is won when the change's "
@@ -120,7 +116,7 @@ def main(argv=None):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
                 t0 = time.perf_counter()
-                detail, report = run_bench(roots[side], workload, args.seed, seconds, 0)
+                detail, report = run_bench(roots[side], workload, seconds, 0)
                 run = {name: m["value"] for name, m in report["metrics"].items()}
                 run.update(correct=report["correct"], digest=detail["digest"],
                            first_in_pair=side == order[0],
@@ -142,12 +138,11 @@ def main(argv=None):
             print(f"{workload} pair {pair + 1}/{args.pairs}: " + ", ".join(
                 f"{side} wall_s {runs[side][-1]['wall_s']:.4f}" for side in SIDES),
                 file=sys.stderr)
-        if args.traced:
-            for side in SIDES:
-                _, report = run_bench(roots[side], workload, args.seed, seconds, 1)
-                entry[side]["traced_stages"] = {
-                    name: m["value"] for name, m in report["metrics"].items()}
-            write()
+        for side in SIDES:
+            _, report = run_bench(roots[side], workload, seconds, 1)
+            entry[side]["traced_stages"] = {
+                name: m["value"] for name, m in report["metrics"].items()}
+        write()
     return 0
 
 

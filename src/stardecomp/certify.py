@@ -30,6 +30,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -637,9 +638,9 @@ class SweepReport:
     alpha_source: str
     columns: SweepColumns
 
-    @property
+    @cached_property
     def records(self):
-        """The DegreeRecords, made from the columns at each read."""
+        """The DegreeRecords, made from the columns at the first read."""
         return list(self.columns)
 
     @property
@@ -737,7 +738,9 @@ def _records(jobs):
                               (d_hat, att.d_hat), (bmax, att.beta_max), (error, att.error)):
             column[att.deg[take]] = lanes[take]
         k_cert[att.deg[certified]] = att.k[certified]
-        condition[att.deg[certified]] = np.where(att.strong[certified], "strong", "weak")
+        # Through masks, so that every row shares the two str objects.
+        condition[att.deg[att.strong]] = "strong"
+        condition[att.deg[att.weak & ~att.strong]] = "weak"
     failed = list(errors)
     for column in (t1, x1, x2, t2, bmax):
         column[failed] = np.nan

@@ -112,12 +112,10 @@ def _dumps(obj, level=0):
 
 def _json_texts(column):
     """The JSON text of each entry of a numpy column, as json.dumps writes
-    it, with nan as null, from one json.dumps of the whole column: json
-    escapes a newline inside a string, so one between items splits them."""
-    text = json.dumps(column.tolist(), separators=("\n", ":"))[1:-1]
-    if column.dtype.kind == "f":
-        text = text.replace("NaN", "null")
-    return text.split("\n")
+    it, with nan as null (_csv_values), from one json.dumps of the whole
+    column: json escapes a newline inside a string, so one between items
+    splits them."""
+    return json.dumps(_csv_values(column), separators=("\n", ":"))[1:-1].split("\n")
 
 
 def _record_chunks(arrays, level):
