@@ -37,7 +37,6 @@ from .graphs import (  # noqa: F401
     check_thin,
     config_model_sample,
     cut_edges,
-    edges_to,
     greedy_independent_set,
     induced_edges,
     is_simple,

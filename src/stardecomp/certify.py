@@ -591,7 +591,7 @@ class SweepColumns:
     condition and error are object columns, k_certified None where no k
     certifies and error None where there is none.
 
-    As a sequence it holds the DegreeRecords, each made when it is read."""
+    Iterating it yields the DegreeRecords, each made when it is reached."""
 
     def __init__(self, arrays):
         self.arrays = arrays
@@ -602,16 +602,6 @@ class SweepColumns:
     def __iter__(self):
         for row in zip(*(a.tolist() for a in self.arrays.values())):
             yield DegreeRecord(*row)
-
-    def __getitem__(self, index):
-        """The record at an int index, or the list of those of a slice."""
-        if isinstance(index, slice):
-            return list(self._take(index))
-        (record,) = self._take([index])
-        return record
-
-    def _take(self, index):
-        return SweepColumns({name: a[index] for name, a in self.arrays.items()})
 
     @classmethod
     def concat(cls, parts):
@@ -768,21 +758,15 @@ def _sweep_part(jobs):
                                 for b in range(0, len(jobs) or 1, SWEEP_BLOCK)])
 
 
-def sweep(
-    d_min,
-    d_max,
-    alpha_source="estimate",
-    alpha_table=None,
-    threads=1,
-    strict_table=False,
-):
+def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):
     """Run certify_degree over a degree range.
 
-    alpha_source "table" takes densities from alpha_table (dict d -> alpha)
-    through resolve_alpha, falling back to the built-in estimate per degree
-    unless strict_table is set, in which case a missing degree raises
-    KeyError; alpha_source "estimate" ignores the table.  The estimate for
-    every degree that uses it comes from one lockstep alpha_fc_estimate.
+    A nonempty alpha_table (dict d -> alpha) gives the report's alpha_source
+    "table": densities come from it through resolve_alpha, falling back to
+    the built-in estimate per degree unless strict_table is set, in which
+    case a missing degree raises KeyError.  Without one the source is
+    "estimate".  The estimate for every degree that uses it comes from one
+    lockstep alpha_fc_estimate.
 
     The degrees are certified in rounds (see _certify_degrees), in blocks of
     SWEEP_BLOCK degrees, each round batching every pending (d, k) of the
@@ -796,9 +780,8 @@ def sweep(
     into degree order.
     """
     degrees = range(d_min, d_max + 1)
-    use_table = alpha_source == "table"
-    table = alpha_table if use_table else None
-    alphas = resolve_alpha(degrees, table, strict_table and use_table)
+    alpha_source = "table" if alpha_table else "estimate"
+    alphas = resolve_alpha(degrees, alpha_table, strict_table and bool(alpha_table))
     jobs = [(d, a, src) for d, (a, src) in zip(degrees, alphas)]
     workers = min(threads, os.cpu_count() or 1, len(jobs))
     if workers > 1:

@@ -6,13 +6,10 @@ summaries and diagnostics go to stderr.  `verify`'s report is its verdict,
 with the diagnostics of an invalid decomposition, on stdout.  `certify` with --d-min > --d-max
 reports an empty degree range: no records, exit 0.
 
-`certify`'s --beta-step and --tau-step, the steps of an earlier (beta, tau)
-grid, are still validated and echoed in the config, and have no effect.
-
 Exit codes: 0 success (findings included), 1 failed verification or
-decomposition, 2 usage errors (including --max-retries < 1, a --tau-step
-that is not positive and finite, a --beta-step below MIN_BETA_STEP = 1e-10
-or not finite, a negative --threads, a STARDECOMP_THREADS that is not a
+decomposition, and a root solve that finds no sign change (`certify` near
+d = 10^9, `thresholds` at very large d), 2 usage errors (including
+--max-retries < 1, a negative --threads, a STARDECOMP_THREADS that is not a
 nonnegative integer, `sample --simple` with d >= n, and a `sample --simple`
 run out of tries), 3 missing alpha-table entry under --strict-table, 4 I/O
 and parse errors (including a graph header above graphs.MAX_VERTICES
@@ -26,7 +23,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -34,7 +30,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .certify import SweepColumns, load_alpha_table, resolve_alpha, sweep
+from .certify import load_alpha_table, resolve_alpha, sweep
 from .decomp import (
     DecompositionFailed,
     decompose,
@@ -57,13 +53,12 @@ from .graphs import (
 )
 
 THREADS_ENV = "STARDECOMP_THREADS"
-MIN_BETA_STEP = 1e-10  # the floor of the step's earlier beta_max scan
-# Exact types, not isinstance: a subclass, of dict or list above all, is
-# walked by _chunks rather than taken for a scalar.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
 # Rows of a report held as columns formatted at a time: the text of 4096
 # sweep records is about 1.8 MB.
 ROWS_PER_WRITE = 4096
+# A certify report's records in the document that json.dumps writes; the
+# records' text is streamed in its place.
+_RECORDS = "records held as columns"
 
 
 @contextlib.contextmanager
@@ -77,39 +72,6 @@ def _output(path):
         yield sys.stdout
 
 
-def _chunks(obj, level=0):
-    """The text of json.dumps(obj, indent=2, sort_keys=True) for obj at
-    nesting `level`, every dict key a str, in pieces; SweepColumns are
-    written as the list of their records' as_dict() (_record_chunks).
-
-    With indent the json module encodes in Python.  Here a nonempty
-    container of plain scalars goes through json's C encoder in one call,
-    its item separator carrying the newline and indent, and only containers
-    that hold something else are walked in Python."""
-    if isinstance(obj, SweepColumns):
-        yield from _record_chunks(obj.arrays, level)
-        return
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        yield json.dumps(obj)
-        return
-    inner = "\n" + "  " * (level + 1)
-    is_dict = isinstance(obj, dict)
-    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-        yield body[0] + inner + body[1:-1] + "\n" + "  " * level + body[-1]
-        return
-    yield "{" if is_dict else "["
-    for i, key in enumerate(sorted(obj) if is_dict else range(len(obj))):
-        yield ("," if i else "") + inner + (json.dumps(key) + ": " if is_dict else "")
-        yield from _chunks(obj[key], level + 1)
-    yield "\n" + "  " * level + ("}" if is_dict else "]")
-
-
-def _dumps(obj, level=0):
-    """_chunks(obj, level) as one string."""
-    return "".join(_chunks(obj, level))
-
-
 def _json_texts(column):
     """The JSON text of each entry of a numpy column, as json.dumps writes
     it, with nan as null (_csv_values), from one json.dumps of the whole
@@ -118,15 +80,17 @@ def _json_texts(column):
     return json.dumps(_csv_values(column), separators=("\n", ":"))[1:-1].split("\n")
 
 
-def _record_chunks(arrays, level):
-    """_chunks of the list of flat records held as columns, `arrays` mapping
-    each field to a numpy array, with nan as null: each row fills one %
-    template, and ROWS_PER_WRITE rows are formatted at a time."""
+def _record_chunks(arrays):
+    """The text of json.dumps(records, indent=2, sort_keys=True) at the
+    nesting of a report's payload["records"], in pieces, for the list of
+    flat records held as columns, `arrays` mapping each field to a numpy
+    array, with nan as null: each row fills one % template, and
+    ROWS_PER_WRITE rows are formatted at a time."""
     n = len(next(iter(arrays.values()), ()))
     if not n:
         yield "[]"
         return
-    inner, field_inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    inner, field_inner = "\n" + "  " * 3, "\n" + "  " * 4
     names = sorted(arrays)
     template = "{%s%s}" % (field_inner, ("," + field_inner).join(
         json.dumps(name) + ": %s" for name in names) + inner)
@@ -135,10 +99,18 @@ def _record_chunks(arrays, level):
         texts = [_json_texts(arrays[name][start : start + ROWS_PER_WRITE]) for name in names]
         yield ("," if start else "") + inner + ("," + inner).join(
             map(template.__mod__, zip(*texts)))
-    yield "\n" + "  " * level + "]"
+    yield "\n" + "  " * 2 + "]"
 
 
-def _emit(payload, config, args, alpha_source):
+def _emit(payload, config, args, alpha_source, records=None):
+    """Write json.dumps(doc, indent=2, sort_keys=True) of the report's
+    document.  With `records`, columns as _record_chunks takes them, they
+    are payload["records"]: json.dumps writes _RECORDS there, and they are
+    streamed in place of its last occurrence, which is that value because
+    "records" is payload's last key and only the fixed "tool" and
+    "version" follow payload."""
+    if records is not None:
+        payload = {**payload, "records": _RECORDS}
     doc = {
         "tool": "stardecomp",
         "version": __version__,
@@ -146,9 +118,13 @@ def _emit(payload, config, args, alpha_source):
         "alpha_source": alpha_source,
         "payload": payload,
     }
+    text = json.dumps(doc, indent=2, sort_keys=True)
     with _output(args.out) as fh:
-        fh.writelines(_chunks(doc))
-        fh.write("\n")
+        if records is not None:
+            head, _, text = text.rpartition(json.dumps(_RECORDS))
+            fh.write(head)
+            fh.writelines(_record_chunks(records))
+        fh.write(text + "\n")
 
 
 def _emit_csv(columns, path):
@@ -219,27 +195,18 @@ def cmd_certify(args):
                   file=sys.stderr)
             return 2
     try:
-        report = sweep(
-            args.d_min,
-            args.d_max,
-            alpha_source=source,
-            alpha_table=table,
-            threads=threads,
-            strict_table=args.strict_table,
-        )
+        report = sweep(args.d_min, args.d_max, alpha_table=table, threads=threads,
+                       strict_table=args.strict_table)
     except KeyError as exc:
         print(f"certify: {exc}", file=sys.stderr)
         return 3
     config = _resolved_config(
-        args,
-        ["d_min", "d_max", "alpha_table", "strict_table", "beta_step",
-         "tau_step", "out", "format"],
-    )
+        args, ["d_min", "d_max", "alpha_table", "strict_table", "out", "format"])
     exceptional = report.exceptional_degrees
     if args.format == "csv":
         _emit_csv(report.columns.arrays, args.out)
     else:
-        _emit({**report.summary(), "records": report.columns}, config, args, source)
+        _emit(report.summary(), config, args, source, report.columns.arrays)
     if args.out and args.out != "-":
         with open(args.out + ".exceptional.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -316,21 +283,6 @@ def _nonnegative_int(text):
     return value
 
 
-def _positive_float(text):
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
-def _beta_step(text):
-    value = float(text)
-    if not MIN_BETA_STEP <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be >= {MIN_BETA_STEP} and finite, got {value}")
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="stardecomp")
     parser.add_argument("--version", action="version", version=__version__)
@@ -351,10 +303,6 @@ def build_parser():
                    help="fail (exit 3) if the table lacks a degree in range")
     p.add_argument("--threads", type=_nonnegative_int, default=0,
                    help=f"worker processes (0: take {THREADS_ENV}, default 1)")
-    p.add_argument("--beta-step", dest="beta_step", type=_beta_step,
-                   default=1e-6, help="validated and echoed; has no effect")
-    p.add_argument("--tau-step", dest="tau_step", type=_positive_float,
-                   default=1e-3, help="validated and echoed; has no effect")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_certify)
@@ -393,6 +341,9 @@ def main(argv=None):
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"stardecomp: {exc}", file=sys.stderr)
         code = 4
+    except RuntimeError as exc:  # a root solve that found no sign change
+        print(f"stardecomp: {exc}", file=sys.stderr)
+        code = 1
     return code
 
 

@@ -206,8 +206,7 @@ def _forced_start(csr, ends, ell):
     all its free edges should point away, or when its need ell - indeg is
     at least free[v], so that all of them should point in; forced vertices
     are settled from a LIFO stack.  When none is left, the lowest-id edge
-    not yet oriented points at the endpoint whose need is the larger share
-    of its free ends (the lower id on a tie; a loop at its vertex).
+    not yet oriented points at its lower endpoint (a loop at its vertex).
     """
     indptr, nbrs, eids = csr
     n, m = len(indptr) - 1, len(ends)
@@ -243,9 +242,6 @@ def _forced_start(csr, ends, ell):
         if edge == m:
             return heads, indeg
         u, v = ends[edge]
-        # Neither endpoint is forced, so 0 < need < free at both.
-        if (ell - indeg[v]) * free[u] > (ell - indeg[u]) * free[v]:
-            u, v = v, u
         heads[edge] = u
         indeg[u] += 1
         free[u] -= 1
@@ -442,14 +438,14 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
     return not diagnostics, diagnostics
 
 
-def decompose(g: Graph, k, seed=0, max_retries=10, d_hat=None):
+def decompose(g: Graph, k, seed=0, max_retries=10):
     """Build a k-star decomposition of a d-regular simple graph.
 
     Runs greedy independent set -> thin_down -> relief_trim (stage label
     "adjust_size") -> in-regular orientation of the complement -> star
     extraction, retrying with fresh greedy seeds on failure.  The thinness
-    parameter defaults to k, the necessary bound for complement degrees to
-    reach d - k.
+    parameter is k, the necessary bound for complement degrees to reach
+    d - k.
 
     If k does not divide e(g) the result is a near-decomposition with at most
     k - 1 leftover edges.  Raises ValueError if g has loops or multi-edges or
@@ -470,13 +466,10 @@ def decompose(g: Graph, k, seed=0, max_retries=10, d_hat=None):
     exact = (g.n * d) % (2 * k) == 0
     ell = d - k
     attempts = []
-    d_hat_eff = k if d_hat is None else d_hat
     for attempt in range(max_retries):
         attempt_seed = seed + attempt
         A0 = greedy_independent_set(g, attempt_seed)
-        thin = thin_down(g, A0, d_hat_eff) if d_hat_eff < d else ThinIndependentSet(
-            frozenset(A0), d_hat_eff
-        )
+        thin = thin_down(g, A0, k) if k < d else ThinIndependentSet(frozenset(A0), k)
         try:
             thin = relief_trim(g, thin, target)
         except SetTooSmall as exc:

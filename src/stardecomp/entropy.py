@@ -107,16 +107,16 @@ class LabelDistribution:
     vertex_probs: dict
     edge_probs: dict
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         for p in self.vertex_probs.values():
             if p < -CLAMP_TOL or p > 1.0 + CLAMP_TOL:
                 raise DomainError(f"vertex probability {p} outside [0,1]")
         for p in self.edge_probs.values():
             if p < -CLAMP_TOL or p > 1.0 + CLAMP_TOL:
                 raise DomainError(f"edge probability {p} outside [0,1]")
-        if abs(sum(self.vertex_probs.values()) - 1.0) > tol:
+        if abs(sum(self.vertex_probs.values()) - 1.0) > CLAMP_TOL:
             raise DomainError("vertex probabilities do not sum to 1")
-        if abs(sum(self.edge_probs.values()) - 1.0) > tol:
+        if abs(sum(self.edge_probs.values()) - 1.0) > CLAMP_TOL:
             raise DomainError("edge probabilities do not sum to 1")
         for (i, j), p in self.edge_probs.items():
             if self.edge_probs.get((j, i), 0.0) != p:
@@ -125,7 +125,7 @@ class LabelDistribution:
             marginal = sum(
                 q for (a, _), q in self.edge_probs.items() if a == i
             )
-            if abs(marginal - p) > tol:
+            if abs(marginal - p) > CLAMP_TOL:
                 raise DomainError(f"edge marginal at label {i} != vertex prob")
         return self
 
@@ -218,8 +218,7 @@ def _as_given(root, *values):
     return root.item() if all(np.ndim(v) == 0 for v in values) else root
 
 
-def bisect_root(f, lo, hi, args=(), tol=ROOT_TOL, max_iter=MAX_BISECT_ITER,
-                tol_scale=None):
+def bisect_root(f, lo, hi, args=(), tol_scale=None):
     """Plain bisection for a sign change of f on [lo, hi], run on many
     brackets (lanes) in lockstep.
 
@@ -229,10 +228,11 @@ def bisect_root(f, lo, hi, args=(), tol=ROOT_TOL, max_iter=MAX_BISECT_ITER,
     makes the same steps, and returns the same bits, in any batch.  In every
     lane f(lo) and f(hi) must have opposite (non-strict) signs, else
     RuntimeError; a lane returns where f is 0 or the midpoint 0.5*(lo + hi)
-    of its final bracket, with absolute tolerance tol.  With tol_scale, for
-    positive brackets, tol is relative to hi while hi lies below tol_scale,
-    so a lane whose root lies at or above it takes the same steps as
-    without.  Float brackets return a float.
+    of its final bracket, with absolute tolerance ROOT_TOL, after at most
+    MAX_BISECT_ITER steps.  With tol_scale, for positive brackets, the
+    tolerance is relative to hi while hi lies below tol_scale, so a lane
+    whose root lies at or above it takes the same steps as without.  Float
+    brackets return a float.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (a.astype(float) for a in _lanes(lo, hi))
@@ -244,7 +244,7 @@ def bisect_root(f, lo, hi, args=(), tol=ROOT_TOL, max_iter=MAX_BISECT_ITER,
     if bad.any():
         i = np.argmax(bad)
         raise RuntimeError(f"no sign change on [{lo[i].item()}, {hi[i].item()}]")
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECT_ITER):
         if not active.any():
             break
         mid = 0.5 * (lo + hi)
@@ -254,7 +254,7 @@ def bisect_root(f, lo, hi, args=(), tol=ROOT_TOL, max_iter=MAX_BISECT_ITER,
         same = (fmid > 0.0) == pos
         lo = np.where(active & (same | zero), mid, lo)
         hi = np.where(active & (~same | zero), mid, hi)
-        width = tol if tol_scale is None else tol * np.where(hi < tol_scale, hi, 1.0)
+        width = ROOT_TOL * (1.0 if tol_scale is None else np.where(hi < tol_scale, hi, 1.0))
         active &= hi - lo > width
     root = np.where(np.isnan(root), 0.5 * (lo + hi), root)
     return root.item() if scalar else root

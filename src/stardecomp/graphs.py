@@ -209,13 +209,6 @@ def cut_edges(g: Graph, U) -> int:
     return sum(1 for u, v in g.edges if (u in U) != (v in U))
 
 
-def edges_to(g: Graph, v, U) -> int:
-    """Number of edges between vertex v and the set U (v itself excluded).
-
-    U is only tested for membership, so pass a set to keep this O(deg v)."""
-    return sum(1 for w in g.neighbors(v) if w in U and w != v)
-
-
 def induced_subgraph(g: Graph, U):
     """Subgraph on U with vertices relabeled 0..|U|-1 in sorted id order.
 
@@ -251,51 +244,6 @@ def cheeger_bruteforce(g: Graph, x0) -> float:
         if ratio < best:
             best = ratio
     return best
-
-
-def induced_avg_degree_report(g: Graph, x0, rho, seed=0, samples=10000):
-    """Measure max e[U] / (rho * d * |U| / 2) over subsets with |U| <= x0*n.
-
-    Exact (exhaustive) below the vertex cap, sampled above it.  Returns a dict
-    with mode, the max observed ratio of average induced degree to rho*d, the
-    worst subset, and (exact mode only) whether the bound held everywhere.
-    """
-    n = g.n
-    d = int(g.degrees().max(initial=0))
-    max_size = math.floor(x0 * n)
-    worst_ratio, worst_set = 0.0, None
-
-    def consider(U):
-        nonlocal worst_ratio, worst_set
-        if not U:
-            return
-        ratio = 2.0 * induced_edges(g, U) / (d * len(U)) if d else 0.0
-        if ratio > worst_ratio:
-            worst_ratio, worst_set = ratio, sorted(U)
-
-    if n <= BRUTEFORCE_VERTEX_CAP:
-        for S in range(1, 1 << n):
-            if S.bit_count() > max_size:
-                continue
-            consider([v for v in range(n) if S >> v & 1])
-        mode = "exact"
-        satisfied = worst_ratio <= rho
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            size = int(rng.integers(1, max(2, max_size + 1)))
-            consider(list(map(int, rng.choice(n, size=size, replace=False))))
-        mode = "sampling"
-        satisfied = None  # measurement only
-    return {
-        "mode": mode,
-        "rho": rho,
-        "x0": x0,
-        "max_ratio": worst_ratio / rho if rho else math.inf,
-        "max_avg_degree_over_d": worst_ratio,
-        "worst_set": worst_set,
-        "satisfied": satisfied,
-    }
 
 
 def greedy_independent_set(g: Graph, seed) -> set:

@@ -1,8 +1,8 @@
 """Reference oracle for `certify`'s report writers: the path they had before
 the report stayed in columns.  Every degree is a DegreeRecord, every record
-a dict (DegreeRecord.as_dict), the JSON document is json.dumps(doc,
-indent=2, sort_keys=True), which cli._dumps reproduces, and the CSV is a
-csv.DictWriter over the dicts.
+a dict (DegreeRecord.as_dict), the JSON document is one json.dumps(doc,
+indent=2, sort_keys=True), and the CSV is a csv.DictWriter over the
+dicts.
 
 write_certify(report, args, source) writes what cmd_certify writes for a
 sweep report and its parsed arguments: the report to args.out or stdout,
@@ -16,8 +16,7 @@ import sys
 
 from stardecomp import __version__
 
-CONFIG_KEYS = ["d_min", "d_max", "alpha_table", "strict_table", "beta_step", "tau_step",
-               "out", "format"]
+CONFIG_KEYS = ["d_min", "d_max", "alpha_table", "strict_table", "out", "format"]
 
 
 @contextlib.contextmanager

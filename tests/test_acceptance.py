@@ -274,7 +274,7 @@ def test_criterion_10_exceptional_degree_sweep():
     # report a definite exceptional set, and stay consistent (a strong
     # certificate always implies the weak one).
     t0 = time.monotonic()
-    rep = sweep(30, 3000, alpha_source="estimate", threads=8)
+    rep = sweep(30, 3000, threads=8)
     elapsed = time.monotonic() - t0
     problems = []
     for r in rep.records:
@@ -315,7 +315,7 @@ def test_criterion_11_determinism():
             problems.append(f"decomposition seed {seed} not reproducible")
             break
 
-    rep2 = sweep(30, 3000, alpha_source="estimate", threads=2)
+    rep2 = sweep(30, 3000, threads=2)
     if json.dumps(rep2.as_dict(), sort_keys=True) != json.dumps(
         _cache["crit10"], sort_keys=True
     ):

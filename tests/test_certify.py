@@ -450,8 +450,8 @@ def test_degree_record_serializes_nan_as_none():
 
 
 def test_sweep_thread_count_invariance():
-    rep1 = sweep(30, 40, alpha_source="estimate", threads=1)
-    rep2 = sweep(30, 40, alpha_source="estimate", threads=4)
+    rep1 = sweep(30, 40, threads=1)
+    rep2 = sweep(30, 40, threads=4)
     assert json.dumps(rep1.as_dict(), sort_keys=True) == json.dumps(
         rep2.as_dict(), sort_keys=True
     )
@@ -459,26 +459,26 @@ def test_sweep_thread_count_invariance():
 
 
 def test_sweep_records_in_degree_order():
-    rep = sweep(30, 36, alpha_source="estimate", threads=3)
+    rep = sweep(30, 36, threads=3)
     assert [r.d for r in rep.records] == list(range(30, 37))
 
 
 def test_sweep_estimate_needs_d20():
     with pytest.raises(ValueError):
-        sweep(10, 12, alpha_source="estimate")
+        sweep(10, 12)
 
 
 def test_sweep_table_source(tmp_path):
     path = tmp_path / "alpha.csv"
     path.write_text("d,alpha\n30,%.17g\n" % alpha_fc_estimate(30))
     table = load_alpha_table(path)
-    rep = sweep(30, 30, alpha_source="table", alpha_table=table)
+    rep = sweep(30, 30, alpha_table=table)
     assert rep.records[0].alpha_source == "table"
     # Missing degrees fall back to the estimate unless strict.
-    rep = sweep(30, 31, alpha_source="table", alpha_table=table)
+    rep = sweep(30, 31, alpha_table=table)
     assert rep.records[1].alpha_source == "estimate"
     with pytest.raises(KeyError):
-        sweep(30, 31, alpha_source="table", alpha_table=table, strict_table=True)
+        sweep(30, 31, alpha_table=table, strict_table=True)
 
 
 def test_load_alpha_table_rejects_bad_header(tmp_path):
@@ -619,14 +619,14 @@ def test_sweep_record_independent_of_its_batch():
     picked = rnd.sample(range(len(jobs)), LANES) + rnd.sample(weak, 8)
     picked += rnd.sample(exceptional, 8)
     for i in picked:
-        assert repr(vars(_sweep_part([jobs[i]])[0])) == full[i]
+        assert repr(vars(list(_sweep_part([jobs[i]]))[0])) == full[i]
     for batch in _batches(rnd, len(picked)):
         got = _sweep_part([jobs[picked[j]] for j in batch])
         assert [repr(vars(r)) for r in got] == [full[picked[j]] for j in batch]
     padding = [(33, 0.7, "table"), (40, 0.001, "table"), (24, alpha_dk(24, 14), "table"),
                (60, 0.49, "table"), (5, 0.3, "table"),
                (10**5, alpha_fc_estimate(10**5), "estimate")]
-    got = _sweep_part(padding + [jobs[i] for i in picked] + padding)
+    got = list(_sweep_part(padding + [jobs[i] for i in picked] + padding))
     assert [repr(vars(r)) for r in got[len(padding):-len(padding)]] == [full[i] for i in picked]
 
 
@@ -736,7 +736,7 @@ def test_sweep_records_match_certify_degree():
     # The rounds give each degree exactly certify_degree's attempts, also
     # where a table alpha makes the degree fail outright.
     table = {33: 0.7, 36: 0.0}
-    rep = sweep(30, 45, alpha_source="table", alpha_table=table)
+    rep = sweep(30, 45, alpha_table=table)
     for rec in rep.records:
         assert rec.alpha == table.get(rec.d, alpha_fc_estimate(rec.d))
         try:
@@ -889,7 +889,7 @@ def _assert_rounds_match_reference(d_min, d_max, table, fault=None):
         alphas = resolve_alpha(degrees, table, False)
         jobs = [(d, a, src) for d, (a, src) in zip(degrees, alphas)]
         seen = [_outcome_repr(lambda: [vars(r) for r in sweep(
-            d_min, d_max, alpha_source="table", alpha_table=table).records])]
+            d_min, d_max, alpha_table=table).records])]
         assert seen[0] == _outcome_repr(
             lambda: [vars(r) for r in rounds_reference._sweep_part(jobs)])
         for d, alpha, _ in jobs:

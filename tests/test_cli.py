@@ -4,9 +4,7 @@ sample -> decompose -> verify round trip."""
 import csv
 import io
 import json
-import math
 import tempfile
-import time
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stardecomp.cli import _dumps, main
+from stardecomp.cli import main
 from stardecomp.decomp import read_decomposition
 from stardecomp.graphs import MAX_VERTICES, GraphFormatError, read_graph
 
@@ -129,41 +127,6 @@ def test_certify_stdout_is_the_report(tmp_path, capsys, fmt):
     assert captured.err == "exceptional degrees: 31\n"
 
 
-@pytest.mark.parametrize("flag", ["--beta-step", "--tau-step"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_certify_nonpositive_step_is_usage_error(flag, value):
-    # inf too: --beta-step inf reported every degree "no sign change", and
-    # --tau-step inf built a 51-point grid that certified d = 30 at k = 16.
-    with pytest.raises(SystemExit) as exc_info:
-        run(["certify", "--d-min", "30", "--d-max", "30", flag, value])
-    assert exc_info.value.code == 2
-
-
-@pytest.mark.parametrize("value", ["1e-300", "9.9e-11"])
-def test_certify_beta_step_below_bisection_tolerance_is_usage_error(value, capsys):
-    # The floor cli.MIN_BETA_STEP = 1e-10 was the tolerance of the bisection
-    # after beta_max's scan, which walked (1 - 2 alpha) / step points; 1e-300
-    # ran without end.  The step now has no effect and keeps its validation.
-    with pytest.raises(SystemExit) as exc_info:
-        run(["certify", "--d-min", "30", "--d-max", "30", "--beta-step", value])
-    assert exc_info.value.code == 2
-    assert "must be >= 1e-10" in capsys.readouterr().err
-
-
-def test_certify_steps_have_no_effect(tmp_path):
-    # The smallest --beta-step accepted, whose scan took 18 s at d = 30, and a
-    # fine --tau-step give the defaults' payload at once; config echoes them.
-    fine, default = tmp_path / "fine.json", tmp_path / "default.json"
-    argv = ["certify", "--d-min", "30", "--d-max", "30"]
-    t0 = time.monotonic()
-    assert run([*argv, "--beta-step", "1e-10", "--tau-step", "1e-9", "--out", str(fine)]) == 0
-    assert time.monotonic() - t0 < 3.0
-    assert run([*argv, "--out", str(default)]) == 0
-    fine_doc, default_doc = (json.loads(p.read_text()) for p in (fine, default))
-    assert fine_doc["payload"] == default_doc["payload"]
-    assert (fine_doc["config"]["beta_step"], fine_doc["config"]["tau_step"]) == (1e-10, 1e-9)
-
-
 def test_certify_negative_threads_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         run(["certify", "--d-min", "30", "--d-max", "30", "--threads", "-3"])
@@ -200,33 +163,6 @@ def test_certify_empty_degree_range(tmp_path):
     assert doc["payload"]["records"] == []
 
 
-# JSON trees for the report writer: dicts with str keys, lists, tuples (json
-# writes them as lists) and empty containers at every depth, over scalars
-# the encoder treats specially: ints beyond 2**64, nan, +-inf, -0.0, and text
-# holding newlines, quotes, braces, the writer's own separator and non-ASCII.
-_json_text = st.one_of(
-    st.text(max_size=8),
-    st.sampled_from(["a\nb", 'say "hi"', "{", "}]", ",\n  {", "\\", "", "é ✓ \u2028"]),
-)
-_json_leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.sampled_from([2**64, -(2**64) - 1, 10**40]),
-    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
-    _json_text, st.sampled_from([[], (), {}]),
-)
-_json_trees = st.recursive(_json_leaves, lambda kids: st.one_of(
-    st.lists(kids, max_size=4),
-    st.lists(kids, max_size=4).map(tuple),
-    st.dictionaries(_json_text, kids, max_size=4),
-), max_leaves=24)
-
-
-@settings(max_examples=500, deadline=None)
-@given(doc=_json_trees)
-def test_report_writer_matches_the_indented_stdlib_writer(doc):
-    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
 @pytest.mark.parametrize("argv", [
     ["certify", "--d-min", "30", "--d-max", "40"],
     ["thresholds", "--d", "100"],
@@ -248,6 +184,19 @@ def test_certify_strict_table_missing_degree(tmp_path):
     table.write_text("d,alpha\n30,0.14\n")
     assert run(["certify", "--d-min", "30", "--d-max", "31",
                 "--alpha-table", str(table), "--strict-table"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--d-min", "1000000000", "--d-max", "1000000000"],
+    ["thresholds", "--d", "1000000000000000"],
+])
+def test_root_solve_without_sign_change_exits_1(argv, capsys):
+    # Past about d = 5.6e8 the inverse ceiling finds no sign change, and at
+    # d = 1e15 the independence density's bracket holds none.
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("stardecomp: ") and "no sign change" in err
 
 
 def test_sample_rejects_odd_stub_count():

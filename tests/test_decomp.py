@@ -187,7 +187,7 @@ def test_orientation_exact_on_pipeline_complement():
 
 
 def test_orientation_start_leaves_little_to_repair(monkeypatch):
-    # On the complement above, the forced-edge start leaves 2 units of
+    # On the complement above, the forced-edge start leaves 3 units of
     # excess in-degree, each moved by one path reversal; the start that
     # points each edge at its endpoint of lower in-degree left 309.
     g, _ = sample_simple(1998, 5, seed=5)
@@ -467,7 +467,7 @@ def test_pipeline_files_keep_their_bytes():
     assert hashlib.sha256(graph_file.getvalue().encode()).hexdigest() == (
         "59d6a8e519c3471e5a8ae093492ba3ed7ebad79f417f42fbfe3246d5525fa6df")
     assert hashlib.sha256(decomposition_file.getvalue().encode()).hexdigest() == (
-        "46c232831b563d09de6c3498a51ec6f80d431e7de102ae0998a672e7328f8544")
+        "45ad1bc4c432e2f342518713f2fc3335e12719eb5324f242799304c2f711ed86")
 
 
 def test_decompose_deterministic():

@@ -22,10 +22,8 @@ from stardecomp.graphs import (
     config_model_sample,
     cut_edges,
     cycle_graph,
-    edges_to,
     greedy_independent_set,
     independence_number_bruteforce,
-    induced_avg_degree_report,
     induced_edges,
     induced_subgraph,
     is_independent,
@@ -240,7 +238,6 @@ def test_induced_cut_edge_counts():
     U = {0, 1}
     assert induced_edges(g, U) == 2  # (0,1) and the loop at 0
     assert cut_edges(g, U) == 2  # (1,2) and (4,0)
-    assert edges_to(g, 2, U) == 1
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -302,15 +299,6 @@ def test_cheeger_known_values():
     assert cheeger_bruteforce(cycle_graph(6), 0.5) == pytest.approx(2 / 3)
     # K4 with the cap at 2 vertices: a pair has 4 outgoing edges, ratio 2.
     assert cheeger_bruteforce(complete_graph(4), 0.5) == pytest.approx(2.0)
-
-
-def test_induced_avg_degree_report_exact_mode():
-    g = complete_graph(6)
-    rep = induced_avg_degree_report(g, x0=0.5, rho=1.0)
-    assert rep["mode"] == "exact"
-    # Worst density-<=1/2 subset of K6 is a triangle: avg degree 2 vs d=5.
-    assert rep["max_avg_degree_over_d"] == pytest.approx(2.0 / 5.0)
-    assert rep["satisfied"] is True
 
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=5))

@@ -4,6 +4,7 @@ byte, to a file and to stdout, on 1 and 2 workers; and the bytes of the
 paper's range, pinned."""
 
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def _assert_cli_matches_reference(argv, table, capsys, rows_per_write=4096):
     got = _written(capsys, args.out)
     source = "table" if table else "estimate"
     try:
-        report = sweep(args.d_min, args.d_max, alpha_source=source, alpha_table=table,
+        report = sweep(args.d_min, args.d_max, alpha_table=table,
                        strict_table=args.strict_table)
     except KeyError:
         assert code == 3 and got[0] == b"" and got[2:] == (None, None)
@@ -138,6 +139,18 @@ def test_empty_range_writes_the_reference_bytes(tmp_path, capsys, fmt):
             assert text == b"" if fmt == "csv" else b'"records": []' in text
 
 
+def test_paths_named_after_the_records_placeholder_keep_the_reference_bytes(
+        tmp_path, capsys, monkeypatch):
+    # The records are written in place of the last occurrence of the
+    # placeholder in the document's text; --alpha-table and --out, echoed in
+    # the config, hold the same text earlier.
+    monkeypatch.chdir(tmp_path)
+    name = stardecomp.cli._RECORDS
+    argv = ["certify", "--d-min", "30", "--d-max", "33", "--alpha-table", name, "--out", name]
+    text = _assert_cli_matches_reference(argv, {30: 0.14, 31: 0.2, 32: 0.3}, capsys)
+    assert text.count(json.dumps(name).encode()) == 2
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -149,7 +162,7 @@ def test_certify_report_bytes_are_pinned(tmp_path, capsys):
     # a change of float format or of layout.
     assert main(["certify", "--d-min", "30", "--d-max", "3000"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == (
-        "ee0f11f5d358e525a1d575658b622a3f8c6be2b043be4cd468e09df701ae5975")
+        "208404fb91184f6740e04c5cdbdd8853fa884e3b0b71efe7ac5b25dfdb3dd410")
     out = tmp_path / "sweep.csv"
     assert main(["certify", "--d-min", "30", "--d-max", "3000", "--format", "csv",
                  "--out", str(out)]) == 0
