@@ -19,9 +19,10 @@ A sweep certifies its degrees in rounds.  A round holds every pending
 (d, k) as numpy columns, which go through the array cores of derive_dhat,
 beta_max and check_condition as lockstep lanes whose results do not depend
 on the rest of their batch; a degree that fails goes to the next round with
-k - 1, and its row of the report's columns (SweepColumns) is filled from
-the columns of the round that decides it; a DegreeRecord is made only when
-read.  The public functions are thin wrappers over the same cores.
+k - 1, and its row of the report's columns (SweepReport.columns, a dict of
+numpy arrays) is filled from the columns of the round that decides it; a
+DegreeRecord is made only when read.  The public functions are thin
+wrappers over the same cores.
 """
 
 from __future__ import annotations
@@ -560,7 +561,7 @@ def certify_degree(d, alpha):
 @dataclass
 class DegreeRecord:
     """One row of a sweep report (matches the emitted JSON/CSV fields), made
-    from the report's SweepColumns when read."""
+    from the report's columns when read."""
 
     d: int
     alpha: float
@@ -584,59 +585,28 @@ class DegreeRecord:
         return {k: None if v != v else v for k, v in vars(self).items()}
 
 
-class SweepColumns:
-    """A sweep's records as columns: `arrays` maps each DegreeRecord field,
-    in field order, to a numpy array with an entry for each degree.  A float
-    column holds nan where its record does; k_certified, alpha_source,
-    condition and error are object columns, k_certified None where no k
-    certifies and error None where there is none.
-
-    Iterating it yields the DegreeRecords, each made when it is reached."""
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-
-    def __len__(self):
-        return len(self.arrays["d"])
-
-    def __iter__(self):
-        for row in zip(*(a.tolist() for a in self.arrays.values())):
-            yield DegreeRecord(*row)
-
-    @classmethod
-    def concat(cls, parts):
-        """The rows of parts, one part after another."""
-        return cls({name: np.concatenate([p.arrays[name] for p in parts])
-                    for name in parts[0].arrays})
-
-    @classmethod
-    def interleave(cls, parts):
-        """The columns whose rows i, i + len(parts), i + 2 len(parts), ...
-        are those of parts[i]."""
-        arrays = {}
-        for name, first in parts[0].arrays.items():
-            arrays[name] = np.empty(sum(map(len, parts)), dtype=first.dtype)
-            for i, part in enumerate(parts):
-                arrays[name][i :: len(parts)] = part.arrays[name]
-        return cls(arrays)
-
-
 @dataclass
 class SweepReport:
+    """A sweep's report.  columns maps each DegreeRecord field, in field
+    order, to a numpy array with an entry for each degree.  A float column
+    holds nan where its record does; k_certified, alpha_source, condition
+    and error are object columns, k_certified None where no k certifies and
+    error None where there is none."""
+
     d_min: int
     d_max: int
     alpha_source: str
-    columns: SweepColumns
+    columns: dict
 
     @cached_property
     def records(self):
         """The DegreeRecords, made from the columns at the first read."""
-        return list(self.columns)
+        return [DegreeRecord(*row)
+                for row in zip(*(a.tolist() for a in self.columns.values()))]
 
     @property
     def exceptional_degrees(self):
-        arrays = self.columns.arrays
-        return arrays["d"][arrays["exceptional"]].tolist()
+        return self.columns["d"][self.columns["exceptional"]].tolist()
 
     def summary(self):
         """as_dict without its records."""
@@ -648,7 +618,7 @@ class SweepReport:
         }
 
     def as_dict(self):
-        return {**self.summary(), "records": [r.as_dict() for r in self.columns]}
+        return {**self.summary(), "records": [r.as_dict() for r in self.records]}
 
 
 def load_alpha_table(path):
@@ -683,38 +653,44 @@ def load_alpha_table(path):
 
 
 def resolve_alpha(degrees, table, strict):
-    """Independence densities for a sequence of degrees: each degree's entry
-    of `table` (dict d -> alpha, or None) if it has one, else the built-in
-    estimate, computed for all such degrees in one lockstep alpha_fc_estimate.
+    """Independence densities for a sequence of degrees, as the columns
+    (alpha, source): alpha holds each degree's entry of `table` (dict
+    d -> alpha, or None) if it has one, else the built-in estimate, computed
+    for all such degrees in one lockstep alpha_fc_estimate; source, an
+    object array, holds "table" or "estimate", every row one of those two
+    str objects.
 
-    Returns a list of (alpha, source) with source "table" or "estimate".
     Raises KeyError if strict and the table lacks a degree, and ValueError
-    if the estimate is needed below d = 20, where it is undefined, both at
-    the first such degree.
+    if the estimate is needed below d = 20, where it is undefined, both
+    naming the first such degree.
     """
+    d = np.asarray(degrees, dtype=int)
     table = table or {}
-    estimated = []
-    for d in degrees:
-        if d in table:
-            continue
-        if strict:
-            raise KeyError(f"alpha table has no entry for d={d}")
-        if d < 20:
-            raise ValueError("estimate fallback requires d >= 20")
-        estimated.append(d)
-    estimates = iter(alpha_fc_estimate(estimated).tolist() if estimated else [])
-    return [(table[d], "table") if d in table else (next(estimates), "estimate")
-            for d in degrees]
+    listed = np.isin(d, np.fromiter(table, dtype=int, count=len(table)))
+    missing = d[~listed]
+    if strict and len(missing):
+        raise KeyError(f"alpha table has no entry for d={missing[0]}")
+    if (missing < 20).any():
+        raise ValueError(f"estimate fallback requires d >= 20, got d={missing[missing < 20][0]}")
+    alpha = np.empty(len(d))
+    alpha[listed] = [table[x] for x in d[listed].tolist()]
+    if len(missing):
+        alpha[~listed] = alpha_fc_estimate(missing)
+    # Through masks, so that every row shares one of the two str objects.
+    source = np.empty(len(d), dtype=object)
+    source[listed], source[~listed] = "table", "estimate"
+    return alpha, source
 
 
 def _records(jobs):
-    """The sweep's records, as SweepColumns, for jobs of (d, alpha, source)
-    certified in one set of rounds.  A degree reports the attempt that
-    certifies it, else its first (largest-k) one, taken from the rounds'
-    columns.  No DegreeRecord is made."""
-    ds, alphas = [d for d, _, _ in jobs], [a for _, a, _ in jobs]
-    errors, attempts = _certify_degrees(ds, alphas)
-    n = len(jobs)
+    """The sweep's records as columns, a dict as in SweepReport, for jobs,
+    the columns d, alpha and alpha_source of degrees certified in one set of
+    rounds.  A degree reports the attempt that certifies it, else its first
+    (largest-k) one, taken from the rounds' columns.  No DegreeRecord is
+    made."""
+    d, alpha = jobs["d"], jobs["alpha"]
+    errors, attempts = _certify_degrees(d, alpha)
+    n = len(d)
     k_cert, d_hat = np.full(n, -1), np.zeros(n, dtype=int)
     t1, x1, x2, t2, bmax = (np.full(n, np.nan) for _ in range(5))
     condition = np.full(n, "failed", dtype=object)
@@ -736,26 +712,26 @@ def _records(jobs):
         column[failed] = np.nan
     d_hat[failed] = 0
     error[failed] = [str(exc) for exc in errors.values()]
-    d, alpha = np.array(ds, dtype=int), np.array(alphas, dtype=float)
     outside = np.flatnonzero(~((0.0 <= alpha) & (alpha < 1.0)))
     if len(outside):
-        kappa(ds[outside[0]], alphas[outside[0]])  # raises kappa's DomainError
+        kappa(d.item(outside[0]), alpha.item(outside[0]))  # raises kappa's DomainError
     k_ind = np.floor(d / (2.0 * (1.0 - alpha))).astype(int)  # floor(kappa), bit for bit
     k_certified = k_cert.astype(object)
     k_certified[k_cert < 0] = None
-    return SweepColumns({
-        "d": d, "alpha": alpha, "alpha_source": np.array([s for _, _, s in jobs], dtype=object),
+    return {
+        "d": d, "alpha": alpha, "alpha_source": jobs["alpha_source"],
         "k_ind": k_ind, "k_certified": k_certified, "exceptional": (k_cert < 0) | (k_cert < k_ind),
         "t1": t1, "x1": x1, "x2": x2, "t2": t2, "d_hat": d_hat, "beta_max": bmax,
-        "condition": condition, "error": error})
+        "condition": condition, "error": error}
 
 
 def _sweep_part(jobs):
-    """SweepColumns of one worker's share of the sweep, jobs of (d, alpha,
-    source), certified SWEEP_BLOCK degrees at a time.  An empty share gives
-    empty columns."""
-    return SweepColumns.concat([_records(jobs[b : b + SWEEP_BLOCK])
-                                for b in range(0, len(jobs) or 1, SWEEP_BLOCK)])
+    """The records' columns of one worker's share of the sweep, jobs the
+    columns d, alpha and alpha_source of its degrees, certified SWEEP_BLOCK
+    degrees at a time.  An empty share gives empty columns."""
+    blocks = [_records({name: a[b : b + SWEEP_BLOCK] for name, a in jobs.items()})
+              for b in range(0, len(jobs["d"]) or 1, SWEEP_BLOCK)]
+    return {name: np.concatenate([c[name] for c in blocks]) for name in blocks[0]}
 
 
 def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):
@@ -776,20 +752,24 @@ def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):
     workers-th degree from the i-th, which spreads the costly low degrees
     evenly.  A degree's record does not depend on the other degrees of its
     batch, so the report, merged in degree order, is the same for any
-    worker count.  Workers return SweepColumns, which are interleaved back
-    into degree order.
+    worker count.  Workers return columns, which are interleaved back into
+    degree order.
     """
-    degrees = range(d_min, d_max + 1)
-    alpha_source = "table" if alpha_table else "estimate"
-    alphas = resolve_alpha(degrees, alpha_table, strict_table and bool(alpha_table))
-    jobs = [(d, a, src) for d, (a, src) in zip(degrees, alphas)]
-    workers = min(threads, os.cpu_count() or 1, len(jobs))
+    d = np.arange(d_min, d_max + 1)
+    alpha, source = resolve_alpha(d, alpha_table, strict_table and bool(alpha_table))
+    jobs = {"d": d, "alpha": alpha, "alpha_source": source}
+    workers = min(threads, os.cpu_count() or 1, len(d))
     if workers > 1:
         import concurrent.futures
 
-        shares = [jobs[i::workers] for i in range(workers)]
+        shares = [{name: a[i::workers] for name, a in jobs.items()} for i in range(workers)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = SweepColumns.interleave(list(pool.map(_sweep_part, shares)))
+            parts = list(pool.map(_sweep_part, shares))
+        columns = {name: np.empty(len(d), dtype=a.dtype) for name, a in parts[0].items()}
+        for i, part in enumerate(parts):
+            for name, a in part.items():
+                columns[name][i::workers] = a
     else:
         columns = _sweep_part(jobs)
-    return SweepReport(d_min=d_min, d_max=d_max, alpha_source=alpha_source, columns=columns)
+    return SweepReport(d_min=d_min, d_max=d_max,
+                       alpha_source="table" if alpha_table else "estimate", columns=columns)

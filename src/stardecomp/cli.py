@@ -163,7 +163,8 @@ def cmd_thresholds(args):
         return 2
     table = load_alpha_table(args.alpha_table) if args.alpha_table else None
     try:
-        ((alpha_star, source),) = resolve_alpha([d], table, strict=False)
+        alphas, sources = resolve_alpha([d], table, strict=False)
+        alpha_star, source = alphas.item(), sources.item()
     except ValueError:
         # No controlled estimate below d=20; report the first-moment upper
         # bound as the stand-in, still labeled an estimate.
@@ -181,8 +182,7 @@ def cmd_thresholds(args):
 
 def cmd_certify(args):
     table = load_alpha_table(args.alpha_table) if args.alpha_table else None
-    source = "table" if table else "estimate"
-    if source == "estimate" and args.d_min < 20 and args.d_max >= args.d_min:
+    if not table and args.d_min < 20 and args.d_max >= args.d_min:
         print("certify: estimate-based sweeps need --d-min >= 20", file=sys.stderr)
         return 2
     threads = args.threads
@@ -204,9 +204,9 @@ def cmd_certify(args):
         args, ["d_min", "d_max", "alpha_table", "strict_table", "out", "format"])
     exceptional = report.exceptional_degrees
     if args.format == "csv":
-        _emit_csv(report.columns.arrays, args.out)
+        _emit_csv(report.columns, args.out)
     else:
-        _emit(report.summary(), config, args, source, report.columns.arrays)
+        _emit(report.summary(), config, args, report.alpha_source, report.columns)
     if args.out and args.out != "-":
         with open(args.out + ".exceptional.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -251,9 +251,10 @@ def _forced_start(csr, ends, ell):
                 stack.append(w)
 
 
-def in_regular_orientation(H: Graph, ell, mode="exact"):
-    """Orient H so that every in-degree equals ell (mode "exact") or is at
-    most ell (mode "at_most"), or produce a violating vertex set.
+def in_regular_orientation(H: Graph, ell):
+    """Orient H so that every in-degree is at most ell, or produce a
+    violating vertex set.  Raises ValueError when e(H) > ell * |V|; when
+    e(H) = ell * |V|, in-degrees at most ell all equal ell.
 
     The orientation starts from _forced_start, and every vertex x left with
     in-degree above ell is then unloaded by reversing paths of arcs that
@@ -262,8 +263,7 @@ def in_regular_orientation(H: Graph, ell, mode="exact"):
     starts in, so e[R] = sum of in-degrees over R > ell * |R|: by Hakimi's
     theorem (an orientation with in-degrees at most ell exists iff
     e[U] <= ell * |U| for every U) no orientation exists, and R is returned
-    as the witness.  In exact mode e(H) = ell * |V|, so in-degrees at most
-    ell are all equal to ell.
+    as the witness.
 
     The repair is exact from any start: a reversal moves one unit of
     in-degree from x to a vertex below ell, so it makes no new excess, and
@@ -275,13 +275,9 @@ def in_regular_orientation(H: Graph, ell, mode="exact"):
     onto the stack follows an edge end being oriented; and the pointer to
     the lowest-id free edge only advances.
     """
-    if mode not in ("exact", "at_most"):
-        raise ValueError(f"unknown mode {mode!r}")
     m, n = H.num_edges(), H.n
-    if mode == "exact" and m != ell * n:
-        raise ValueError(f"exact mode needs e(H) = ell*|V|, got {m} != {ell * n}")
-    if mode == "at_most" and m > ell * n:
-        raise ValueError(f"at_most mode needs e(H) <= ell*|V|, got {m} > {ell * n}")
+    if m > ell * n:
+        raise ValueError(f"needs e(H) <= ell*|V|, got {m} > {ell * n}")
     ends = H.pairs.tolist()
     csr = H.indptr.tolist(), H.nbrs.tolist(), H.eids.tolist()
     heads, indeg = _forced_start(csr, ends, ell)
@@ -463,22 +459,19 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
     # alpha_dk(d, k) * n = n * (2k - d) / (2k); integer ceiling avoids float
     # roundoff pushing the target one vertex too high.
     target = -(g.n * (2 * k - d) // -(2 * k))
-    exact = (g.n * d) % (2 * k) == 0
     ell = d - k
     attempts = []
     for attempt in range(max_retries):
         attempt_seed = seed + attempt
         A0 = greedy_independent_set(g, attempt_seed)
-        thin = thin_down(g, A0, k) if k < d else ThinIndependentSet(frozenset(A0), k)
         try:
-            thin = relief_trim(g, thin, target)
+            thin = relief_trim(g, thin_down(g, A0, k), target)
         except SetTooSmall as exc:
             attempts.append((attempt_seed, "adjust_size", str(exc)))
             continue
         A = set(thin.members)
         H, vmap, _ = induced_subgraph(g, set(range(g.n)) - A)
-        mode = "exact" if exact else "at_most"
-        oriented = in_regular_orientation(H, ell, mode)
+        oriented = in_regular_orientation(H, ell)
         if isinstance(oriented, InfeasibleCertificate):
             witness = sorted(vmap[v] for v in oriented.violating_set)
             attempts.append(

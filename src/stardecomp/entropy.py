@@ -284,6 +284,9 @@ def alpha_fc_estimate(d):
     (ds,) = _lanes(d)
     if (ds < 20).any():
         raise DomainError("estimate only defined for d >= 20")
+    # math.log, not np.log: numpy's log rounds differently at some degrees
+    # (on an Intel Xeon with numpy 2.4, at 73 of the 99,971 degrees in
+    # 30..10^5), which would move those estimates and the sweep's bytes.
     corr = [(2.0 / math.e * math.log(n) / n) ** 2 for n in ds.tolist()]
     return _as_given(alpha_fm(ds) - corr, d)
 

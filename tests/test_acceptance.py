@@ -180,7 +180,7 @@ def _run_orientation_comparison():
     for _ in range(200):
         g, ell = _random_orientation_instance(rng)
         feasible, witness = orientation_feasible_bruteforce(g, ell)
-        res = in_regular_orientation(g, ell, mode="at_most")
+        res = in_regular_orientation(g, ell)
         if feasible:
             agree = isinstance(res, Orientation) and max(res.in_degrees()) <= ell
             row_witness = None

@@ -603,31 +603,58 @@ def test_sweep_payload_is_pinned():
         "13265da2427d9d7fe7b2b747db4e0775a5a07d910af77cb74275fa82df7910da")
 
 
+def _sweep_rows(jobs, rows=slice(None)):
+    """repr(vars(record)) of each record that _sweep_part gives for the rows
+    of jobs, the columns d, alpha and alpha_source."""
+    columns = _sweep_part({name: a[rows] for name, a in jobs.items()})
+    return [repr(vars(DegreeRecord(*row))) for row in zip(*(a.tolist() for a in columns.values()))]
+
+
 def test_sweep_record_independent_of_its_batch():
     # A degree's record is the one it has alone, inside 30..3000, shuffled,
     # in parts of a shuffled sample, and padded with degrees that fail,
     # skip star sizes or take many rounds.
     rnd = random.Random(0)
-    degrees = range(30, 3001)
-    jobs = [(d, a, src) for d, (a, src) in zip(degrees, resolve_alpha(degrees, None, False))]
-    full = [repr(vars(r)) for r in _sweep_part(jobs)]
-    order = rnd.sample(range(len(jobs)), len(jobs))
-    got = _sweep_part([jobs[i] for i in order])
-    assert [repr(vars(r)) for r in got] == [full[i] for i in order]
+    d = np.arange(30, 3001)
+    alpha, source = resolve_alpha(d, None, False)
+    jobs = {"d": d, "alpha": alpha, "alpha_source": source}
+    full = _sweep_rows(jobs)
+    order = rnd.sample(range(len(d)), len(d))
+    assert _sweep_rows(jobs, order) == [full[i] for i in order]
     weak = [i for i, r in enumerate(full) if "'condition': 'weak'" in r]
     exceptional = [i for i, r in enumerate(full) if "'exceptional': True" in r]
-    picked = rnd.sample(range(len(jobs)), LANES) + rnd.sample(weak, 8)
+    picked = rnd.sample(range(len(d)), LANES) + rnd.sample(weak, 8)
     picked += rnd.sample(exceptional, 8)
     for i in picked:
-        assert repr(vars(list(_sweep_part([jobs[i]]))[0])) == full[i]
+        assert _sweep_rows(jobs, [i]) == [full[i]]
     for batch in _batches(rnd, len(picked)):
-        got = _sweep_part([jobs[picked[j]] for j in batch])
-        assert [repr(vars(r)) for r in got] == [full[picked[j]] for j in batch]
-    padding = [(33, 0.7, "table"), (40, 0.001, "table"), (24, alpha_dk(24, 14), "table"),
-               (60, 0.49, "table"), (5, 0.3, "table"),
-               (10**5, alpha_fc_estimate(10**5), "estimate")]
-    got = list(_sweep_part(padding + [jobs[i] for i in picked] + padding))
-    assert [repr(vars(r)) for r in got[len(padding):-len(padding)]] == [full[i] for i in picked]
+        assert _sweep_rows(jobs, [picked[j] for j in batch]) == [full[picked[j]] for j in batch]
+    padding = {"d": np.array([33, 40, 24, 60, 5, 10**5]),
+               "alpha": np.array([0.7, 0.001, alpha_dk(24, 14), 0.49, 0.3,
+                                  alpha_fc_estimate(10**5)]),
+               "alpha_source": np.array(["table"] * 5 + ["estimate"], dtype=object)}
+    got = _sweep_rows({name: np.concatenate([padding[name], a[picked], padding[name]])
+                       for name, a in jobs.items()})
+    assert got[len(padding["d"]):-len(padding["d"])] == [full[i] for i in picked]
+
+
+def test_resolve_alpha_columns_on_a_partial_table():
+    # A table that covers part of 20..60: each row is the table's entry or
+    # the lane of one batched estimate, bit for bit, and every source is one
+    # of two str objects.  A missing degree is named in both errors.
+    d = np.arange(20, 61)
+    table = {20: 0.15, 21: 0.25, **{x: 0.1 + x / 1000 for x in range(30, 61, 3)}}
+    alpha, source = resolve_alpha(d, table, False)
+    listed = np.array([x in table for x in d.tolist()])
+    assert alpha.dtype == np.float64 and source.dtype == object
+    assert alpha[listed].tobytes() == np.array([table[x] for x in d[listed].tolist()]).tobytes()
+    assert alpha[~listed].tobytes() == alpha_fc_estimate(d[~listed]).tobytes()
+    assert source.tolist() == ["table" if x else "estimate" for x in listed.tolist()]
+    assert len({id(s) for s in source}) <= 2
+    with pytest.raises(KeyError, match=r"for d=22\b"):
+        resolve_alpha(d, table, True)
+    with pytest.raises(ValueError, match=r"got d=17\b"):
+        resolve_alpha(np.arange(15, 40), {15: 0.2, 16: 0.2, 18: 0.2}, False)
 
 
 # derive_dhat on batches of lanes.
@@ -886,8 +913,8 @@ def _assert_rounds_match_reference(d_min, d_max, table, fault=None):
             for module in (sys.modules["stardecomp.certify"], rounds_reference):
                 mp.setattr(module, "avg_degree_ceiling_inv",
                            _faulty_inverse(avg_degree_ceiling_inv, fault == "raise"))
-        alphas = resolve_alpha(degrees, table, False)
-        jobs = [(d, a, src) for d, (a, src) in zip(degrees, alphas)]
+        alpha, source = resolve_alpha(degrees, table, False)
+        jobs = list(zip(degrees, alpha.tolist(), source.tolist()))
         seen = [_outcome_repr(lambda: [vars(r) for r in sweep(
             d_min, d_max, alpha_table=table).records])]
         assert seen[0] == _outcome_repr(

@@ -1,9 +1,11 @@
 """CLI tests: subcommand behavior, exit codes, report schemas, and the
 sample -> decompose -> verify round trip."""
 
+import ast
 import csv
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from stardecomp.decomp import read_decomposition
 from stardecomp.graphs import MAX_VERTICES, GraphFormatError, read_graph
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def load_schema(name):
@@ -399,3 +402,17 @@ def test_sample_stdout(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "8 2"
     assert len(lines) == 1 + 8  # header + n*d/2 edges
+
+
+def test_traced_names_resolve_after_importing_the_cli():
+    # perfbench/tracer.py wraps each (module, attribute) of its WRAPPED list
+    # through getattr on sys.modules[module]; `run.py --trace 1` needs every
+    # one to exist once stardecomp.cli is imported.  The file is parsed, not
+    # imported.
+    (wrapped,) = [node.value for node in ast.parse(TRACER.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    names = [(entry.elts[0].value, entry.elts[1].value) for entry in wrapped.elts]
+    assert names
+    for module, attr in names:
+        assert hasattr(sys.modules[module], attr), (module, attr)

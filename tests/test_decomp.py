@@ -131,14 +131,14 @@ def test_relief_trim_too_small():
 
 def test_orientation_exact_on_cycle():
     g = cycle_graph(7)
-    res = in_regular_orientation(g, 1, mode="exact")
+    res = in_regular_orientation(g, 1)
     assert isinstance(res, Orientation)
     assert res.in_degrees() == [1] * 7
 
 
 def test_orientation_at_most_mode():
     g = Graph(4, [(0, 1), (1, 2)])
-    res = in_regular_orientation(g, 1, mode="at_most")
+    res = in_regular_orientation(g, 1)
     assert isinstance(res, Orientation)
     assert max(res.in_degrees()) <= 1
 
@@ -148,25 +148,20 @@ def test_orientation_infeasible_certificate():
     # packs 6 edges on 4 vertices.
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     g = Graph(6, edges)
-    res = in_regular_orientation(g, 1, mode="exact")
+    res = in_regular_orientation(g, 1)
     assert isinstance(res, InfeasibleCertificate)
     assert res.induced > res.ell * len(res.violating_set)
     assert res.violating_set <= {0, 1, 2, 3}
 
 
 def test_orientation_mode_preconditions():
-    g = cycle_graph(4)
     with pytest.raises(ValueError):
-        in_regular_orientation(g, 2, mode="exact")  # 4 edges != 8
-    with pytest.raises(ValueError):
-        in_regular_orientation(Graph(2, [(0, 1)] * 3), 1, mode="at_most")
-    with pytest.raises(ValueError):
-        in_regular_orientation(g, 1, mode="sideways")
+        in_regular_orientation(Graph(2, [(0, 1)] * 3), 1)  # 3 edges > 1 * 2
 
 
 def test_orientation_handles_loops_and_multiedges():
     g = Graph(3, [(0, 0), (0, 1), (1, 2), (1, 2), (2, 0), (2, 2)])
-    res = in_regular_orientation(g, 2, mode="exact")
+    res = in_regular_orientation(g, 2)
     assert isinstance(res, Orientation)
     assert res.in_degrees() == [2, 2, 2]
 
@@ -179,7 +174,7 @@ def test_orientation_exact_on_pipeline_complement():
     A = relief_trim(g, thin, 1998 // 6).members
     H, _, _ = induced_subgraph(g, set(range(g.n)) - A)
     assert H.num_edges() == 2 * H.n
-    res = in_regular_orientation(H, 2, mode="exact")
+    res = in_regular_orientation(H, 2)
     assert isinstance(res, Orientation)
     assert res.in_degrees() == [2] * H.n
     for (u, v), head in zip(H.edges, res.heads):
@@ -197,7 +192,7 @@ def test_orientation_start_leaves_little_to_repair(monkeypatch):
     module = sys.modules["stardecomp.decomp"]
     unload, calls = module._unload, []
     monkeypatch.setattr(module, "_unload", lambda *args: calls.append(1) or unload(*args))
-    assert isinstance(in_regular_orientation(H, 2, mode="exact"), Orientation)
+    assert isinstance(in_regular_orientation(H, 2), Orientation)
     assert 1 <= len(calls) <= 10
 
 
@@ -205,7 +200,8 @@ def test_orientation_start_leaves_little_to_repair(monkeypatch):
 @settings(max_examples=200, deadline=None)
 def test_orientation_verdicts_match_reference_and_bruteforce(seed, mode):
     # Random multigraphs with loops and repeated edges, clustered on a few
-    # vertices half the time so that many are infeasible.
+    # vertices half the time so that many are infeasible; mode is the
+    # reference's name for the edge count, m = ell * n or m <= ell * n.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 10))
     ell = int(rng.integers(0, 4))
@@ -213,13 +209,13 @@ def test_orientation_verdicts_match_reference_and_bruteforce(seed, mode):
     pool = n if rng.integers(2) else max(1, n // 3)
     g = Graph(n, rng.integers(0, pool, size=(m, 2)))
     feasible, _ = orientation_feasible_bruteforce(g, ell)
-    res = in_regular_orientation(g, ell, mode)
+    res = in_regular_orientation(g, ell)
     assert isinstance(res, Orientation) == feasible
     assert isinstance(ref.in_regular_orientation(g, ell, mode), Orientation) == feasible
     if feasible:
         assert all(head in e for e, head in zip(g.edges, res.heads))
         indeg = res.in_degrees()
-        assert indeg == [ell] * n if mode == "exact" else max(indeg, default=0) <= ell
+        assert indeg == [ell] * n if m == ell * n else max(indeg, default=0) <= ell
     else:
         U = res.violating_set
         assert res.induced == induced_edges(g, U) > ell * len(U)
@@ -232,7 +228,7 @@ def test_orientation_infeasible_clique_among_isolated_vertices():
     clique = complete_graph(2 * ell + 2)
     offset = 300
     g = Graph(500, [(u + offset, v + offset) for u, v in clique.edges])
-    res = in_regular_orientation(g, ell, mode="at_most")
+    res = in_regular_orientation(g, ell)
     assert isinstance(res, InfeasibleCertificate)
     U = res.violating_set
     assert U <= set(range(offset, offset + 2 * ell + 2))
@@ -252,7 +248,7 @@ def test_orientation_matches_bruteforce(seed):
         (int(rng.integers(pool)), int(rng.integers(pool))) for _ in range(m)
     ])
     feasible, witness = orientation_feasible_bruteforce(g, ell)
-    res = in_regular_orientation(g, ell, mode="at_most")
+    res = in_regular_orientation(g, ell)
     if feasible:
         assert isinstance(res, Orientation)
         assert max(res.in_degrees()) <= ell
@@ -268,7 +264,7 @@ def small_decomposition_instance():
     g = cycle_graph(6)
     A = {0, 2, 4}
     H, vmap, _ = induced_subgraph(g, set(range(6)) - A)
-    orientation = in_regular_orientation(H, 0, mode="exact")
+    orientation = in_regular_orientation(H, 0)
     return g, A, orientation, vmap
 
 
@@ -499,6 +495,21 @@ def test_decompose_petersen_obstruction():
     err = exc_info.value
     assert err.stage == "adjust_size"
     assert all(stage == "adjust_size" for _, stage, _ in err.attempts)
+
+
+@pytest.mark.parametrize("n, stars", [
+    (6, [(1, [0, 2]), (3, [2, 4]), (5, [4, 0])]),
+    (8, [(0, [1, 7]), (2, [1, 3]), (4, [3, 5]), (6, [5, 7])]),
+    (10, [(0, [1, 9]), (2, [1, 3]), (4, [3, 5]), (6, [5, 7]), (8, [7, 9])]),
+])
+def test_decompose_cycle_with_k_at_least_d(n, stars):
+    # k = d = 2: no vertex has more than d <= k edges into the independent
+    # set, so thinning keeps the greedy set as it is.
+    g = cycle_graph(n)
+    sd = decompose(g, 2)
+    ok, diagnostics = verify_decomposition(g, sd)
+    assert ok, diagnostics
+    assert sd.stars == stars and sd.leftover == []
 
 
 def test_check_sufficiency_small_instance():
