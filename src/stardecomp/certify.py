@@ -19,10 +19,11 @@ A sweep certifies its degrees in rounds.  A round holds every pending
 (d, k) as numpy columns, which go through the array cores of derive_dhat,
 beta_max and check_condition as lockstep lanes whose results do not depend
 on the rest of their batch; a degree that fails goes to the next round with
-k - 1, and its row of the report's columns (SweepReport.columns, a dict of
-numpy arrays) is filled from the columns of the round that decides it; a
-DegreeRecord is made only when read.  The public functions are thin
-wrappers over the same cores.
+k - 1.  Each round writes its lanes into the rows of the report's columns
+(SweepReport.columns, a dict of numpy arrays) that they decide, an
+exception a lane raises included, as that degree's error; a DegreeRecord is
+made only when read.  The public functions are thin wrappers over the same
+cores.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ ROOT_POINTS = 7
 MAX_ROOT_ROUNDS = 200
 # Depth at which a tau interval still open leaves its degree uncertified.
 MAX_DEPTH = 20
-# Degrees certified in one set of rounds.  A degree holds about 0.7 KB until
-# its block ends, so a block holds at most about 3 MB and blocks bound the
-# memory of long sweeps; 4096 lanes take the paper's range 30..3000 in one
-# block and amortise the per-round numpy overhead of the lockstep solves.
+# Degrees certified in one set of rounds.  A degree's row takes about 0.1 KB
+# and its lane's solves about 1.2 KB at their peak, so a block peaks near
+# 5 MB and blocks bound the memory of long sweeps; 4096 lanes take the
+# paper's range 30..3000 in one block and amortise the per-round numpy
+# overhead of the lockstep solves.
 SWEEP_BLOCK = 4096
 
 
@@ -432,9 +434,9 @@ def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus):
 
 def certify(inp: CertifyInput) -> CertifyResult:
     """Run the full decision procedure for one (d, k, alpha) triple, as a
-    round of one lane (_Attempts.run), the way sweeps and certify_degree
-    run it."""
-    attempt = _Attempts(np.zeros(1, dtype=int), np.array([inp.k]))
+    round of one lane (_Attempts.run), the same rounds that write a sweep's
+    rows."""
+    attempt = _Attempts(np.array([inp.k]))
     raised = attempt.run(np.array([inp.d]), np.array([inp.alpha]))
     if raised:
         raise raised[0]
@@ -443,13 +445,12 @@ def certify(inp: CertifyInput) -> CertifyResult:
 
 class _Attempts:
     """One round's attempts as columns: lane i is certify's result for star
-    size k[i] at degree deg[i], an index into the degrees of
-    _certify_degrees.  A column holds CertifyResult's default where a lane
-    did not reach its stage."""
+    size k[i].  A column holds CertifyResult's default where a lane did not
+    reach its stage."""
 
-    def __init__(self, deg, k):
-        n = len(deg)
-        self.deg, self.k = deg, k
+    def __init__(self, k):
+        n = len(k)
+        self.k = k
         self.t1, self.x1, self.x2, self.t2, self.tau_plus, self.beta_max = (
             np.full(n, np.nan) for _ in range(6))
         self.d_hat = np.zeros(n, dtype=int)
@@ -462,14 +463,14 @@ class _Attempts:
         arrays) through the cores of derive_dhat, beta_max and
         check_condition, each on all lanes still going in one batch.  Returns
         a dict from lane to the exception certify raises for it, a
-        derive_dhat error other than a CertifyError."""
+        derive_dhat error other than a CertifyError; such a lane keeps
+        derive_dhat's failed columns, with the exception's text as error."""
         k = self.k
         *derived, failed = _derive(d, k)
         self.t1, self.x1, self.x2, self.t2, self.d_hat, self.tau_plus = derived
         raised = {i: exc for i, exc in failed.items() if not isinstance(exc, CertifyError)}
         for i, exc in failed.items():
-            if i not in raised:
-                self.error[i] = exc.reason
+            self.error[i] = str(exc) if i in raised else exc.reason
         lanes = _live(len(d), failed)
         self.beta_max[lanes], failed = _beta_max(d[lanes], alpha[lanes], self.tau_plus[lanes])
         self.error[lanes[list(failed)]] = [str(exc) for exc in failed.values()]
@@ -495,67 +496,31 @@ class _Attempts:
             worst_witness=None if beta != beta else (beta, tau, slack), error=self.error[i])
 
 
-def _certify_degrees(ds, alphas):
-    """certify_degree for every degree of ds at the density of alphas, in
-    rounds.
-
-    A round holds the pending (d, k) of all degrees as columns and makes
-    their attempts in one _Attempts.run; a degree that fails goes on to the
-    next round with k - 1.  No CertifyInput or CertifyResult is made.
-    Returns (errors, attempts): errors maps a degree's position to the
-    ValueError that certify_degree raises for it, and attempts lists the
-    rounds' _Attempts in the order made, so that a degree's lanes, in that
-    order, are certify_degree's attempts (unless the degree is in errors).
-    """
-    d, alpha = np.asarray(ds), np.asarray(alphas, dtype=float)
-    valid = (0.0 < alpha) & (alpha < 0.5)
-    errors = {i: ValueError(f"alpha {alphas[i]} outside (0, 1/2)")
-              for i in np.flatnonzero(~valid).tolist()}
-    deg = np.flatnonzero(valid)
-    k = np.floor(d[deg] / (2.0 * (1.0 - alpha[deg]))).astype(int)  # floor(kappa)
-    attempts = []
-    while len(deg):
-        # Star sizes the procedure does not apply to are recorded, skipped.
-        while True:
-            dd = d[deg]
-            big = np.flatnonzero(k > dd / 2)
-            too_large = k[big] >= dd[big] - 1
-            skip = big[too_large | (alpha[deg[big]] <= 1.0 - dd[big] / (2.0 * k[big]))]
-            if not len(skip):
-                break
-            attempts.append(_Attempts(deg[skip], k[skip]))
-            attempts[-1].error[:] = np.where(k[skip] >= dd[skip] - 1, "k too large",
-                                             "alpha at or below alpha_dk")
-            k[skip] -= 1
-        going = k > d[deg] / 2
-        deg, k = deg[going], k[going]
-        if not len(deg):
-            break
-        attempts.append(_Attempts(deg, k))
-        raised = attempts[-1].run(d[deg], alpha[deg])
-        for i, exc in sorted(raised.items()):
-            if not isinstance(exc, ValueError):
-                raise exc
-            errors[deg.item(i)] = exc
-        going = ~(attempts[-1].strong | attempts[-1].weak)
-        going[list(raised)] = False
-        deg, k = deg[going], k[going] - 1
-    return errors, attempts
-
-
 def certify_degree(d, alpha):
     """Find the largest certifiable star size for degree d at independence
     density alpha.
 
     Starts at k = floor(kappa(d, alpha)) and decrements until a k certifies or
-    k <= d/2, in the rounds a sweep runs, here on one degree.  Returns
-    (k_certified or None, list of (k, CertifyResult)).
+    k <= d/2, one certify per k; a k the procedure does not apply to is
+    recorded with the error "k too large" (k >= d - 1) or "alpha at or below
+    alpha_dk", and skipped.  Returns (k_certified or None, list of (k,
+    CertifyResult)).  Raises ValueError for an alpha outside (0, 1/2), and
+    what certify raises.
     """
-    errors, attempts = _certify_degrees([d], [alpha])
-    if errors:
-        raise errors[0]
-    results = [(att.k.item(0), att.result(0)) for att in attempts]
-    return (results[-1][0] if results and results[-1][1].certified else None), results
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha {alpha} outside (0, 1/2)")
+    results = []
+    for k in range(math.floor(d / (2.0 * (1.0 - alpha))), d // 2, -1):  # floor(kappa)
+        if k >= d - 1:
+            res = CertifyResult(error="k too large")
+        elif alpha <= 1.0 - d / (2.0 * k):  # alpha_dk(d, k)
+            res = CertifyResult(error="alpha at or below alpha_dk")
+        else:
+            res = certify(CertifyInput(d=d, k=k, alpha=alpha))
+        results.append((k, res))
+        if res.certified:
+            return k, results
+    return None, results
 
 
 @dataclass
@@ -685,37 +650,61 @@ def resolve_alpha(degrees, table, strict):
 def _records(jobs):
     """The sweep's records as columns, a dict as in SweepReport, for jobs,
     the columns d, alpha and alpha_source of degrees certified in one set of
-    rounds.  A degree reports the attempt that certifies it, else its first
-    (largest-k) one, taken from the rounds' columns.  No DegreeRecord is
-    made."""
+    rounds: certify_degree on each degree, its attempts batched.
+
+    A round holds the pending (d, k) of all degrees as columns and makes
+    their attempts in one _Attempts.run; a degree that fails goes on to the
+    next round with k - 1.  Each round writes its lanes into the rows: a
+    degree reports the attempt that certifies it, else its first (largest-k)
+    one.  A degree for which certify_degree raises is an error row, the
+    exception's text its error.  No DegreeRecord is made."""
     d, alpha = jobs["d"], jobs["alpha"]
-    errors, attempts = _certify_degrees(d, alpha)
-    n = len(d)
-    k_cert, d_hat = np.full(n, -1), np.zeros(n, dtype=int)
-    t1, x1, x2, t2, bmax = (np.full(n, np.nan) for _ in range(5))
-    condition = np.full(n, "failed", dtype=object)
-    error = np.full(n, "no k in range", dtype=object)
-    seen = np.zeros(n, dtype=bool)
-    for att in attempts:
-        certified = att.strong | att.weak
-        take = certified | ~seen[att.deg]
-        seen[att.deg] = True
-        for column, lanes in ((t1, att.t1), (x1, att.x1), (x2, att.x2), (t2, att.t2),
-                              (d_hat, att.d_hat), (bmax, att.beta_max), (error, att.error)):
-            column[att.deg[take]] = lanes[take]
-        k_cert[att.deg[certified]] = att.k[certified]
-        # Through masks, so that every row shares the two str objects.
-        condition[att.deg[att.strong]] = "strong"
-        condition[att.deg[att.weak & ~att.strong]] = "weak"
-    failed = list(errors)
-    for column in (t1, x1, x2, t2, bmax):
-        column[failed] = np.nan
-    d_hat[failed] = 0
-    error[failed] = [str(exc) for exc in errors.values()]
     outside = np.flatnonzero(~((0.0 <= alpha) & (alpha < 1.0)))
     if len(outside):
         kappa(d.item(outside[0]), alpha.item(outside[0]))  # raises kappa's DomainError
     k_ind = np.floor(d / (2.0 * (1.0 - alpha))).astype(int)  # floor(kappa), bit for bit
+    n = len(d)
+    k_cert, d_hat = np.full(n, -1), np.zeros(n, dtype=int)
+    t1, x1, x2, t2, bmax = (np.full(n, np.nan) for _ in range(5))
+    # Through slices and masks, so that every row shares the few str objects.
+    condition, error = np.empty(n, dtype=object), np.empty(n, dtype=object)
+    condition[:], error[:] = "failed", "no k in range"
+    valid = (0.0 < alpha) & (alpha < 0.5)
+    error[~valid] = [f"alpha {a} outside (0, 1/2)" for a in alpha[~valid].tolist()]
+    deg, seen = np.flatnonzero(valid), np.zeros(n, dtype=bool)
+    k = k_ind[deg]
+    while len(deg):
+        # Star sizes the procedure does not apply to are recorded, skipped.
+        while True:
+            dd = d[deg]
+            big = np.flatnonzero(k > dd / 2)
+            too_large = k[big] >= dd[big] - 1
+            skip = big[too_large | (alpha[deg[big]] <= 1.0 - dd[big] / (2.0 * k[big]))]
+            if not len(skip):
+                break
+            first = skip[~seen[deg[skip]]]
+            error[deg[first]] = np.where(k[first] >= dd[first] - 1, "k too large",
+                                         "alpha at or below alpha_dk")
+            seen[deg[skip]] = True
+            k[skip] -= 1
+        going = k > d[deg] / 2
+        deg, k = deg[going], k[going]
+        if not len(deg):
+            break
+        att = _Attempts(k)
+        raised = att.run(d[deg], alpha[deg])
+        certified = att.strong | att.weak
+        ended = certified.copy()
+        ended[list(raised)] = True
+        take = ended | ~seen[deg]
+        seen[deg] = True
+        for column, lanes in ((t1, att.t1), (x1, att.x1), (x2, att.x2), (t2, att.t2),
+                              (d_hat, att.d_hat), (bmax, att.beta_max), (error, att.error)):
+            column[deg[take]] = lanes[take]
+        k_cert[deg[certified]] = k[certified]
+        condition[deg[att.strong]] = "strong"
+        condition[deg[att.weak & ~att.strong]] = "weak"
+        deg, k = deg[~ended], k[~ended] - 1
     k_certified = k_cert.astype(object)
     k_certified[k_cert < 0] = None
     return {
@@ -744,9 +733,11 @@ def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):
     "estimate".  The estimate for every degree that uses it comes from one
     lockstep alpha_fc_estimate.
 
-    The degrees are certified in rounds (see _certify_degrees), in blocks of
+    The degrees are certified in rounds (see _records), in blocks of
     SWEEP_BLOCK degrees, each round batching every pending (d, k) of the
-    block, a degree that fails going on with k - 1.
+    block, a degree that fails going on with k - 1, and writing the rows
+    its lanes decide; a degree for which certify_degree raises reports the
+    exception's text as its error.
     With threads > 1 the pool has min(threads, os.cpu_count(), number of
     degrees) workers, and worker i runs the same rounds on every
     workers-th degree from the i-th, which spreads the costly low degrees

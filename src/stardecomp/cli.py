@@ -6,15 +6,15 @@ summaries and diagnostics go to stderr.  `verify`'s report is its verdict,
 with the diagnostics of an invalid decomposition, on stdout.  `certify` with --d-min > --d-max
 reports an empty degree range: no records, exit 0.
 
-Exit codes: 0 success (findings included), 1 failed verification or
-decomposition, and a root solve that finds no sign change (`certify` near
-d = 10^9, `thresholds` at very large d), 2 usage errors (including
---max-retries < 1, a negative --threads, a STARDECOMP_THREADS that is not a
-nonnegative integer, `sample --simple` with d >= n, and a `sample --simple`
-run out of tries), 3 missing alpha-table entry under --strict-table, 4 I/O
-and parse errors (including a graph header above graphs.MAX_VERTICES
-vertices, and an alpha table with a row of other than two fields, a
-repeated degree or an alpha outside (0, 1/2)).
+Exit codes: 0 success (findings included: a `certify` range reports each
+degree whose root solve fails, as near d = 10^9, as an error row), 1 failed
+verification or decomposition, and `thresholds` at a degree whose root
+solve finds no sign change (d = 10^15), 2 usage errors (including
+--max-retries < 1, --threads < 1, `sample --simple` with d >= n, and a
+`sample --simple` run out of tries), 3 missing alpha-table entry under
+--strict-table, 4 I/O and parse errors (including a graph header above
+graphs.MAX_VERTICES vertices, and an alpha table with a row of other than
+two fields, a repeated degree or an alpha outside (0, 1/2)).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -52,7 +51,6 @@ from .graphs import (
     write_graph,
 )
 
-THREADS_ENV = "STARDECOMP_THREADS"
 # Rows of a report held as columns formatted at a time: the text of 4096
 # sweep records is about 1.8 MB.
 ROWS_PER_WRITE = 4096
@@ -185,17 +183,8 @@ def cmd_certify(args):
     if not table and args.d_min < 20 and args.d_max >= args.d_min:
         print("certify: estimate-based sweeps need --d-min >= 20", file=sys.stderr)
         return 2
-    threads = args.threads
-    if not threads:
-        text = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = _nonnegative_int(text)
-        except (ValueError, argparse.ArgumentTypeError):
-            print(f"certify: {THREADS_ENV} must be a nonnegative integer, got {text!r}",
-                  file=sys.stderr)
-            return 2
     try:
-        report = sweep(args.d_min, args.d_max, alpha_table=table, threads=threads,
+        report = sweep(args.d_min, args.d_max, alpha_table=table, threads=args.threads,
                        strict_table=args.strict_table)
     except KeyError as exc:
         print(f"certify: {exc}", file=sys.stderr)
@@ -276,13 +265,6 @@ def _positive_int(text):
     return value
 
 
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="stardecomp")
     parser.add_argument("--version", action="version", version=__version__)
@@ -301,8 +283,7 @@ def build_parser():
     p.add_argument("--alpha-table", dest="alpha_table")
     p.add_argument("--strict-table", action="store_true",
                    help="fail (exit 3) if the table lacks a degree in range")
-    p.add_argument("--threads", type=_nonnegative_int, default=0,
-                   help=f"worker processes (0: take {THREADS_ENV}, default 1)")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker processes (default 1)")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_certify)
@@ -341,7 +322,7 @@ def main(argv=None):
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"stardecomp: {exc}", file=sys.stderr)
         code = 4
-    except RuntimeError as exc:  # a root solve that found no sign change
+    except RuntimeError as exc:  # thresholds' root solve found no sign change
         print(f"stardecomp: {exc}", file=sys.stderr)
         code = 1
     return code

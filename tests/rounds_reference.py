@@ -167,7 +167,7 @@ def _certify_degrees(jobs):
         for j, ((i, results, inp), dhat) in enumerate(zip(lanes, derived)):
             try:
                 res = certify(inp, dhat, bmax.get(j), checked.get(j))
-            except ValueError as exc:
+            except (ValueError, RuntimeError) as exc:
                 out[i] = exc
                 continue
             results.append((inp.k, res))

@@ -933,7 +933,7 @@ def test_rounds_match_the_per_lane_reference(d_min, size, fault, data):
     # alpha_dk (exactly alpha_dk(d, k), or one ulp off) and k >= d - 1
     # (high); d_hat underflow at small d; tau_plus <= alpha/(1 - alpha)
     # (high); and, through the faulty inverse, x2 nonpositive, the
-    # inverse's DomainError and a RuntimeError, which ends the sweep.
+    # inverse's DomainError and a RuntimeError, which makes an error row.
     # Where no k certifies, a degree makes a round for each k down to d/2,
     # so alpha stays below 0.4, where some k certifies, from d = 100 on.
     table = {}
@@ -967,9 +967,29 @@ def test_rounds_reference_cases_reach_every_branch():
                       "no k in range", "k too large", "alpha at or below alpha_dk",
                       "x2 nonpositive", "d_hat underflow", "pair rate not monotone in tau",
                       *(f"no inverse at d={d}" for d in range(9, 45, 7))}
-    # A RuntimeError and kappa's DomainError end the sweep, alike in both.
-    assert "RuntimeError" in _assert_rounds_match_reference(30, 40, {}, "raise")
+    # A RuntimeError is the sweep's error row and what certify_degree
+    # raises, alike in both; kappa's DomainError ends the sweep.
+    seen = _assert_rounds_match_reference(30, 40, {}, "raise")
+    assert "'error': 'no sign change for inverse at d=31'" in seen
+    assert repr((RuntimeError, "no sign change for inverse at d=31")) in seen
     assert "DomainError" in _assert_rounds_match_reference(30, 33, {31: -0.1})
+
+
+def test_sweep_reports_degrees_without_a_sign_change_as_error_rows():
+    # Near d = 5.6e8 the inverse ceiling finds no sign change at most
+    # degrees: each such degree is an error row, and every row is the one
+    # certify_degree's outcome at its degree gives.
+    records = sweep(564375960, 564376000).records
+    assert len(records) == 41
+    assert sum(r.error.startswith("no sign change for inverse") for r in records
+               if r.error) == 32
+    for r in records:
+        try:
+            outcome = certify_degree(r.d, r.alpha)
+        except RuntimeError as exc:
+            outcome = exc
+        expected = rounds_reference._record(r.d, r.alpha, r.alpha_source, outcome)
+        assert repr(vars(r)) == repr(vars(expected))
 
 
 @given(d=st.integers(3, 99) | st.integers(100, 3000), kind=st.sampled_from(_ALPHA_KINDS),
