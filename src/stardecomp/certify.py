@@ -12,8 +12,11 @@ alpha/(1 - alpha) (proofs in check_condition), so that region is
 {beta <= r(tau)} with r nonincreasing, and the check is one-dimensional: a
 branch-and-bound over tau on a rigorous upper bound r_hi(tau) of r(tau),
 found by halving and bisection on the computed rate with a stated bound on
-its float error.  beta_max is r_hi(tau_plus).  Errors are one-sided: the
-checker may under-certify, never over-certify.
+its float error.  beta_max is r_hi(tau_plus), and the search starts from
+that solve.  Errors are one-sided: the checker may under-certify, never
+over-certify.  The solves are replayed from a bracket about each root,
+checked against the rate's error bound, and evaluate the rate only inside
+it (see _roots), so every output keeps its bits.
 
 A sweep certifies its degrees in rounds.  A round holds every pending
 (d, k) as numpy columns, which go through the array cores of derive_dhat,
@@ -38,10 +41,12 @@ import numpy as np
 
 from .entropy import (
     _lanes,
+    _newton,
     alpha_dk,
     alpha_fc_estimate,
     avg_degree_ceiling,
     avg_degree_ceiling_inv,
+    h,
     kappa,
     pair_rate,
 )
@@ -50,6 +55,9 @@ from .entropy import (
 # 40-digit arithmetic its error is at most 2.1e-16 * d on 6000 points near
 # the roots over d = 30..10^6, and a test bounds it by RATE_EPS * d / 2.
 RATE_EPS = 2e-15
+# The root solves are replayed from brackets checked against RATE_ERR * d,
+# the bound on the computed pair rate's error that the test above asserts.
+RATE_ERR = RATE_EPS / 2
 # Roots are bracketed to a relative ROOT_REL_TOL, ROOT_POINTS points (three
 # halvings) a lane per round; a lane whose rate at beta = 0 lies within
 # RATE_EPS * d of 0 may stop at MAX_ROOT_ROUNDS, its bracket still valid.
@@ -222,10 +230,11 @@ def _cap(alpha, tau):
     return np.minimum(1.0 - 2.0 * alpha, alpha / np.maximum(tau, alpha))
 
 
-def _roots(d, alpha, tau, top):
+def _roots(d, alpha, tau, top, f0):
     """Brackets of r(tau), the end of {beta : pair rate >= 0}, on lanes of
-    1-d arrays whose rate at beta = 0 is nonnegative; top is each lane's
-    domain cap or a proven upper bound on r(tau).
+    1-d arrays whose rate at beta = 0, f0 (ind_set_rate, the same at every
+    tau), is nonnegative; top is each lane's domain cap or a proven upper
+    bound on r(tau).
 
     A lane halves from top to the first point not surely negative (computed
     rate >= -RATE_EPS * d), then bisects that factor-2 bracket to a relative
@@ -235,31 +244,102 @@ def _roots(d, alpha, tau, top):
     negative, or top if no point below it is surely negative; r_lo is the
     largest point met whose computed rate is >= 0 (0 if none).  No point
     leaves the domain, and a lane's points do not depend on other lanes.
+
+    The rounds are replayed from a bracket [L, U] about each lane's root
+    (_root_bracket), in which the computed rate f, within E = RATE_ERR * d
+    of the exact one, has min(f(0), f(L)) >= 2E and f(U) < -RATE_EPS * d -
+    2E.  The exact rate is concave in beta (check_condition), so on [0, L]
+    it lies above its chord, at least E, and f >= 0; and, below f(0) at U,
+    it falls past U, so f < -RATE_EPS * d there.  A round evaluates the rate
+    only at its points strictly inside (L, U), and none if no lane has one;
+    at or below L it takes the rate to be >= 0 and not surely negative, at
+    or above U to be surely negative, as f is.  So every lane meets the
+    points, and returns the bits, that it would evaluating every point; a
+    lane whose bracket fails its check has L = -inf and U = inf, and is
+    evaluated everywhere.
     """
-    # lo = 0 marks a lane still halving.  hi = 2 top is never evaluated: the
-    # first round's first point is top itself.
-    lo, hi, r_lo, run = np.zeros(len(d)), 2.0 * top, np.zeros(len(d)), np.arange(len(d))
+    lower, upper = _root_bracket(d, alpha, tau, top, f0)
+    r_lo, r_hi = np.zeros(len(d)), np.zeros(len(d))
+    # The state of the lanes still running, run their indices.  lo = 0
+    # marks a lane still halving.  hi = 2 top is never evaluated: the first
+    # round's first point is top itself.
+    run, lo, hi, rl = np.arange(len(d)), np.zeros(len(d)), 2.0 * top, np.zeros(len(d))
+    lane = (d, alpha, tau, top, lower, upper, RATE_EPS * d)
     steps = np.arange(1, ROOT_POINTS + 1)[:, None]
+    halves, fractions = 0.5 ** steps, steps / (ROOT_POINTS + 1.0)
     for _ in range(MAX_ROOT_ROUNDS):
-        if not len(run):
-            break
-        l, h = lo[run], hi[run]
-        halving = l == 0.0
-        pts = np.where(halving, h * 0.5 ** steps, l + (h - l) * (steps / (ROOT_POINTS + 1.0)))
-        rates = pair_rate_grid(d[run], alpha[run], pts, tau[run])
-        r_lo[run] = np.maximum(r_lo[run], np.where(rates >= 0.0, pts, 0.0).max(axis=0))
+        dr, ar, tr, cap, low, up, eps = lane
+        halving = lo == 0.0
+        pts = (hi * halves if halving.all() else lo + (hi - lo) * fractions if not halving.any()
+               else np.where(halving, hi * halves, lo + (hi - lo) * fractions))
+        # Whether each point's rate is >= 0 and < -RATE_EPS * d.
+        nonneg, neg = pts <= low, pts >= up
+        inside = ~(nonneg | neg)
+        if inside.any():
+            # Through flat indices, each point's column its lane.
+            at = np.flatnonzero(inside)
+            col = at % len(run)
+            rates = pair_rate_grid(dr[col], ar[col], pts.ravel()[at][None], tr[col])[0]
+            nonneg.ravel()[at], neg.ravel()[at] = rates >= 0.0, rates < -eps[col]
+        rl = np.maximum(rl, np.where(nonneg, pts, 0.0).max(axis=0))
         # Halving goes down the rows to the first point not surely negative,
         # bisection up the rows to the first point that is; prev is the row
         # before that point, or the bracket's end.
-        hit = (rates < -RATE_EPS * d[run]) != halving
-        found, i, cols = hit.any(axis=0), hit.argmax(axis=0), np.arange(len(run))
-        at_i = pts[i, cols]
-        prev = np.where(i > 0, pts[i - 1, cols], np.where(halving, h, l))
-        lo[run] = np.select([halving & found, halving, found], [at_i, l, prev], pts[-1])
-        hi[run] = np.minimum(np.select([halving & found, halving, found],
-                                       [prev, pts[-1], at_i], h), top[run])
-        run = run[(lo[run] == 0.0) | (hi[run] - lo[run] > ROOT_REL_TOL * hi[run])]
-    return r_lo, hi
+        hit = neg != halving
+        found, i = hit.any(axis=0), hit.argmax(axis=0)
+        at = i * len(run) + np.arange(len(run))
+        at_i = pts.ravel()[at]
+        prev = np.where(i > 0, pts.ravel()[at - len(run)], np.where(halving, hi, lo))
+        lo, hi = (np.where(halving, np.where(found, at_i, lo), np.where(found, prev, pts[-1])),
+                  np.minimum(np.where(halving, np.where(found, prev, pts[-1]),
+                                      np.where(found, at_i, hi)), cap))
+        going = (lo == 0.0) | (hi - lo > ROOT_REL_TOL * hi)
+        if not going.all():
+            done = ~going
+            r_lo[run[done]], r_hi[run[done]] = rl[done], hi[done]
+            run, lo, hi, rl = run[going], lo[going], hi[going], rl[going]
+            lane = tuple(v[going] for v in lane)
+            if not len(run):
+                break
+    r_lo[run], r_hi[run] = rl, hi
+    return r_lo, r_hi
+
+
+def _root_bracket(d, alpha, tau, top, f0):
+    """The bracket (L, U) of each lane for _roots, checked, or (-inf, inf).
+
+    Newton steps on the rate f in beta, kept in [0, top]
+    (entropy._newton), start from the root of f(0) + beta (1 - log beta +
+    K(0)), f's expansion at 0, where f'(beta) = -log beta + K(beta) and
+
+        K = d (h(tau) + h(1-tau) + tau log(alpha - tau beta)
+               + (1-tau) log(1 - 2 alpha - (1-tau) beta)) - (d-1) log(1 - alpha - beta).
+
+    L lies 4E and U RATE_EPS * d + 4E past the steps' root, in units of
+    |f'|.
+    """
+    err = RATE_ERR * d
+    c, ht = 1.0 - 2.0 * alpha, h(tau) + h(1.0 - tau)
+    rate = lambda d, alpha, tau, c, ht, beta: pair_rate(d, alpha, beta, tau)
+
+    def slope(d, alpha, tau, c, ht, beta):
+        return -np.log(beta) + (d * (ht + tau * np.log(alpha - tau * beta)
+                                     + (1.0 - tau) * np.log(c - (1.0 - tau) * beta))
+                                - (d - 1) * np.log1p(-alpha - beta))
+
+    with np.errstate(all="ignore"):
+        k0 = d * (ht + tau * np.log(alpha) + (1.0 - tau) * np.log(c)) - (d - 1) * np.log1p(-alpha)
+        beta = f0 / -k0
+        for _ in range(2):
+            beta = f0 / (np.log(beta) - 1.0 - k0)
+        beta = np.where(beta > 0.0, np.minimum(beta, top), top)
+    lower, upper = _newton(rate, slope, (d, alpha, tau, c, ht), beta, 0.0, top, err,
+                           RATE_EPS * d)
+    lower, upper = np.clip(lower, 0.0, top), np.clip(upper, 0.0, top)
+    f = pair_rate_grid(d, alpha, np.stack([lower, upper]), tau)
+    ok = ((np.minimum(f0, f[0]) >= 2.0 * err) & (f[1] < -RATE_EPS * d - 2.0 * err)
+          & (lower < upper))
+    return np.where(ok, lower, -np.inf), np.where(ok, upper, np.inf)
 
 
 def beta_max(d, alpha, tau_plus):
@@ -274,14 +354,15 @@ def beta_max(d, alpha, tau_plus):
     """
     if all(np.ndim(v) == 0 for v in (d, alpha, tau_plus)):
         return _only(beta_max([d], alpha, tau_plus))
-    values, errors = _beta_max(*_lanes(d, alpha, tau_plus))
+    values, _, errors = _beta_max(*_lanes(d, alpha, tau_plus))
     return [errors.get(i, v) for i, v in enumerate(values.tolist())]
 
 
 def _beta_max(d, alpha, tau):
-    """beta_max on lanes of 1-d arrays: its values, nan where a lane fails,
-    and a dict from each failing lane to its exception."""
-    values, errors = np.full(len(d), np.nan), {}
+    """beta_max on lanes of 1-d arrays: its values, the r_lo of their roots
+    (0 where the value is 0), both nan where a lane fails, and a dict from
+    each failing lane to its exception."""
+    values, r_lo, errors = np.full(len(d), np.nan), np.full(len(d), np.nan), {}
     ok = (0.0 < alpha) & (alpha < 0.5) & (0.0 < tau) & (tau <= 1.0)
     for i in np.flatnonzero(~ok).tolist():
         a, t = alpha.item(i), tau.item(i)
@@ -289,11 +370,12 @@ def _beta_max(d, alpha, tau):
                                else f"tau_plus {t} outside (0, 1]")
     lanes = np.flatnonzero(ok)
     d, alpha, tau = d[lanes], alpha[lanes], tau[lanes]
-    negative = pair_rate(d, alpha, 0.0, tau) < 0.0
-    values[lanes[negative]] = 0.0
-    d, alpha, tau = d[~negative], alpha[~negative], tau[~negative]
-    values[lanes[~negative]] = _roots(d, alpha, tau, _cap(alpha, tau))[1]
-    return values, errors
+    f0 = pair_rate(d, alpha, 0.0, tau)
+    negative = f0 < 0.0
+    values[lanes[negative]], r_lo[lanes[negative]] = 0.0, 0.0
+    d, alpha, tau, f0 = d[~negative], alpha[~negative], tau[~negative], f0[~negative]
+    r_lo[lanes[~negative]], values[lanes[~negative]] = _roots(d, alpha, tau, _cap(alpha, tau), f0)
+    return values, r_lo, errors
 
 
 def check_condition(d, k, d_hat, alpha, bmax, tau_plus):
@@ -375,11 +457,13 @@ def _condition_error(d, k, d_hat, alpha, tau_plus):
     return None
 
 
-def _check(d, k, d_hat, alpha, bmax, tau_plus):
+def _check(d, k, d_hat, alpha, bmax, tau_plus, r_lo=None):
     """check_condition on lanes of 1-d arrays: the columns strong and weak
     (False where a lane fails), the witness as rows (beta, tau, slack), nan
     where check_condition gives None, and a dict from each failing lane to
-    its exception."""
+    its exception.  r_lo, if given, holds the r_lo of the root solve that
+    gave bmax (see _beta_max), which the search then starts from rather
+    than solving that root again."""
     n = len(d)
     strong, weak = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     witness = np.full((n, 3), np.nan)
@@ -395,20 +479,23 @@ def _check(d, k, d_hat, alpha, bmax, tau_plus):
     search = ~strong[lanes] & ~(bmax <= 0.0)
     weak[lanes[~search]] = True
     if search.any():
+        roots = None if r_lo is None else (r_lo[lanes][search], bmax[search])
         weak[lanes[search]], witness[lanes[search]] = _branch_and_bound(
-            *(v[search] for v in (d, d_hat, alpha, rhs, tau_plus)))
+            *(v[search] for v in (d, d_hat, alpha, rhs, tau_plus)), roots)
     return strong, weak, witness, errors
 
 
-def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus):
+def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus, roots):
     """check_condition's weak column and witness rows (beta, tau, slack) on
     lanes given as 1-d arrays that passed its checks and failed the strong
-    condition."""
+    condition; roots, if not None, holds the (r_lo, r_hi) of _roots at
+    tau_plus."""
     weak = np.ones(len(d), dtype=bool)
     # The open intervals [a, b], each with its lane, r_lo(a) and r_hi(a),
     # and the (lane, slack, beta, tau) of every point evaluated.
     lane, a, b = np.arange(len(d)), tau_plus.astype(float), np.ones(len(d))
-    r_lo, r_hi = _roots(d, alpha, a, _cap(alpha, a))
+    f0 = pair_rate(d, alpha, 0.0, a)
+    r_lo, r_hi = _roots(d, alpha, a, _cap(alpha, a), f0) if roots is None else roots
     seen = []
     for depth in range(MAX_DEPTH + 1):
         dl, dh, rl = d[lane], d_hat[lane], rhs[lane]
@@ -422,7 +509,8 @@ def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus):
             break
         # r(m) <= r(a) < r_hi(a) for m > a.
         m = 0.5 * (a + b)
-        m_lo, m_hi = _roots(d[lane], alpha[lane], m, np.minimum(r_hi, _cap(alpha[lane], m)))
+        m_lo, m_hi = _roots(d[lane], alpha[lane], m, np.minimum(r_hi, _cap(alpha[lane], m)),
+                            f0[lane])
         lane, a, b = np.r_[lane, lane], np.r_[a, m], np.r_[m, b]
         r_lo, r_hi = np.r_[r_lo, m_lo], np.r_[r_hi, m_hi]
     # Each lane's point of least slack, the smallest tau among equals.
@@ -472,12 +560,13 @@ class _Attempts:
         for i, exc in failed.items():
             self.error[i] = str(exc) if i in raised else exc.reason
         lanes = _live(len(d), failed)
-        self.beta_max[lanes], failed = _beta_max(d[lanes], alpha[lanes], self.tau_plus[lanes])
+        self.beta_max[lanes], r_lo, failed = _beta_max(d[lanes], alpha[lanes],
+                                                       self.tau_plus[lanes])
         self.error[lanes[list(failed)]] = [str(exc) for exc in failed.values()]
-        lanes = np.delete(lanes, list(failed))
+        lanes, r_lo = np.delete(lanes, list(failed)), np.delete(r_lo, list(failed))
         (self.strong[lanes], self.weak[lanes], self.witness[lanes], failed) = _check(
             d[lanes], k[lanes], self.d_hat[lanes], alpha[lanes], self.beta_max[lanes],
-            self.tau_plus[lanes])
+            self.tau_plus[lanes], r_lo)
         # certify reports derive_dhat's result with the error, beta_max unset.
         lanes = lanes[list(failed)]
         self.error[lanes] = [str(exc) for exc in failed.values()]
@@ -621,7 +710,8 @@ def resolve_alpha(degrees, table, strict):
     """Independence densities for a sequence of degrees, as the columns
     (alpha, source): alpha holds each degree's entry of `table` (dict
     d -> alpha, or None) if it has one, else the built-in estimate, computed
-    for all such degrees in one lockstep alpha_fc_estimate; source, an
+    for such degrees in lockstep alpha_fc_estimates of SWEEP_BLOCK degrees,
+    whose lanes do not depend on the rest of their batch; source, an
     object array, holds "table" or "estimate", every row one of those two
     str objects.
 
@@ -640,7 +730,8 @@ def resolve_alpha(degrees, table, strict):
     alpha = np.empty(len(d))
     alpha[listed] = [table[x] for x in d[listed].tolist()]
     if len(missing):
-        alpha[~listed] = alpha_fc_estimate(missing)
+        alpha[~listed] = np.concatenate([alpha_fc_estimate(missing[b : b + SWEEP_BLOCK])
+                                         for b in range(0, len(missing), SWEEP_BLOCK)])
     # Through masks, so that every row shares one of the two str objects.
     source = np.empty(len(d), dtype=object)
     source[listed], source[~listed] = "table", "estimate"
@@ -657,7 +748,8 @@ def _records(jobs):
     next round with k - 1.  Each round writes its lanes into the rows: a
     degree reports the attempt that certifies it, else its first (largest-k)
     one.  A degree for which certify_degree raises is an error row, the
-    exception's text its error.  No DegreeRecord is made."""
+    exception's text its error; undecided, it is not exceptional.  No
+    DegreeRecord is made."""
     d, alpha = jobs["d"], jobs["alpha"]
     outside = np.flatnonzero(~((0.0 <= alpha) & (alpha < 1.0)))
     if len(outside):
@@ -671,7 +763,7 @@ def _records(jobs):
     condition[:], error[:] = "failed", "no k in range"
     valid = (0.0 < alpha) & (alpha < 0.5)
     error[~valid] = [f"alpha {a} outside (0, 1/2)" for a in alpha[~valid].tolist()]
-    deg, seen = np.flatnonzero(valid), np.zeros(n, dtype=bool)
+    deg, seen, undecided = np.flatnonzero(valid), np.zeros(n, dtype=bool), ~valid
     k = k_ind[deg]
     while len(deg):
         # Star sizes the procedure does not apply to are recorded, skipped.
@@ -696,6 +788,7 @@ def _records(jobs):
         certified = att.strong | att.weak
         ended = certified.copy()
         ended[list(raised)] = True
+        undecided[deg[list(raised)]] = True
         take = ended | ~seen[deg]
         seen[deg] = True
         for column, lanes in ((t1, att.t1), (x1, att.x1), (x2, att.x2), (t2, att.t2),
@@ -709,7 +802,8 @@ def _records(jobs):
     k_certified[k_cert < 0] = None
     return {
         "d": d, "alpha": alpha, "alpha_source": jobs["alpha_source"],
-        "k_ind": k_ind, "k_certified": k_certified, "exceptional": (k_cert < 0) | (k_cert < k_ind),
+        "k_ind": k_ind, "k_certified": k_certified,
+        "exceptional": ((k_cert < 0) | (k_cert < k_ind)) & ~undecided,
         "t1": t1, "x1": x1, "x2": x2, "t2": t2, "d_hat": d_hat, "beta_max": bmax,
         "condition": condition, "error": error}
 
@@ -730,8 +824,8 @@ def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):
     "table": densities come from it through resolve_alpha, falling back to
     the built-in estimate per degree unless strict_table is set, in which
     case a missing degree raises KeyError.  Without one the source is
-    "estimate".  The estimate for every degree that uses it comes from one
-    lockstep alpha_fc_estimate.
+    "estimate".  The estimates come from lockstep alpha_fc_estimates of
+    SWEEP_BLOCK degrees.
 
     The degrees are certified in rounds (see _records), in blocks of
     SWEEP_BLOCK degrees, each round batching every pending (d, k) of the

@@ -10,12 +10,15 @@ its own arguments alone, so it is the same in any array.  The roots of the
 first-moment bound, the average-degree ceiling and its inverse come from one
 bisection that runs many brackets (lanes) in lockstep on those functions; a
 scalar argument is a lane of one, and a lane's result does not depend on the
-other lanes of its batch.
+other lanes of its batch.  Those three callers replay the bisection (see
+_bisect): a few Newton steps predict a bracket about each root, the rate at
+its ends proves the sign the bisection would compute at every midpoint
+outside it, and the rate is evaluated only inside, so the roots keep their
+bits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +30,17 @@ MAX_BISECT_ITER = 200
 # avg_degree_ceiling_inv's roots reach down to about 1e-15, where an absolute
 # ROOT_TOL would be no tolerance at all; below this density it is relative.
 INV_TOL_SCALE = 1e-3
+# The replayed bisections take the computed rates to lie within these
+# bounds of the exact ones.  ind_set_rate: IND_SET_ERR * d, 16 times the
+# largest error measured against 40-digit arithmetic near its root,
+# 5.6e-17 * d.  subset_rate, a rate divided by d/2, so that its error does
+# not grow with d: SUBSET_ERR, 3 times the largest error measured near the
+# roots of the ceiling and its inverse over d = 3..10^9 (4.9e-15, at d = 7,
+# with t within 1e-9 of 1).
+IND_SET_ERR = 16 * 5.6e-17
+SUBSET_ERR = 1.5e-14
+# Newton steps that predict a replayed bisection's bracket.
+NEWTON_STEPS = 5
 
 
 class DomainError(ValueError):
@@ -79,10 +93,13 @@ def _hs(*xs):
     scalar: a numpy call costs microseconds, however small its arrays."""
     if all(isinstance(x, (float, int)) for x in xs):
         return h(np.array(xs, dtype=float)).tolist()
-    flat = [np.ravel(x) for x in xs]
-    values = h(np.concatenate(flat))
-    ends = itertools.accumulate(len(f) for f in flat)
-    return [values[e - len(f):e].reshape(np.shape(x)) for x, f, e in zip(xs, flat, ends)]
+    arrays = [np.asarray(x, dtype=float) for x in xs]
+    values = h(np.concatenate([a.ravel() for a in arrays]))
+    out, end = [], 0
+    for a in arrays:
+        out.append(values[end:end + a.size].reshape(a.shape))
+        end += a.size
+    return out
 
 
 def shannon_entropy(probs):
@@ -234,6 +251,29 @@ def bisect_root(f, lo, hi, args=(), tol_scale=None):
     whose root lies at or above it takes the same steps as without.  Float
     brackets return a float.
     """
+    return _bisect(f, lo, hi, args, tol_scale)
+
+
+def _bisect(f, lo, hi, args=(), tol_scale=None, guess=None):
+    """bisect_root, replayed from a predicted bracket: guess, if given,
+    holds arrays (L, U, err) of a bracket about each lane's root and a
+    bound on the error of f's computed values.
+
+    A lane keeps its L and U if _checked finds lo < L < U < hi, f(lo)'s
+    sign at P1 = 0.5*(lo + L) and at L, and the other sign at U and at
+    P4 = 0.5*(U + hi), each computed more than 2 err from 0; other lanes
+    take (-inf, inf).  Every midpoint lies in [P1, P4]: it is
+    0.5*(lo' + hi') for a bracket [lo', hi'] of the loop, where lo' >= lo
+    and hi' > L, as a point at most L is taken to lie left of the root
+    and never becomes hi'; rounding is monotone; and likewise at the
+    other end.  Each caller proves that on [P1, L] its exact rate has
+    f(lo)'s sign and lies at least as far from 0 as at one of the two
+    ends, and likewise on [U, P4]; within err of it, the computed rate
+    then has that sign there.  So the loop evaluates f only at midpoints
+    strictly inside (L, U) of lanes still going, takes the known sign at
+    the others, and makes the steps, and returns the bits, that it would
+    make evaluating f everywhere.
+    """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (a.astype(float) for a in _lanes(lo, hi))
     flo, fhi = f(*args, lo), f(*args, hi)
@@ -244,26 +284,86 @@ def bisect_root(f, lo, hi, args=(), tol_scale=None):
     if bad.any():
         i = np.argmax(bad)
         raise RuntimeError(f"no sign change on [{lo[i].item()}, {hi[i].item()}]")
+    lower, upper = ((np.full(len(lo), -np.inf), np.full(len(lo), np.inf)) if guess is None
+                    else _checked(f, args, lo, hi, active & pos, active & ~pos, guess))
+    # The lanes still going, as run, and their state.
+    run = np.flatnonzero(active)
+    l, h, lane = lo[run], hi[run], [v[run] for v in (pos, lower, upper, *args)]
     for _ in range(MAX_BISECT_ITER):
-        if not active.any():
+        if not len(run):
             break
-        mid = 0.5 * (lo + hi)
-        fmid = f(*args, mid)
-        # A zero closes the bracket on mid, and 0.5*(mid + mid) is mid.
-        zero = fmid == 0.0
-        same = (fmid > 0.0) == pos
-        lo = np.where(active & (same | zero), mid, lo)
-        hi = np.where(active & (~same | zero), mid, hi)
-        width = ROOT_TOL * (1.0 if tol_scale is None else np.where(hi < tol_scale, hi, 1.0))
-        active &= hi - lo > width
+        p, low, up, *arg = lane
+        mid = 0.5 * (l + h)
+        # Whether mid replaces lo and whether it replaces hi: a zero closes
+        # the bracket on mid, and 0.5*(mid + mid) is mid.
+        left, right = mid <= low, mid >= up
+        inside = ~(left | right)
+        if inside.any():
+            fmid = f(*(a[inside] for a in arg), mid[inside])
+            same, zero = (fmid > 0.0) == p[inside], fmid == 0.0
+            left[inside], right[inside] = same | zero, ~same | zero
+        l, h = np.where(left, mid, l), np.where(right, mid, h)
+        width = ROOT_TOL * (1.0 if tol_scale is None else np.where(h < tol_scale, h, 1.0))
+        going = h - l > width
+        if not going.all():
+            lo[run], hi[run] = l, h
+            run, l, h, lane = run[going], l[going], h[going], [v[going] for v in lane]
+    lo[run], hi[run] = l, h
     root = np.where(np.isnan(root), 0.5 * (lo + hi), root)
     return root.item() if scalar else root
+
+
+def _checked(f, args, lo, hi, pos, neg, guess):
+    """_bisect's bracket (lower, upper) from guess (L, U, err): (L, U)
+    where lo < L < U < hi and f computed at P1 = 0.5*(lo + L) and at L is
+    > 2 err (pos) or < -2 err (neg), and at U and at P4 = 0.5*(U + hi) the
+    other way round, else (-inf, inf); pos and neg mark the lanes where
+    f(lo) > 0 and where f(lo) < 0."""
+    L, U = np.clip(guess[0], lo, hi), np.clip(guess[1], lo, hi)
+    margin, side = 2.0 * guess[2], np.where(pos, 1.0, -1.0)
+    ok = (pos | neg) & (lo < L) & (L < U) & (U < hi)
+    for x in (0.5 * (lo + L), L):
+        ok &= side * f(*args, x) > margin
+    for x in (U, 0.5 * (U + hi)):
+        ok &= side * f(*args, x) < -margin
+    return np.where(ok, L, -np.inf), np.where(ok, U, np.inf)
+
+
+def _newton(f, slope, args, x, lo, hi, err, drop=0.0):
+    """A bracket (L, U) about each lane's root of f(*args, .), whose
+    derivative is slope(*args, .): x after at most NEWTON_STEPS Newton
+    steps from x, each kept in [lo, hi], less 4 err / |slope| and plus
+    (4 err + drop) / |slope| there.  A lane stops after the step from a
+    point where |f| <= err, as further steps would follow the rate's
+    rounding.  The steps warn of nothing; a lane whose steps leave the
+    finite numbers gets a bracket that fails its check."""
+    x = np.clip(x, lo, hi)
+    lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
+    run = np.arange(len(x))
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            lane, at = [a[run] for a in args], x[run]
+            fx = f(*lane, at)
+            x[run] = np.clip(at - fx / slope(*lane, at), lo[run], hi[run])
+            run = run[~(np.abs(fx) <= err[run])]
+            if not len(run):
+                break
+        s = np.abs(slope(*args, x))
+        return x - 4.0 * err / s, x + (4.0 * err + drop) / s
 
 
 def alpha_fm(d):
     """First-moment upper bound on the independence ratio: the unique root of
     the independent-set rate on (0, 1/2).  An array of degrees is solved as
-    lanes of one bisection."""
+    lanes of one bisection.
+
+    The bisection is replayed (see _bisect) from Newton steps started at
+    2(log d - log log d + 1 - log 2)/d, with error bound IND_SET_ERR * d.
+    The rate f(a) = h(a) + (d/2) h(1 - 2a) - (d - 1) h(1 - a) has f''(a) =
+    -1/a - 2d/(1 - 2a) + (d - 1)/(1 - a) < 0, as 2d/(1 - 2a) > (d - 1)/(1 - a),
+    so it is concave: on [P1, L] it is at least the smaller of its values at
+    the ends, and past U, as f(L) > f(U), it falls.
+    """
     (ds,) = _lanes(d)
     if (ds < 3).any():
         raise DomainError("d must be >= 3")
@@ -272,7 +372,12 @@ def alpha_fm(d):
     bad = (ind_set_rate(ds, lo) <= 0.0) | (ind_set_rate(ds, hi) >= 0.0)
     if bad.any():
         raise RuntimeError(f"no sign change bracketed for d={ds[np.argmax(bad)]}")
-    return _as_given(bisect_root(ind_set_rate, lo, hi, (ds,)), d)
+    ln = np.log(ds)
+    start = np.minimum(2.0 * (ln - np.log(ln) + 1.0 - math.log(2.0)) / ds, 0.4)
+    slope = lambda d, a: -np.log(a) + d * np.log1p(-2.0 * a) - (d - 1) * np.log1p(-a)
+    err = IND_SET_ERR * ds
+    guess = (*_newton(ind_set_rate, slope, (ds,), start, lo, hi, err), err)
+    return _as_given(_bisect(ind_set_rate, lo, hi, (ds,), guess=guess), d)
 
 
 def alpha_fc_estimate(d):
@@ -305,6 +410,12 @@ def avg_degree_ceiling(d, x):
     Arrays of d and x are solved as lanes of one bisection.
 
     Strictly increasing in x; maps (0, 1) onto (2/d, 1).
+
+    The bisection is replayed (see _bisect) from Newton steps started at
+    6(log(1/x) + 1) / (d (log(1/x) - 1)), 0.95 to 1.55 times the root on
+    the lanes of sweep(30, 3000), with error bound SUBSET_ERR.  The rate is strictly
+    decreasing in t, so its sign is that of the nearer end on [P1, L] and
+    on [U, P4].
     """
     ds, xs = _lanes(d, np.asarray(x, dtype=float))
     bad = ~((0.0 < xs) & (xs < 1.0))
@@ -314,7 +425,16 @@ def avg_degree_ceiling(d, x):
     # endpoint, which is the answer.
     t, todo = xs.copy(), subset_rate(ds, xs, xs) > 0.0
     if todo.any():
-        t[todo] = bisect_root(subset_rate, xs[todo], 1.0, (ds[todo], xs[todo]))
+        d_, x_ = ds[todo], xs[todo]
+        ln = -np.log(x_)
+        with np.errstate(divide="ignore"):
+            start = np.clip(6.0 * (ln + 1.0) / (d_ * (ln - 1.0)), x_, 0.5 * (1.0 + x_))
+        # d/dt subset_rate(d, x, t), the terms in d cancelling.
+        slope = lambda d, x, t: x * (2.0 * np.log1p(-t) + np.log(x) - np.log(t)
+                                     - np.log1p(-(2.0 - t) * x))
+        err = np.full(len(d_), SUBSET_ERR)
+        guess = (*_newton(subset_rate, slope, (d_, x_), start, x_, 1.0, err), err)
+        t[todo] = _bisect(subset_rate, x_, 1.0, (d_, x_), guess=guess)
     return _as_given(t, d, x)
 
 
@@ -329,6 +449,22 @@ def avg_degree_ceiling_inv(d, t):
     2/d only like 1/log(1/x).  A t in (2/d, 1) at or below that ceiling
     raises DomainError naming d, t and the ceiling, and so does a t outside
     (2/d, 1); in a batch, the first failing lane's error is raised.
+
+    The bisection is replayed (see _bisect) from Newton steps started where
+    1 - (2 - t) x = 3 (1 - t)^2 (the root has 2.7 to 10 there on the
+    sweeps' lanes), with error bound SUBSET_ERR.  In x, the rate
+    g(x) = subset_rate(d, x, t) is 0 at x = 0, negative up to the root and
+    not monotone there, but
+
+        g''(x) = [(t - 2/d) - (2 - t)(1 - 2/d) x] / [x (1 - x)(1 - (2 - t) x)],
+
+    so g is convex up to x* = (t - 2/d) / ((2 - t)(1 - 2/d)) and concave
+    past it.  On [P1, L], g is at most the larger of its values at the ends:
+    by convexity if L <= x*; else g rises on [x*, L], its slope falling
+    there and positive at L (g is concave on [L, U] and g(U) > g(L)), and
+    convexity bounds it by max(g(P1), g(x*)) on the rest.  On [U, P4], g
+    is at least the smaller of its values at the ends: by concavity past
+    x*, and below x* it lies above its chord from (0, 0) through (U, g(U)).
     """
     ds, ts = _lanes(d, np.asarray(t, dtype=float))
     bad = ~((2.0 / ds < ts) & (ts < 1.0))
@@ -348,7 +484,14 @@ def avg_degree_ceiling_inv(d, t):
         raise DomainError(
             f"t {t_i} at or below {avg_degree_ceiling(d_i, 1e-15)}, the ceiling "
             f"for d={d_i} at x = 1e-15, the smallest density the inverse brackets")
-    return _as_given(bisect_root(f, lo, ts, (ds, ts), tol_scale=INV_TOL_SCALE), d, t)
+    # d/dx subset_rate(d, x, t).
+    slope = lambda d, t, x: (-t * np.log(t * x) - 2.0 * (1.0 - t) * np.log((1.0 - t) * x)
+                             + (2.0 - t) * np.log1p(-(2.0 - t) * x)
+                             + (2.0 - 2.0 / d) * (np.log(x) - np.log1p(-x)))
+    start = (1.0 - 3.0 * (1.0 - ts) ** 2) / (2.0 - ts)
+    err = np.full(len(ds), SUBSET_ERR)
+    guess = (*_newton(f, slope, (ds, ts), start, lo, ts, err), err)
+    return _as_given(_bisect(f, lo, ts, (ds, ts), tol_scale=INV_TOL_SCALE, guess=guess), d, t)
 
 
 def alpha_dk(d: int, k: int) -> float:

@@ -196,7 +196,7 @@ def _record(d, alpha, source, outcome):
     if isinstance(outcome, Exception):
         return DegreeRecord(
             d=d, alpha=alpha, alpha_source=source, k_ind=k_ind,
-            k_certified=None, exceptional=True, error=str(outcome),
+            k_certified=None, exceptional=False, error=str(outcome),
         )
     k_cert, results = outcome
     if k_cert is not None:

@@ -977,12 +977,18 @@ def test_rounds_reference_cases_reach_every_branch():
 
 def test_sweep_reports_degrees_without_a_sign_change_as_error_rows():
     # Near d = 5.6e8 the inverse ceiling finds no sign change at most
-    # degrees: each such degree is an error row, and every row is the one
-    # certify_degree's outcome at its degree gives.
-    records = sweep(564375960, 564376000).records
+    # degrees: each such degree is an error row, undecided and so not
+    # exceptional, and every row is the one certify_degree's outcome at its
+    # degree gives.
+    report = sweep(564375960, 564376000)
+    records = report.records
     assert len(records) == 41
-    assert sum(r.error.startswith("no sign change for inverse") for r in records
-               if r.error) == 32
+    raised = [r for r in records if r.error and r.error.startswith("no sign change for inverse")]
+    assert len(raised) == 32
+    assert all(r.k_certified is None and not r.exceptional for r in raised)
+    assert report.exceptional_degrees == [r.d for r in records if r.exceptional]
+    assert len(report.exceptional_degrees) == 8
+    assert not set(report.exceptional_degrees) & {r.d for r in raised}
     for r in records:
         try:
             outcome = certify_degree(r.d, r.alpha)
