@@ -25,8 +25,9 @@ on the rest of their batch; a degree that fails goes to the next round with
 k - 1.  Each round writes its lanes into the rows of the report's columns
 (SweepReport.columns, a dict of numpy arrays) that they decide, an
 exception a lane raises included, as that degree's error; a DegreeRecord is
-made only when read.  The public functions are thin wrappers over the same
-cores.
+made only when read.  The cores check no ranges: _records checks each
+degree's before any round, and derive_dhat, beta_max and check_condition,
+which take one lane, check theirs before they run it through the cores.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -126,14 +127,6 @@ def pair_rate_grid(d, alpha, betas, taus):
                      b[:, None] if b.ndim == 1 else b, np.reshape(taus, (1, -1)))
 
 
-def _only(outcomes):
-    """The outcome of a batch of one lane, raised if it is an exception."""
-    (res,) = outcomes
-    if isinstance(res, Exception):
-        raise res
-    return res
-
-
 def _live(n, errors):
     """The lanes of n that errors holds no exception for, in order."""
     live = np.ones(n, dtype=bool)
@@ -162,22 +155,18 @@ def _per_lane(fn, lanes, errors, *columns):
 
 
 def _derive(d, k):
-    """derive_dhat on lanes of 1-d arrays d and k: the columns t1, x1, x2,
-    t2, d_hat and tau_plus, nan (d_hat 0) where a lane fails, and a dict
-    from each failing lane to its exception."""
+    """derive_dhat on lanes of 1-d arrays d and k with d >= 3 and
+    d/2 < k < d - 1: the columns t1, x1, x2, t2, d_hat and tau_plus, nan
+    (d_hat 0) where a lane fails, and a dict from each failing lane to its
+    exception.  A lane fails only on its data: the ceiling or its inverse
+    raises, x2 <= 0 or d_hat < 1; else d_hat < k, so tau_plus is in (0, 1)."""
     n = len(d)
-    t1, x1, x2, t2 = (np.full(n, np.nan) for _ in range(4))
+    x2, t2 = np.full(n, np.nan), np.full(n, np.nan)
     d_hat, errors = np.zeros(n, dtype=int), {}
-    for i in np.flatnonzero((d < 3) | ~((d / 2 < k) & (k < d - 1))).tolist():
-        try:
-            CertifyInput(d=d.item(i), k=k.item(i), alpha=math.nan).validate()
-        except CertifyError as exc:
-            errors[i] = exc
-    # Step 1: the density x1 whose ceiling is t1 = 2(d - k)/d.  validate()
-    # keeps the integer k below d - 1, so t1 >= 4/d lies inside (2/d, 1).
-    lanes = _live(n, errors)
-    t1[lanes] = 2.0 * (d[lanes] - k[lanes]) / d[lanes]
-    x1[lanes] = _per_lane(avg_degree_ceiling_inv, lanes, errors, d, t1)
+    # Step 1: the density x1 whose ceiling is t1 = 2(d - k)/d.  The integer
+    # k lies below d - 1, so t1 >= 4/d lies inside (2/d, 1).
+    t1 = 2.0 * (d - k) / d
+    x1 = _per_lane(avg_degree_ceiling_inv, np.arange(n), errors, d, t1)
     # Step 2: the density x2 = 1 - alpha_dk(d, k) - x1 of what remains and
     # its ceiling t2.
     lanes = _live(n, errors)
@@ -204,21 +193,16 @@ def derive_dhat(inp):
     """Steps 1-3 of the decision procedure: from (d, k) derive the thinness
     parameter d_hat via the induced-average-degree ceiling and its inverse.
 
-    inp is one CertifyInput, or a sequence of them taken as lanes: each step
-    solves all of them in one lockstep bisection, and the list returned
-    holds each lane's CertifyResult or the exception it raised (a
-    CertifyError with its own reason and message).  A lane's outcome is the
-    one it has alone, bit for bit.
+    Raises the CertifyError of inp.validate(), else what the lane fails
+    with in _derive: a CertifyError with its own reason and message, or the
+    solver's exception.
     """
-    if isinstance(inp, CertifyInput):
-        return _only(derive_dhat([inp]))
-    inputs = list(inp)
-    if not inputs:
-        return []
-    *columns, errors = _derive(np.array([c.d for c in inputs]), np.array([c.k for c in inputs]))
-    fields = ("t1", "x1", "x2", "t2", "d_hat", "tau_plus")
-    return [errors[i] if i in errors else CertifyResult(**dict(zip(fields, values)))
-            for i, values in enumerate(zip(*(c.tolist() for c in columns)))]
+    inp.validate()
+    *columns, errors = _derive(np.array([inp.d]), np.array([inp.k]))
+    if errors:
+        raise errors[0]
+    t1, x1, x2, t2, d_hat, tau_plus = (c.item() for c in columns)
+    return CertifyResult(t1=t1, x1=x1, x2=x2, t2=t2, d_hat=d_hat, tau_plus=tau_plus)
 
 
 def _cap(alpha, tau):
@@ -347,35 +331,26 @@ def beta_max(d, alpha, tau_plus):
     to which the pair rate at (alpha, beta, tau_plus) is nonnegative; 0 when
     pair_rate at beta = 0, which is ind_set_rate, is negative.
 
-    Scalar arguments give a float, or raise ValueError for an alpha outside
-    (0, 1/2) or a tau_plus outside (0, 1].  If any argument is a sequence,
-    they are broadcast to lanes solved in lockstep, and the list returned
-    holds each lane's value or exception, independent of the rest.
+    Raises ValueError for an alpha outside (0, 1/2) or a tau_plus outside
+    (0, 1], in that order.
     """
-    if all(np.ndim(v) == 0 for v in (d, alpha, tau_plus)):
-        return _only(beta_max([d], alpha, tau_plus))
-    values, _, errors = _beta_max(*_lanes(d, alpha, tau_plus))
-    return [errors.get(i, v) for i, v in enumerate(values.tolist())]
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha {alpha} outside (0, 1/2)")
+    if not 0.0 < tau_plus <= 1.0:
+        raise ValueError(f"tau_plus {tau_plus} outside (0, 1]")
+    return _beta_max(*_lanes(d, alpha, tau_plus))[0].item()
 
 
 def _beta_max(d, alpha, tau):
-    """beta_max on lanes of 1-d arrays: its values, the r_lo of their roots
-    (0 where the value is 0), both nan where a lane fails, and a dict from
-    each failing lane to its exception."""
-    values, r_lo, errors = np.full(len(d), np.nan), np.full(len(d), np.nan), {}
-    ok = (0.0 < alpha) & (alpha < 0.5) & (0.0 < tau) & (tau <= 1.0)
-    for i in np.flatnonzero(~ok).tolist():
-        a, t = alpha.item(i), tau.item(i)
-        errors[i] = ValueError(f"alpha {a} outside (0, 1/2)" if not 0.0 < a < 0.5
-                               else f"tau_plus {t} outside (0, 1]")
-    lanes = np.flatnonzero(ok)
-    d, alpha, tau = d[lanes], alpha[lanes], tau[lanes]
+    """beta_max on lanes of 1-d arrays with alpha in (0, 1/2) and tau in
+    (0, 1]: its values and the r_lo of their roots (0 where the value is
+    0).  No lane fails."""
+    values, r_lo = np.zeros(len(d)), np.zeros(len(d))
     f0 = pair_rate(d, alpha, 0.0, tau)
-    negative = f0 < 0.0
-    values[lanes[negative]], r_lo[lanes[negative]] = 0.0, 0.0
-    d, alpha, tau, f0 = d[~negative], alpha[~negative], tau[~negative], f0[~negative]
-    r_lo[lanes[~negative]], values[lanes[~negative]] = _roots(d, alpha, tau, _cap(alpha, tau), f0)
-    return values, r_lo, errors
+    lanes = np.flatnonzero(~(f0 < 0.0))
+    d, alpha, tau, f0 = d[lanes], alpha[lanes], tau[lanes], f0[lanes]
+    r_lo[lanes], values[lanes] = _roots(d, alpha, tau, _cap(alpha, tau), f0)
+    return values, r_lo
 
 
 def check_condition(d, k, d_hat, alpha, bmax, tau_plus):
@@ -428,50 +403,44 @@ def check_condition(d, k, d_hat, alpha, bmax, tau_plus):
     Returns (strong, weak, worst_witness): of the points (r_lo(a), a) the
     search met (see _roots), the one of least slack rhs - (a*d - d_hat) *
     r_lo(a), as (beta, tau, slack), where slack <= 0 is a violation; None
-    when strong holds or bmax <= 0.  Scalar arguments give that tuple, or
-    raise; sequences are broadcast to lanes, as in beta_max.
+    when strong holds or bmax <= 0.  Raises, the first that applies:
+    CertifyError for d_hat >= k, ValueError for an alpha outside (0, 1/2)
+    or a tau_plus outside (0, 1], CertifyError for tau_plus <= alpha/(1 -
+    alpha), and DomainError for k <= d/2.
     """
-    if all(np.ndim(v) == 0 for v in (d, k, d_hat, alpha, bmax, tau_plus)):
-        return _only(check_condition([d], k, d_hat, alpha, bmax, tau_plus))
-    strong, weak, witness, errors = _check(*_lanes(d, k, d_hat, alpha, bmax, tau_plus))
-    return [errors[i] if i in errors else (s, w, None if b != b else (b, t, slack))
-            for i, (s, w, (b, t, slack)) in
-            enumerate(zip(strong.tolist(), weak.tolist(), witness.tolist()))]
+    if d_hat >= k:
+        raise CertifyError("bad input", f"d_hat={d_hat} >= k={k}")
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha {alpha} outside (0, 1/2)")
+    if not 0.0 < tau_plus <= 1.0:
+        raise ValueError(f"tau_plus {tau_plus} outside (0, 1]")
+    if not tau_plus > alpha / (1.0 - alpha):
+        raise _not_monotone(tau_plus)
+    alpha_dk(d, k)
+    strong, weak, witness, _ = _check(*_lanes(d, k, d_hat, alpha, bmax, tau_plus))
+    beta, tau, slack = witness[0].tolist()
+    return strong.item(), weak.item(), None if beta != beta else (beta, tau, slack)
 
 
-def _condition_error(d, k, d_hat, alpha, tau_plus):
-    """The exception check_condition gives a lane, or None."""
-    try:
-        if d_hat >= k:
-            raise CertifyError("bad input", f"d_hat={d_hat} >= k={k}")
-        if not 0.0 < alpha < 0.5:
-            raise ValueError(f"alpha {alpha} outside (0, 1/2)")
-        if not 0.0 < tau_plus <= 1.0:
-            raise ValueError(f"tau_plus {tau_plus} outside (0, 1]")
-        if not tau_plus > alpha / (1.0 - alpha):
-            raise CertifyError("pair rate not monotone in tau",
-                               f"tau_plus={tau_plus} <= alpha/(1 - alpha)")
-        alpha_dk(d, k)
-    except (CertifyError, ValueError) as exc:
-        return exc
-    return None
+def _not_monotone(tau_plus):
+    """check_condition's error where tau_plus <= alpha/(1 - alpha)."""
+    return CertifyError("pair rate not monotone in tau",
+                        f"tau_plus={tau_plus} <= alpha/(1 - alpha)")
 
 
 def _check(d, k, d_hat, alpha, bmax, tau_plus, r_lo=None):
-    """check_condition on lanes of 1-d arrays: the columns strong and weak
+    """check_condition on lanes of 1-d arrays with d_hat < k, alpha in
+    (0, 1/2), tau_plus in (0, 1] and k > d/2: the columns strong and weak
     (False where a lane fails), the witness as rows (beta, tau, slack), nan
-    where check_condition gives None, and a dict from each failing lane to
-    its exception.  r_lo, if given, holds the r_lo of the root solve that
-    gave bmax (see _beta_max), which the search then starts from rather
-    than solving that root again."""
+    where check_condition gives None, and a dict from each lane with
+    tau_plus <= alpha/(1 - alpha), the only failure, to its exception.
+    r_lo, if given, holds the r_lo of the root solve that gave bmax (see
+    _beta_max), which the search starts from rather than solving it again."""
     n = len(d)
     strong, weak = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     witness = np.full((n, 3), np.nan)
-    ok = (~(d_hat >= k) & (0.0 < alpha) & (alpha < 0.5) & (0.0 < tau_plus) & (tau_plus <= 1.0)
-          & ~(2 * k <= d))
-    ok[ok] = tau_plus[ok] > alpha[ok] / (1.0 - alpha[ok])
-    errors = {i: _condition_error(d.item(i), k.item(i), d_hat.item(i), alpha.item(i),
-                                  tau_plus.item(i)) for i in np.flatnonzero(~ok).tolist()}
+    ok = tau_plus > alpha / (1.0 - alpha)
+    errors = {i: _not_monotone(tau_plus.item(i)) for i in np.flatnonzero(~ok).tolist()}
     lanes = np.flatnonzero(ok)
     d, d_hat, alpha, bmax, tau_plus = (v[lanes] for v in (d, d_hat, alpha, bmax, tau_plus))
     rhs = alpha - (1.0 - d / (2.0 * k[lanes]))  # alpha - alpha_dk(d, k)
@@ -523,7 +492,15 @@ def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus, roots):
 def certify(inp: CertifyInput) -> CertifyResult:
     """Run the full decision procedure for one (d, k, alpha) triple, as a
     round of one lane (_Attempts.run), the same rounds that write a sweep's
-    rows."""
+    rows.  A (d, k) that inp.validate() rejects has its reason as error, and
+    an alpha outside (0, 1/2) derive_dhat's result with beta_max's error;
+    an exception of derive_dhat other than a CertifyError is raised."""
+    try:
+        if not 0.0 < inp.alpha < 0.5:
+            return replace(derive_dhat(inp), error=f"alpha {inp.alpha} outside (0, 1/2)")
+        inp.validate()
+    except CertifyError as exc:
+        return CertifyResult(error=exc.reason)
     attempt = _Attempts(np.array([inp.k]))
     raised = attempt.run(np.array([inp.d]), np.array([inp.alpha]))
     if raised:
@@ -548,7 +525,8 @@ class _Attempts:
 
     def run(self, d, alpha):
         """Fill the columns for lanes at degrees d and densities alpha (1-d
-        arrays) through the cores of derive_dhat, beta_max and
+        arrays), whose (d, k) CertifyInput.validate() passes and whose alpha
+        lies in (0, 1/2), through the cores of derive_dhat, beta_max and
         check_condition, each on all lanes still going in one batch.  Returns
         a dict from lane to the exception certify raises for it, a
         derive_dhat error other than a CertifyError; such a lane keeps
@@ -560,10 +538,7 @@ class _Attempts:
         for i, exc in failed.items():
             self.error[i] = str(exc) if i in raised else exc.reason
         lanes = _live(len(d), failed)
-        self.beta_max[lanes], r_lo, failed = _beta_max(d[lanes], alpha[lanes],
-                                                       self.tau_plus[lanes])
-        self.error[lanes[list(failed)]] = [str(exc) for exc in failed.values()]
-        lanes, r_lo = np.delete(lanes, list(failed)), np.delete(r_lo, list(failed))
+        self.beta_max[lanes], r_lo = _beta_max(d[lanes], alpha[lanes], self.tau_plus[lanes])
         (self.strong[lanes], self.weak[lanes], self.witness[lanes], failed) = _check(
             d[lanes], k[lanes], self.d_hat[lanes], alpha[lanes], self.beta_max[lanes],
             self.tau_plus[lanes], r_lo)

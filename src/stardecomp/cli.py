@@ -10,8 +10,9 @@ Exit codes: 0 success (findings included: a `certify` range reports each
 degree whose root solve fails, as near d = 10^9, as an error row), 1 failed
 verification or decomposition, and `thresholds` at a degree whose root
 solve finds no sign change (d = 10^15), 2 usage errors (including
---max-retries < 1, --threads < 1, `sample --simple` with d >= n, and a
-`sample --simple` run out of tries), 3 missing alpha-table entry under
+--max-retries < 1, --threads < 1, `sample --simple` with d >= n, a
+`sample --simple` run out of tries, and a `certify` range that needs the
+estimate below d = 20), 3 missing alpha-table entry under
 --strict-table, 4 I/O and parse errors (including a graph header above
 graphs.MAX_VERTICES vertices, and an alpha table with a row of other than
 two fields, a repeated degree or an alpha outside (0, 1/2)).
@@ -186,9 +187,9 @@ def cmd_certify(args):
     try:
         report = sweep(args.d_min, args.d_max, alpha_table=table, threads=args.threads,
                        strict_table=args.strict_table)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:  # missing under --strict-table; the estimate below 20
         print(f"certify: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, KeyError) else 2
     config = _resolved_config(
         args, ["d_min", "d_max", "alpha_table", "strict_table", "out", "format"])
     exceptional = report.exceptional_degrees

@@ -11,8 +11,8 @@ first-moment bound, the average-degree ceiling and its inverse come from one
 bisection that runs many brackets (lanes) in lockstep on those functions; a
 scalar argument is a lane of one, and a lane's result does not depend on the
 other lanes of its batch.  Those three callers replay the bisection (see
-_bisect): a few Newton steps predict a bracket about each root, the rate at
-its ends proves the sign the bisection would compute at every midpoint
+bisect_root): a few Newton steps predict a bracket about each root, the rate
+at its ends proves the sign the bisection would compute at every midpoint
 outside it, and the rate is evaluated only inside, so the roots keep their
 bits.
 """
@@ -235,7 +235,7 @@ def _as_given(root, *values):
     return root.item() if all(np.ndim(v) == 0 for v in values) else root
 
 
-def bisect_root(f, lo, hi, args=(), tol_scale=None):
+def bisect_root(f, lo, hi, args=(), tol_scale=None, guess=None):
     """Plain bisection for a sign change of f on [lo, hi], run on many
     brackets (lanes) in lockstep.
 
@@ -250,29 +250,23 @@ def bisect_root(f, lo, hi, args=(), tol_scale=None):
     tolerance is relative to hi while hi lies below tol_scale, so a lane
     whose root lies at or above it takes the same steps as without.  Float
     brackets return a float.
-    """
-    return _bisect(f, lo, hi, args, tol_scale)
 
-
-def _bisect(f, lo, hi, args=(), tol_scale=None, guess=None):
-    """bisect_root, replayed from a predicted bracket: guess, if given,
+    guess, if given, replays the bisection from a predicted bracket: it
     holds arrays (L, U, err) of a bracket about each lane's root and a
-    bound on the error of f's computed values.
-
-    A lane keeps its L and U if _checked finds lo < L < U < hi, f(lo)'s
-    sign at P1 = 0.5*(lo + L) and at L, and the other sign at U and at
-    P4 = 0.5*(U + hi), each computed more than 2 err from 0; other lanes
-    take (-inf, inf).  Every midpoint lies in [P1, P4]: it is
-    0.5*(lo' + hi') for a bracket [lo', hi'] of the loop, where lo' >= lo
-    and hi' > L, as a point at most L is taken to lie left of the root
-    and never becomes hi'; rounding is monotone; and likewise at the
-    other end.  Each caller proves that on [P1, L] its exact rate has
-    f(lo)'s sign and lies at least as far from 0 as at one of the two
-    ends, and likewise on [U, P4]; within err of it, the computed rate
-    then has that sign there.  So the loop evaluates f only at midpoints
-    strictly inside (L, U) of lanes still going, takes the known sign at
-    the others, and makes the steps, and returns the bits, that it would
-    make evaluating f everywhere.
+    bound on the error of f's computed values.  A lane keeps its L and U if
+    _checked finds lo < L < U < hi, f(lo)'s sign at P1 = 0.5*(lo + L) and
+    at L, and the other sign at U and at P4 = 0.5*(U + hi), each computed
+    more than 2 err from 0; other lanes take (-inf, inf).  Every midpoint
+    lies in [P1, P4]: it is 0.5*(lo' + hi') for a bracket [lo', hi'] of the
+    loop, where lo' >= lo and hi' > L, as a point at most L is taken to lie
+    left of the root and never becomes hi'; rounding is monotone; and
+    likewise at the other end.  Each caller proves that on [P1, L] its
+    exact rate has f(lo)'s sign and lies at least as far from 0 as at one
+    of the two ends, and likewise on [U, P4]; within err of it, the
+    computed rate then has that sign there.  So the loop evaluates f only
+    at midpoints strictly inside (L, U) of lanes still going, takes the
+    known sign at the others, and makes the steps, and returns the bits,
+    that it would make evaluating f everywhere.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (a.astype(float) for a in _lanes(lo, hi))
@@ -314,7 +308,7 @@ def _bisect(f, lo, hi, args=(), tol_scale=None, guess=None):
 
 
 def _checked(f, args, lo, hi, pos, neg, guess):
-    """_bisect's bracket (lower, upper) from guess (L, U, err): (L, U)
+    """bisect_root's bracket (lower, upper) from guess (L, U, err): (L, U)
     where lo < L < U < hi and f computed at P1 = 0.5*(lo + L) and at L is
     > 2 err (pos) or < -2 err (neg), and at U and at P4 = 0.5*(U + hi) the
     other way round, else (-inf, inf); pos and neg mark the lanes where
@@ -357,7 +351,7 @@ def alpha_fm(d):
     the independent-set rate on (0, 1/2).  An array of degrees is solved as
     lanes of one bisection.
 
-    The bisection is replayed (see _bisect) from Newton steps started at
+    The bisection is replayed (see bisect_root) from Newton steps started at
     2(log d - log log d + 1 - log 2)/d, with error bound IND_SET_ERR * d.
     The rate f(a) = h(a) + (d/2) h(1 - 2a) - (d - 1) h(1 - a) has f''(a) =
     -1/a - 2d/(1 - 2a) + (d - 1)/(1 - a) < 0, as 2d/(1 - 2a) > (d - 1)/(1 - a),
@@ -377,7 +371,7 @@ def alpha_fm(d):
     slope = lambda d, a: -np.log(a) + d * np.log1p(-2.0 * a) - (d - 1) * np.log1p(-a)
     err = IND_SET_ERR * ds
     guess = (*_newton(ind_set_rate, slope, (ds,), start, lo, hi, err), err)
-    return _as_given(_bisect(ind_set_rate, lo, hi, (ds,), guess=guess), d)
+    return _as_given(bisect_root(ind_set_rate, lo, hi, (ds,), guess=guess), d)
 
 
 def alpha_fc_estimate(d):
@@ -411,7 +405,7 @@ def avg_degree_ceiling(d, x):
 
     Strictly increasing in x; maps (0, 1) onto (2/d, 1).
 
-    The bisection is replayed (see _bisect) from Newton steps started at
+    The bisection is replayed (see bisect_root) from Newton steps started at
     6(log(1/x) + 1) / (d (log(1/x) - 1)), 0.95 to 1.55 times the root on
     the lanes of sweep(30, 3000), with error bound SUBSET_ERR.  The rate is strictly
     decreasing in t, so its sign is that of the nearer end on [P1, L] and
@@ -434,7 +428,7 @@ def avg_degree_ceiling(d, x):
                                      - np.log1p(-(2.0 - t) * x))
         err = np.full(len(d_), SUBSET_ERR)
         guess = (*_newton(subset_rate, slope, (d_, x_), start, x_, 1.0, err), err)
-        t[todo] = _bisect(subset_rate, x_, 1.0, (d_, x_), guess=guess)
+        t[todo] = bisect_root(subset_rate, x_, 1.0, (d_, x_), guess=guess)
     return _as_given(t, d, x)
 
 
@@ -450,7 +444,7 @@ def avg_degree_ceiling_inv(d, t):
     raises DomainError naming d, t and the ceiling, and so does a t outside
     (2/d, 1); in a batch, the first failing lane's error is raised.
 
-    The bisection is replayed (see _bisect) from Newton steps started where
+    The bisection is replayed (see bisect_root) from Newton steps started where
     1 - (2 - t) x = 3 (1 - t)^2 (the root has 2.7 to 10 there on the
     sweeps' lanes), with error bound SUBSET_ERR.  In x, the rate
     g(x) = subset_rate(d, x, t) is 0 at x = 0, negative up to the root and
@@ -491,7 +485,7 @@ def avg_degree_ceiling_inv(d, t):
     start = (1.0 - 3.0 * (1.0 - ts) ** 2) / (2.0 - ts)
     err = np.full(len(ds), SUBSET_ERR)
     guess = (*_newton(f, slope, (ds, ts), start, lo, ts, err), err)
-    return _as_given(_bisect(f, lo, ts, (ds, ts), tol_scale=INV_TOL_SCALE, guess=guess), d, t)
+    return _as_given(bisect_root(f, lo, ts, (ds, ts), tol_scale=INV_TOL_SCALE, guess=guess), d, t)
 
 
 def alpha_dk(d: int, k: int) -> float:

@@ -2,8 +2,8 @@
 before they ran on numpy columns.  Every lane of a round is a CertifyInput,
 each stage's outcome a list of values and exceptions, and each attempt a
 CertifyResult from certify; a sweep record is built from a degree's list of
-(k, CertifyResult).  derive_dhat, beta_max and check_condition are the
-library's batched forms, whose lanes do not depend on their batch.
+(k, CertifyResult).  derive_dhat is this module's own; beta_max and
+check_condition are the library's, called once for each lane.
 
 The rounds on columns must give every record field and every certify_degree
 attempt exactly as these do."""
@@ -128,10 +128,10 @@ def _certify_degrees(jobs):
     """certify_degree for every (d, alpha) in jobs, run in rounds.
 
     Each round derives d_hat for the pending (d, k) of all degrees in one
-    batch, beta_max for those it derives in another and check_condition for
-    those in a third; a degree that fails goes to the next round with
-    k - 1.  Returns, per degree, certify_degree's (k_certified or None,
-    results) or the ValueError it raises.
+    batch, then beta_max and check_condition lane by lane for those it
+    derives; a degree that fails goes to the next round with k - 1.
+    Returns, per degree, certify_degree's (k_certified or None, results) or
+    the ValueError it raises.
     """
     out = [None] * len(jobs)
     pending = []  # (index into jobs, next k, results so far)
@@ -157,13 +157,20 @@ def _certify_degrees(jobs):
         inputs = [inp for *_, inp in lanes]
         derived = derive_dhat(inputs)
         ok = [j for j, res in enumerate(derived) if isinstance(res, CertifyResult)]
-        bmax = dict(zip(ok, beta_max([inputs[j].d for j in ok], [inputs[j].alpha for j in ok],
-                                     [derived[j].tau_plus for j in ok])))
+        bmax = {}
+        for j in ok:
+            try:
+                bmax[j] = beta_max(inputs[j].d, inputs[j].alpha, derived[j].tau_plus)
+            except (CertifyError, ValueError) as exc:
+                bmax[j] = exc
         ok = [j for j in ok if not isinstance(bmax[j], Exception)]
-        checked = dict(zip(ok, check_condition(
-            [inputs[j].d for j in ok], [inputs[j].k for j in ok],
-            [derived[j].d_hat for j in ok], [inputs[j].alpha for j in ok],
-            [bmax[j] for j in ok], [derived[j].tau_plus for j in ok])))
+        checked = {}
+        for j in ok:
+            try:
+                checked[j] = check_condition(inputs[j].d, inputs[j].k, derived[j].d_hat,
+                                             inputs[j].alpha, bmax[j], derived[j].tau_plus)
+            except (CertifyError, ValueError) as exc:
+                checked[j] = exc
         for j, ((i, results, inp), dhat) in enumerate(zip(lanes, derived)):
             try:
                 res = certify(inp, dhat, bmax.get(j), checked.get(j))

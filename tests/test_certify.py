@@ -25,6 +25,9 @@ from stardecomp.certify import (
     CertifyInput,
     CertifyResult,
     DegreeRecord,
+    _beta_max,
+    _check,
+    _derive,
     _sweep_part,
     beta_max,
     certify,
@@ -380,6 +383,29 @@ def test_check_condition_rejects_dhat_at_k():
         check_condition(10, 6, 6, 0.2, 1e-4, 0.7)
 
 
+_NOT_MONOTONE = "pair rate not monotone in tau: tau_plus={} <= alpha/(1 - alpha)"
+
+
+@pytest.mark.parametrize("fn, args, kind, message", [
+    (beta_max, (10, 0.6, 0.5), ValueError, "alpha 0.6 outside (0, 1/2)"),
+    (beta_max, (10, 0.2, 0.0), ValueError, "tau_plus 0.0 outside (0, 1]"),
+    (beta_max, (10, 0.6, 1.5), ValueError, "alpha 0.6 outside (0, 1/2)"),
+    (check_condition, (100, 53, 53, 0.2, 1e-6, 0.5), CertifyError, "bad input: d_hat=53 >= k=53"),
+    (check_condition, (100, 53, 30, 0.2, 1e-6, 0.25), CertifyError, _NOT_MONOTONE.format(0.25)),
+    (check_condition, (100, 53, 30, 0.6, 1e-6, 0.5), ValueError, "alpha 0.6 outside (0, 1/2)"),
+    (check_condition, (100, 50, 30, 0.2, 1e-6, 0.5), DomainError, "need k > d/2, got d=100, k=50"),
+    # Where several apply, the first in the order above.
+    (check_condition, (100, 50, 50, 0.6, 1e-6, 0.0), CertifyError, "bad input: d_hat=50 >= k=50"),
+    (check_condition, (100, 50, 30, 0.6, 1e-6, 0.0), ValueError, "alpha 0.6 outside (0, 1/2)"),
+    (check_condition, (100, 50, 30, 0.2, 1e-6, 0.0), ValueError, "tau_plus 0.0 outside (0, 1]"),
+    (check_condition, (100, 50, 30, 0.2, 1e-6, 0.25), CertifyError, _NOT_MONOTONE.format(0.25)),
+])
+def test_scalar_input_errors_keep_their_type_message_and_precedence(fn, args, kind, message):
+    with pytest.raises(kind) as info:
+        fn(*args)
+    assert type(info.value) is kind and str(info.value) == message
+
+
 def test_certify_d100_strong():
     d = 100
     alpha = alpha_fc_estimate(d)
@@ -488,23 +514,33 @@ def test_load_alpha_table_rejects_bad_header(tmp_path):
         load_alpha_table(path)
 
 
-# beta_max and check_condition on batches of lanes.
+# The cores _beta_max and _check on batches of lanes, as the sweep runs them.
+
+def _columns(rows):
+    """Rows of lane arguments as the 1-d arrays, one per argument, that a
+    core takes."""
+    return [np.array(column) for column in zip(*rows)]
+
 
 def _sweep_lanes(lanes):
     """(d, alpha, tau_plus, k, d_hat, *extra) as a sweep makes them: the
-    estimate's alpha and derive_dhat's tau_plus at k_ind - drop, for
-    (d, drop, *extra) lanes; lanes whose derive_dhat fails are left out."""
+    estimate's alpha and _derive's tau_plus at k_ind - drop, for
+    (d, drop, *extra) lanes; lanes that _derive fails are left out."""
     alphas = alpha_fc_estimate([d for d, *_ in lanes]).tolist()
-    inputs = [CertifyInput(d=d, k=math.floor(kappa(d, a)) - drop, alpha=a)
-              for (d, drop, *_), a in zip(lanes, alphas)]
-    return [(inp.d, inp.alpha, res.tau_plus, inp.k, res.d_hat, *extra)
-            for inp, res, (_, _, *extra) in zip(inputs, derive_dhat(inputs), lanes)
-            if isinstance(res, CertifyResult)]
+    rows = [(d, a, math.floor(kappa(d, a)) - drop) for (d, drop, *_), a in zip(lanes, alphas)]
+    ds, _, ks = _columns(rows)
+    *_, d_hat, tau_plus, errors = _derive(ds, ks)
+    return [(d, a, t, k, dh, *extra) for i, ((d, a, k), t, dh, (_, _, *extra))
+            in enumerate(zip(rows, tau_plus.tolist(), d_hat.tolist(), lanes)) if i not in errors]
 
 
-def _lane_outcomes(results):
-    """A list of lane values and exceptions as comparable outcomes."""
-    return [(type(r), str(r)) if isinstance(r, Exception) else r for r in results]
+def _check_outcomes(strong, weak, witness, errors):
+    """_check's columns as each lane's check_condition outcome, an exception
+    as its type and message."""
+    return [(type(errors[i]), str(errors[i])) if i in errors
+            else (s, w, None if b != b else (b, t, slack))
+            for i, (s, w, (b, t, slack)) in
+            enumerate(zip(strong.tolist(), weak.tolist(), witness.tolist()))]
 
 
 def _batches(rnd, n):
@@ -525,8 +561,8 @@ _RATE_LANE = st.tuples(st.integers(30, 10**6) | st.integers(30, 299), st.sampled
 def test_beta_max_lanes_match_scalar_scan(lanes):
     args = [(d, a, t if frac is None else t + frac * (1.0 - t))
             for d, a, t, _, _, frac in _sweep_lanes(lanes)]
-    got = beta_max(*zip(*args)) if args else []
-    assert _lane_outcomes(got) == [_outcome(bisect_reference.beta_max, *lane) for lane in args]
+    got = _beta_max(*_columns(args))[0].tolist() if args else []
+    assert got == [_outcome(bisect_reference.beta_max, *lane) for lane in args]
 
 
 def test_beta_max_scan_failures_match_scalar_scan():
@@ -537,57 +573,61 @@ def test_beta_max_scan_failures_match_scalar_scan():
     # its cap.
     lanes = [(3, 0.2, 0.5), (10, 0.1, 0.1), (4, 0.4, 1.0), (30, 0.1, 1.0)]
     expected = [bisect_reference.beta_max(*lane) for lane in lanes]
-    assert beta_max(*zip(*lanes)) == expected
+    assert _beta_max(*_columns(lanes))[0].tolist() == expected
     assert expected[:3] == [min(1.0 - 2.0 * a, a / t) for _, a, t in lanes[:3]]
     assert expected[3] < min(1.0 - 2.0 * 0.1, 0.1 / 1.0)
 
 
 def test_beta_max_lane_independent_of_its_batch():
-    # beta_max at tau_plus and at a tau drawn from [tau_plus, 1], where it is
-    # the search's r_hi(tau), and check_condition's verdicts and witnesses:
-    # a lane's outcome in any batch is the one it has alone.  The padding
-    # holds lanes that fail or end at a domain cap.
+    # _beta_max at tau_plus and at a tau drawn from [tau_plus, 1], where it
+    # is the search's r_hi(tau), and _check's verdicts and witnesses, also
+    # from _beta_max's r_lo as the sweep runs the search: a lane's outcome
+    # in any batch is the one it has alone.  The padding holds lanes that
+    # end at a domain cap, whose rate is negative at beta = 0, or that fail
+    # on tau_plus <= alpha/(1 - alpha).
     rnd = random.Random(0)
     cases = _sweep_lanes([(rnd.choice([rnd.randint(30, 299), rnd.randint(30, 10**5)]),
                            rnd.randint(0, 1)) for _ in range(3 * LANES)])
     lanes = [(d, a, t) for d, a, t, *_ in cases]
     lanes += [(d, a, t + rnd.random() * (1.0 - t)) for d, a, t in lanes]
-    alone = [_outcome(beta_max, *lane) for lane in lanes]
-    padding = [(3, 0.2, 0.5), (10, 0.1, 0.1), (10, 0.6, 0.5), (30, 0.3, 0.5)]
+    alone = [beta_max(*lane) for lane in lanes]
+    padding = [(3, 0.2, 0.5), (10, 0.1, 0.1), (30, alpha_fm(30) + 0.01, 0.5)]
     for batch in _batches(rnd, len(lanes)):
-        got = beta_max(*zip(*(lanes[i] for i in batch)))
-        assert _lane_outcomes(got) == [alone[i] for i in batch]
-    got = beta_max(*zip(*(padding + lanes + padding)))
-    assert _lane_outcomes(got[len(padding):-len(padding)]) == alone
+        got = _beta_max(*_columns(lanes[i] for i in batch))[0].tolist()
+        assert got == [alone[i] for i in batch]
+    got = _beta_max(*_columns(padding + lanes + padding))[0].tolist()
+    assert got[len(padding):-len(padding)] == alone
+    assert got[:len(padding)] == [0.4, 0.8, 0.0]
 
-    lanes = [(d, k, d_hat, a, bmax, t) for (d, a, t, k, d_hat), bmax in zip(cases, alone)]
-    alone = [_outcome(check_condition, *lane) for lane in lanes]
+    rows = [(d, k, d_hat, a, bmax, t) for (d, a, t, k, d_hat), bmax in zip(cases, alone)]
+    alone = [check_condition(*row) for row in rows]
     assert sum(not strong for strong, _, _ in alone) >= 10  # lanes that search
-    padding = [(100, 53, 53, 0.2, 1e-6, 0.5), (100, 53, 30, 0.2, 1e-6, 0.25),
-               (100, 53, 30, 0.6, 1e-6, 0.5), (100, 50, 30, 0.2, 1e-6, 0.5)]
-    for batch in _batches(rnd, len(lanes)):
-        got = check_condition(*zip(*(lanes[i] for i in batch)))
-        assert _lane_outcomes(got) == [alone[i] for i in batch]
-    got = check_condition(*zip(*(padding + lanes + padding)))
-    assert _lane_outcomes(got[len(padding):-len(padding)]) == alone
-    assert [type(o) for o in got[:len(padding)]] == [CertifyError, CertifyError,
-                                                     ValueError, DomainError]
+    for batch in _batches(rnd, len(rows)):
+        columns = _columns(rows[i] for i in batch)
+        _, r_lo = _beta_max(columns[0], columns[3], columns[5])
+        for roots in (None, r_lo):
+            assert _check_outcomes(*_check(*columns, roots)) == [alone[i] for i in batch]
+    padding = [(100, 53, 30, 0.2, 1e-6, 0.25), (100, 53, 30, 0.2, 0.0, 0.5),
+               (100, 53, 30, 0.3, 1e-6, 0.4)]
+    got = _check_outcomes(*_check(*_columns(padding + rows + padding)))
+    assert got[len(padding):-len(padding)] == alone
+    assert got[:len(padding)] == [(CertifyError, _NOT_MONOTONE.format(0.25)), (True, True, None),
+                                  (CertifyError, _NOT_MONOTONE.format(0.4))]
 
 
 def test_beta_max_keeps_each_failing_lane():
-    # Arguments outside their ranges and a rate already negative at beta = 0,
-    # among lanes that bracket a root and lanes whose rate does not turn
-    # surely negative before the domain cap min(1 - 2 alpha, alpha / tau),
-    # which is then their value; in batches of many lanes and of few.
-    bad = [(10, 0.6, 0.5), (10, 0.2, 0.0), (30, alpha_fm(30) + 0.01, 0.5)]
+    # Rates already negative at beta = 0, among lanes that bracket a root
+    # and lanes whose rate does not turn surely negative before the domain
+    # cap min(1 - 2 alpha, alpha / tau), which is then their value; in
+    # batches of many lanes and of few.
+    negative = [(30, alpha_fm(30) + 0.01, 0.5), (100, 0.3, 0.9)]
     capped = [(3, 0.2, 0.5), (10, 0.1, 0.1), (4, 0.4, 1.0)]
     good = [lane[:3] for lane in _sweep_lanes([(d, d % 2) for d in range(40, 40 + 2 * LANES)])]
-    for lanes in (good[:3] + bad + capped + good[3:], bad, bad[:1] + good[:1]):
-        expected = [_outcome(bisect_reference.beta_max, *lane) for lane in lanes]
-        assert _lane_outcomes(beta_max(*zip(*lanes))) == expected
-    outcomes = beta_max(*zip(*bad))
-    assert [type(o) for o in outcomes[:2]] == [ValueError, ValueError] and outcomes[2] == 0.0
-    assert beta_max([30], 0.1, 0.5) == [beta_max(30, 0.1, 0.5)]
+    for lanes in (good[:3] + negative + capped + good[3:], negative, negative[:1] + good[:1]):
+        expected = [bisect_reference.beta_max(*lane) for lane in lanes]
+        assert _beta_max(*_columns(lanes))[0].tolist() == expected
+    assert [ind_set_rate(d, a) < 0.0 for d, a, _ in negative] == [True, True]
+    assert [v.tolist() for v in _beta_max(*_columns(negative))] == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_sweep_payload_is_pinned():
@@ -657,7 +697,15 @@ def test_resolve_alpha_columns_on_a_partial_table():
         resolve_alpha(np.arange(15, 40), {15: 0.2, 16: 0.2, 18: 0.2}, False)
 
 
-# derive_dhat on batches of lanes.
+# The core _derive on batches of lanes, as the sweep runs it.
+
+def _derived(inputs):
+    """_derive on inputs as lanes: each lane's CertifyResult or exception."""
+    *columns, errors = _derive(np.array([c.d for c in inputs]), np.array([c.k for c in inputs]))
+    fields = ("t1", "x1", "x2", "t2", "d_hat", "tau_plus")
+    return [errors[i] if i in errors else CertifyResult(**dict(zip(fields, values)))
+            for i, values in enumerate(zip(*(c.tolist() for c in columns)))]
+
 
 def _dhat_outcome(res):
     """A lane's derive_dhat result as comparable values, or its exception."""
@@ -692,12 +740,13 @@ def _matches_reference(res, inp):
 
 
 def _inputs(lanes):
-    """CertifyInputs at k_ind - drop under the estimate, for (d, drop) lanes."""
+    """CertifyInputs at k_ind - drop under the estimate, for (d, drop) lanes,
+    those that validate() passes."""
     out = []
     for d, drop in lanes:
         alpha = bisect_reference.alpha_fc_estimate(d)
         out.append(CertifyInput(d=d, k=math.floor(kappa(d, alpha)) - drop, alpha=alpha))
-    return out
+    return [c for c in out if c.d / 2 < c.k < c.d - 1]
 
 
 @given(st.lists(st.tuples(st.integers(20, 10**5), st.sampled_from([0, 1, 2])),
@@ -705,15 +754,15 @@ def _inputs(lanes):
 @settings(max_examples=30, deadline=None)
 def test_derive_dhat_lanes_match_scalar_reference(lanes):
     inputs = _inputs(lanes)
-    assert all(map(_matches_reference, derive_dhat(inputs), inputs))
+    assert all(map(_matches_reference, _derived(inputs), inputs))
 
 
 def test_derive_dhat_keeps_each_failing_lane(monkeypatch):
-    # Real failures: bad inputs (k >= d - 1 among them, which validate()
-    # rejects before t1 could reach 2/d) and d_hat underflow at (5, 3).  The
-    # x2 and no-sign-change failures do not occur for valid (d, k), so the
-    # inverse ceiling is shifted for d = 41 and fails for d = 43, in the
-    # library and the reference alike.
+    # A lane fails on its data: d_hat underflow at (5, 3), and, as the
+    # inverse ceiling is shifted for d = 41 and fails for d = 43 in the
+    # library and the reference alike, x2 nonpositive and the inverse's
+    # RuntimeError.  Bad inputs (k >= d - 1 among them, which validate()
+    # rejects before t1 could reach 2/d) fail derive_dhat before _derive.
     def faulty(inverse):
         def shifted(d, t):
             if np.any(np.asarray(d) == 43):
@@ -728,18 +777,18 @@ def test_derive_dhat_keeps_each_failing_lane(monkeypatch):
     monkeypatch.setattr(bisect_reference, "avg_degree_ceiling_inv",
                         faulty(bisect_reference.avg_degree_ceiling_inv))
     good = _inputs([(d, d % 3) for d in range(44, 44 + 2 * LANES)])
-    bad = [CertifyInput(d=2, k=2, alpha=0.1), CertifyInput(d=40, k=39, alpha=0.1),
-           CertifyInput(d=40, k=20, alpha=0.1), CertifyInput(d=5, k=3, alpha=0.1),
-           CertifyInput(d=41, k=22, alpha=0.1), CertifyInput(d=43, k=23, alpha=0.1),
-           CertifyInput(d=44, k=21, alpha=0.1)]
+    bad = [CertifyInput(d=5, k=3, alpha=0.1), CertifyInput(d=41, k=22, alpha=0.1),
+           CertifyInput(d=43, k=23, alpha=0.1)]
     inputs = good[:5] + bad + good[5:]
-    assert all(map(_matches_reference, derive_dhat(inputs), inputs))
-    reasons = [r.reason for r in derive_dhat(bad) if isinstance(r, CertifyError)]
-    assert reasons == ["bad input"] * 3 + ["d_hat underflow", "x2 nonpositive",
-                                           "bad input"]
-    assert [type(r) for r in derive_dhat(bad)][5] is RuntimeError
+    assert all(map(_matches_reference, _derived(inputs), inputs))
+    outcomes = _derived(bad)
+    assert [type(r) for r in outcomes] == [CertifyError, CertifyError, RuntimeError]
+    assert [r.reason for r in outcomes[:2]] == ["d_hat underflow", "x2 nonpositive"]
     with pytest.raises(CertifyError, match="x2 nonpositive"):
-        derive_dhat(bad[4])
+        derive_dhat(bad[1])
+    for d, k in ((2, 2), (40, 39), (40, 20), (44, 21)):
+        with pytest.raises(CertifyError, match="bad input"):
+            derive_dhat(CertifyInput(d=d, k=k, alpha=0.1))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -747,16 +796,20 @@ def test_derive_dhat_lane_independent_of_its_batch(seed):
     rnd = random.Random(seed)
     lanes = [(rnd.randint(20, 10**5), rnd.randint(0, 2)) for _ in range(3 * LANES)]
     inputs = _inputs(lanes)
-    alone = [_dhat_outcome(derive_dhat([inp])[0]) for inp in inputs]
+    alone = [_dhat_outcome(_derived([inp])[0]) for inp in inputs]
     order = rnd.sample(range(len(inputs)), len(inputs))
     half = len(order) // 2
+    # Lanes that fail on their data: d_hat underflow at (5, 3), and near
+    # d = 5.6e8 an inverse that finds no sign change.
     padding = _inputs([(rnd.randint(20, 10**5), 0) for _ in range(LANES)])
-    padding.append(CertifyInput(d=5, k=3, alpha=0.1))
+    failing = [CertifyInput(d=5, k=3, alpha=0.1),
+               CertifyInput(d=564375960, k=282187991, alpha=0.1)]
     for batch in (order, order[:half], order[half:]):
-        got = derive_dhat([inputs[i] for i in batch])
+        got = _derived([inputs[i] for i in batch])
         assert [_dhat_outcome(r) for r in got] == [alone[i] for i in batch]
-    got = derive_dhat(padding + inputs + padding)
-    assert [_dhat_outcome(r) for r in got[len(padding):-len(padding)]] == alone
+    got = _derived(failing + padding + inputs + padding + failing)
+    assert [_dhat_outcome(r) for r in got[len(padding) + 2:-len(padding) - 2]] == alone
+    assert [type(r) for r in got[:2]] == [CertifyError, RuntimeError]
 
 
 def test_sweep_records_match_certify_degree():

@@ -173,6 +173,22 @@ def test_certify_estimate_needs_d20():
     assert run(["certify", "--d-min", "10", "--d-max", "12"]) == 2
 
 
+def test_table_sweep_needing_the_estimate_below_d20_exits_2(tmp_path, capsys):
+    # A table that holds only d = 25 leaves 10..19 to the estimate, which is
+    # undefined there: a usage error naming the first such degree, as
+    # without a table.  Under --strict-table a missing entry exits 3.
+    table = tmp_path / "alpha.csv"
+    table.write_text("d,alpha\n25,0.2\n")
+    argv = ["certify", "--d-min", "10", "--d-max", "26", "--out", str(tmp_path / "sweep.json")]
+    assert run(argv + ["--alpha-table", str(table)]) == 2
+    assert capsys.readouterr().err == "certify: estimate fallback requires d >= 20, got d=10\n"
+    assert run(argv + ["--alpha-table", str(table), "--strict-table"]) == 3
+    assert capsys.readouterr().err == "certify: 'alpha table has no entry for d=10'\n"
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "certify: estimate-based sweeps need --d-min >= 20\n"
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_certify_strict_table_missing_degree(tmp_path):
     table = tmp_path / "alpha.csv"
     table.write_text("d,alpha\n30,0.14\n")

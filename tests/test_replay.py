@@ -172,3 +172,44 @@ def test_predictors_warn_of_nothing():
         ds, ts = _inverse_lanes(np.array([3, 30, 10**9, 10**6]),
                                 np.array([1.0 - 1e-16, 2.0 / 30 * 1.5, 0.9, 1.0 - 1e-7]))
         avg_degree_ceiling_inv(ds, ts)
+
+
+def _moved(rate, at, err, marked):
+    """rate moved by err, up where its argument at holds a point of marked
+    and down everywhere else: a computed rate within err of rate."""
+    def moved(*args):
+        return rate(*args) + np.where(np.isin(args[at], marked), err, -err)
+    return moved
+
+
+def test_replays_fall_back_where_a_bracket_end_is_within_2e_of_the_root(monkeypatch):
+    # The predictor puts L just past the root, and an adversary moves the
+    # rate by up to the error bound E: up at L (and at the bisection's lo,
+    # where the rate is below E), down everywhere else.  The bracket then
+    # passes its check only without the 2E margins, and a replay that took
+    # it would take the points at or below L to lie left of a root that the
+    # moved rate has moved left of L.  With the margins both solves fall
+    # back and keep the plain loops' bits on the same rate.
+    ds = np.full(3, 100)
+    lo, hi, err = np.full(3, 1e-12), np.full(3, 0.5 - 1e-12), 1e-7
+    root = ref.lockstep_bisect(ind_set_rate, lo, hi, (ds,))
+    lower = root + np.array([1e-13, 1e-12, 1e-11])
+    assert ((-err < ind_set_rate(ds, lower)) & (ind_set_rate(ds, lower) < 0.0)).all()
+    rate = _moved(ind_set_rate, 1, err, np.r_[lo, lower])
+    guess = (lower, root + 1e-6, np.full(3, err))
+    assert _bits(entropy.bisect_root(rate, lo, hi, (ds,), guess=guess)) == _bits(
+        ref.lockstep_bisect(rate, lo, hi, (ds,)))
+
+    d = np.full(3, 1000)
+    alpha, tau = alpha_fm(d) * np.array([0.5, 0.9, 0.99]), np.array([0.3, 0.6, 0.9])
+    top = _cap(alpha, tau)
+    r_hi = ref.lockstep_roots(d, alpha, tau, top)[1]
+    lower, upper = r_hi * (1.0 + 1e-9), np.minimum(2.0 * r_hi, top)
+    assert ((-1e-6 < pair_rate_grid(d, alpha, lower[None], tau)) & (lower > r_hi)).all()
+    monkeypatch.setattr(certify, "RATE_ERR", 1e-9)
+    rate = _moved(pair_rate_grid, 2, 1e-9 * 1000, lower)
+    for module in (certify, ref):
+        monkeypatch.setattr(module, "pair_rate_grid", rate)
+    monkeypatch.setattr(certify, "_newton", lambda *args: (lower, upper))
+    _check_roots(d, alpha, tau)
+    assert not np.isfinite(_root_bracket(d, alpha, tau, top, _f0(d, alpha, tau))[0]).any()
