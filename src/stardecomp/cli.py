@@ -11,11 +11,12 @@ degree whose root solve fails, as near d = 10^9, as an error row), 1 failed
 verification or decomposition, and `thresholds` at a degree whose root
 solve finds no sign change (d = 10^15), 2 usage errors (including
 --max-retries < 1, --threads < 1, `sample --simple` with d >= n, a
-`sample --simple` run out of tries, and a `certify` range that needs the
-estimate below d = 20), 3 missing alpha-table entry under
---strict-table, 4 I/O and parse errors (including a graph header above
-graphs.MAX_VERTICES vertices, and an alpha table with a row of other than
-two fields, a repeated degree or an alpha outside (0, 1/2)).
+`sample --simple` run out of tries, a `certify` range that needs the
+estimate below d = 20, and `decompose --k` at or below d/2), 3 missing
+alpha-table entry under --strict-table, 4 I/O and parse errors (including
+a graph header above graphs.MAX_VERTICES vertices, a graph that `decompose`
+refuses as not simple or not regular, and an alpha table with a row of
+other than two fields, a repeated degree or an alpha outside (0, 1/2)).
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ from .decomp import (
     write_decomposition,
 )
 from .entropy import (
+    DomainError,
     alpha_fc_estimate,
     alpha_fm,
     threshold_report,
 )
 from .graphs import (
     RNG_NAME,
+    ROWS_PER_WRITE,
     GraphFormatError,
     config_model_sample,
     read_graph,
@@ -52,9 +55,6 @@ from .graphs import (
     write_graph,
 )
 
-# Rows of a report held as columns formatted at a time: the text of 4096
-# sweep records is about 1.8 MB.
-ROWS_PER_WRITE = 4096
 # A certify report's records in the document that json.dumps writes; the
 # records' text is streamed in its place.
 _RECORDS = "records held as columns"
@@ -233,6 +233,9 @@ def cmd_decompose(args):
     g = read_graph(args.graph)
     try:
         sd = decompose(g, args.k, seed=args.seed, max_retries=args.max_retries)
+    except DomainError as exc:  # k <= d/2
+        print(f"decompose: {exc}", file=sys.stderr)
+        return 2
     except DecompositionFailed as exc:
         print(f"decompose: failed at stage {exc.stage}: {exc.detail}",
               file=sys.stderr)

@@ -16,13 +16,15 @@ everywhere so identical inputs give identical decompositions.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import alpha_dk
+from .entropy import DomainError, alpha_dk
 from .graphs import (
+    ROWS_PER_WRITE,
     Graph,
     GraphFormatError,
     check_thin,
@@ -169,8 +171,9 @@ def _unload(csr, ends, heads, indeg, x, ell):
     Breadth-first search runs backwards along arcs into x (head to tail)
     until it meets a vertex z with in-degree < ell, then flips the arcs of
     the path from z to x.  csr is the graph's (indptr, nbrs, eids) and ends
-    its edges, all as lists.  Returns None on success, or the set of
-    vertices the search reached if it found no such z.
+    its edges' ends, edge e's at 2e and 2e + 1, all as lists.  Returns None
+    on success, or the set of vertices the search reached if it found no
+    such z.
     """
     indptr, nbrs, eids = csr
     via = {x: None}  # reached vertex -> edge id of its arc toward x
@@ -190,7 +193,7 @@ def _unload(csr, ends, heads, indeg, x, ell):
                 while w != x:
                     eid = via[w]
                     heads[eid] = w
-                    u, v = ends[eid]
+                    u, v = ends[2 * eid], ends[2 * eid + 1]
                     w = v if u == w else u
                 return None
             queue.append(w)
@@ -209,7 +212,7 @@ def _forced_start(csr, ends, ell):
     not yet oriented points at its lower endpoint (a loop at its vertex).
     """
     indptr, nbrs, eids = csr
-    n, m = len(indptr) - 1, len(ends)
+    n, m = len(indptr) - 1, len(ends) // 2
     heads, indeg = [-1] * m, [0] * n
     free = [indptr[v + 1] - indptr[v] for v in range(n)]
     stack = [v for v in range(n - 1, -1, -1) if free[v] and (ell <= 0 or ell >= free[v])]
@@ -241,7 +244,7 @@ def _forced_start(csr, ends, ell):
             edge += 1
         if edge == m:
             return heads, indeg
-        u, v = ends[edge]
+        u, v = ends[2 * edge], ends[2 * edge + 1]
         heads[edge] = u
         indeg[u] += 1
         free[u] -= 1
@@ -278,7 +281,7 @@ def in_regular_orientation(H: Graph, ell):
     m, n = H.num_edges(), H.n
     if m > ell * n:
         raise ValueError(f"needs e(H) <= ell*|V|, got {m} > {ell * n}")
-    ends = H.pairs.tolist()
+    ends = H.pairs.ravel().tolist()
     csr = H.indptr.tolist(), H.nbrs.tolist(), H.eids.tolist()
     heads, indeg = _forced_start(csr, ends, ell)
     for x in range(n):
@@ -383,9 +386,9 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
     Returns (ok, diagnostics): star sizes equal k, every star has k distinct
     leaves other than its center, every star edge is incident to its center,
     the star edges plus leftover partition E(g) exactly, and the leftover has
-    fewer than k edges.  Claimed edges are counted against g's as sorted
-    keys u * n + v; a claimed pair with an id outside [0, n) is no edge of g
-    and stays out of the keys.
+    fewer than k edges.  Claimed edges are compared with g's as sorted keys
+    u * n + v, and counted key by key only when they differ; a claimed pair
+    with an id outside [0, n) is no edge of g and stays out of the keys.
     """
     diagnostics = []
     for center, leaves in sd.stars:
@@ -410,25 +413,27 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
         for i in np.flatnonzero(~valid).tolist())
     base = max(n, 1)
     claimed = np.minimum(a, b)[valid] * base + np.maximum(a, b)[valid]
-    keys, inverse = np.unique(
-        np.concatenate([claimed, g.pairs[:, 0] * base + g.pairs[:, 1]]),
-        return_inverse=True)
-    have = np.bincount(inverse[:len(claimed)], minlength=len(keys))
-    want = np.bincount(inverse[len(claimed):], minlength=len(keys))
-    over = np.flatnonzero(have > want)
-    faults = [((key // base, key % base), h, w) for key, h, w in zip(
-        keys[over].tolist(), have[over].tolist(), want[over].tolist())]
-    faults += [(e, c, 0) for e, c in outside.items()]
-    for e, h, w in sorted(faults):
-        if w:
-            diagnostics.append(f"edge {e} covered {h} times (edge covered twice)")
-        else:
-            diagnostics.append(f"edge {e} is not in the graph (claimed {h} times)")
-    missing = np.repeat(keys, np.maximum(want - have, 0))[:10].tolist()
-    if missing:
-        diagnostics.append(
-            f"uncovered edges: {[(key // base, key % base) for key in missing]}"
-        )
+    edge_keys = g.pairs[:, 0] * base + g.pairs[:, 1]
+    claimed.sort()
+    edge_keys.sort()
+    if outside or not np.array_equal(claimed, edge_keys):
+        keys, inverse = np.unique(np.concatenate([claimed, edge_keys]), return_inverse=True)
+        have = np.bincount(inverse[:len(claimed)], minlength=len(keys))
+        want = np.bincount(inverse[len(claimed):], minlength=len(keys))
+        over = np.flatnonzero(have > want)
+        faults = [((key // base, key % base), h, w) for key, h, w in zip(
+            keys[over].tolist(), have[over].tolist(), want[over].tolist())]
+        faults += [(e, c, 0) for e, c in outside.items()]
+        for e, h, w in sorted(faults):
+            if w:
+                diagnostics.append(f"edge {e} covered {h} times (edge covered twice)")
+            else:
+                diagnostics.append(f"edge {e} is not in the graph (claimed {h} times)")
+        missing = np.repeat(keys, np.maximum(want - have, 0))[:10].tolist()
+        if missing:
+            diagnostics.append(
+                f"uncovered edges: {[(key // base, key % base) for key in missing]}"
+            )
     if not sd.leftover and g.num_edges() % sd.k != 0:
         diagnostics.append("exact decomposition claimed but k does not divide e(G)")
     return not diagnostics, diagnostics
@@ -445,8 +450,8 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
 
     If k does not divide e(g) the result is a near-decomposition with at most
     k - 1 leftover edges.  Raises ValueError if g has loops or multi-edges or
-    is not regular, and DecompositionFailed with the failing stage after
-    max_retries attempts.
+    is not regular, then DomainError if k <= d/2, and DecompositionFailed
+    with the failing stage after max_retries attempts.
     """
     if not is_simple(g):
         raise ValueError("graph has loops or multi-edges; decompose needs a "
@@ -455,7 +460,7 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
         raise ValueError("graph is not regular")
     d = g.degree(0) if g.n else 0
     if 2 * k <= d:
-        raise ValueError(f"need k > d/2, got d={d}, k={k}")
+        raise DomainError(f"need k > d/2, got d={d}, k={k}")
     # alpha_dk(d, k) * n = n * (2k - d) / (2k); integer ceiling avoids float
     # roundoff pushing the target one vertex too high.
     target = -(g.n * (2 * k - d) // -(2 * k))
@@ -527,16 +532,16 @@ def check_sufficiency(g: Graph, A, d_hat, c, k):
 
 
 def write_decomposition(sd: StarDecomposition, fh):
-    """Write sd to the open text file fh.
+    """Write sd to the open text file fh, ROWS_PER_WRITE lines formatted at a
+    time.
 
     Text format: first line `k r`, one `center leaf_1 ... leaf_k` line per
     star, then r `u v` leftover lines."""
     fh.write(f"{sd.k} {len(sd.leftover)}\n")
-    lines = "".join(["%d" + " %d" * len(leaves) + "\n" for _, leaves in sd.stars])
-    lines += "%d %d\n" * len(sd.leftover)
-    ids = [x for center, leaves in sd.stars for x in (center, *leaves)]
-    ids += [x for edge in sd.leftover for x in edge]
-    fh.write(lines % tuple(ids))
+    rows = itertools.chain(((center, *leaves) for center, leaves in sd.stars), sd.leftover)
+    while batch := list(itertools.islice(rows, ROWS_PER_WRITE)):
+        lines = "".join(["%d" + " %d" * (len(row) - 1) + "\n" for row in batch])
+        fh.write(lines % tuple(itertools.chain.from_iterable(batch)))
 
 
 def read_decomposition(path) -> StarDecomposition:

@@ -7,6 +7,11 @@ int64 array and its adjacency as CSR arrays; the bulk stages here and in
 (the greedy heap, the relief heap, path reversal) read them as Python lists
 taken once per call.  Vertex subsets are plain Python sets of vertex ids.
 Loops are allowed and count twice toward degree.
+
+Graph files are read in bounded extra memory: one search finds the first
+malformed body line, with no state kept from line to line, and the body's
+ids are converted a block of lines at a time; they are written
+ROWS_PER_WRITE lines at a time.
 """
 
 from __future__ import annotations
@@ -22,13 +27,23 @@ RNG_NAME = "numpy-pcg64"
 BRUTEFORCE_VERTEX_CAP = 24
 # read_graph's Graph allocates CSR offsets and a degree count, 16 bytes per
 # vertex the header names, before any edge counts, and decompose's
-# sequential stages then hold a few hundred bytes of Python lists, sets and
-# heaps per vertex (about 40 MB at n = 10^5); a larger count is refused.
+# sequential stages then hold Python lists, sets and heaps per vertex: on a
+# simple graph with n = 10^5 and d = 5 the `decompose` CLI peaks at 120 MB
+# resident and `verify` at 104 MB.  A larger count is refused.
 MAX_VERTICES = 1_000_000
 # A line of a graph file's body: blank, or two whitespace-separated tokens.
 # [^\S\n] is whitespace within a line, as str.split and str.strip see it.
+# _BAD_LINE matches the newline before the first line that is neither; one
+# search keeps no state from line to line, and its literal newline lets sre
+# skip to line starts.
 _EDGE_LINE = r"[^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*)?"
-_EDGE_LINES = re.compile(rf"(?:{_EDGE_LINE}\n)*{_EDGE_LINE}")
+_BAD_LINE = re.compile(rf"\n(?!{_EDGE_LINE}$)", re.MULTILINE)
+# Characters of a graph body converted to ids at a time: their tokens, as
+# Python strings, take some 10 bytes a character.
+READ_BLOCK_CHARS = 1 << 14
+# Rows of a file or report formatted at a time: the text of 4096 sweep
+# records is about 1.8 MB, that of 4096 edge lines some 50 KB.
+ROWS_PER_WRITE = 4096
 
 
 class GraphFormatError(ValueError):
@@ -305,35 +320,53 @@ def check_thin(g: Graph, A, d_hat) -> bool:
 
 
 def write_graph(g: Graph, fh):
-    """Write g to the open text file fh.
+    """Write g to the open text file fh, ROWS_PER_WRITE edges formatted at a
+    time.
 
     Text format: first line `N d` (d = max degree), then one `u v` line per
     edge; repeated lines encode multiplicity, `u u` a loop."""
     d = int(g.degrees().max(initial=0))
     fh.write(f"{g.n} {d}\n")
-    fh.write(("%d %d\n" * g.num_edges()) % tuple(g.pairs.ravel().tolist()))
+    for start in range(0, g.num_edges(), ROWS_PER_WRITE):
+        rows = g.pairs[start : start + ROWS_PER_WRITE]
+        fh.write(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def _edge_ids(text, start):
+    """The ids of text[start:], a body that _BAD_LINE finds no fault in, as
+    an (m, 2) array, converted READ_BLOCK_CHARS characters at a time in
+    blocks cut at newlines."""
+    blocks = []
+    while True:
+        stop = text.find("\n", start + READ_BLOCK_CHARS)
+        tokens = (text[start:] if stop < 0 else text[start:stop]).split()
+        try:
+            blocks.append(np.array(tokens, dtype=np.int64))
+        except OverflowError:
+            # An id beyond int64: Graph still names the first bad edge.
+            blocks.append(np.array([int(t) for t in tokens], dtype=object))
+        if stop < 0:
+            return np.concatenate(blocks).reshape(-1, 2)
+        start = stop + 1
 
 
 def read_graph(path) -> Graph:
     with open(path) as fh:
-        text = fh.read()
-    # The header is the first non-blank line; blank lines are skipped.
-    header, _, body = text.lstrip().partition("\n")
-    if not header:
+        text = fh.read().lstrip()
+    if not text:
         raise GraphFormatError(f"{path}: empty file")
+    # The header is the first non-blank line.  The body, the rest from the
+    # header's newline on, is searched and parsed in place, not copied.
+    cut = text.find("\n")
+    start = len(text) if cut < 0 else cut
     try:
-        n, _ = map(int, header.split())
-        if n < 0 or not _EDGE_LINES.fullmatch(body):
+        n, _ = map(int, text[:start].split())
+        if n < 0 or _BAD_LINE.search(text, start):
             raise ValueError
-        tokens = body.split()
-        try:
-            ends = np.array(tokens, dtype=np.int64)
-        except OverflowError:
-            # An id beyond int64: Graph still names the first bad edge.
-            ends = np.array([int(t) for t in tokens], dtype=object)
-        ends = ends.reshape(-1, 2)
+        ends = _edge_ids(text, start)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: malformed graph file") from exc
+    del text  # before Graph builds its arrays
     if n > MAX_VERTICES:
         raise GraphFormatError(
             f"{path}: {n} vertices is above the limit of {MAX_VERTICES}")

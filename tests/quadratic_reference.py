@@ -12,8 +12,10 @@ differ only where a claimed pair is no edge of the graph, which this one
 reports as covered).  in_regular_orientation is the path-reversal
 orientation started from each edge pointing at its endpoint of lower
 in-degree so far; the library's forced-edge start must reach the same
-feasibility verdicts."""
+feasibility verdicts.  EDGE_LINES is the whole-body regular expression
+that read_graph's line search replaced; both must accept the same bodies."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -119,6 +121,13 @@ def relief_trim(g, thin, target):
                 into[v] -= 1
         into[best] = sum(1 for w in g.neighbors(best) if w in members)
     return ThinIndependentSet(frozenset(members), d_hat, verified=True)
+
+
+# A graph file's body, blank lines and lines of two whitespace-separated
+# tokens separated by newlines, as one match: sre's backtracking stack
+# grows by some 470 bytes a line.
+_EDGE_LINE = r"[^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*)?"
+EDGE_LINES = re.compile(rf"(?:{_EDGE_LINE}\n)*{_EDGE_LINE}")
 
 
 def read_graph(path) -> Graph:

@@ -288,6 +288,26 @@ def test_decompose_rejects_non_simple_graph(tmp_path, capsys):
     assert "simple graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", [2, 0, -1])
+def test_decompose_k_at_most_half_d_is_usage_error(tmp_path, capsys, k):
+    # A k at or below d/2 is a usage error, not a parse error; the graph is
+    # checked first, so a non-simple or non-regular one still exits 4.
+    graph = tmp_path / "g.txt"
+    assert run(["sample", "--n", "12", "--d", "5", "--simple", "--seed", "0",
+                "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert run(["decompose", str(graph), "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"decompose: need k > d/2, got d=5, k={k}"]
+    graph.write_text("3 2\n0 1\n1 2\n")
+    assert run(["decompose", str(graph), "--k", str(k)]) == 4
+    assert capsys.readouterr().err == "stardecomp: graph is not regular\n"
+    graph.write_text("2 2\n0 1\n0 1\n")
+    assert run(["decompose", str(graph), "--k", str(k)]) == 4
+    assert "simple graph" in capsys.readouterr().err
+
+
 def test_decompose_failure_exit_code(tmp_path, capsys):
     # Petersen graph with k = 3 cannot have a large enough independent set.
     graph = tmp_path / "petersen.txt"
@@ -374,7 +394,11 @@ def test_parsers_and_cli_never_raise_on_arbitrary_text(graph_text, sd_text, k, c
                 parse(path)
             except GraphFormatError:
                 pass
-        assert run(["decompose", str(graph), "--k", str(k)]) in (0, 1, 4)
+        capsys.readouterr()
+        code = run(["decompose", str(graph), "--k", str(k)])
+        # Exit 2 only for a k at or below d/2 on a simple regular graph.
+        assert code in (0, 1, 2, 4)
+        assert (code == 2) == ("decompose: need k > d/2" in capsys.readouterr().err)
         assert run(["verify", str(graph), str(sd)]) in (0, 1, 4)
 
 

@@ -4,6 +4,7 @@ and file I/O."""
 import hashlib
 import itertools
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stardecomp.graphs as graphs
 from stardecomp.graphs import (
     MAX_VERTICES,
     Graph,
@@ -398,6 +400,89 @@ def test_read_graph_matches_line_parser(seed):
         else:
             g = read_graph(path)
             assert g == expected and g.n == expected.n
+
+
+# Pieces of a graph body: whitespace within a line and between lines
+# (\x85 breaks a line for str.splitlines, not for the format), tokens, and
+# lines of 0 to 3 tokens.
+_body_pieces = st.one_of(
+    st.sampled_from(_SPACES + _ENDS + ["\x85", "\r", "7", "x", str(2**63)]),
+    st.lists(st.sampled_from(["0", "12", "x"]), max_size=3).map(" ".join),
+)
+
+
+@given(st.lists(_body_pieces, max_size=30).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_bad_line_search_accepts_what_the_whole_body_match_does(body):
+    # read_graph searches the body in place, from the header's newline.
+    assert (graphs._BAD_LINE.search("4 1\n" + body, 3) is None) == (
+        ref.EDGE_LINES.fullmatch(body) is not None)
+
+
+def _reads_like_line_parser(path):
+    try:
+        expected = ref.read_graph(path)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as got:
+            read_graph(path)
+        assert str(got.value) == str(exc)
+    else:
+        g = read_graph(path)
+        assert g == expected and g.n == expected.n
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("text", [
+    "2 1\n0 1\n1 0\n",  # with block 3, a newline at each block's end
+    "2 1\n\n\n0 1\n\n\n1 0\n\n",  # blank lines at block boundaries
+    "2 0", "2 0\n", "  \n2 0\n\n",  # empty bodies
+    "3 1\n0 1\n1 99999999999999999999\n",  # an id beyond int64
+    "3 1\n0 5\n0 1\n1 99999999999999999999\n",  # and a bad id before it
+    "3 1\n0 1\n1 x\n",
+])
+def test_read_graph_blocks_cut_at_newlines(tmp_path, monkeypatch, block, text):
+    monkeypatch.setattr(graphs, "READ_BLOCK_CHARS", block)
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    _reads_like_line_parser(path)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_read_graph_in_small_blocks_matches_line_parser(seed, block):
+    # Blocks of a few characters split graph_text's lines at many points.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "READ_BLOCK_CHARS", block)
+        path = Path(tmp) / "g.txt"
+        path.write_text(graph_text(seed), encoding="utf-8")
+        _reads_like_line_parser(path)
+
+
+def _traced_peak(build):
+    """The most bytes allocated at once while build() runs, as tracemalloc,
+    started just before it, counts them."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [6000, 24000])
+def test_read_graph_holds_little_beyond_the_graph(tmp_path, n):
+    # 15,000 and 60,000 edges: read_graph's peak is the graph's own, as
+    # built from an edge array, within a bound that does not grow with the
+    # file.  A whole-body regular expression match alone took 470 bytes a
+    # line.
+    g = config_model_sample(n, 5, seed=0)
+    path = tmp_path / "g.txt"
+    with open(path, "w") as fh:
+        write_graph(g, fh)
+    pairs = g.pairs.copy()
+    excess = _traced_peak(lambda: read_graph(path)) - _traced_peak(
+        lambda: Graph(n, pairs.copy()))
+    assert excess < 2**20
 
 
 def test_petersen_structure():
