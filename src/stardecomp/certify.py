@@ -18,16 +18,17 @@ over-certify.  The solves are replayed from a bracket about each root,
 checked against the rate's error bound, and evaluate the rate only inside
 it (see _roots), so every output keeps its bits.
 
-A sweep certifies its degrees in rounds.  A round holds every pending
-(d, k) as numpy columns, which go through the array cores of derive_dhat,
-beta_max and check_condition as lockstep lanes whose results do not depend
-on the rest of their batch; a degree that fails goes to the next round with
-k - 1.  Each round writes its lanes into the rows of the report's columns
-(SweepReport.columns, a dict of numpy arrays) that they decide, an
-exception a lane raises included, as that degree's error; a DegreeRecord is
-made only when read.  The cores check no ranges: _records checks each
-degree's before any round, and derive_dhat, beta_max and check_condition,
-which take one lane, check theirs before they run it through the cores.
+A sweep certifies its degrees in rounds.  A round holds every pending (d, k)
+as numpy columns, which go through the array cores of derive_dhat, beta_max
+and check_condition as lockstep lanes whose results do not depend on the
+rest of their batch; a degree that fails goes to the next round with k - 1.
+A lane fails alone: the rest of its batch goes on.  Each round writes its
+lanes into the rows of the report's columns (SweepReport.columns, a dict of
+numpy arrays) that they decide, a failing lane's exception included, as that
+degree's error; a DegreeRecord is made only when read.  The cores check no
+ranges: _records checks each degree's before any round, and derive_dhat,
+beta_max and check_condition, which take one lane, check theirs before they
+run it through the cores.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import (
+    _ceiling_inv,
     _lanes,
     _newton,
     alpha_dk,
     alpha_fc_estimate,
     avg_degree_ceiling,
-    avg_degree_ceiling_inv,
     h,
     kappa,
     pair_rate,
@@ -134,49 +135,30 @@ def _live(n, errors):
     return np.flatnonzero(live)
 
 
-def _per_lane(fn, lanes, errors, *columns):
-    """fn on the given lanes (indices) of the columns, as an array of their
-    values: a lane that raises gets nan, and its exception in the dict
-    errors.  If a lane raises, every lane runs again alone, so each keeps
-    its own outcome."""
-    args = [c[lanes] for c in columns]
-    if not len(lanes):
-        return np.empty(0)
-    try:
-        return fn(*args)
-    except (ValueError, RuntimeError):
-        values = np.full(len(lanes), np.nan)
-        for j, (i, *lane) in enumerate(zip(lanes.tolist(), *(a.tolist() for a in args))):
-            try:
-                values[j] = fn(*lane)
-            except (ValueError, RuntimeError) as exc:
-                errors[i] = exc
-        return values
-
-
 def _derive(d, k):
     """derive_dhat on lanes of 1-d arrays d and k with d >= 3 and
     d/2 < k < d - 1: the columns t1, x1, x2, t2, d_hat and tau_plus, nan
     (d_hat 0) where a lane fails, and a dict from each failing lane to its
-    exception.  A lane fails only on its data: the ceiling or its inverse
-    raises, x2 <= 0 or d_hat < 1; else d_hat < k, so tau_plus is in (0, 1)."""
+    exception.  A lane fails only on its data: the inverse of the ceiling
+    raises (the ceiling itself cannot fail, see step 2), x2 <= 0 or
+    d_hat < 1; else d_hat < k, so tau_plus is in (0, 1)."""
     n = len(d)
-    x2, t2 = np.full(n, np.nan), np.full(n, np.nan)
-    d_hat, errors = np.zeros(n, dtype=int), {}
+    x2, t2, d_hat = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=int)
     # Step 1: the density x1 whose ceiling is t1 = 2(d - k)/d.  The integer
     # k lies below d - 1, so t1 >= 4/d lies inside (2/d, 1).
     t1 = 2.0 * (d - k) / d
-    x1 = _per_lane(avg_degree_ceiling_inv, np.arange(n), errors, d, t1)
+    x1, errors = _ceiling_inv(d, t1)
     # Step 2: the density x2 = 1 - alpha_dk(d, k) - x1 of what remains and
-    # its ceiling t2.
+    # its ceiling t2.  The ceiling cannot fail here: 0 < x2 < d/(2k) < 1, and
+    # at t = 1 the rate computes as A - fl(2 - 2/d) A <= 0, with
+    # A = h(x2) + h(1 - x2), so its bisection always brackets a sign change.
     lanes = _live(n, errors)
     x2[lanes] = 1.0 - (1.0 - d[lanes] / (2.0 * k[lanes])) - x1[lanes]
     for i in lanes[x2[lanes] <= 0.0].tolist():
         errors[i] = CertifyError("x2 nonpositive", f"x1={x1.item(i)} >= 1 - alpha_dk")
     lanes = _live(n, errors)
-    t2[lanes] = _per_lane(avg_degree_ceiling, lanes, errors, d, x2)
+    t2[lanes] = avg_degree_ceiling(d[lanes], x2[lanes])
     # Step 3: d_hat.
-    lanes = _live(n, errors)
     d_hat[lanes] = np.floor(k[lanes] - t2[lanes] * d[lanes] / 2.0)
     for i in lanes[d_hat[lanes] < 1].tolist():
         errors[i] = CertifyError("d_hat underflow", f"d_hat={d_hat.item(i)}")

@@ -7,7 +7,7 @@ with the diagnostics of an invalid decomposition, on stdout.  `certify` with --d
 reports an empty degree range: no records, exit 0.
 
 Exit codes: 0 success (findings included: a `certify` range reports each
-degree whose root solve fails, as near d = 10^9, as an error row), 1 failed
+degree whose root solve fails, as from about d = 5.6e8 on, as an error row), 1 failed
 verification or decomposition, and `thresholds` at a degree whose root
 solve finds no sign change (d = 10^15), 2 usage errors (including
 --max-retries < 1, --threads < 1, `sample --simple` with d >= n, a

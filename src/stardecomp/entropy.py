@@ -436,13 +436,30 @@ def avg_degree_ceiling_inv(d, t):
     """Inverse of avg_degree_ceiling: the unique x in [1e-15, t] whose
     ceiling equals t, found by bisection on the strictly monotone map, to
     ROOT_TOL, relative below x = INV_TOL_SCALE.  Arrays of d and t are
-    solved as lanes of one bisection.
+    solved as lanes of one bisection.  A t outside (2/d, 1) raises
+    DomainError, and a lane that fails (see _ceiling_inv) its exception; a
+    batch raises its first failing lane's.
+    """
+    ds, ts = _lanes(d, np.asarray(t, dtype=float))
+    bad = ~((2.0 / ds < ts) & (ts < 1.0))
+    if bad.any():
+        raise DomainError(f"t {ts[np.argmax(bad)].item()} outside (2/d, 1)")
+    x, errors = _ceiling_inv(ds, ts)
+    if errors:
+        raise errors[min(errors)]
+    return _as_given(x, d, t)
 
-    The bisection brackets densities from 1e-15 up, so t must lie above the
-    ceiling of x = 1e-15, about 1.1 to 1.4 times 2/d: the ceiling tends to
-    2/d only like 1/log(1/x).  A t in (2/d, 1) at or below that ceiling
-    raises DomainError naming d, t and the ceiling, and so does a t outside
-    (2/d, 1); in a batch, the first failing lane's error is raised.
+
+def _ceiling_inv(d, t):
+    """avg_degree_ceiling_inv on lanes of 1-d arrays d and t with
+    2/d < t < 1: the column x, nan where a lane fails, and a dict from each
+    failing lane to the exception the public call raises for it alone.  A
+    lane fails with RuntimeError where the rate at x = t computes as
+    negative, so no sign change is bracketed, and with DomainError, naming
+    d, t and the ceiling of x = 1e-15, where t lies at or below that
+    ceiling: the bisection brackets densities from 1e-15 up, and the
+    ceiling tends to 2/d only like 1/log(1/x), so it is about 1.1 to 1.4
+    times 2/d.  Only the other lanes are solved.
 
     The bisection is replayed (see bisect_root) from Newton steps started where
     1 - (2 - t) x = 3 (1 - t)^2 (the root has 2.7 to 10 there on the
@@ -460,32 +477,33 @@ def avg_degree_ceiling_inv(d, t):
     is at least the smaller of its values at the ends: by concavity past
     x*, and below x* it lies above its chord from (0, 0) through (U, g(U)).
     """
-    ds, ts = _lanes(d, np.asarray(t, dtype=float))
-    bad = ~((2.0 / ds < ts) & (ts < 1.0))
-    if bad.any():
-        raise DomainError(f"t {ts[np.argmax(bad)].item()} outside (2/d, 1)")
     # For fixed t the map x -> subset_rate(d, x, t) is negative left of the
     # inverse point and positive right of it.
     f = lambda d, t, x: subset_rate(d, x, t)
-    lo = np.full(len(ts), 1e-15)
-    fhi, flo = f(ds, ts, ts), f(ds, ts, lo)
+    lo = np.full(len(t), 1e-15)
+    fhi, flo = f(d, t, t), f(d, t, lo)
     bad = (fhi < 0.0) | (flo > 0.0)
-    if bad.any():
-        i = np.argmax(bad)
-        d_i, t_i = ds[i].item(), ts[i].item()
-        if fhi[i] < 0.0:
-            raise RuntimeError(f"no sign change for inverse at t={t_i}")
-        raise DomainError(
-            f"t {t_i} at or below {avg_degree_ceiling(d_i, 1e-15)}, the ceiling "
-            f"for d={d_i} at x = 1e-15, the smallest density the inverse brackets")
+    errors = {}
+    for i in np.flatnonzero(bad).tolist():
+        d_i, t_i = d[i].item(), t[i].item()
+        errors[i] = RuntimeError(f"no sign change for inverse at t={t_i}") if fhi[i] < 0.0 else (
+            DomainError(f"t {t_i} at or below {avg_degree_ceiling(d_i, 1e-15)}, the ceiling "
+                        f"for d={d_i} at x = 1e-15, the smallest density the inverse brackets"))
+    if errors:
+        d, t, lo = d[~bad], t[~bad], lo[~bad]
     # d/dx subset_rate(d, x, t).
     slope = lambda d, t, x: (-t * np.log(t * x) - 2.0 * (1.0 - t) * np.log((1.0 - t) * x)
                              + (2.0 - t) * np.log1p(-(2.0 - t) * x)
                              + (2.0 - 2.0 / d) * (np.log(x) - np.log1p(-x)))
-    start = (1.0 - 3.0 * (1.0 - ts) ** 2) / (2.0 - ts)
-    err = np.full(len(ds), SUBSET_ERR)
-    guess = (*_newton(f, slope, (ds, ts), start, lo, ts, err), err)
-    return _as_given(bisect_root(f, lo, ts, (ds, ts), tol_scale=INV_TOL_SCALE, guess=guess), d, t)
+    start = (1.0 - 3.0 * (1.0 - t) ** 2) / (2.0 - t)
+    err = np.full(len(d), SUBSET_ERR)
+    guess = (*_newton(f, slope, (d, t), start, lo, t, err), err)
+    root = bisect_root(f, lo, t, (d, t), tol_scale=INV_TOL_SCALE, guess=guess)
+    if not errors:
+        return root, errors
+    x = np.full(len(bad), np.nan)
+    x[~bad] = root
+    return x, errors
 
 
 def alpha_dk(d: int, k: int) -> float:

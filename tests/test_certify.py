@@ -42,6 +42,7 @@ from stardecomp.certify import (
 from stardecomp.entropy import (
     INV_TOL_SCALE,
     DomainError,
+    _ceiling_inv,
     alpha_dk,
     alpha_fc_estimate,
     alpha_fm,
@@ -760,9 +761,10 @@ def test_derive_dhat_lanes_match_scalar_reference(lanes):
 def test_derive_dhat_keeps_each_failing_lane(monkeypatch):
     # A lane fails on its data: d_hat underflow at (5, 3), and, as the
     # inverse ceiling is shifted for d = 41 and fails for d = 43 in the
-    # library and the reference alike, x2 nonpositive and the inverse's
-    # RuntimeError.  Bad inputs (k >= d - 1 among them, which validate()
-    # rejects before t1 could reach 2/d) fail derive_dhat before _derive.
+    # library's lane form and the reference alike, x2 nonpositive and the
+    # inverse's RuntimeError.  Bad inputs (k >= d - 1 among them, which
+    # validate() rejects before t1 could reach 2/d) fail derive_dhat before
+    # _derive.
     def faulty(inverse):
         def shifted(d, t):
             if np.any(np.asarray(d) == 43):
@@ -770,10 +772,17 @@ def test_derive_dhat_keeps_each_failing_lane(monkeypatch):
             return inverse(d, t) + (np.asarray(d) == 41)
         return shifted
 
+    def shifted_lanes(d, t):
+        x, errors = _ceiling_inv(d, t)
+        errors.update({i: RuntimeError(f"no sign change for inverse at t={t.item(i)}")
+                       for i in np.flatnonzero(d == 43).tolist()})
+        x = x + (d == 41)
+        x[list(errors)] = np.nan
+        return x, errors
+
     # The package re-exports the function certify, so the module is
     # reached through sys.modules.
-    monkeypatch.setattr(sys.modules["stardecomp.certify"], "avg_degree_ceiling_inv",
-                        faulty(avg_degree_ceiling_inv))
+    monkeypatch.setattr(sys.modules["stardecomp.certify"], "_ceiling_inv", shifted_lanes)
     monkeypatch.setattr(bisect_reference, "avg_degree_ceiling_inv",
                         faulty(bisect_reference.avg_degree_ceiling_inv))
     good = _inputs([(d, d % 3) for d in range(44, 44 + 2 * LANES)])
@@ -948,6 +957,33 @@ def _faulty_inverse(inverse, raising):
     return patched
 
 
+def _faulty_ceiling_inv(raising):
+    """certify's _ceiling_inv with the faults of _faulty_inverse, each lane
+    failing alone with the exception _faulty_inverse raises for it."""
+    def patched(d, t):
+        x, errors = _ceiling_inv(d, t)
+        for i, d_i in enumerate(d.tolist()):
+            if d_i % 7 == 2:
+                errors[i] = DomainError(f"no inverse at d={d_i}")
+            elif raising and d_i % 7 == 3:
+                errors[i] = RuntimeError(f"no sign change for inverse at d={d_i}")
+        x = x + (d % 7 == 1)
+        x[list(errors)] = np.nan
+        return x, errors
+    return patched
+
+
+def _patch_faulty_inverse(mp, fault):
+    """Inject the faults of _faulty_inverse, unless fault is None: into
+    certify's lane form, and into the public function the per-lane
+    reference calls."""
+    if fault is not None:
+        mp.setattr(sys.modules["stardecomp.certify"], "_ceiling_inv",
+                   _faulty_ceiling_inv(fault == "raise"))
+        mp.setattr(rounds_reference, "avg_degree_ceiling_inv",
+                   _faulty_inverse(avg_degree_ceiling_inv, fault == "raise"))
+
+
 def _outcome_repr(fn, *args):
     """repr of fn's value, or of the type and message of what it raises;
     repr, so that NaN compares equal and an int differs from a float."""
@@ -962,10 +998,7 @@ def _assert_rounds_match_reference(d_min, d_max, table, fault=None):
     the per-lane rounds'; returns the repr of them all."""
     degrees = range(d_min, d_max + 1)
     with pytest.MonkeyPatch.context() as mp:
-        if fault is not None:
-            for module in (sys.modules["stardecomp.certify"], rounds_reference):
-                mp.setattr(module, "avg_degree_ceiling_inv",
-                           _faulty_inverse(avg_degree_ceiling_inv, fault == "raise"))
+        _patch_faulty_inverse(mp, fault)
         alpha, source = resolve_alpha(degrees, table, False)
         jobs = list(zip(degrees, alpha.tolist(), source.tolist()))
         seen = [_outcome_repr(lambda: [vars(r) for r in sweep(
@@ -1051,6 +1084,27 @@ def test_sweep_reports_degrees_without_a_sign_change_as_error_rows():
         assert repr(vars(r)) == repr(vars(expected))
 
 
+def test_a_failing_inverse_lane_reruns_no_lane(monkeypatch):
+    # Near d = 5.6e8 most rounds have lanes whose inverse finds no sign
+    # change.  Each fails alone, so a round still makes one bisection for
+    # the inverse and at most one for the ceiling, and resolve_alpha one.
+    calls = {"bisect_root": 0, "_derive": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(sys.modules["stardecomp.entropy"], "bisect_root")
+    count(sys.modules["stardecomp.certify"], "_derive")
+    sweep(564375960, 564376000)
+    assert calls["_derive"] > 0
+    assert calls["bisect_root"] <= 2 * calls["_derive"] + 1
+
+
 @given(d=st.integers(3, 99) | st.integers(100, 3000), kind=st.sampled_from(_ALPHA_KINDS),
        fault=st.sampled_from([None, "shift", "raise"]), data=st.data())
 @settings(max_examples=60, deadline=None)
@@ -1072,8 +1126,5 @@ def test_certify_matches_the_per_lane_reference(d, kind, fault, data):
         alpha = data.draw(st.sampled_from([0.0, 0.5, 0.7, -0.1]))
     inp = CertifyInput(d=d, k=k, alpha=alpha)
     with pytest.MonkeyPatch.context() as mp:
-        if fault is not None:
-            for module in (sys.modules["stardecomp.certify"], rounds_reference):
-                mp.setattr(module, "avg_degree_ceiling_inv",
-                           _faulty_inverse(avg_degree_ceiling_inv, fault == "raise"))
+        _patch_faulty_inverse(mp, fault)
         assert _outcome_repr(certify, inp) == _outcome_repr(rounds_reference.certify, inp)

@@ -17,6 +17,7 @@ from stardecomp.entropy import (
     INV_TOL_SCALE,
     DomainError,
     LabelDistribution,
+    _ceiling_inv,
     alpha_dk,
     alpha_fc_estimate,
     alpha_fm,
@@ -441,6 +442,31 @@ def test_avg_degree_ceiling_inv_lanes_match_scalar_reference(lanes):
         first = next(e for e in expected if isinstance(e, tuple))
         with pytest.raises(first[0], match=re.escape(first[1].split(" at or below")[0])):
             avg_degree_ceiling_inv(*map(np.array, zip(*lanes)))
+
+
+def test_ceiling_inv_lanes_fail_alone():
+    # On their own data, without a fault injected: at d = 564375960 the rate
+    # at x = t computes as negative, so no sign change is bracketed, and at
+    # d = 72101 t lies at or below the ceiling of x = 1e-15.  Each failing
+    # lane gets what the public call raises for it alone, and every other
+    # lane the bits of its own solve.
+    lanes = [(30, 0.5), (564375960, 0.9999999610188924), (10**6, 0.3),
+             (72101, 4.38065377e-05), (564375960, 0.5), (3, 0.9), (72101, 1e-3)]
+    d, t = map(np.array, zip(*lanes))
+    x, errors = _ceiling_inv(d, t)
+    assert sorted(errors) == [1, 3]
+    assert type(errors[1]) is RuntimeError and type(errors[3]) is DomainError
+    for i, lane in enumerate(lanes):
+        if i in errors:
+            with pytest.raises(Exception) as alone:
+                avg_degree_ceiling_inv(*lane)
+            assert (type(alone.value), str(alone.value)) == (type(errors[i]), str(errors[i]))
+            assert math.isnan(x[i])
+        else:
+            assert x.item(i).hex() == avg_degree_ceiling_inv(*lane).hex()
+    # A batch raises its first failing lane's error.
+    with pytest.raises(RuntimeError, match=re.escape(str(errors[1]))):
+        avg_degree_ceiling_inv(d, t)
 
 
 def test_avg_degree_ceiling_mixes_left_endpoint_lanes():
