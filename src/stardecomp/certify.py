@@ -69,11 +69,16 @@ MAX_ROOT_ROUNDS = 200
 # Depth at which a tau interval still open leaves its degree uncertified.
 MAX_DEPTH = 20
 # Degrees certified in one set of rounds.  A degree's row takes about 0.1 KB
-# and its lane's solves about 1.2 KB at their peak, so a block peaks near
-# 5 MB and blocks bound the memory of long sweeps; 4096 lanes take the
-# paper's range 30..3000 in one block and amortise the per-round numpy
-# overhead of the lockstep solves.
+# and its lane's solves about 0.5 KB at their peak, besides some 0.3 MB of
+# rate temporaries (RATE_CHUNK), so a block peaks near 2.7 MB and blocks
+# bound the memory of long sweeps; 4096 lanes take the paper's range
+# 30..3000 in one block and amortise the per-round numpy overhead of the
+# lockstep solves.
 SWEEP_BLOCK = 4096
+# Points at which the root solves evaluate the pair rate at once.  Its
+# temporaries take about 0.16 KB a point, and a round has up to ROOT_POINTS
+# points a lane, so 2048 points bound them near 0.33 MB at any block size.
+RATE_CHUNK = 2048
 
 
 class CertifyError(RuntimeError):
@@ -196,6 +201,20 @@ def _cap(alpha, tau):
     return np.minimum(1.0 - 2.0 * alpha, alpha / np.maximum(tau, alpha))
 
 
+def _rates_at(d, alpha, tau, points, at):
+    """The pair rate at the flat indices `at` of points, a 2-d array of
+    rows x lanes whose lanes are those of the 1-d arrays d, alpha and tau,
+    RATE_CHUNK points at a time: yields (at, col, rates) for each chunk of
+    indices, col their lanes.  pair_rate is elementwise, so a point's rate
+    does not depend on its chunk, and the working memory on the number of
+    points."""
+    flat, n = points.ravel(), points.shape[1]
+    for start in range(0, len(at), RATE_CHUNK):
+        chunk = at[start : start + RATE_CHUNK]
+        col = chunk % n
+        yield chunk, col, pair_rate_grid(d[col], alpha[col], flat[chunk][None], tau[col])[0]
+
+
 def _roots(d, alpha, tau, top, f0):
     """Brackets of r(tau), the end of {beta : pair rate >= 0}, on lanes of
     1-d arrays whose rate at beta = 0, f0 (ind_set_rate, the same at every
@@ -205,11 +224,13 @@ def _roots(d, alpha, tau, top, f0):
     A lane halves from top to the first point not surely negative (computed
     rate >= -RATE_EPS * d), then bisects that factor-2 bracket to a relative
     ROOT_REL_TOL; a round evaluates the next ROOT_POINTS halvings, or the
-    dyadic points inside the bracket, in one pair_rate_grid call.  Returns
-    (r_lo, r_hi): r_hi is the bracket's upper end, where the exact rate is
-    negative, or top if no point below it is surely negative; r_lo is the
-    largest point met whose computed rate is >= 0 (0 if none).  No point
-    leaves the domain, and a lane's points do not depend on other lanes.
+    dyadic points inside the bracket, of all its lanes, RATE_CHUNK points at
+    a time (_rates_at), so that its working memory does not grow with them.
+    Returns (r_lo, r_hi): r_hi is the bracket's upper end, where the exact
+    rate is negative, or top if no point below it is surely negative; r_lo
+    is the largest point met whose computed rate is >= 0 (0 if none).  No
+    point leaves the domain, and a lane's points do not depend on other
+    lanes.
 
     The rounds are replayed from a bracket [L, U] about each lane's root
     (_root_bracket), in which the computed rate f, within E = RATE_ERR * d
@@ -242,11 +263,8 @@ def _roots(d, alpha, tau, top, f0):
         nonneg, neg = pts <= low, pts >= up
         inside = ~(nonneg | neg)
         if inside.any():
-            # Through flat indices, each point's column its lane.
-            at = np.flatnonzero(inside)
-            col = at % len(run)
-            rates = pair_rate_grid(dr[col], ar[col], pts.ravel()[at][None], tr[col])[0]
-            nonneg.ravel()[at], neg.ravel()[at] = rates >= 0.0, rates < -eps[col]
+            for at, col, rates in _rates_at(dr, ar, tr, pts, np.flatnonzero(inside)):
+                nonneg.ravel()[at], neg.ravel()[at] = rates >= 0.0, rates < -eps[col]
         rl = np.maximum(rl, np.where(nonneg, pts, 0.0).max(axis=0))
         # Halving goes down the rows to the first point not surely negative,
         # bisection up the rows to the first point that is; prev is the row
@@ -302,7 +320,10 @@ def _root_bracket(d, alpha, tau, top, f0):
     lower, upper = _newton(rate, slope, (d, alpha, tau, c, ht), beta, 0.0, top, err,
                            RATE_EPS * d)
     lower, upper = np.clip(lower, 0.0, top), np.clip(upper, 0.0, top)
-    f = pair_rate_grid(d, alpha, np.stack([lower, upper]), tau)
+    ends = np.stack([lower, upper])
+    f = np.empty_like(ends)
+    for at, _, rates in _rates_at(d, alpha, tau, ends, np.arange(ends.size)):
+        f.ravel()[at] = rates
     ok = ((np.minimum(f0, f[0]) >= 2.0 * err) & (f[1] < -RATE_EPS * d - 2.0 * err)
           & (lower < upper))
     return np.where(ok, lower, -np.inf), np.where(ok, upper, np.inf)
@@ -768,10 +789,19 @@ def _records(jobs):
 def _sweep_part(jobs):
     """The records' columns of one worker's share of the sweep, jobs the
     columns d, alpha and alpha_source of its degrees, certified SWEEP_BLOCK
-    degrees at a time.  An empty share gives empty columns."""
-    blocks = [_records({name: a[b : b + SWEEP_BLOCK] for name, a in jobs.items()})
-              for b in range(0, len(jobs["d"]) or 1, SWEEP_BLOCK)]
-    return {name: np.concatenate([c[name] for c in blocks]) for name in blocks[0]}
+    degrees at a time.  Each column is allocated once and filled block by
+    block; d, alpha and alpha_source, which _records hands back unchanged,
+    are the jobs' own arrays.  An empty share gives empty columns."""
+    n, columns = len(jobs["d"]), None
+    for b in range(0, n or 1, SWEEP_BLOCK):
+        block = _records({name: a[b : b + SWEEP_BLOCK] for name, a in jobs.items()})
+        if columns is None:
+            columns = {name: jobs[name] if name in jobs else np.empty(n, dtype=a.dtype)
+                       for name, a in block.items()}
+        for name, a in block.items():
+            if name not in jobs:
+                columns[name][b : b + SWEEP_BLOCK] = a
+    return columns
 
 
 def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):

@@ -47,7 +47,6 @@ from .entropy import (
 )
 from .graphs import (
     RNG_NAME,
-    ROWS_PER_WRITE,
     GraphFormatError,
     config_model_sample,
     read_graph,
@@ -58,6 +57,10 @@ from .graphs import (
 # A certify report's records in the document that json.dumps writes; the
 # records' text is streamed in its place.
 _RECORDS = "records held as columns"
+# Report rows formatted at a time: a sweep record's JSON text takes about
+# 450 bytes, and its Python strings several times that while a block is
+# built, so 256 records keep a block near 0.5 MB.
+RECORDS_PER_WRITE = 256
 
 
 @contextlib.contextmanager
@@ -84,7 +87,8 @@ def _record_chunks(arrays):
     nesting of a report's payload["records"], in pieces, for the list of
     flat records held as columns, `arrays` mapping each field to a numpy
     array, with nan as null: each row fills one % template, and
-    ROWS_PER_WRITE rows are formatted at a time."""
+    RECORDS_PER_WRITE rows are formatted at a time, so the working memory
+    does not grow with the rows."""
     n = len(next(iter(arrays.values()), ()))
     if not n:
         yield "[]"
@@ -94,8 +98,9 @@ def _record_chunks(arrays):
     template = "{%s%s}" % (field_inner, ("," + field_inner).join(
         json.dumps(name) + ": %s" for name in names) + inner)
     yield "["
-    for start in range(0, n, ROWS_PER_WRITE):
-        texts = [_json_texts(arrays[name][start : start + ROWS_PER_WRITE]) for name in names]
+    for start in range(0, n, RECORDS_PER_WRITE):
+        texts = [_json_texts(arrays[name][start : start + RECORDS_PER_WRITE])
+                 for name in names]
         yield ("," if start else "") + inner + ("," + inner).join(
             map(template.__mod__, zip(*texts)))
     yield "\n" + "  " * 2 + "]"
@@ -130,15 +135,15 @@ def _emit_csv(columns, path):
     """One header line of the names of `columns`, which map each field to a
     numpy array, all of one length, then one line per row, nan in a float
     column as an empty field; nothing at all when there are no rows.
-    ROWS_PER_WRITE rows are formatted at a time."""
+    RECORDS_PER_WRITE rows are formatted at a time."""
     n = len(next(iter(columns.values()), ()))
     with _output(path) as fh:
         if not n:
             return
         writer = csv.writer(fh)
         writer.writerow(list(columns))
-        for start in range(0, n, ROWS_PER_WRITE):
-            writer.writerows(zip(*(_csv_values(a[start : start + ROWS_PER_WRITE])
+        for start in range(0, n, RECORDS_PER_WRITE):
+            writer.writerows(zip(*(_csv_values(a[start : start + RECORDS_PER_WRITE])
                                    for a in columns.values())))
 
 

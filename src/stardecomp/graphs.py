@@ -41,8 +41,8 @@ _BAD_LINE = re.compile(rf"\n(?!{_EDGE_LINE}$)", re.MULTILINE)
 # Characters of a graph body converted to ids at a time: their tokens, as
 # Python strings, take some 10 bytes a character.
 READ_BLOCK_CHARS = 1 << 14
-# Rows of a file or report formatted at a time: the text of 4096 sweep
-# records is about 1.8 MB, that of 4096 edge lines some 50 KB.
+# Lines of a graph or decomposition file formatted at a time: the text of
+# 4096 edge lines is some 50 KB.
 ROWS_PER_WRITE = 4096
 
 

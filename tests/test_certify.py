@@ -10,7 +10,9 @@ import os
 import random
 import re
 import sys
+import tracemalloc
 import warnings
+from argparse import Namespace
 
 import mpmath
 import numpy as np
@@ -56,7 +58,7 @@ from stardecomp.entropy import (
 import bisect_reference
 import grid_reference as ref
 import rounds_reference
-from stardecomp.cli import main
+from stardecomp.cli import _emit, main
 
 # The size of a large batch of lanes in the tests below.
 LANES = 64
@@ -631,9 +633,14 @@ def test_beta_max_keeps_each_failing_lane():
     assert [v.tolist() for v in _beta_max(*_columns(negative))] == [[0.0, 0.0], [0.0, 0.0]]
 
 
-def test_sweep_payload_is_pinned():
+@pytest.mark.parametrize("rate_chunk", [None, 1, 5, 7])
+def test_sweep_payload_is_pinned(monkeypatch, rate_chunk):
     # The exceptional degrees of the paper's range and the sha256 of the
-    # whole payload, so any change to a record's bits shows.
+    # whole payload, so any change to a record's bits shows: also where the
+    # root solves evaluate the pair rate in chunks (RATE_CHUNK) that cut a
+    # round's points anywhere, down to one point.
+    if rate_chunk:
+        monkeypatch.setattr(sys.modules["stardecomp.certify"], "RATE_CHUNK", rate_chunk)
     report = sweep(30, 3000)
     assert report.exceptional_degrees == [
         31, 33, 35, 50, 52, 54, 56, 91, 93, 95, 97, 168, 170, 172, 174, 307, 309, 311,
@@ -644,6 +651,18 @@ def test_sweep_payload_is_pinned():
         "13265da2427d9d7fe7b2b747db4e0775a5a07d910af77cb74275fa82df7910da")
 
 
+def _assert_same_columns(got, want):
+    """got holds want's columns in want's order, each of want's dtype and
+    with its entries, floats bit for bit."""
+    assert list(got) == list(want)
+    for name, a in want.items():
+        assert got[name].dtype == a.dtype, name
+        if a.dtype == object:
+            assert got[name].tolist() == a.tolist(), name
+        else:
+            assert got[name].tobytes() == a.tobytes(), name
+
+
 def _sweep_rows(jobs, rows=slice(None)):
     """repr(vars(record)) of each record that _sweep_part gives for the rows
     of jobs, the columns d, alpha and alpha_source."""
@@ -651,7 +670,7 @@ def _sweep_rows(jobs, rows=slice(None)):
     return [repr(vars(DegreeRecord(*row))) for row in zip(*(a.tolist() for a in columns.values()))]
 
 
-def test_sweep_record_independent_of_its_batch():
+def test_sweep_record_independent_of_its_batch(monkeypatch):
     # A degree's record is the one it has alone, inside 30..3000, shuffled,
     # in parts of a shuffled sample, and padded with degrees that fail,
     # skip star sizes or take many rounds.
@@ -674,9 +693,62 @@ def test_sweep_record_independent_of_its_batch():
                "alpha": np.array([0.7, 0.001, alpha_dk(24, 14), 0.49, 0.3,
                                   alpha_fc_estimate(10**5)]),
                "alpha_source": np.array(["table"] * 5 + ["estimate"], dtype=object)}
-    got = _sweep_rows({name: np.concatenate([padding[name], a[picked], padding[name]])
-                       for name, a in jobs.items()})
+    padded = {name: np.concatenate([padding[name], a[picked], padding[name]])
+              for name, a in jobs.items()}
+    got = _sweep_rows(padded)
     assert got[len(padding["d"]):-len(padding["d"])] == [full[i] for i in picked]
+    # _sweep_part fills its columns block by block: blocks of 1 and 7
+    # degrees, and one larger than the share, give the columns, dtypes
+    # included, of the share in one block; an empty share, empty columns.
+    whole = _sweep_part(padded)
+    for block in (1, 7, len(padded["d"]) + 1):
+        monkeypatch.setattr(sys.modules["stardecomp.certify"], "SWEEP_BLOCK", block)
+        _assert_same_columns(_sweep_part(padded), whole)
+    _assert_same_columns(_sweep_part({name: a[:0] for name, a in padded.items()}),
+                         {name: a[:0] for name, a in whole.items()})
+
+
+def _traced_peak(build):
+    """The most bytes allocated at once while build() runs, as tracemalloc,
+    started just before it, counts them."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_of_the_paper_range_holds_a_bounded_working_set():
+    # 2.1 MB under tracemalloc.  Evaluating a round's 18,761 root points in
+    # one pair_rate call and joining the blocks' columns took 5.5 MB.
+    assert _traced_peak(lambda: sweep(30, 3000)) < 3 * 2**20
+
+
+def test_json_report_writer_holds_a_bounded_working_set(tmp_path):
+    # The paper's range's 2971 records, formatted RECORDS_PER_WRITE at a
+    # time: 0.5 MB under tracemalloc, where one block of them took 5.4 MB.
+    report = sweep(30, 3000)
+    args = Namespace(out=str(tmp_path / "sweep.json"))
+    assert _traced_peak(lambda: _emit(report.summary(), {}, args, report.alpha_source,
+                                      report.columns)) < 2**20
+
+
+@pytest.mark.parametrize("size", [1024, 8192])
+def test_sweep_part_holds_one_block_beyond_its_columns(monkeypatch, size):
+    # In blocks of 256 degrees, _sweep_part's peak beyond what its columns
+    # hold (their buffers and k_certified's ints) is one block's working
+    # set, the same at both sizes: 0.55-0.6 MB.  Joining the blocks' columns
+    # into a second copy took 0.93 MB at 8192 degrees.
+    monkeypatch.setattr(sys.modules["stardecomp.certify"], "SWEEP_BLOCK", 256)
+    d = np.arange(10**5, 10**5 + size)
+    alpha, source = resolve_alpha(d, None, False)
+    jobs = {"d": d, "alpha": alpha, "alpha_source": source}
+    columns = {}
+    peak = _traced_peak(lambda: columns.update(_sweep_part({n: a.copy() for n, a in jobs.items()})))
+    held = sum(a.nbytes for a in columns.values()) + sum(
+        sys.getsizeof(k) for k in columns["k_certified"].tolist() if k is not None)
+    assert peak - held < 700 * 2**10
 
 
 def test_resolve_alpha_columns_on_a_partial_table():

@@ -35,14 +35,14 @@ def _written(capsys, out):
     return captured.out.encode(), captured.err.encode(), *files
 
 
-def _assert_cli_matches_reference(argv, table, capsys, rows_per_write=4096):
+def _assert_cli_matches_reference(argv, table, capsys, records_per_write=4096):
     """main(argv), with `table` (dict d -> alpha, or None) standing in for
-    the --alpha-table file and the CLI's writers formatting rows_per_write
+    the --alpha-table file and the CLI's writers formatting records_per_write
     rows at a time, writes what report_reference writes for the same sweep
     on 1 worker; returns the CLI's report bytes."""
     args = build_parser().parse_args(argv)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stardecomp.cli, "ROWS_PER_WRITE", rows_per_write)
+        mp.setattr(stardecomp.cli, "RECORDS_PER_WRITE", records_per_write)
         if table is not None:
             mp.setattr(stardecomp.cli, "load_alpha_table", lambda path: dict(table))
         code = main(argv)
@@ -79,11 +79,11 @@ _KINDS = ["outside", "low", "uniform", "alpha_dk", "high", "estimate"]
 @given(d_min=st.integers(3, 99) | st.integers(100, 3000), size=st.integers(-1, 6),
        use_table=st.booleans(), strict=st.booleans(), threads=st.sampled_from([1, 2]),
        fmt=st.sampled_from(["json", "csv"]), to_file=st.booleans(),
-       rows_per_write=st.sampled_from([1, 2, 4096]), data=st.data())
+       records_per_write=st.sampled_from([1, 2, 4096]), data=st.data())
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_certify_writes_the_reference_bytes(d_min, size, use_table, strict, threads, fmt,
-                                            to_file, rows_per_write, data, tmp_path, capsys):
+                                            to_file, records_per_write, data, tmp_path, capsys):
     d_max = d_min + size - 1
     table = None
     if use_table or (d_min < 20 and size > 0):
@@ -109,7 +109,7 @@ def test_certify_writes_the_reference_bytes(d_min, size, use_table, strict, thre
                 table[d] = data.draw(st.floats(0.45, 0.5, exclude_max=True))
     out = str(tmp_path / f"sweep.{fmt}") if to_file else None
     _assert_cli_matches_reference(_argv(d_min, d_max, table, strict, threads, fmt, out),
-                                  table, capsys, rows_per_write)
+                                  table, capsys, records_per_write)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -120,9 +120,9 @@ def test_table_sweep_error_rows_write_the_reference_bytes(tmp_path, capsys, thre
     table = {d: 0.49 for d in range(3, 20)}
     table.update({5: 0.3, 20: 0.7, 21: 0.0, 24: alpha_dk(24, 14), 25: 0.49, 26: 0.45,
                   40: 0.001})
-    for out, rows_per_write in ((str(tmp_path / f"sweep.{fmt}"), 4096), (None, 4)):
+    for out, records_per_write in ((str(tmp_path / f"sweep.{fmt}"), 4096), (None, 4)):
         text = _assert_cli_matches_reference(
-            _argv(3, 45, table, False, threads, fmt, out), table, capsys, rows_per_write).decode()
+            _argv(3, 45, table, False, threads, fmt, out), table, capsys, records_per_write).decode()
         for error in ("no k in range", "k too large", "alpha at or below alpha_dk",
                       "alpha 0.7 outside (0, 1/2)", "alpha 0.0 outside (0, 1/2)"):
             assert error in text
@@ -155,11 +155,16 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def test_certify_report_bytes_are_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("records_per_write", [None, 1, 3])
+def test_certify_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, records_per_write):
     # The paper's range through the CLI: the JSON report on stdout (so that
     # config.out is null), the CSV report and the sidecar.  The payload pin
     # in test_certify hashes only the compact payload, so these also catch
-    # a change of float format or of layout.
+    # a change of float format or of layout.  The writers keep these bytes
+    # in blocks (RECORDS_PER_WRITE) of one record, and of three, which leave
+    # two for the last block of the 2971.
+    if records_per_write:
+        monkeypatch.setattr(stardecomp.cli, "RECORDS_PER_WRITE", records_per_write)
     assert main(["certify", "--d-min", "30", "--d-max", "3000"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == (
         "208404fb91184f6740e04c5cdbdd8853fa884e3b0b71efe7ac5b25dfdb3dd410")
