@@ -6,14 +6,19 @@ Usage (standard library only):
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --pr N \\
         --workload sweep_1w [--workload decompose_large] --pairs 10 \\
-        [--claim WORKLOAD:METRIC:EXPECTED] [--summary TEXT]
+        [--claim WORKLOAD:METRIC:EXPECTED] [--summary TEXT] [--run-dir DIR]
 
 Each pair runs `python3 perfbench/run.py --workload W --seed 0 --seconds T
---trace 0` once in each checkout, T being BENCHMARK.json's run_seconds: the
-parent first in even pairs (0, 2, ...) and the change first in odd ones.  The
-last two lines of a run's standard output are its `detail` record and its
-metrics.  After the pairs, each side makes one `--trace 1` run per workload
-for the per-layer metrics.
+--trace 0` once for each checkout, T being BENCHMARK.json's run_seconds: the
+parent first in even pairs (0, 2, ...) and the change first in odd ones.
+Every run takes place in the run directory (default: stardecomp-bench in the
+system's temporary directory), emptied and filled with a copy of that
+side's src/, perfbench/, schemas/ and BENCHMARK.json just before it, so
+that both sides run with the same working directory and paths; perfbench's
+peak_rss_mb moves with the checkout's path alone.  The last two lines of a
+run's standard output are its `detail` record and its metrics.  After the
+pairs, each side makes one `--trace 1` run per workload for the per-layer
+metrics.
 
 For each workload and side the file holds every run's end-to-end metrics,
 their median and quartiles (statistics.quantiles, n=4), and, for each metric,
@@ -28,23 +33,36 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# What a perfbench run reads from a checkout.
+COPIED = ("src", "perfbench", "schemas", "BENCHMARK.json")
 
 
-def run_bench(root, workload, seconds, trace):
-    """One perfbench run in checkout `root`, seed 0: (detail, report)."""
+def run_bench(root, run_dir, workload, seconds, trace):
+    """One perfbench run, seed 0, of checkout `root` copied to run_dir:
+    (detail, report)."""
+    shutil.rmtree(run_dir, ignore_errors=True)
+    run_dir.mkdir(parents=True)
+    for name in COPIED:
+        if (root / name).is_dir():
+            shutil.copytree(root / name, run_dir / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(root / name, run_dir / name)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=run_dir, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: "
+        raise RuntimeError(f"{' '.join(cmd)} for {root} exited {proc.returncode}: "
                            f"{(proc.stdout + proc.stderr)[-2000:]}")
     return json.loads(lines[-2])["detail"], json.loads(lines[-1])
 
@@ -83,6 +101,9 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--claim", help="WORKLOAD:METRIC:EXPECTED, recorded as given")
     ap.add_argument("--summary", help="what the change does, recorded as given")
+    ap.add_argument("--run-dir", type=Path,
+                    default=Path(tempfile.gettempdir()) / "stardecomp-bench",
+                    help="the one directory every run takes place in; emptied before each")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -101,7 +122,9 @@ def main(argv=None):
     doc["method"] = (
         "scripts/bench_pairs.py: python3 perfbench/run.py --workload W --seed 0 "
         f"--seconds {seconds:g} --trace 0, {args.pairs} pairs a workload, the parent first "
-        "in even pairs and the change first in odd ones; medians and quartiles "
+        "in even pairs and the change first in odd ones, each run in a fresh copy of "
+        "that side's src/, perfbench/, schemas/ and BENCHMARK.json at one fixed path, "
+        "so that both sides run with the same working directory; medians and quartiles "
         "(statistics.quantiles, n=4) over the pairs; a pair is won when the change's "
         "metric is strictly better.")
     doc["workloads"] = {}
@@ -116,7 +139,7 @@ def main(argv=None):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
                 t0 = time.perf_counter()
-                detail, report = run_bench(roots[side], workload, seconds, 0)
+                detail, report = run_bench(roots[side], args.run_dir, workload, seconds, 0)
                 run = {name: m["value"] for name, m in report["metrics"].items()}
                 run.update(correct=report["correct"], digest=detail["digest"],
                            first_in_pair=side == order[0],
@@ -139,7 +162,7 @@ def main(argv=None):
                 f"{side} wall_s {runs[side][-1]['wall_s']:.4f}" for side in SIDES),
                 file=sys.stderr)
         for side in SIDES:
-            _, report = run_bench(roots[side], workload, seconds, 1)
+            _, report = run_bench(roots[side], args.run_dir, workload, seconds, 1)
             entry[side]["traced_stages"] = {
                 name: m["value"] for name, m in report["metrics"].items()}
         write()

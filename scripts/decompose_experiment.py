@@ -34,8 +34,8 @@ def main():
             continue
         valid, diagnostics = verify_decomposition(g, sd)
         status = "ok" if valid else f"INVALID: {diagnostics}"
-        print(f"seed {seed}: {len(sd.stars)} stars, "
-              f"leftover {len(sd.leftover)}, sampler tries {tries}: {status}")
+        print(f"seed {seed}: {len(sd.centers)} stars, "
+              f"leftover {len(sd.pairs)}, sampler tries {tries}: {status}")
         ok += valid
     print(f"{ok}/{args.trials} verified decompositions "
           f"in {time.time() - t0:.1f}s")

@@ -68,6 +68,8 @@ ROOT_POINTS = 7
 MAX_ROOT_ROUNDS = 200
 # Depth at which a tau interval still open leaves its degree uncertified.
 MAX_DEPTH = 20
+# A sweep report's k_certified where no k certifies.
+NO_K = -1
 # Degrees certified in one set of rounds.  A degree's row takes about 0.1 KB
 # and its lane's solves about 0.5 KB at their peak, besides some 0.3 MB of
 # rate temporaries (RATE_CHUNK), so a block peaks near 2.7 MB and blocks
@@ -621,9 +623,10 @@ class DegreeRecord:
 class SweepReport:
     """A sweep's report.  columns maps each DegreeRecord field, in field
     order, to a numpy array with an entry for each degree.  A float column
-    holds nan where its record does; k_certified, alpha_source, condition
-    and error are object columns, k_certified None where no k certifies and
-    error None where there is none."""
+    holds nan where its record does; k_certified is an int column, NO_K
+    where no k certifies; alpha_source, condition and error are object
+    columns, error None where there is none.  output_columns gives the
+    columns as records and reports read them."""
 
     d_min: int
     d_max: int
@@ -634,7 +637,11 @@ class SweepReport:
     def records(self):
         """The DegreeRecords, made from the columns at the first read."""
         return [DegreeRecord(*row)
-                for row in zip(*(a.tolist() for a in self.columns.values()))]
+                for row in zip(*(a.tolist() for a in self.output_columns().values()))]
+
+    def output_columns(self):
+        """The columns with k_certified read as _IntOrNone."""
+        return {**self.columns, "k_certified": _IntOrNone(self.columns["k_certified"])}
 
     @property
     def exceptional_degrees(self):
@@ -651,6 +658,29 @@ class SweepReport:
 
     def as_dict(self):
         return {**self.summary(), "records": [r.as_dict() for r in self.records]}
+
+
+class _IntOrNone:
+    """An int column read as an object column with None where it holds
+    NO_K, one slice at a time: a slice is one too, and tolist() makes the
+    Python values.  numpy.ma would do, but importing it takes 20 ms and
+    1.2 MB."""
+
+    dtype = np.dtype(object)
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, index):
+        return _IntOrNone(self.values[index])
+
+    def tolist(self):
+        column = self.values.astype(object)
+        column[self.values == NO_K] = None
+        return column.tolist()
 
 
 def load_alpha_table(path):
@@ -688,8 +718,8 @@ def resolve_alpha(degrees, table, strict):
     """Independence densities for a sequence of degrees, as the columns
     (alpha, source): alpha holds each degree's entry of `table` (dict
     d -> alpha, or None) if it has one, else the built-in estimate, computed
-    for such degrees in lockstep alpha_fc_estimates of SWEEP_BLOCK degrees,
-    whose lanes do not depend on the rest of their batch; source, an
+    for such degrees by one alpha_fc_estimate, whose lanes do not depend on
+    the rest of their batch; source, an
     object array, holds "table" or "estimate", every row one of those two
     str objects.
 
@@ -708,8 +738,7 @@ def resolve_alpha(degrees, table, strict):
     alpha = np.empty(len(d))
     alpha[listed] = [table[x] for x in d[listed].tolist()]
     if len(missing):
-        alpha[~listed] = np.concatenate([alpha_fc_estimate(missing[b : b + SWEEP_BLOCK])
-                                         for b in range(0, len(missing), SWEEP_BLOCK)])
+        alpha[~listed] = alpha_fc_estimate(missing)
     # Through masks, so that every row shares one of the two str objects.
     source = np.empty(len(d), dtype=object)
     source[listed], source[~listed] = "table", "estimate"
@@ -734,7 +763,7 @@ def _records(jobs):
         kappa(d.item(outside[0]), alpha.item(outside[0]))  # raises kappa's DomainError
     k_ind = np.floor(d / (2.0 * (1.0 - alpha))).astype(int)  # floor(kappa), bit for bit
     n = len(d)
-    k_cert, d_hat = np.full(n, -1), np.zeros(n, dtype=int)
+    k_cert, d_hat = np.full(n, NO_K), np.zeros(n, dtype=int)
     t1, x1, x2, t2, bmax = (np.full(n, np.nan) for _ in range(5))
     # Through slices and masks, so that every row shares the few str objects.
     condition, error = np.empty(n, dtype=object), np.empty(n, dtype=object)
@@ -776,12 +805,10 @@ def _records(jobs):
         condition[deg[att.strong]] = "strong"
         condition[deg[att.weak & ~att.strong]] = "weak"
         deg, k = deg[~ended], k[~ended] - 1
-    k_certified = k_cert.astype(object)
-    k_certified[k_cert < 0] = None
     return {
         "d": d, "alpha": alpha, "alpha_source": jobs["alpha_source"],
-        "k_ind": k_ind, "k_certified": k_certified,
-        "exceptional": ((k_cert < 0) | (k_cert < k_ind)) & ~undecided,
+        "k_ind": k_ind, "k_certified": k_cert,
+        "exceptional": ((k_cert == NO_K) | (k_cert < k_ind)) & ~undecided,
         "t1": t1, "x1": x1, "x2": x2, "t2": t2, "d_hat": d_hat, "beta_max": bmax,
         "condition": condition, "error": error}
 
@@ -811,8 +838,7 @@ def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):
     "table": densities come from it through resolve_alpha, falling back to
     the built-in estimate per degree unless strict_table is set, in which
     case a missing degree raises KeyError.  Without one the source is
-    "estimate".  The estimates come from lockstep alpha_fc_estimates of
-    SWEEP_BLOCK degrees.
+    "estimate".  The estimates come from one alpha_fc_estimate.
 
     The degrees are certified in rounds (see _records), in blocks of
     SWEEP_BLOCK degrees, each round batching every pending (d, k) of the

@@ -198,10 +198,11 @@ def cmd_certify(args):
     config = _resolved_config(
         args, ["d_min", "d_max", "alpha_table", "strict_table", "out", "format"])
     exceptional = report.exceptional_degrees
+    columns = report.output_columns()
     if args.format == "csv":
-        _emit_csv(report.columns, args.out)
+        _emit_csv(columns, args.out)
     else:
-        _emit(report.summary(), config, args, report.alpha_source, report.columns)
+        _emit(report.summary(), config, args, report.alpha_source, columns)
     if args.out and args.out != "-":
         with open(args.out + ".exceptional.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -249,7 +250,7 @@ def cmd_decompose(args):
         return 1
     with _output(args.out) as fh:
         write_decomposition(sd, fh)
-    print(f"decomposed into {len(sd.stars)} stars, leftover {len(sd.leftover)}",
+    print(f"decomposed into {len(sd.centers)} stars, leftover {len(sd.pairs)}",
           file=sys.stderr)
     return 0
 
@@ -259,8 +260,8 @@ def cmd_verify(args):
     sd = read_decomposition(args.decomposition)
     ok, diagnostics = verify_decomposition(g, sd)
     if ok:
-        print(f"valid: {len(sd.stars)} stars of size {sd.k}, "
-              f"leftover {len(sd.leftover)}")
+        print(f"valid: {len(sd.centers)} stars of size {sd.k}, "
+              f"leftover {len(sd.pairs)}")
         return 0
     for line in diagnostics:
         print(line)

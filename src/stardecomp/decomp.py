@@ -9,24 +9,31 @@ oracles for the orientation feasibility condition.
 The bulk stages (the counts that thinning and trimming start from, star
 extraction and verification) are numpy passes over the graph's edge and CSR
 arrays; the greedy heap, the thinning and trimming loops, the orientation's
-start and path reversal stay sequential.  Tie-breaking is lowest-id-first
-everywhere so identical inputs give identical decompositions.
+start and path reversal stay sequential, and read the CSR arrays through
+memoryviews.  Tie-breaking is lowest-id-first everywhere so identical
+inputs give identical decompositions.
+
+A StarDecomposition is held as arrays from extraction through writing,
+reading and verification: the stars' centers (s,), their leaves (s, k) and
+the leftover edges (r, 2).  Its `stars` and `leftover` lists are built only
+when first read.  Decomposition files are read and written as graph files
+are (graphs): one search for a malformed line, ids converted in blocks of
+lines, rows formatted ROWS_PER_WRITE at a time.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import DomainError, alpha_dk
 from .graphs import (
-    ROWS_PER_WRITE,
     Graph,
     GraphFormatError,
+    bad_line,
     check_thin,
     cross_ends,
     greedy_independent_set,
@@ -34,7 +41,9 @@ from .graphs import (
     induced_subgraph,
     is_independent,
     is_simple,
+    read_ids,
     vertex_mask,
+    write_rows,
 )
 
 
@@ -50,7 +59,7 @@ class Orientation:
     """Head assignment for every edge of a graph (loops head at their vertex)."""
 
     graph: Graph
-    heads: list  # heads[eid] = head vertex of edge eid
+    heads: object  # heads[eid] = head vertex of edge eid, a list or an id array
 
     def in_degrees(self):
         indeg = [0] * self.graph.n
@@ -69,11 +78,76 @@ class InfeasibleCertificate:
     induced: int
 
 
-@dataclass
+def _id_array(values):
+    """values as an int64 array, or an object array of Python ints if one is
+    beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _star_rows(leaves, s):
+    """leaves as s rows, (0, 0) when s is 0, as a k beyond int64 has no
+    (0, k) array."""
+    return leaves.reshape(s, -1) if s else leaves.reshape(0, 0)
+
+
 class StarDecomposition:
-    k: int
-    stars: list  # (center, [leaf_1, ..., leaf_k])
-    leftover: list = field(default_factory=list)  # uncovered (u, v) edges
+    """A k-star (near-)decomposition held as id arrays: centers (s,), the
+    stars' centers; leaves (s, k), row i the leaves of star i ((0, 0) with
+    no star); and pairs (r, 2), the uncovered leftover edges.  The arrays
+    are int64, or object arrays of Python ints where an id is beyond int64.
+
+    stars, a list of (center, [leaf_1, ..., leaf_k]), and leftover, a list
+    of (u, v) tuples, are built from the arrays on first read, as
+    Graph.edges is.  StarDecomposition(k, stars, leftover) builds one from
+    such lists and refuses a star of other than k leaves or a leftover
+    edge of other than two ends; from_arrays takes the arrays as they are.
+    """
+
+    __slots__ = ("k", "centers", "leaves", "pairs", "_stars", "_leftover")
+
+    def __init__(self, k, stars=(), leftover=()):
+        stars, leftover = list(stars), list(leftover)
+        for center, leaves in stars:
+            if len(leaves) != k:
+                raise ValueError(f"star at {center} has {len(leaves)} leaves, expected {k}")
+        if any(len(edge) != 2 for edge in leftover):
+            raise ValueError("a leftover edge has other than two ends")
+        self.k, self.centers = k, _id_array([c for c, _ in stars])
+        self.leaves = _star_rows(_id_array([x for _, leaves in stars for x in leaves]),
+                                 len(stars))
+        self.pairs = _id_array([x for edge in leftover for x in edge]).reshape(-1, 2)
+        self._stars = self._leftover = None
+
+    @classmethod
+    def from_arrays(cls, k, centers, leaves, pairs):
+        sd = cls(k)
+        sd.centers, sd.leaves, sd.pairs = centers, leaves, pairs
+        return sd
+
+    @property
+    def stars(self):
+        if self._stars is None:
+            self._stars = list(zip(self.centers.tolist(), self.leaves.tolist()))
+        return self._stars
+
+    @property
+    def leftover(self):
+        if self._leftover is None:
+            self._leftover = list(map(tuple, self.pairs.tolist()))
+        return self._leftover
+
+    def __eq__(self, other):
+        return (isinstance(other, StarDecomposition) and self.k == other.k
+                and np.array_equal(self.centers, other.centers)
+                and np.array_equal(self.leaves, other.leaves)
+                and np.array_equal(self.pairs, other.pairs))
+
+    def __repr__(self):
+        return (f"StarDecomposition(k={self.k}, stars={len(self.centers)}, "
+                f"leftover={len(self.pairs)})")
 
 
 class SetTooSmall(RuntimeError):
@@ -142,7 +216,7 @@ def relief_trim(g: Graph, thin: ThinIndependentSet, target) -> ThinIndependentSe
     into = np.bincount(outer, minlength=g.n)
     relief = np.bincount(inner[into[outer] >= d_hat], minlength=g.n).tolist()
     into = into.tolist()
-    indptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
+    indptr, nbrs = memoryview(g.indptr), memoryview(g.nbrs)
     # Max-heap on (relief, id) as the min-heap of keys -(relief * n + id);
     # entries for removed members or outdated relief values are skipped
     # when popped.
@@ -171,9 +245,9 @@ def _unload(csr, ends, heads, indeg, x, ell):
     Breadth-first search runs backwards along arcs into x (head to tail)
     until it meets a vertex z with in-degree < ell, then flips the arcs of
     the path from z to x.  csr is the graph's (indptr, nbrs, eids) and ends
-    its edges' ends, edge e's at 2e and 2e + 1, all as lists.  Returns None
-    on success, or the set of vertices the search reached if it found no
-    such z.
+    its edges' ends, edge e's at 2e and 2e + 1, all as memoryviews, and
+    heads a writable one.  Returns None on success, or the set of vertices
+    the search reached if it found no such z.
     """
     indptr, nbrs, eids = csr
     via = {x: None}  # reached vertex -> edge id of its arc toward x
@@ -200,9 +274,9 @@ def _unload(csr, ends, heads, indeg, x, ell):
     return set(via)
 
 
-def _forced_start(csr, ends, ell):
-    """Heads and in-degrees of an orientation of every edge, built so that
-    few in-degrees exceed ell.
+def _forced_start(csr, ends, heads, ell):
+    """Orient every edge, writing its head into heads (a memoryview of -1s),
+    so that few in-degrees exceed ell; returns the in-degrees.
 
     free[v] counts v's edge ends not yet oriented (a loop's two).  A vertex
     with free ends is forced when its in-degree has reached ell, so that
@@ -212,8 +286,8 @@ def _forced_start(csr, ends, ell):
     not yet oriented points at its lower endpoint (a loop at its vertex).
     """
     indptr, nbrs, eids = csr
-    n, m = len(indptr) - 1, len(ends) // 2
-    heads, indeg = [-1] * m, [0] * n
+    n, m = len(indptr) - 1, len(heads)
+    indeg = [0] * n
     free = [indptr[v + 1] - indptr[v] for v in range(n)]
     stack = [v for v in range(n - 1, -1, -1) if free[v] and (ell <= 0 or ell >= free[v])]
     edge = 0
@@ -243,7 +317,7 @@ def _forced_start(csr, ends, ell):
         while edge < m and heads[edge] >= 0:
             edge += 1
         if edge == m:
-            return heads, indeg
+            return indeg
         u, v = ends[2 * edge], ends[2 * edge + 1]
         heads[edge] = u
         indeg[u] += 1
@@ -281,12 +355,14 @@ def in_regular_orientation(H: Graph, ell):
     m, n = H.num_edges(), H.n
     if m > ell * n:
         raise ValueError(f"needs e(H) <= ell*|V|, got {m} > {ell * n}")
-    ends = H.pairs.ravel().tolist()
-    csr = H.indptr.tolist(), H.nbrs.tolist(), H.eids.tolist()
-    heads, indeg = _forced_start(csr, ends, ell)
+    ends = memoryview(H.pairs.reshape(-1))
+    csr = memoryview(H.indptr), memoryview(H.nbrs), memoryview(H.eids)
+    heads = np.full(m, -1, dtype=np.int64)
+    arcs = memoryview(heads)
+    indeg = _forced_start(csr, ends, arcs, ell)
     for x in range(n):
         while indeg[x] > ell:
-            U = _unload(csr, ends, heads, indeg, x, ell)
+            U = _unload(csr, ends, arcs, indeg, x, ell)
             if U is None:
                 continue
             induced = induced_edges(H, U)
@@ -364,53 +440,48 @@ def stars_from_orientation(g: Graph, A, orientation: Orientation, k):
     rank = np.arange(len(order)) - np.repeat(np.cumsum(outdeg) - outdeg, outdeg)
     first = order[rank < k]
     leaves = u[first] + v[first] - tails[first]
-    stars = list(zip(comp.tolist(), leaves.reshape(-1, k).tolist()))
-    leftover = list(map(tuple, g.pairs[order[rank >= k]].tolist()))
-    return StarDecomposition(k=k, stars=stars, leftover=leftover)
+    return StarDecomposition.from_arrays(k, comp, _star_rows(leaves, len(comp)),
+                                         g.pairs[order[rank >= k]])
 
 
-def _vertex_ids(values, n):
-    """values as an int64 array in which every id outside [0, n), however
-    large, reads -1."""
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except OverflowError:
-        ids = np.array([x if 0 <= x < n else -1 for x in values], dtype=np.int64)
-    ids[(ids < 0) | (ids >= n)] = -1
-    return ids
+def _vertex_ids(ends, n):
+    """An id array as int64, every id outside [0, n), however large, as -1."""
+    return np.where((ends >= 0) & (ends < n), ends, -1).astype(np.int64)
 
 
 def verify_decomposition(g: Graph, sd: StarDecomposition):
     """Check that sd is a valid (near-)decomposition of g.
 
-    Returns (ok, diagnostics): star sizes equal k, every star has k distinct
-    leaves other than its center, every star edge is incident to its center,
-    the star edges plus leftover partition E(g) exactly, and the leftover has
-    fewer than k edges.  Claimed edges are compared with g's as sorted keys
-    u * n + v, and counted key by key only when they differ; a claimed pair
-    with an id outside [0, n) is no edge of g and stays out of the keys.
+    Returns (ok, diagnostics): every star has k distinct leaves other than
+    its center, every star edge is incident to its center, the star edges
+    plus leftover partition E(g) exactly, and the leftover has fewer than k
+    edges.  The stars' flags are numpy passes over sd's arrays.  Claimed
+    edges are compared with g's as sorted keys u * n + v, and counted key by
+    key only when they differ; a claimed pair with an id outside [0, n) is
+    no edge of g and stays out of the keys.
     """
     diagnostics = []
-    for center, leaves in sd.stars:
-        if len(leaves) != sd.k:
-            diagnostics.append(
-                f"star at {center} has {len(leaves)} edges, expected {sd.k}"
-            )
-        if center in leaves:
+    centers, leaves, pairs = sd.centers, sd.leaves, sd.pairs
+    as_leaf = (leaves == centers[:, None]).any(axis=1)
+    ordered = np.sort(leaves, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    flagged = np.flatnonzero(as_leaf | repeats)
+    for i, center in zip(flagged.tolist(), centers[flagged].tolist()):
+        if as_leaf[i]:
             diagnostics.append(f"star at {center} has its center as a leaf")
-        if len(set(leaves)) != len(leaves):
+        if repeats[i]:
             diagnostics.append(f"star at {center} repeats a leaf")
-    if len(sd.leftover) > sd.k - 1:
-        diagnostics.append(f"leftover has {len(sd.leftover)} edges > k-1")
+    if len(pairs) > sd.k - 1:
+        diagnostics.append(f"leftover has {len(pairs)} edges > k-1")
     # Claimed edges: each star's (center, leaf) pairs, then the leftover.
-    ends_a = [c for c, leaves in sd.stars for _ in leaves] + [u for u, _ in sd.leftover]
-    ends_b = [x for _, leaves in sd.stars for x in leaves] + [v for _, v in sd.leftover]
+    ends_a = np.concatenate([np.repeat(centers, leaves.shape[1]), pairs[:, 0]])
+    ends_b = np.concatenate([leaves.ravel(), pairs[:, 1]])
     n = g.n
     a, b = _vertex_ids(ends_a, n), _vertex_ids(ends_b, n)
     valid = (a >= 0) & (b >= 0)
-    outside = Counter(
-        (min(ends_a[i], ends_b[i]), max(ends_a[i], ends_b[i]))
-        for i in np.flatnonzero(~valid).tolist())
+    bad = np.flatnonzero(~valid)
+    outside = Counter((min(x, y), max(x, y))
+                      for x, y in zip(ends_a[bad].tolist(), ends_b[bad].tolist()))
     base = max(n, 1)
     claimed = np.minimum(a, b)[valid] * base + np.maximum(a, b)[valid]
     edge_keys = g.pairs[:, 0] * base + g.pairs[:, 1]
@@ -434,7 +505,7 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
             diagnostics.append(
                 f"uncovered edges: {[(key // base, key % base) for key in missing]}"
             )
-    if not sd.leftover and g.num_edges() % sd.k != 0:
+    if not len(pairs) and g.num_edges() % sd.k != 0:
         diagnostics.append("exact decomposition claimed but k does not divide e(G)")
     return not diagnostics, diagnostics
 
@@ -468,23 +539,26 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
     attempts = []
     for attempt in range(max_retries):
         attempt_seed = seed + attempt
-        A0 = greedy_independent_set(g, attempt_seed)
         try:
-            thin = relief_trim(g, thin_down(g, A0, k), target)
+            thin = relief_trim(g, thin_down(g, greedy_independent_set(g, attempt_seed), k),
+                               target)
         except SetTooSmall as exc:
             attempts.append((attempt_seed, "adjust_size", str(exc)))
             continue
-        A = set(thin.members)
-        H, vmap, _ = induced_subgraph(g, set(range(g.n)) - A)
+        A = thin.members
+        H, vmap, _ = induced_subgraph(g, np.flatnonzero(~vertex_mask(g, A)))
         oriented = in_regular_orientation(H, ell)
         if isinstance(oriented, InfeasibleCertificate):
-            witness = sorted(vmap[v] for v in oriented.violating_set)
+            witness = vmap[sorted(oriented.violating_set)].tolist()
             attempts.append(
                 (attempt_seed, "orientation",
                  f"violating set of size {len(witness)}: {witness[:10]}")
             )
             continue
         sd = stars_from_orientation(g, A, oriented, k)
+        # The complement and its orientation go before the check, whose
+        # arrays would otherwise set decompose's peak.
+        del H, vmap, oriented
         ok, diagnostics = verify_decomposition(g, sd)
         if not ok:
             attempts.append((attempt_seed, "verify", "; ".join(diagnostics)))
@@ -537,39 +611,44 @@ def write_decomposition(sd: StarDecomposition, fh):
 
     Text format: first line `k r`, one `center leaf_1 ... leaf_k` line per
     star, then r `u v` leftover lines."""
-    fh.write(f"{sd.k} {len(sd.leftover)}\n")
-    rows = itertools.chain(((center, *leaves) for center, leaves in sd.stars), sd.leftover)
-    while batch := list(itertools.islice(rows, ROWS_PER_WRITE)):
-        lines = "".join(["%d" + " %d" * (len(row) - 1) + "\n" for row in batch])
-        fh.write(lines % tuple(itertools.chain.from_iterable(batch)))
+    fh.write(f"{sd.k} {len(sd.pairs)}\n")
+    write_rows(fh, sd.centers[:, None], sd.leaves)
+    write_rows(fh, sd.pairs)
 
 
 def read_decomposition(path) -> StarDecomposition:
-    """Read write_decomposition's format, skipping blank lines, with one
-    numpy parse of the ids once each line holds k + 1 tokens (a star) or 2
-    (the last r, leftover pairs); ids beyond int64 stay Python ints."""
+    """Read write_decomposition's format, skipping blank lines, in bounded
+    extra memory as graphs.read_graph reads a graph file: the body's star
+    lines of k + 1 tokens run up to the first line that is none, and from
+    there every line must be a leftover line of 2 tokens, r of them, each
+    part checked by one search; the ids are converted in blocks of lines,
+    and ids beyond int64 stay Python ints.  With k = 1 star and leftover
+    lines look alike, and the last r are the leftover."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-    if not lines:
+        text = fh.read().lstrip()
+    if not text:
         raise GraphFormatError(f"{path}: empty file")
+    cut = text.find("\n")
+    start = len(text) if cut < 0 else cut
     try:
-        k, r = map(int, lines[0].split())
-        body = lines[1:]
-        if k < 1 or not 0 <= r <= len(body):
+        k, r = map(int, text[:start].split())
+        if k < 1 or r < 0:
             raise ValueError
-        n_stars = len(body) - r
-        counts = np.fromiter(map(len, map(str.split, body)), dtype=np.int64, count=len(body))
-        if (counts[:n_stars] != k + 1).any() or (counts[n_stars:] != 2).any():
+        # No line holds more than len(text) tokens, so a larger k finds no
+        # star line either.
+        found = bad_line(min(k, len(text)) + 1).search(text, start)
+        split = len(text) if found is None else found.start()
+        if bad_line(2).search(text, split):
             raise ValueError
-        tokens = " ".join(body).split()
-        try:
-            ids = np.array(tokens, dtype=np.int64)
-        except OverflowError:
-            ids = np.array([int(t) for t in tokens], dtype=object)
+        stars, pairs = read_ids(text, start, split), read_ids(text, split, len(text))
+        if k == 1:
+            if 2 * r > len(stars):
+                raise ValueError
+            stars, pairs = stars[: len(stars) - 2 * r], stars[len(stars) - 2 * r :]
+        if len(pairs) != 2 * r:
+            raise ValueError
     except ValueError as exc:
         raise GraphFormatError(f"{path}: malformed decomposition file") from exc
-    width = k + 1 if n_stars else 1
-    rows = ids[: n_stars * width].reshape(n_stars, width)
-    stars = list(zip(rows[:, 0].tolist(), rows[:, 1:].tolist()))
-    leftover = list(map(tuple, ids[len(ids) - 2 * r:].reshape(r, 2).tolist()))
-    return StarDecomposition(k=k, stars=stars, leftover=leftover)
+    s = len(stars) // (k + 1)
+    rows = stars.reshape(s, -1) if s else stars.reshape(0, 1)
+    return StarDecomposition.from_arrays(k, rows[:, 0], rows[:, 1:], pairs.reshape(r, 2))

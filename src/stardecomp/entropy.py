@@ -41,6 +41,11 @@ IND_SET_ERR = 16 * 5.6e-17
 SUBSET_ERR = 1.5e-14
 # Newton steps that predict a replayed bisection's bracket.
 NEWTON_STEPS = 5
+# Lanes that alpha_fm and alpha_fc_estimate solve at once.  A replayed
+# bisection keeps some 30 arrays a lane alive (the guess, the checked
+# bracket, the loop's compacted state), so longer lane arrays are solved a
+# block at a time.
+LANE_BLOCK = 4096
 
 
 class DomainError(ValueError):
@@ -235,6 +240,18 @@ def _as_given(root, *values):
     return root.item() if all(np.ndim(v) == 0 for v in values) else root
 
 
+def _in_blocks(solve, lanes):
+    """solve(lanes), a float per lane, on a 1-d lane array LANE_BLOCK lanes
+    at a time: each lane's value depends on that lane alone, so the bits
+    are those of one call."""
+    if len(lanes) <= LANE_BLOCK:
+        return solve(lanes)
+    out = np.empty(len(lanes))
+    for b in range(0, len(lanes), LANE_BLOCK):
+        out[b : b + LANE_BLOCK] = solve(lanes[b : b + LANE_BLOCK])
+    return out
+
+
 def bisect_root(f, lo, hi, args=(), tol_scale=None, guess=None):
     """Plain bisection for a sign change of f on [lo, hi], run on many
     brackets (lanes) in lockstep.
@@ -349,7 +366,7 @@ def _newton(f, slope, args, x, lo, hi, err, drop=0.0):
 def alpha_fm(d):
     """First-moment upper bound on the independence ratio: the unique root of
     the independent-set rate on (0, 1/2).  An array of degrees is solved as
-    lanes of one bisection.
+    lanes of one bisection, LANE_BLOCK lanes at a time.
 
     The bisection is replayed (see bisect_root) from Newton steps started at
     2(log d - log log d + 1 - log 2)/d, with error bound IND_SET_ERR * d.
@@ -361,6 +378,11 @@ def alpha_fm(d):
     (ds,) = _lanes(d)
     if (ds < 3).any():
         raise DomainError("d must be >= 3")
+    return _as_given(_in_blocks(_alpha_fm, ds), d)
+
+
+def _alpha_fm(ds):
+    """alpha_fm's bisection on the degrees ds, all >= 3, as lanes."""
     lo = np.full(len(ds), 1e-12)
     hi = np.full(len(ds), 0.5 - 1e-12)
     bad = (ind_set_rate(ds, lo) <= 0.0) | (ind_set_rate(ds, hi) >= 0.0)
@@ -371,23 +393,27 @@ def alpha_fm(d):
     slope = lambda d, a: -np.log(a) + d * np.log1p(-2.0 * a) - (d - 1) * np.log1p(-a)
     err = IND_SET_ERR * ds
     guess = (*_newton(ind_set_rate, slope, (ds,), start, lo, hi, err), err)
-    return _as_given(bisect_root(ind_set_rate, lo, hi, (ds,), guess=guess), d)
+    return bisect_root(ind_set_rate, lo, hi, (ds,), guess=guess)
 
 
 def alpha_fc_estimate(d):
     """Estimate of the clustering-corrected independence-ratio bound:
     alpha_fm(d) - (2/e * log(d)/d)^2, with the correction's own error term
     dropped.  Uncontrolled error; always labeled as an estimate in reports.
-    An array of degrees takes one lockstep alpha_fm.
+    An array of degrees takes lockstep alpha_fms, LANE_BLOCK lanes at a time.
     """
     (ds,) = _lanes(d)
     if (ds < 20).any():
         raise DomainError("estimate only defined for d >= 20")
+    return _as_given(_in_blocks(_alpha_fc_estimate, ds), d)
+
+
+def _alpha_fc_estimate(ds):
     # math.log, not np.log: numpy's log rounds differently at some degrees
     # (on an Intel Xeon with numpy 2.4, at 73 of the 99,971 degrees in
     # 30..10^5), which would move those estimates and the sweep's bytes.
     corr = [(2.0 / math.e * math.log(n) / n) ** 2 for n in ds.tolist()]
-    return _as_given(alpha_fm(ds) - corr, d)
+    return _alpha_fm(ds) - corr
 
 
 def alpha_lower_ref(d: int) -> float:

@@ -4,14 +4,16 @@ sampling, subgraph statistics, and small-instance brute-force oracles.
 A Graph is immutable after construction.  It holds its edges as an (m, 2)
 int64 array and its adjacency as CSR arrays; the bulk stages here and in
 `decomp` work on those arrays in numpy, and the inherently sequential ones
-(the greedy heap, the relief heap, path reversal) read them as Python lists
-taken once per call.  Vertex subsets are plain Python sets of vertex ids.
-Loops are allowed and count twice toward degree.
+(the greedy heap, the relief heap, path reversal) read them through
+memoryviews, with no per-element copy.  Vertex subsets are plain Python
+sets of vertex ids, or id arrays.  Loops are allowed and count twice toward
+degree.
 
 Graph files are read in bounded extra memory: one search finds the first
 malformed body line, with no state kept from line to line, and the body's
 ids are converted a block of lines at a time; they are written
-ROWS_PER_WRITE lines at a time.
+ROWS_PER_WRITE lines at a time.  Decomposition files are read and written
+the same way (decomp).
 """
 
 from __future__ import annotations
@@ -28,16 +30,9 @@ BRUTEFORCE_VERTEX_CAP = 24
 # read_graph's Graph allocates CSR offsets and a degree count, 16 bytes per
 # vertex the header names, before any edge counts, and decompose's
 # sequential stages then hold Python lists, sets and heaps per vertex: on a
-# simple graph with n = 10^5 and d = 5 the `decompose` CLI peaks at 120 MB
-# resident and `verify` at 104 MB.  A larger count is refused.
+# simple graph with n = 10^5 and d = 5 the `decompose` CLI peaks at 89 MB
+# resident and `verify` at 68 MB.  A larger count is refused.
 MAX_VERTICES = 1_000_000
-# A line of a graph file's body: blank, or two whitespace-separated tokens.
-# [^\S\n] is whitespace within a line, as str.split and str.strip see it.
-# _BAD_LINE matches the newline before the first line that is neither; one
-# search keeps no state from line to line, and its literal newline lets sre
-# skip to line starts.
-_EDGE_LINE = r"[^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*)?"
-_BAD_LINE = re.compile(rf"\n(?!{_EDGE_LINE}$)", re.MULTILINE)
 # Characters of a graph body converted to ids at a time: their tokens, as
 # Python strings, take some 10 bytes a character.
 READ_BLOCK_CHARS = 1 << 14
@@ -48,6 +43,20 @@ ROWS_PER_WRITE = 4096
 
 class GraphFormatError(ValueError):
     """Malformed graph or decomposition file."""
+
+
+def bad_line(tokens):
+    r"""A pattern whose search finds the newline before the first line that is
+    neither blank nor `tokens` whitespace-separated tokens.  [^\S\n] is
+    whitespace within a line, as str.split and str.strip see it; one search
+    keeps no state from line to line, and its literal newline lets sre skip
+    to line starts."""
+    line = rf"[^\S\n]*(?:\S+(?:[^\S\n]+\S+){{{tokens - 1}}}[^\S\n]*)?"
+    return re.compile(rf"\n(?!{line}$)", re.MULTILINE)
+
+
+# The lines of a graph file's body.
+_BAD_LINE = bad_line(2)
 
 
 class Graph:
@@ -81,19 +90,22 @@ class Graph:
         hi = np.maximum(ends[:, 0], ends[:, 1])
         self.n = n
         self.pairs = np.column_stack([lo, hi])
-        # Half-edge 2e is edge e seen from lo, 2e + 1 from hi.  Sorting the
-        # keys tail * 2m + half-edge sorts by tail, each vertex's entries in
-        # edge-id order, as a stable argsort would; the keys are distinct
-        # and below n * 2m, which must fit in int64 so that none wraps.
+        # Half-edge 2e is edge e seen from lo, 2e + 1 from hi, and h ^ 1 is
+        # h's other end.  Sorting the keys tail * 2m + half-edge sorts by
+        # tail, each vertex's entries in edge-id order, as a stable argsort
+        # would; the keys are distinct and below n * 2m, which must fit in
+        # int64 so that none wraps.  They become the half-edges in place.
         tails = self.pairs.ravel()
         half = len(tails)
         if n * half >= 2**63:
             raise ValueError(f"n * 2m = {n * half} overflows the CSR sort keys")
-        keys = tails * half + np.arange(half)
+        keys = tails * half
+        keys += np.arange(half)
         keys.sort()
-        order = keys % max(half, 1)
-        self.nbrs = np.column_stack([hi, lo]).ravel()[order]
-        self.eids = order >> 1
+        keys %= max(half, 1)
+        self.eids = keys >> 1
+        keys ^= 1
+        self.nbrs = tails[keys]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=n), out=self.indptr[1:])
         for a in (self.pairs, self.nbrs, self.eids, self.indptr):
@@ -192,9 +204,9 @@ def sample_simple(n, d, seed, max_tries=100000):
 
 
 def vertex_mask(g: Graph, U):
-    """Boolean array over g's vertices, True on the ids in U.  Raises
-    ValueError on an id outside [0, n)."""
-    ids = np.fromiter(U, dtype=np.int64)
+    """Boolean array over g's vertices, True on the ids in U, an iterable or
+    an id array.  Raises ValueError on an id outside [0, n)."""
+    ids = U if isinstance(U, np.ndarray) else np.fromiter(U, dtype=np.int64)
     if ids.size and not (0 <= ids.min() and ids.max() < g.n):
         raise ValueError(f"vertex ids outside [0,{g.n})")
     mask = np.zeros(g.n, dtype=bool)
@@ -227,16 +239,16 @@ def cut_edges(g: Graph, U) -> int:
 def induced_subgraph(g: Graph, U):
     """Subgraph on U with vertices relabeled 0..|U|-1 in sorted id order.
 
-    Returns (subgraph, vertex_map, edge_map) where vertex_map[i] is the
-    original id of new vertex i and edge_map[j] the original edge id of new
-    edge j.
+    Returns (subgraph, vertex_map, edge_map), two int64 arrays, where
+    vertex_map[i] is the original id of new vertex i and edge_map[j] the
+    original edge id of new edge j.
     """
     mask = vertex_mask(g, U)
     keep = mask[g.pairs[:, 0]] & mask[g.pairs[:, 1]]
     relabel = np.cumsum(mask) - 1  # increasing, so rows keep u <= v
     vmap = np.flatnonzero(mask)
     sub = Graph(len(vmap), relabel[g.pairs[keep]])
-    return sub, vmap.tolist(), np.flatnonzero(keep).tolist()
+    return sub, vmap, np.flatnonzero(keep)
 
 
 def cheeger_bruteforce(g: Graph, x0) -> float:
@@ -275,16 +287,16 @@ def greedy_independent_set(g: Graph, seed) -> set:
     priority = rng.permutation(n)
     # A heap key deg * n + priority orders as (deg, priority), and the
     # priority, a permutation of the ids, names the vertex through inverse.
-    inverse = np.argsort(priority).tolist()
-    priority = priority.tolist()
+    inverse = memoryview(np.argsort(priority))
     alive = [True] * n
     loop = g.pairs[:, 0] == g.pairs[:, 1]
-    deg = np.bincount(g.pairs[~loop].ravel(), minlength=n).tolist()
+    deg = np.bincount(g.pairs[~loop].ravel(), minlength=n)
     # A vertex with a loop can never join an independent set.
-    loopy = set(g.pairs[loop, 0].tolist())
-    indptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
-    heap = [deg[v] * n + priority[v] for v in range(n) if v not in loopy]
+    loopy = vertex_mask(g, g.pairs[loop, 0])
+    heap = (deg * n + priority)[~loopy].tolist()
     heapq.heapify(heap)
+    deg, priority, loopy = deg.tolist(), memoryview(priority), memoryview(loopy)
+    indptr, nbrs = memoryview(g.indptr), memoryview(g.nbrs)
     chosen = set()
     while heap:
         best = inverse[heapq.heappop(heap) % n]
@@ -298,7 +310,7 @@ def greedy_independent_set(g: Graph, seed) -> set:
             for w in nbrs[indptr[v]:indptr[v + 1]]:
                 if alive[w]:
                     deg[w] -= 1
-                    if w not in loopy:
+                    if not loopy[w]:
                         heapq.heappush(heap, deg[w] * n + priority[w])
     return chosen
 
@@ -319,6 +331,16 @@ def check_thin(g: Graph, A, d_hat) -> bool:
     return not np.any(np.bincount(outer, minlength=g.n) > d_hat)
 
 
+def write_rows(fh, *columns):
+    """Write the rows of the 2-d id arrays `columns`, side by side, to the
+    open text file fh, one line a row with its ids separated by spaces,
+    ROWS_PER_WRITE rows formatted at a time."""
+    line = " ".join(["%d"] * sum(c.shape[1] for c in columns)) + "\n"
+    for start in range(0, len(columns[0]), ROWS_PER_WRITE):
+        rows = np.hstack([c[start : start + ROWS_PER_WRITE] for c in columns])
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def write_graph(g: Graph, fh):
     """Write g to the open text file fh, ROWS_PER_WRITE edges formatted at a
     time.
@@ -327,27 +349,25 @@ def write_graph(g: Graph, fh):
     edge; repeated lines encode multiplicity, `u u` a loop."""
     d = int(g.degrees().max(initial=0))
     fh.write(f"{g.n} {d}\n")
-    for start in range(0, g.num_edges(), ROWS_PER_WRITE):
-        rows = g.pairs[start : start + ROWS_PER_WRITE]
-        fh.write(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    write_rows(fh, g.pairs)
 
 
-def _edge_ids(text, start):
-    """The ids of text[start:], a body that _BAD_LINE finds no fault in, as
-    an (m, 2) array, converted READ_BLOCK_CHARS characters at a time in
-    blocks cut at newlines."""
-    blocks = []
-    while True:
-        stop = text.find("\n", start + READ_BLOCK_CHARS)
-        tokens = (text[start:] if stop < 0 else text[start:stop]).split()
+def read_ids(text, start, stop):
+    """The ids of text[start:stop], whole lines of tokens that int() reads,
+    as a flat int64 array (an object array of ints if one is beyond int64),
+    converted READ_BLOCK_CHARS characters at a time in blocks cut at
+    newlines."""
+    blocks = [np.empty(0, dtype=np.int64)]  # for an empty body
+    while start < stop:
+        cut = text.find("\n", start + READ_BLOCK_CHARS, stop)
+        end = stop if cut < 0 else cut
+        tokens = text[start:end].split()
         try:
             blocks.append(np.array(tokens, dtype=np.int64))
         except OverflowError:
-            # An id beyond int64: Graph still names the first bad edge.
             blocks.append(np.array([int(t) for t in tokens], dtype=object))
-        if stop < 0:
-            return np.concatenate(blocks).reshape(-1, 2)
-        start = stop + 1
+        start = end + 1
+    return np.concatenate(blocks)
 
 
 def read_graph(path) -> Graph:
@@ -363,7 +383,9 @@ def read_graph(path) -> Graph:
         n, _ = map(int, text[:start].split())
         if n < 0 or _BAD_LINE.search(text, start):
             raise ValueError
-        ends = _edge_ids(text, start)
+        # An id beyond int64 leaves an object array: Graph still names the
+        # first bad edge.
+        ends = read_ids(text, start, len(text)).reshape(-1, 2)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: malformed graph file") from exc
     del text  # before Graph builds its arrays

@@ -731,23 +731,22 @@ def test_json_report_writer_holds_a_bounded_working_set(tmp_path):
     report = sweep(30, 3000)
     args = Namespace(out=str(tmp_path / "sweep.json"))
     assert _traced_peak(lambda: _emit(report.summary(), {}, args, report.alpha_source,
-                                      report.columns)) < 2**20
+                                      report.output_columns())) < 2**20
 
 
 @pytest.mark.parametrize("size", [1024, 8192])
 def test_sweep_part_holds_one_block_beyond_its_columns(monkeypatch, size):
     # In blocks of 256 degrees, _sweep_part's peak beyond what its columns
-    # hold (their buffers and k_certified's ints) is one block's working
-    # set, the same at both sizes: 0.55-0.6 MB.  Joining the blocks' columns
-    # into a second copy took 0.93 MB at 8192 degrees.
+    # hold (their buffers; k_certified is an int column) is one block's
+    # working set, the same at both sizes: 0.55-0.6 MB.  Joining the blocks'
+    # columns into a second copy took 0.93 MB at 8192 degrees.
     monkeypatch.setattr(sys.modules["stardecomp.certify"], "SWEEP_BLOCK", 256)
     d = np.arange(10**5, 10**5 + size)
     alpha, source = resolve_alpha(d, None, False)
     jobs = {"d": d, "alpha": alpha, "alpha_source": source}
     columns = {}
     peak = _traced_peak(lambda: columns.update(_sweep_part({n: a.copy() for n, a in jobs.items()})))
-    held = sum(a.nbytes for a in columns.values()) + sum(
-        sys.getsizeof(k) for k in columns["k_certified"].tolist() if k is not None)
+    held = sum(a.nbytes for a in columns.values())
     assert peak - held < 700 * 2**10
 
 

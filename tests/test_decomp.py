@@ -4,9 +4,11 @@ reversal, star extraction, verification, and the end-to-end pipeline."""
 import ast
 import hashlib
 import io
+import os
 import re
 import sys
 import tempfile
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -258,6 +260,27 @@ def test_orientation_matches_bruteforce(seed):
         assert induced_edges(g, witness) > ell * len(witness)
 
 
+def _traced_peak(build):
+    """The most bytes allocated at once while build() runs, as tracemalloc,
+    started just before it, counts them."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [6000, 24000])
+def test_orientation_holds_little_per_vertex(n):
+    # A 4-regular multigraph oriented with in-degrees 2: about 100 bytes a
+    # vertex under tracemalloc at both sizes, for the heads array and the
+    # per-vertex lists.  Python lists of the CSR arrays and edge ends took
+    # 580, a Python int per edge end alone 160.
+    g = config_model_sample(n, 4, seed=1)
+    assert _traced_peak(lambda: in_regular_orientation(g, 2)) < 200 * n
+
+
 def small_decomposition_instance():
     """6-cycle with A = {0, 2, 4}: the complement is independent, so three
     2-stars centered at the odd vertices cover everything."""
@@ -298,10 +321,9 @@ def test_verify_catches_missing_edges_and_sizes():
     ok, diagnostics = verify_decomposition(g, sd)
     assert not ok
     assert any("uncovered" in msg for msg in diagnostics)
-    bad_size = StarDecomposition(k=2, stars=[(1, [0]), (3, [2, 0]), (2, [3])])
-    ok, diagnostics = verify_decomposition(g, bad_size)
-    assert not ok
-    assert any("expected 2" in msg for msg in diagnostics)
+    # A star of other than k leaves is refused when the decomposition is built.
+    with pytest.raises(ValueError, match="star at 1 has 1 leaves, expected 2"):
+        StarDecomposition(k=2, stars=[(1, [0]), (3, [2, 0]), (2, [3])])
 
 
 def test_verify_rejects_center_leaf_and_repeated_leaf():
@@ -350,10 +372,10 @@ def claimed_stars(g, rng, k):
 
 
 def mutate(sd, g, rng):
-    """One fault in place: a swapped leaf, a duplicated star, a leaf that is
+    """sd with one fault: a swapped leaf, a duplicated star, a leaf that is
     negative or >= n, a dropped or an extra leftover edge, or a loop claimed
     as a star edge."""
-    stars, leftover = sd.stars, sd.leftover
+    stars, leftover = list(sd.stars), list(sd.leftover)
     fault = int(rng.integers(6))
     if fault in (0, 2, 5) and stars:
         i = int(rng.integers(len(stars)))
@@ -373,6 +395,7 @@ def mutate(sd, g, rng):
         del leftover[int(rng.integers(len(leftover)))]
     else:
         leftover.append((int(rng.integers(g.n)), int(rng.integers(g.n))))
+    return StarDecomposition(k=sd.k, stars=stars, leftover=leftover)
 
 
 def reference_diagnostics(g, diagnostics):
@@ -396,7 +419,7 @@ def test_verify_matches_counter_reference(seed, k, faults):
     rng = np.random.default_rng(seed)
     sd = claimed_stars(g, rng, k)
     for _ in range(faults):
-        mutate(sd, g, rng)
+        sd = mutate(sd, g, rng)
     ok, diagnostics = verify_decomposition(g, sd)
     ref_ok, ref_diagnostics = ref.verify_decomposition(g, sd)
     assert ok == ref_ok
@@ -584,6 +607,23 @@ def test_read_decomposition_matches_line_parser(seed):
             assert str(got.value) == str(exc)
         else:
             assert read_decomposition(path) == expected
+
+
+@pytest.mark.parametrize("s", [5000, 40000])
+def test_read_decomposition_holds_little_beyond_its_arrays(tmp_path, s):
+    # Random 3-stars: read_decomposition's peak is the file's text and two
+    # copies of the ids (the blocks and their join), and 0.04-0.13 MB more
+    # at both sizes, under a bound that does not grow with the file
+    # (0.5 MB).  A list of the lines, their join and a list of every token
+    # took 24 bytes a character.
+    rng = np.random.default_rng(s)
+    stars = zip(rng.integers(0, 10**6, s).tolist(), rng.integers(0, 10**6, (s, 3)).tolist())
+    sd = StarDecomposition(k=3, stars=stars, leftover=[(1, 2)])
+    path = tmp_path / "sd.txt"
+    with open(path, "w") as fh:
+        write_decomposition(sd, fh)
+    ids = 8 * (4 * s + 2)
+    assert _traced_peak(lambda: read_decomposition(path)) < os.path.getsize(path) + 2 * ids + 2**19
 
 
 def test_read_decomposition_malformed(tmp_path):

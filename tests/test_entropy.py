@@ -7,6 +7,8 @@ digits and are frozen here as string-derived constants.
 
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -520,6 +522,31 @@ def _assert_lanes_independent(fn, lanes, padding, rnd):
 def test_alpha_fm_lane_independent_of_its_batch(degrees, rnd):
     _assert_lanes_independent(alpha_fm, [(d,) for d in degrees],
                               [(3,), (4,), (10**6,)] * LANES, rnd)
+
+
+def test_alpha_fm_solves_long_lane_arrays_in_blocks(monkeypatch):
+    # Blocks of any size give the bits of one call on all lanes, for
+    # alpha_fm and alpha_fc_estimate alike.
+    module = sys.modules["stardecomp.entropy"]
+    d = np.arange(20, 20 + 9000)
+    whole = alpha_fm(d).tobytes(), alpha_fc_estimate(d).tobytes()
+    for block in (1000, 4096, 10**6):
+        monkeypatch.setattr(module, "LANE_BLOCK", block)
+        assert (alpha_fm(d).tobytes(), alpha_fc_estimate(d).tobytes()) == whole
+
+
+def test_alpha_fm_holds_one_block_beyond_its_lanes():
+    # On 10^5 degrees the peak beyond their copy and the result, 16 bytes a
+    # lane, is one block's working set: 1 MB under tracemalloc.  Solving all
+    # lanes at once took 262 bytes a lane.
+    d = np.arange(30, 30 + 10**5)
+    tracemalloc.start()
+    try:
+        alpha_fm(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 16 * len(d) < 1.5 * 2**20
 
 
 _DEGREE = st.integers(3, 10**5) | st.integers(3, 50)
