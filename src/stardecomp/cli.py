@@ -15,8 +15,9 @@ solve finds no sign change (d = 10^15), 2 usage errors (including
 estimate below d = 20, and `decompose --k` at or below d/2), 3 missing
 alpha-table entry under --strict-table, 4 I/O and parse errors (including
 a graph header above graphs.MAX_VERTICES vertices, a graph that `decompose`
-refuses as not simple or not regular, and an alpha table with a row of
-other than two fields, a repeated degree or an alpha outside (0, 1/2)).
+refuses as not simple or not regular, an alpha table with a row of
+other than two fields, a repeated degree or an alpha outside (0, 1/2), and
+a run out of memory, as a `certify` range too large to hold).
 """
 
 from __future__ import annotations
@@ -331,6 +332,9 @@ def main(argv=None):
         code = args.func(args)
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"stardecomp: {exc}", file=sys.stderr)
+        code = 4
+    except MemoryError as exc:  # a `certify` range too large to hold
+        print(f"stardecomp: {str(exc) or 'out of memory'}", file=sys.stderr)
         code = 4
     except RuntimeError as exc:  # thresholds' root solve found no sign change
         print(f"stardecomp: {exc}", file=sys.stderr)

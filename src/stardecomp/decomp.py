@@ -3,8 +3,8 @@
 Pipeline: greedy independent set -> thinning -> trimming to the target
 density (relief_trim) -> in-regular orientation of the complement, a
 forced-edge start repaired by path reversal (or a Hakimi witness that none
-exists) -> star extraction, plus verifiers and small-instance brute-force
-oracles for the orientation feasibility condition.
+exists) -> star extraction, plus a verifier and a small-instance brute-force
+oracle for the orientation feasibility condition.
 
 The bulk stages (the counts that thinning and trimming start from, star
 extraction and verification) are numpy passes over the graph's edge and CSR
@@ -15,10 +15,9 @@ inputs give identical decompositions.
 
 A StarDecomposition is held as arrays from extraction through writing,
 reading and verification: the stars' centers (s,), their leaves (s, k) and
-the leftover edges (r, 2).  Its `stars` and `leftover` lists are built only
-when first read.  Decomposition files are read and written as graph files
-are (graphs): one search for a malformed line, ids converted in blocks of
-lines, rows formatted ROWS_PER_WRITE at a time.
+the leftover edges (r, 2).  Decomposition files are read and written as
+graph files are (graphs): one search for a malformed line, ids converted in
+blocks of lines, rows formatted ROWS_PER_WRITE at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import DomainError, alpha_dk
+from .entropy import DomainError
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -61,12 +60,6 @@ class Orientation:
     graph: Graph
     heads: object  # heads[eid] = head vertex of edge eid, a list or an id array
 
-    def in_degrees(self):
-        indeg = [0] * self.graph.n
-        for v in self.heads:
-            indeg[v] += 1
-        return indeg
-
 
 @dataclass
 class InfeasibleCertificate:
@@ -78,66 +71,32 @@ class InfeasibleCertificate:
     induced: int
 
 
-def _id_array(values):
-    """values as an int64 array, or an object array of Python ints if one is
-    beyond int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _star_rows(leaves, s):
     """leaves as s rows, (0, 0) when s is 0, as a k beyond int64 has no
     (0, k) array."""
     return leaves.reshape(s, -1) if s else leaves.reshape(0, 0)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class StarDecomposition:
     """A k-star (near-)decomposition held as id arrays: centers (s,), the
-    stars' centers; leaves (s, k), row i the leaves of star i ((0, 0) with
-    no star); and pairs (r, 2), the uncovered leftover edges.  The arrays
-    are int64, or object arrays of Python ints where an id is beyond int64.
-
-    stars, a list of (center, [leaf_1, ..., leaf_k]), and leftover, a list
-    of (u, v) tuples, are built from the arrays on first read, as
-    Graph.edges is.  StarDecomposition(k, stars, leftover) builds one from
-    such lists and refuses a star of other than k leaves or a leftover
-    edge of other than two ends; from_arrays takes the arrays as they are.
+    stars' centers; leaves (s, k), row i the leaves of star i; and pairs
+    (r, 2), the uncovered leftover edges.  The arrays are int64, or object
+    arrays of Python ints where an id is beyond int64.  Leaves not (s, k),
+    unless empty with no star, and pairs not (r, 2) are refused.
     """
 
-    __slots__ = ("k", "centers", "leaves", "pairs", "_stars", "_leftover")
+    k: int
+    centers: np.ndarray
+    leaves: np.ndarray
+    pairs: np.ndarray
 
-    def __init__(self, k, stars=(), leftover=()):
-        stars, leftover = list(stars), list(leftover)
-        for center, leaves in stars:
-            if len(leaves) != k:
-                raise ValueError(f"star at {center} has {len(leaves)} leaves, expected {k}")
-        if any(len(edge) != 2 for edge in leftover):
-            raise ValueError("a leftover edge has other than two ends")
-        self.k, self.centers = k, _id_array([c for c, _ in stars])
-        self.leaves = _star_rows(_id_array([x for _, leaves in stars for x in leaves]),
-                                 len(stars))
-        self.pairs = _id_array([x for edge in leftover for x in edge]).reshape(-1, 2)
-        self._stars = self._leftover = None
-
-    @classmethod
-    def from_arrays(cls, k, centers, leaves, pairs):
-        sd = cls(k)
-        sd.centers, sd.leaves, sd.pairs = centers, leaves, pairs
-        return sd
-
-    @property
-    def stars(self):
-        if self._stars is None:
-            self._stars = list(zip(self.centers.tolist(), self.leaves.tolist()))
-        return self._stars
-
-    @property
-    def leftover(self):
-        if self._leftover is None:
-            self._leftover = list(map(tuple, self.pairs.tolist()))
-        return self._leftover
+    def __post_init__(self):
+        s = len(self.centers)
+        if self.leaves.shape != (s, self.k) and (s or self.leaves.size):
+            raise ValueError(f"leaves of shape {self.leaves.shape}, expected ({s}, {self.k})")
+        if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
+            raise ValueError(f"leftover pairs of shape {self.pairs.shape}, expected (r, 2)")
 
     def __eq__(self, other):
         return (isinstance(other, StarDecomposition) and self.k == other.k
@@ -440,8 +399,7 @@ def stars_from_orientation(g: Graph, A, orientation: Orientation, k):
     rank = np.arange(len(order)) - np.repeat(np.cumsum(outdeg) - outdeg, outdeg)
     first = order[rank < k]
     leaves = u[first] + v[first] - tails[first]
-    return StarDecomposition.from_arrays(k, comp, _star_rows(leaves, len(comp)),
-                                         g.pairs[order[rank >= k]])
+    return StarDecomposition(k, comp, _star_rows(leaves, len(comp)), g.pairs[order[rank >= k]])
 
 
 def _vertex_ids(ends, n):
@@ -569,42 +527,6 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
     raise DecompositionFailed(stage, detail, attempts)
 
 
-def check_sufficiency(g: Graph, A, d_hat, c, k):
-    """Exhaustively evaluate the three sufficient conditions that make the
-    orientation of g[complement of A] feasible (n <= 20):
-
-    (i)   A is d_hat-thin with density exactly 1 - d/(2k);
-    (ii)  e[U] <= (d-k)|U| for every U in the complement with |U| <= c*N;
-    (iii) e[W] <= (k-d_hat)|W| for every complement W with
-          |W| < (1 - alpha - c)*N.
-
-    Returns a dict with one boolean per condition.
-    """
-    if g.n > 20:
-        raise ValueError("graph too large for exhaustive scan")
-    d = g.degree(0) if g.n else 0
-    A = set(A)
-    alpha = alpha_dk(d, k)
-    thin_ok = is_independent(g, A) and check_thin(g, A, d_hat)
-    density_ok = abs(len(A) - alpha * g.n) < 1e-9
-    comp = [v for v in range(g.n) if v not in A]
-    ii = True
-    iii = True
-    limit_ii = c * g.n
-    limit_iii = (1.0 - alpha - c) * g.n
-    for S in range(1, 1 << len(comp)):
-        U = [comp[i] for i in range(len(comp)) if S >> i & 1]
-        e_in = induced_edges(g, U)
-        if len(U) <= limit_ii and e_in > (d - k) * len(U):
-            ii = False
-        if len(U) < limit_iii and e_in > (k - d_hat) * len(U):
-            iii = False
-        if not ii and not iii:
-            break
-    return {"thin_and_density": thin_ok and density_ok, "small_sets": ii,
-            "large_complements": iii}
-
-
 def write_decomposition(sd: StarDecomposition, fh):
     """Write sd to the open text file fh, ROWS_PER_WRITE lines formatted at a
     time.
@@ -651,4 +573,4 @@ def read_decomposition(path) -> StarDecomposition:
         raise GraphFormatError(f"{path}: malformed decomposition file") from exc
     s = len(stars) // (k + 1)
     rows = stars.reshape(s, -1) if s else stars.reshape(0, 1)
-    return StarDecomposition.from_arrays(k, rows[:, 0], rows[:, 1:], pairs.reshape(r, 2))
+    return StarDecomposition(k, rows[:, 0], rows[:, 1:], pairs.reshape(r, 2))

@@ -107,16 +107,6 @@ def _hs(*xs):
     return out
 
 
-def shannon_entropy(probs):
-    """Shannon entropy (nats) of a discrete distribution given as a sequence."""
-    p = np.asarray(probs, dtype=float)
-    _reject(p < -CLAMP_TOL, "negative probability {}", p)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise DomainError(f"probabilities sum to {total}, expected 1")
-    return float(np.sum(h(p)))
-
-
 @dataclass(frozen=True)
 class LabelDistribution:
     """A vertex-label distribution together with a symmetric distribution on

@@ -1,5 +1,6 @@
 """Multigraphs in compressed sparse row (CSR) form, configuration-model
-sampling, subgraph statistics, and small-instance brute-force oracles.
+sampling, subgraph statistics, and a small-instance brute-force oracle for
+the independence number.
 
 A Graph is immutable after construction.  It holds its edges as an (m, 2)
 int64 array and its adjacency as CSR arrays; the bulk stages here and in
@@ -19,8 +20,6 @@ the same way (decomp).
 from __future__ import annotations
 
 import heapq
-import itertools
-import math
 import re
 
 import numpy as np
@@ -224,16 +223,11 @@ def cross_ends(g: Graph, mask):
 
 
 def induced_edges(g: Graph, U) -> int:
-    """Number of edges (with multiplicity) with both endpoints in U; a loop at
-    a vertex of U counts once."""
-    U = set(U)
-    return sum(1 for u, v in g.edges if u in U and v in U)
-
-
-def cut_edges(g: Graph, U) -> int:
-    """Number of edges with exactly one endpoint in U (loops never cut)."""
-    U = set(U)
-    return sum(1 for u, v in g.edges if (u in U) != (v in U))
+    """Number of edges (with multiplicity) with both endpoints in U, an
+    iterable or an id array; a loop at a vertex of U counts once.  Raises
+    ValueError on an id outside [0, n)."""
+    mask = vertex_mask(g, U)
+    return int(np.count_nonzero(mask[g.pairs[:, 0]] & mask[g.pairs[:, 1]]))
 
 
 def induced_subgraph(g: Graph, U):
@@ -249,28 +243,6 @@ def induced_subgraph(g: Graph, U):
     vmap = np.flatnonzero(mask)
     sub = Graph(len(vmap), relabel[g.pairs[keep]])
     return sub, vmap, np.flatnonzero(keep)
-
-
-def cheeger_bruteforce(g: Graph, x0) -> float:
-    """min e[U, complement] / |U| over nonempty U with |U| <= x0 * n, by
-    exhaustive subset scan.  Capped at 24 vertices."""
-    n = g.n
-    if n > BRUTEFORCE_VERTEX_CAP:
-        raise ValueError(f"n={n} exceeds brute-force cap {BRUTEFORCE_VERTEX_CAP}")
-    max_size = math.floor(x0 * n)
-    if max_size < 1:
-        raise ValueError("x0 too small: no admissible subset")
-    masks = [(1 << u, 1 << v) for u, v in g.edges]
-    best = math.inf
-    for S in range(1, 1 << n):
-        size = S.bit_count()
-        if size > max_size:
-            continue
-        cut = sum(1 for mu, mv in masks if bool(S & mu) != bool(S & mv))
-        ratio = cut / size
-        if ratio < best:
-            best = ratio
-    return best
 
 
 def greedy_independent_set(g: Graph, seed) -> set:
@@ -316,8 +288,7 @@ def greedy_independent_set(g: Graph, seed) -> set:
 
 
 def is_independent(g: Graph, A) -> bool:
-    mask = vertex_mask(g, A)
-    return not np.any(mask[g.pairs[:, 0]] & mask[g.pairs[:, 1]])
+    return induced_edges(g, A) == 0
 
 
 def check_thin(g: Graph, A, d_hat) -> bool:
@@ -396,14 +367,6 @@ def read_graph(path) -> Graph:
         return Graph(n, ends)
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
-
-
-def complete_graph(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
-def cycle_graph(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def petersen_graph():

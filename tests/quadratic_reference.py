@@ -20,6 +20,7 @@ from collections import Counter
 
 import numpy as np
 
+from oracles import leftover_list, star_decomposition, star_list
 from stardecomp.decomp import (
     InfeasibleCertificate,
     Orientation,
@@ -176,7 +177,7 @@ def read_decomposition(path) -> StarDecomposition:
             leftover.append((u, v))
     except ValueError as exc:
         raise GraphFormatError(f"{path}: malformed decomposition file") from exc
-    return StarDecomposition(k=k, stars=stars, leftover=leftover)
+    return star_decomposition(k, stars, leftover)
 
 
 def induced_subgraph(g: Graph, U):
@@ -242,7 +243,7 @@ def stars_from_orientation(g: Graph, A, orientation: Orientation, k):
         stars.append((v, leaves))
         for eid in eids[k:]:
             leftover.append(g.edges[eid])
-    return StarDecomposition(k=k, stars=stars, leftover=leftover)
+    return star_decomposition(k, stars, leftover)
 
 
 def verify_decomposition(g: Graph, sd: StarDecomposition):
@@ -255,7 +256,7 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
     """
     diagnostics = []
     claimed = []
-    for center, leaves in sd.stars:
+    for center, leaves in star_list(sd):
         if len(leaves) != sd.k:
             diagnostics.append(
                 f"star at {center} has {len(leaves)} edges, expected {sd.k}"
@@ -266,10 +267,11 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
             diagnostics.append(f"star at {center} repeats a leaf")
         for leaf in leaves:
             claimed.append((center, leaf) if center <= leaf else (leaf, center))
-    for u, v in sd.leftover:
+    leftover = leftover_list(sd)
+    for u, v in leftover:
         claimed.append((u, v) if u <= v else (v, u))
-    if len(sd.leftover) > sd.k - 1:
-        diagnostics.append(f"leftover has {len(sd.leftover)} edges > k-1")
+    if len(leftover) > sd.k - 1:
+        diagnostics.append(f"leftover has {len(leftover)} edges > k-1")
     have = Counter(claimed)
     want = Counter(g.edges)
     extra = have - want
@@ -280,7 +282,7 @@ def verify_decomposition(g: Graph, sd: StarDecomposition):
         diagnostics.append(
             f"uncovered edges: {sorted(missing.elements())[:10]}"
         )
-    if not sd.leftover and len(g.edges) % sd.k != 0:
+    if not leftover and len(g.edges) % sd.k != 0:
         diagnostics.append("exact decomposition claimed but k does not divide e(G)")
     return not diagnostics, diagnostics
 

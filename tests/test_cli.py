@@ -8,6 +8,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from types import ModuleType
 
 import jsonschema
 import pytest
@@ -18,8 +19,9 @@ from stardecomp.cli import main
 from stardecomp.decomp import read_decomposition
 from stardecomp.graphs import MAX_VERTICES, GraphFormatError, read_graph
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = REPO / "schemas"
+TRACER = REPO / "perfbench" / "tracer.py"
 
 
 def load_schema(name):
@@ -167,6 +169,24 @@ def test_json_reports_keep_the_indented_layout(tmp_path, argv):
     assert run(argv + ["--out", str(out)]) == 0
     data = out.read_bytes()
     assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 74.5 GiB for an array with shape (9999999971,)"),
+    MemoryError(),
+])
+def test_certify_range_too_large_to_hold_exits_4(tmp_path, monkeypatch, capsys, error):
+    # A sweep whose arrays cannot be allocated, as --d-max 10^10, ends in
+    # one line and exit 4, not a traceback.  The sweep is replaced, so
+    # nothing large is allocated.
+    def sweep(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("stardecomp.cli.sweep", sweep)
+    out = tmp_path / "sweep.json"
+    assert run(["certify", "--d-min", "30", "--d-max", str(10**10), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"stardecomp: {str(error) or 'out of memory'}\n"
+    assert not out.exists()
 
 
 def test_certify_estimate_needs_d20():
@@ -442,15 +462,57 @@ def test_sample_stdout(capsys):
     assert len(lines) == 1 + 8  # header + n*d/2 edges
 
 
-def test_traced_names_resolve_after_importing_the_cli():
-    # perfbench/tracer.py wraps each (module, attribute) of its WRAPPED list
-    # through getattr on sys.modules[module]; `run.py --trace 1` needs every
-    # one to exist once stardecomp.cli is imported.  The file is parsed, not
-    # imported.
+def _traced_names():
+    """The (module, attribute) of each entry of perfbench/tracer.py's WRAPPED
+    list; the file is parsed, not imported."""
     (wrapped,) = [node.value for node in ast.parse(TRACER.read_text()).body
                   if isinstance(node, ast.Assign)
                   and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
-    names = [(entry.elts[0].value, entry.elts[1].value) for entry in wrapped.elts]
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in wrapped.elts]
+
+
+def test_traced_names_resolve_after_importing_the_cli():
+    # perfbench/tracer.py wraps each (module, attribute) of its WRAPPED list
+    # through getattr on sys.modules[module]; `run.py --trace 1` needs every
+    # one to exist once stardecomp.cli is imported.
+    names = _traced_names()
     assert names
     for module, attr in names:
         assert hasattr(sys.modules[module], attr), (module, attr)
+
+
+def test_submodules_import_as_modules():
+    # `import a.b as x` binds the attribute b of package a: the package
+    # binds no name of its own over a submodule's.
+    import stardecomp.certify as certify
+    import stardecomp.cli as cli
+    import stardecomp.decomp as decomp
+    import stardecomp.entropy as entropy
+    import stardecomp.graphs as graphs
+
+    for module in (certify, cli, decomp, entropy, graphs):
+        assert isinstance(module, ModuleType), module
+
+
+def _parsed(paths):
+    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+
+
+def test_every_public_name_in_src_has_a_caller():
+    # A public top-level function or class of src/ is loaded by name in src/
+    # or scripts/, wrapped by perfbench's tracer, or imported by the
+    # acceptance suite; anything else only tests call, and belongs in
+    # tests/oracles.py.
+    src = sorted((REPO / "src" / "stardecomp").glob("*.py"))
+    loaded = {node.id for tree in _parsed(src + sorted((REPO / "scripts").glob("*.py")))
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    loaded |= {attr for _, attr in _traced_names()}
+    loaded |= {alias.name for tree in _parsed([REPO / "tests" / "test_acceptance.py"])
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    uncalled = [f"{path.stem}.{node.name}" for path, tree in zip(src, _parsed(src))
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and node.name not in loaded]
+    assert uncalled == []

@@ -2,6 +2,7 @@
 reversal, star extraction, verification, and the end-to-end pipeline."""
 
 import ast
+import dataclasses
 import hashlib
 import io
 import os
@@ -23,7 +24,6 @@ from stardecomp.decomp import (
     Orientation,
     SetTooSmall,
     StarDecomposition,
-    check_sufficiency,
     decompose,
     in_regular_orientation,
     orientation_feasible_bruteforce,
@@ -38,9 +38,7 @@ from stardecomp.graphs import (
     Graph,
     GraphFormatError,
     check_thin,
-    complete_graph,
     config_model_sample,
-    cycle_graph,
     greedy_independent_set,
     independence_number_bruteforce,
     induced_edges,
@@ -52,6 +50,15 @@ from stardecomp.graphs import (
 )
 
 import quadratic_reference as ref
+from oracles import (
+    check_sufficiency,
+    complete_graph,
+    cycle_graph,
+    in_degrees,
+    leftover_list,
+    star_decomposition,
+    star_list,
+)
 
 
 def random_multigraph(seed, max_n=10, max_m=16):
@@ -135,14 +142,14 @@ def test_orientation_exact_on_cycle():
     g = cycle_graph(7)
     res = in_regular_orientation(g, 1)
     assert isinstance(res, Orientation)
-    assert res.in_degrees() == [1] * 7
+    assert in_degrees(res) == [1] * 7
 
 
 def test_orientation_at_most_mode():
     g = Graph(4, [(0, 1), (1, 2)])
     res = in_regular_orientation(g, 1)
     assert isinstance(res, Orientation)
-    assert max(res.in_degrees()) <= 1
+    assert max(in_degrees(res)) <= 1
 
 
 def test_orientation_infeasible_certificate():
@@ -165,7 +172,7 @@ def test_orientation_handles_loops_and_multiedges():
     g = Graph(3, [(0, 0), (0, 1), (1, 2), (1, 2), (2, 0), (2, 2)])
     res = in_regular_orientation(g, 2)
     assert isinstance(res, Orientation)
-    assert res.in_degrees() == [2, 2, 2]
+    assert in_degrees(res) == [2, 2, 2]
 
 
 def test_orientation_exact_on_pipeline_complement():
@@ -178,7 +185,7 @@ def test_orientation_exact_on_pipeline_complement():
     assert H.num_edges() == 2 * H.n
     res = in_regular_orientation(H, 2)
     assert isinstance(res, Orientation)
-    assert res.in_degrees() == [2] * H.n
+    assert in_degrees(res) == [2] * H.n
     for (u, v), head in zip(H.edges, res.heads):
         assert head in (u, v)
 
@@ -216,7 +223,7 @@ def test_orientation_verdicts_match_reference_and_bruteforce(seed, mode):
     assert isinstance(ref.in_regular_orientation(g, ell, mode), Orientation) == feasible
     if feasible:
         assert all(head in e for e, head in zip(g.edges, res.heads))
-        indeg = res.in_degrees()
+        indeg = in_degrees(res)
         assert indeg == [ell] * n if m == ell * n else max(indeg, default=0) <= ell
     else:
         U = res.violating_set
@@ -232,6 +239,8 @@ def test_orientation_infeasible_clique_among_isolated_vertices():
     g = Graph(500, [(u + offset, v + offset) for u, v in clique.edges])
     res = in_regular_orientation(g, ell)
     assert isinstance(res, InfeasibleCertificate)
+    # The witness is re-checked on the edge array: no tuple list is built.
+    assert g._edges is None
     U = res.violating_set
     assert U <= set(range(offset, offset + 2 * ell + 2))
     assert res.induced == induced_edges(g, U) > ell * len(U)
@@ -253,7 +262,7 @@ def test_orientation_matches_bruteforce(seed):
     res = in_regular_orientation(g, ell)
     if feasible:
         assert isinstance(res, Orientation)
-        assert max(res.in_degrees()) <= ell
+        assert max(in_degrees(res)) <= ell
     else:
         assert isinstance(res, InfeasibleCertificate)
         assert induced_edges(g, res.violating_set) > ell * len(res.violating_set)
@@ -296,9 +305,9 @@ def test_stars_from_orientation_small():
     sd = stars_from_orientation(g, A, orientation, 2)
     ok, diagnostics = verify_decomposition(g, sd)
     assert ok, diagnostics
-    assert len(sd.stars) == 3
-    assert sd.leftover == []
-    assert {c for c, _ in sd.stars} == {1, 3, 5}
+    assert len(sd.centers) == 3
+    assert not len(sd.pairs)
+    assert set(sd.centers.tolist()) == {1, 3, 5}
     # An orientation of any other graph than g[complement of A] is refused.
     with pytest.raises(ValueError):
         stars_from_orientation(g, {0, 3}, orientation, 2)
@@ -309,7 +318,7 @@ def test_stars_from_orientation_small():
 def test_verify_catches_double_cover():
     g = cycle_graph(4)
     # Edge (0, 1) claimed by both stars; (2, 3) never covered.
-    sd = StarDecomposition(k=2, stars=[(1, [0, 2]), (0, [1, 3])])
+    sd = star_decomposition(2, [(1, [0, 2]), (0, [1, 3])])
     ok, diagnostics = verify_decomposition(g, sd)
     assert not ok
     assert any("covered" in msg for msg in diagnostics)
@@ -317,24 +326,46 @@ def test_verify_catches_double_cover():
 
 def test_verify_catches_missing_edges_and_sizes():
     g = cycle_graph(4)
-    sd = StarDecomposition(k=2, stars=[(1, [0, 2])])
+    sd = star_decomposition(2, [(1, [0, 2])])
     ok, diagnostics = verify_decomposition(g, sd)
     assert not ok
     assert any("uncovered" in msg for msg in diagnostics)
     # A star of other than k leaves is refused when the decomposition is built.
-    with pytest.raises(ValueError, match="star at 1 has 1 leaves, expected 2"):
-        StarDecomposition(k=2, stars=[(1, [0]), (3, [2, 0]), (2, [3])])
+    with pytest.raises(ValueError, match=r"leaves of shape \(1, 1\), expected \(1, 2\)"):
+        StarDecomposition(2, np.array([1]), np.array([[0]]), np.empty((0, 2), dtype=np.int64))
+
+
+def test_star_decomposition_refuses_arrays_of_other_shapes():
+    # Three 2-leaf stars cover the 6-cycle exactly, but they are no 3-stars:
+    # called that, they are refused before verify_decomposition can pass them.
+    g = cycle_graph(6)
+    centers, leaves = np.array([1, 3, 5]), np.array([[0, 2], [2, 4], [4, 0]])
+    no_pairs = np.empty((0, 2), dtype=np.int64)
+    assert verify_decomposition(g, StarDecomposition(2, centers, leaves, no_pairs)) == (True, [])
+    with pytest.raises(ValueError, match=r"leaves of shape \(3, 2\), expected \(3, 3\)"):
+        StarDecomposition(3, centers, leaves, no_pairs)
+    with pytest.raises(ValueError, match="leaves of shape"):
+        StarDecomposition(2, centers, leaves.ravel(), no_pairs)
+    for pairs in (np.array([0, 1]), np.empty((0, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match="leftover pairs of shape"):
+            StarDecomposition(2, centers, leaves, pairs)
+    # With no star, the leaves may be any empty array.
+    empty = np.empty(0, dtype=np.int64)
+    sd = StarDecomposition(3, empty, empty.reshape(0, 0), np.array([[0, 1]]))
+    assert repr(sd) == "StarDecomposition(k=3, stars=0, leftover=1)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sd.k = 2
 
 
 def test_verify_rejects_center_leaf_and_repeated_leaf():
     # Each star covers the multigraph's edges exactly, but a star edge may
     # neither be a loop nor repeat a leaf.
     g = Graph(2, [(0, 0), (0, 1)])
-    ok, diagnostics = verify_decomposition(g, StarDecomposition(k=2, stars=[(0, [0, 1])]))
+    ok, diagnostics = verify_decomposition(g, star_decomposition(2, [(0, [0, 1])]))
     assert not ok
     assert any("center as a leaf" in msg for msg in diagnostics)
     g = Graph(2, [(0, 1), (0, 1)])
-    ok, diagnostics = verify_decomposition(g, StarDecomposition(k=2, stars=[(0, [1, 1])]))
+    ok, diagnostics = verify_decomposition(g, star_decomposition(2, [(0, [1, 1])]))
     assert not ok
     assert any("repeats a leaf" in msg for msg in diagnostics)
 
@@ -345,7 +376,7 @@ def test_verify_reports_a_pair_outside_the_graph(leaf):
     # (0, 3) goes uncovered.  Ids outside [0, n) never reach the key u * n + v,
     # so they can neither wrap nor overflow it.
     g = complete_graph(4)
-    sd = StarDecomposition(k=3, stars=[(0, [1, 2, leaf]), (1, [2, 3, 0]), (2, [3, 0, 1])])
+    sd = star_decomposition(3, [(0, [1, 2, leaf]), (1, [2, 3, 0]), (2, [3, 0, 1])])
     ok, diagnostics = verify_decomposition(g, sd)
     assert not ok
     e = (min(0, leaf), max(0, leaf))
@@ -368,14 +399,14 @@ def claimed_stars(g, rng, k):
         whole = len(leaves) - len(leaves) % k
         stars += [(c, leaves[i:i + k]) for i in range(0, whole, k)]
         leftover += [(c, x) for x in leaves[whole:]]
-    return StarDecomposition(k=k, stars=stars, leftover=leftover)
+    return star_decomposition(k, stars, leftover)
 
 
 def mutate(sd, g, rng):
     """sd with one fault: a swapped leaf, a duplicated star, a leaf that is
     negative or >= n, a dropped or an extra leftover edge, or a loop claimed
     as a star edge."""
-    stars, leftover = list(sd.stars), list(sd.leftover)
+    stars, leftover = star_list(sd), leftover_list(sd)
     fault = int(rng.integers(6))
     if fault in (0, 2, 5) and stars:
         i = int(rng.integers(len(stars)))
@@ -395,7 +426,7 @@ def mutate(sd, g, rng):
         del leftover[int(rng.integers(len(leftover)))]
     else:
         leftover.append((int(rng.integers(g.n)), int(rng.integers(g.n))))
-    return StarDecomposition(k=sd.k, stars=stars, leftover=leftover)
+    return star_decomposition(sd.k, stars, leftover)
 
 
 def reference_diagnostics(g, diagnostics):
@@ -458,9 +489,7 @@ def test_stars_from_orientation_matches_reference(seed, k, fault):
 
 def test_verify_leftover_cap():
     g = cycle_graph(4)
-    sd = StarDecomposition(
-        k=2, stars=[], leftover=[(0, 1), (1, 2), (2, 3), (0, 3)]
-    )
+    sd = star_decomposition(2, leftover=[(0, 1), (1, 2), (2, 3), (0, 3)])
     ok, diagnostics = verify_decomposition(g, sd)
     assert not ok
     assert any("leftover" in msg for msg in diagnostics)
@@ -471,8 +500,8 @@ def test_decompose_small_regular_graph():
     sd = decompose(g, 4, seed=0)
     ok, diagnostics = verify_decomposition(g, sd)
     assert ok, diagnostics
-    assert len(sd.stars) == 60 * 6 // (2 * 4)
-    assert sd.leftover == []
+    assert len(sd.centers) == 60 * 6 // (2 * 4)
+    assert not len(sd.pairs)
 
 
 def test_pipeline_files_keep_their_bytes():
@@ -493,7 +522,7 @@ def test_decompose_deterministic():
     g, _ = sample_simple(60, 6, seed=2)
     sd1 = decompose(g, 4, seed=3)
     sd2 = decompose(g, 4, seed=3)
-    assert sd1.stars == sd2.stars and sd1.leftover == sd2.leftover
+    assert sd1 == sd2
 
 
 def test_decompose_rejects_bad_inputs():
@@ -532,7 +561,7 @@ def test_decompose_cycle_with_k_at_least_d(n, stars):
     sd = decompose(g, 2)
     ok, diagnostics = verify_decomposition(g, sd)
     assert ok, diagnostics
-    assert sd.stars == stars and sd.leftover == []
+    assert star_list(sd) == stars and leftover_list(sd) == []
 
 
 def test_check_sufficiency_small_instance():
@@ -550,8 +579,7 @@ def test_decomposition_file_roundtrip(tmp_path):
         write_decomposition(sd, fh)
     back = read_decomposition(path)
     assert back.k == sd.k
-    assert back.stars == sd.stars
-    assert back.leftover == list(sd.leftover)
+    assert back == sd
 
 
 # Whitespace within a line as str.split sees it, line ends that text mode
@@ -618,7 +646,7 @@ def test_read_decomposition_holds_little_beyond_its_arrays(tmp_path, s):
     # took 24 bytes a character.
     rng = np.random.default_rng(s)
     stars = zip(rng.integers(0, 10**6, s).tolist(), rng.integers(0, 10**6, (s, 3)).tolist())
-    sd = StarDecomposition(k=3, stars=stars, leftover=[(1, 2)])
+    sd = star_decomposition(3, stars, leftover=[(1, 2)])
     path = tmp_path / "sd.txt"
     with open(path, "w") as fh:
         write_decomposition(sd, fh)

@@ -33,12 +33,12 @@ from stardecomp.entropy import (
     ind_set_rate,
     kappa,
     pair_rate,
-    shannon_entropy,
     subset_rate,
     threshold_report,
 )
 
 import bisect_reference as ref
+from oracles import shannon_entropy
 
 # mpmath oracle values (30 digits, rounded to double precision on parse).
 PHI_3_01 = 0.3083818426923689331118515

@@ -19,11 +19,7 @@ from stardecomp.graphs import (
     GraphFormatError,
     _pairs_distinct,
     check_thin,
-    cheeger_bruteforce,
-    complete_graph,
     config_model_sample,
-    cut_edges,
-    cycle_graph,
     greedy_independent_set,
     independence_number_bruteforce,
     induced_edges,
@@ -38,6 +34,7 @@ from stardecomp.graphs import (
 
 import quadratic_reference as ref
 import sampler_reference
+from oracles import cheeger_bruteforce, complete_graph, cut_edges, cycle_graph
 
 
 def random_multigraph(seed, max_n=12, max_m=20):
@@ -239,7 +236,11 @@ def test_induced_cut_edge_counts():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 0)])
     U = {0, 1}
     assert induced_edges(g, U) == 2  # (0,1) and the loop at 0
+    assert induced_edges(g, np.array([0, 1])) == 2
     assert cut_edges(g, U) == 2  # (1,2) and (4,0)
+    for bad in ({0, 5}, {-1}):
+        with pytest.raises(ValueError, match="outside"):
+            induced_edges(g, bad)
 
 
 @given(st.integers(min_value=0, max_value=500))

@@ -3,7 +3,6 @@ inverse and certify._roots, which evaluate their rates only inside checked
 brackets, against the lockstep loops of bisect_reference, which evaluate
 every point.  Every root, r_lo and r_hi must keep its bits."""
 
-import importlib
 import warnings
 
 import numpy as np
@@ -11,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bisect_reference as ref
+import stardecomp.certify as certify
+import stardecomp.entropy as entropy
 from stardecomp.certify import RATE_EPS, _cap, _root_bracket, _roots, beta_max, pair_rate_grid
 from stardecomp.entropy import (
     INV_TOL_SCALE,
@@ -21,9 +22,6 @@ from stardecomp.entropy import (
     subset_rate,
 )
 
-# The modules, which the package's names of its functions shadow.
-certify = importlib.import_module("stardecomp.certify")
-entropy = importlib.import_module("stardecomp.entropy")
 degrees = st.integers(3, 3000) | st.integers(3, 10**9)
 unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
