@@ -2,8 +2,9 @@
 
 Given a triple (d, k, alpha) — alpha being a density at which an independent
 set is assumed to exist — decide whether the thin-set + orientation method
-guarantees a k-star decomposition a.a.s., and sweep degree ranges to find the
-exceptional degrees where only k_ind - 1 certifies.
+guarantees a k-star decomposition a.a.s., and, for each degree of a range,
+find the largest k that certifies, from k_ind = floor(kappa) down to above
+d/2: the exceptional degrees are those where it is below k_ind.
 
 The condition asks that (tau*d - d_hat) * beta < alpha - alpha_dk wherever
 the pair rate at (alpha, beta, tau) is nonnegative, for beta > 0 and tau in
@@ -18,10 +19,12 @@ over-certify.  The solves are replayed from a bracket about each root,
 checked against the rate's error bound, and evaluate the rate only inside
 it (see _roots), so every output keeps its bits.
 
-A sweep certifies its degrees in rounds.  A round holds every pending (d, k)
-as numpy columns, which go through the array cores of derive_dhat, beta_max
-and check_condition as lockstep lanes whose results do not depend on the
-rest of their batch; a degree that fails goes to the next round with k - 1.
+A sweep certifies its degrees in rounds, the only search over k here.  A
+round holds every pending (d, k) as numpy columns, which go through the
+array cores of derive_dhat, beta_max and check_condition as lockstep lanes
+whose results do not depend on the rest of their batch; a degree that fails
+goes to the next round with k - 1.  certify is one lane of one round, and
+certify_degree the rounds of one degree.
 A lane fails alone: the rest of its batch goes on.  Each round writes its
 lanes into the rows of the report's columns (SweepReport.columns, a dict of
 numpy arrays) that they decide, a failing lane's exception included, as that
@@ -34,7 +37,6 @@ run it through the cores.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -566,30 +568,14 @@ class _Attempts:
 
 
 def certify_degree(d, alpha):
-    """Find the largest certifiable star size for degree d at independence
-    density alpha.
-
-    Starts at k = floor(kappa(d, alpha)) and decrements until a k certifies or
-    k <= d/2, one certify per k; a k the procedure does not apply to is
-    recorded with the error "k too large" (k >= d - 1) or "alpha at or below
-    alpha_dk", and skipped.  Returns (k_certified or None, list of (k,
-    CertifyResult)).  Raises ValueError for an alpha outside (0, 1/2), and
-    what certify raises.
-    """
+    """The largest certifiable star size for degree d at independence density
+    alpha, and the row a sweep reports for d: sweep's rounds on the one degree,
+    alpha from a table.  Returns (k_certified or None, DegreeRecord).  Raises
+    ValueError for an alpha outside (0, 1/2)."""
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha {alpha} outside (0, 1/2)")
-    results = []
-    for k in range(math.floor(d / (2.0 * (1.0 - alpha))), d // 2, -1):  # floor(kappa)
-        if k >= d - 1:
-            res = CertifyResult(error="k too large")
-        elif alpha <= 1.0 - d / (2.0 * k):  # alpha_dk(d, k)
-            res = CertifyResult(error="alpha at or below alpha_dk")
-        else:
-            res = certify(CertifyInput(d=d, k=k, alpha=alpha))
-        results.append((k, res))
-        if res.certified:
-            return k, results
-    return None, results
+    rec = sweep(d, d, alpha_table={d: alpha}).records[0]
+    return rec.k_certified, rec
 
 
 @dataclass
@@ -748,15 +734,21 @@ def resolve_alpha(degrees, table, strict):
 def _records(jobs):
     """The sweep's records as columns, a dict as in SweepReport, for jobs,
     the columns d, alpha and alpha_source of degrees certified in one set of
-    rounds: certify_degree on each degree, its attempts batched.
+    rounds.
 
-    A round holds the pending (d, k) of all degrees as columns and makes
-    their attempts in one _Attempts.run; a degree that fails goes on to the
-    next round with k - 1.  Each round writes its lanes into the rows: a
-    degree reports the attempt that certifies it, else its first (largest-k)
-    one.  A degree for which certify_degree raises is an error row, the
-    exception's text its error; undecided, it is not exceptional.  No
-    DegreeRecord is made."""
+    Each degree starts at k = k_ind = floor(kappa(d, alpha)).  Before a
+    round, a k the procedure does not apply to is skipped, and recorded as
+    the error "k too large" (k >= d - 1) or "alpha at or below alpha_dk" if
+    it is the degree's first.  A round holds the pending (d, k) of all
+    degrees with k > d/2 as columns and makes their attempts in one
+    _Attempts.run; a degree that fails goes on to the next round with
+    k - 1.  Each round writes its lanes into the rows: a degree reports the
+    attempt that certifies it, else its first (largest-k) one, and "no k in
+    range" where it makes none.  A lane whose attempt raises (a derive_dhat
+    error other than a CertifyError) ends its degree as an error row, the
+    exception's text its error; undecided, it is not exceptional.  An alpha
+    in [0, 1) but outside (0, 1/2) is an undecided error row too, and one
+    outside [0, 1) raises kappa's DomainError.  No DegreeRecord is made."""
     d, alpha = jobs["d"], jobs["alpha"]
     outside = np.flatnonzero(~((0.0 <= alpha) & (alpha < 1.0)))
     if len(outside):
@@ -832,7 +824,8 @@ def _sweep_part(jobs):
 
 
 def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):
-    """Run certify_degree over a degree range.
+    """Certify each degree of d_min..d_max: its largest certifiable k, from
+    k_ind down, and the row of the attempt that decides it.
 
     A nonempty alpha_table (dict d -> alpha) gives the report's alpha_source
     "table": densities come from it through resolve_alpha, falling back to
@@ -843,8 +836,8 @@ def sweep(d_min, d_max, alpha_table=None, threads=1, strict_table=False):
     The degrees are certified in rounds (see _records), in blocks of
     SWEEP_BLOCK degrees, each round batching every pending (d, k) of the
     block, a degree that fails going on with k - 1, and writing the rows
-    its lanes decide; a degree for which certify_degree raises reports the
-    exception's text as its error.
+    its lanes decide; a degree whose attempt raises reports the exception's
+    text as its error.
     With threads > 1 the pool has min(threads, os.cpu_count(), number of
     degrees) workers, and worker i runs the same rounds on every
     workers-th degree from the i-th, which spreads the costly low degrees

@@ -12,12 +12,12 @@ verification or decomposition, and `thresholds` at a degree whose root
 solve finds no sign change (d = 10^15), 2 usage errors (including
 --max-retries < 1, --threads < 1, `sample --simple` with d >= n, a
 `sample --simple` run out of tries, a `certify` range that needs the
-estimate below d = 20, and `decompose --k` at or below d/2), 3 missing
-alpha-table entry under --strict-table, 4 I/O and parse errors (including
-a graph header above graphs.MAX_VERTICES vertices, a graph that `decompose`
-refuses as not simple or not regular, an alpha table with a row of
-other than two fields, a repeated degree or an alpha outside (0, 1/2), and
-a run out of memory, as a `certify` range too large to hold).
+estimate below d = 20, and `decompose --k` at or below d/2 or above d),
+3 missing alpha-table entry under --strict-table, 4 I/O and parse errors
+(including a graph header above graphs.MAX_VERTICES vertices, a graph
+that `decompose` refuses as not simple or not regular, an alpha table with
+a row of other than two fields, a repeated degree or an alpha outside
+(0, 1/2), and a run out of memory, as a `certify` range too large to hold).
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def cmd_decompose(args):
     g = read_graph(args.graph)
     try:
         sd = decompose(g, args.k, seed=args.seed, max_retries=args.max_retries)
-    except DomainError as exc:  # k <= d/2
+    except DomainError as exc:  # k <= d/2 or k > d
         print(f"decompose: {exc}", file=sys.stderr)
         return 2
     except DecompositionFailed as exc:

@@ -479,8 +479,9 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
 
     If k does not divide e(g) the result is a near-decomposition with at most
     k - 1 leftover edges.  Raises ValueError if g has loops or multi-edges or
-    is not regular, then DomainError if k <= d/2, and DecompositionFailed
-    with the failing stage after max_retries attempts.
+    is not regular, then DomainError if k <= d/2 or, for d >= 1, k > d (the
+    target set would exceed n/2, more than any independent set holds), and
+    DecompositionFailed with the failing stage after max_retries attempts.
     """
     if not is_simple(g):
         raise ValueError("graph has loops or multi-edges; decompose needs a "
@@ -490,6 +491,8 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
     d = g.degree(0) if g.n else 0
     if 2 * k <= d:
         raise DomainError(f"need k > d/2, got d={d}, k={k}")
+    if k > d > 0:
+        raise DomainError(f"need k <= d, got d={d}, k={k}")
     # alpha_dk(d, k) * n = n * (2k - d) / (2k); integer ceiling avoids float
     # roundoff pushing the target one vertex too high.
     target = -(g.n * (2 * k - d) // -(2 * k))

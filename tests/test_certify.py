@@ -9,7 +9,6 @@ import math
 import os
 import random
 import re
-import sys
 import tracemalloc
 import warnings
 from argparse import Namespace
@@ -32,7 +31,6 @@ from stardecomp.certify import (
     _derive,
     _sweep_part,
     beta_max,
-    certify,
     certify_degree,
     check_condition,
     derive_dhat,
@@ -58,6 +56,8 @@ from stardecomp.entropy import (
 import bisect_reference
 import grid_reference as ref
 import rounds_reference
+import stardecomp.certify as certify
+import stardecomp.entropy as entropy
 from stardecomp.cli import _emit, main
 
 # The size of a large batch of lanes in the tests below.
@@ -377,7 +377,7 @@ def test_open_interval_at_the_depth_cap_fails_the_degree(monkeypatch):
     res, bmax = _sweep_case(d, k, alpha)
     args = (d, k, res.d_hat, alpha, bmax, res.tau_plus)
     assert check_condition(*args)[:2] == (False, True)
-    monkeypatch.setattr(sys.modules["stardecomp.certify"], "MAX_DEPTH", 0)
+    monkeypatch.setattr(certify, "MAX_DEPTH", 0)
     assert check_condition(*args)[:2] == (False, False)
 
 
@@ -413,7 +413,7 @@ def test_certify_d100_strong():
     d = 100
     alpha = alpha_fc_estimate(d)
     assert math.floor(kappa(d, alpha)) == 53
-    res = certify(CertifyInput(d=d, k=53, alpha=alpha))
+    res = certify.certify(CertifyInput(d=d, k=53, alpha=alpha))
     assert res.error is None
     assert res.certified
     assert res.strong_condition_met
@@ -424,7 +424,7 @@ def test_certify_d100_strong():
 @pytest.mark.parametrize("d, k", [(31, 18), (50, 28)])
 def test_failing_check_reports_a_violation_as_witness(d, k):
     alpha = alpha_fc_estimate(d)
-    res = certify(CertifyInput(d=d, k=k, alpha=alpha))
+    res = certify.certify(CertifyInput(d=d, k=k, alpha=alpha))
     assert not res.certified
     beta, tau, slack = res.worst_witness
     assert slack < 0.0
@@ -435,7 +435,7 @@ def test_failing_check_reports_a_violation_as_witness(d, k):
 def test_weak_only_certificate_witness_has_positive_slack():
     d, k = 30, 17
     alpha = alpha_fc_estimate(d)
-    res = certify(CertifyInput(d=d, k=k, alpha=alpha))
+    res = certify.certify(CertifyInput(d=d, k=k, alpha=alpha))
     assert res.certified and not res.strong_condition_met
     beta, tau, slack = res.worst_witness
     assert slack > 0.0
@@ -444,9 +444,9 @@ def test_weak_only_certificate_witness_has_positive_slack():
 
 def test_certify_degree_non_exceptional():
     d = 30
-    k, results = certify_degree(d, alpha_fc_estimate(d))
-    assert k == math.floor(kappa(d, alpha_fc_estimate(d)))
-    assert results[-1][1].certified
+    k, rec = certify_degree(d, alpha_fc_estimate(d))
+    assert k == rec.k_certified == rec.k_ind == math.floor(kappa(d, alpha_fc_estimate(d)))
+    assert rec.condition != "failed" and not rec.exceptional
 
 
 def test_certify_degree_exceptional():
@@ -455,10 +455,9 @@ def test_certify_degree_exceptional():
     d = 31
     alpha = alpha_fc_estimate(d)
     k_ind = math.floor(kappa(d, alpha))
-    k, results = certify_degree(d, alpha)
+    k, rec = certify_degree(d, alpha)
     assert k == k_ind - 1
-    assert len(results) == 2
-    assert not results[0][1].certified
+    assert rec.exceptional and rec.alpha_source == "table"
 
 
 def test_certify_degree_rejects_bad_alpha():
@@ -640,7 +639,7 @@ def test_sweep_payload_is_pinned(monkeypatch, rate_chunk):
     # root solves evaluate the pair rate in chunks (RATE_CHUNK) that cut a
     # round's points anywhere, down to one point.
     if rate_chunk:
-        monkeypatch.setattr(sys.modules["stardecomp.certify"], "RATE_CHUNK", rate_chunk)
+        monkeypatch.setattr(certify, "RATE_CHUNK", rate_chunk)
     report = sweep(30, 3000)
     assert report.exceptional_degrees == [
         31, 33, 35, 50, 52, 54, 56, 91, 93, 95, 97, 168, 170, 172, 174, 307, 309, 311,
@@ -702,7 +701,7 @@ def test_sweep_record_independent_of_its_batch(monkeypatch):
     # included, of the share in one block; an empty share, empty columns.
     whole = _sweep_part(padded)
     for block in (1, 7, len(padded["d"]) + 1):
-        monkeypatch.setattr(sys.modules["stardecomp.certify"], "SWEEP_BLOCK", block)
+        monkeypatch.setattr(certify, "SWEEP_BLOCK", block)
         _assert_same_columns(_sweep_part(padded), whole)
     _assert_same_columns(_sweep_part({name: a[:0] for name, a in padded.items()}),
                          {name: a[:0] for name, a in whole.items()})
@@ -740,7 +739,7 @@ def test_sweep_part_holds_one_block_beyond_its_columns(monkeypatch, size):
     # hold (their buffers; k_certified is an int column) is one block's
     # working set, the same at both sizes: 0.55-0.6 MB.  Joining the blocks'
     # columns into a second copy took 0.93 MB at 8192 degrees.
-    monkeypatch.setattr(sys.modules["stardecomp.certify"], "SWEEP_BLOCK", 256)
+    monkeypatch.setattr(certify, "SWEEP_BLOCK", 256)
     d = np.arange(10**5, 10**5 + size)
     alpha, source = resolve_alpha(d, None, False)
     jobs = {"d": d, "alpha": alpha, "alpha_source": source}
@@ -851,9 +850,7 @@ def test_derive_dhat_keeps_each_failing_lane(monkeypatch):
         x[list(errors)] = np.nan
         return x, errors
 
-    # The package re-exports the function certify, so the module is
-    # reached through sys.modules.
-    monkeypatch.setattr(sys.modules["stardecomp.certify"], "_ceiling_inv", shifted_lanes)
+    monkeypatch.setattr(certify, "_ceiling_inv", shifted_lanes)
     monkeypatch.setattr(bisect_reference, "avg_degree_ceiling_inv",
                         faulty(bisect_reference.avg_degree_ceiling_inv))
     good = _inputs([(d, d % 3) for d in range(44, 44 + 2 * LANES)])
@@ -890,26 +887,6 @@ def test_derive_dhat_lane_independent_of_its_batch(seed):
     got = _derived(failing + padding + inputs + padding + failing)
     assert [_dhat_outcome(r) for r in got[len(padding) + 2:-len(padding) - 2]] == alone
     assert [type(r) for r in got[:2]] == [CertifyError, RuntimeError]
-
-
-def test_sweep_records_match_certify_degree():
-    # The rounds give each degree exactly certify_degree's attempts, also
-    # where a table alpha makes the degree fail outright.
-    table = {33: 0.7, 36: 0.0}
-    rep = sweep(30, 45, alpha_table=table)
-    for rec in rep.records:
-        assert rec.alpha == table.get(rec.d, alpha_fc_estimate(rec.d))
-        try:
-            k, results = certify_degree(rec.d, rec.alpha)
-        except ValueError as exc:
-            assert rec.error == str(exc) and rec.k_certified is None
-            continue
-        assert rec.k_certified == k
-        res = dict(results)[k] if k is not None else results[0][1]
-        # repr, so that the NaN of a stage not reached compares equal.
-        assert repr((rec.x1, rec.t2, rec.d_hat, rec.beta_max, rec.error)) == repr(
-            (res.x1, res.t2, res.d_hat, res.beta_max, res.error))
-    assert rep.records[3].error == "alpha 0.7 outside (0, 1/2)"
 
 
 class _InlinePool:
@@ -1049,8 +1026,7 @@ def _patch_faulty_inverse(mp, fault):
     certify's lane form, and into the public function the per-lane
     reference calls."""
     if fault is not None:
-        mp.setattr(sys.modules["stardecomp.certify"], "_ceiling_inv",
-                   _faulty_ceiling_inv(fault == "raise"))
+        mp.setattr(certify, "_ceiling_inv", _faulty_ceiling_inv(fault == "raise"))
         mp.setattr(rounds_reference, "avg_degree_ceiling_inv",
                    _faulty_inverse(avg_degree_ceiling_inv, fault == "raise"))
 
@@ -1065,7 +1041,7 @@ def _outcome_repr(fn, *args):
 
 
 def _assert_rounds_match_reference(d_min, d_max, table, fault=None):
-    """The sweep's records and every degree's certify_degree attempts equal
+    """The sweep's records, and every degree's certify_degree outcome, equal
     the per-lane rounds'; returns the repr of them all."""
     degrees = range(d_min, d_max + 1)
     with pytest.MonkeyPatch.context() as mp:
@@ -1078,8 +1054,19 @@ def _assert_rounds_match_reference(d_min, d_max, table, fault=None):
             lambda: [vars(r) for r in rounds_reference._sweep_part(jobs)])
         for d, alpha, _ in jobs:
             seen.append(_outcome_repr(certify_degree, d, alpha))
-            assert seen[-1] == _outcome_repr(rounds_reference.certify_degree, d, alpha)
+            assert seen[-1] == _outcome_repr(_reference_degree, d, alpha)
     return "".join(seen)
+
+
+def _reference_degree(d, alpha):
+    """certify_degree's value by the per-lane rounds: the record of the
+    oracle's outcome, an error row where it raises, for an alpha in
+    (0, 1/2); the oracle's ValueError for any other."""
+    if not 0.0 < alpha < 0.5:
+        return rounds_reference.certify_degree(d, alpha)
+    (outcome,) = rounds_reference._certify_degrees([(d, alpha)])
+    rec = rounds_reference._record(d, alpha, "table", outcome)
+    return rec.k_certified, rec
 
 
 @given(d_min=st.integers(3, 99) | st.integers(100, 3000), size=st.integers(1, 6),
@@ -1124,19 +1111,19 @@ def test_rounds_reference_cases_reach_every_branch():
                       "no k in range", "k too large", "alpha at or below alpha_dk",
                       "x2 nonpositive", "d_hat underflow", "pair rate not monotone in tau",
                       *(f"no inverse at d={d}" for d in range(9, 45, 7))}
-    # A RuntimeError is the sweep's error row and what certify_degree
-    # raises, alike in both; kappa's DomainError ends the sweep.
+    # A RuntimeError is an error row, of the sweep and of certify_degree,
+    # alike in both; kappa's DomainError ends the sweep.
     seen = _assert_rounds_match_reference(30, 40, {}, "raise")
     assert "'error': 'no sign change for inverse at d=31'" in seen
-    assert repr((RuntimeError, "no sign change for inverse at d=31")) in seen
+    assert "error='no sign change for inverse at d=31'" in seen
     assert "DomainError" in _assert_rounds_match_reference(30, 33, {31: -0.1})
 
 
 def test_sweep_reports_degrees_without_a_sign_change_as_error_rows():
     # Near d = 5.6e8 the inverse ceiling finds no sign change at most
     # degrees: each such degree is an error row, undecided and so not
-    # exceptional, and every row is the one certify_degree's outcome at its
-    # degree gives.
+    # exceptional, and every row is the one the per-lane reference's
+    # certify_degree outcome at its degree gives.
     report = sweep(564375960, 564376000)
     records = report.records
     assert len(records) == 41
@@ -1148,7 +1135,7 @@ def test_sweep_reports_degrees_without_a_sign_change_as_error_rows():
     assert not set(report.exceptional_degrees) & {r.d for r in raised}
     for r in records:
         try:
-            outcome = certify_degree(r.d, r.alpha)
+            outcome = rounds_reference.certify_degree(r.d, r.alpha)
         except RuntimeError as exc:
             outcome = exc
         expected = rounds_reference._record(r.d, r.alpha, r.alpha_source, outcome)
@@ -1169,8 +1156,8 @@ def test_a_failing_inverse_lane_reruns_no_lane(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    count(sys.modules["stardecomp.entropy"], "bisect_root")
-    count(sys.modules["stardecomp.certify"], "_derive")
+    count(entropy, "bisect_root")
+    count(certify, "_derive")
     sweep(564375960, 564376000)
     assert calls["_derive"] > 0
     assert calls["bisect_root"] <= 2 * calls["_derive"] + 1
@@ -1198,4 +1185,4 @@ def test_certify_matches_the_per_lane_reference(d, kind, fault, data):
     inp = CertifyInput(d=d, k=k, alpha=alpha)
     with pytest.MonkeyPatch.context() as mp:
         _patch_faulty_inverse(mp, fault)
-        assert _outcome_repr(certify, inp) == _outcome_repr(rounds_reference.certify, inp)
+        assert _outcome_repr(certify.certify, inp) == _outcome_repr(rounds_reference.certify, inp)

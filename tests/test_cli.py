@@ -308,10 +308,11 @@ def test_decompose_rejects_non_simple_graph(tmp_path, capsys):
     assert "simple graph" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", [2, 0, -1])
+@pytest.mark.parametrize("k", [2, 0, -1, 6])
 def test_decompose_k_at_most_half_d_is_usage_error(tmp_path, capsys, k):
-    # A k at or below d/2 is a usage error, not a parse error; the graph is
-    # checked first, so a non-simple or non-regular one still exits 4.
+    # A k at or below d/2 is a usage error, not a parse error, and so is a
+    # k above d, whose target exceeds n/2, at once; the graph is checked
+    # first, so a non-simple or non-regular one still exits 4.
     graph = tmp_path / "g.txt"
     assert run(["sample", "--n", "12", "--d", "5", "--simple", "--seed", "0",
                 "--out", str(graph)]) == 0
@@ -319,7 +320,8 @@ def test_decompose_k_at_most_half_d_is_usage_error(tmp_path, capsys, k):
     assert run(["decompose", str(graph), "--k", str(k)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"decompose: need k > d/2, got d=5, k={k}"]
+    need = "k <= d" if k > 5 else "k > d/2"
+    assert captured.err.splitlines() == [f"decompose: need {need}, got d=5, k={k}"]
     graph.write_text("3 2\n0 1\n1 2\n")
     assert run(["decompose", str(graph), "--k", str(k)]) == 4
     assert capsys.readouterr().err == "stardecomp: graph is not regular\n"
@@ -416,9 +418,11 @@ def test_parsers_and_cli_never_raise_on_arbitrary_text(graph_text, sd_text, k, c
                 pass
         capsys.readouterr()
         code = run(["decompose", str(graph), "--k", str(k)])
-        # Exit 2 only for a k at or below d/2 on a simple regular graph.
+        # Exit 2 only for a k at or below d/2, or above d (K4 with k = 4),
+        # on a simple regular graph.
         assert code in (0, 1, 2, 4)
-        assert (code == 2) == ("decompose: need k > d/2" in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert (code == 2) == ("decompose: need k > d/2" in err or "decompose: need k <= d" in err)
         assert run(["verify", str(graph), str(sd)]) in (0, 1, 4)
 
 

@@ -7,7 +7,6 @@ import hashlib
 import io
 import os
 import re
-import sys
 import tempfile
 import tracemalloc
 from functools import lru_cache
@@ -50,6 +49,7 @@ from stardecomp.graphs import (
 )
 
 import quadratic_reference as ref
+import stardecomp.decomp as decomp
 from oracles import (
     check_sufficiency,
     complete_graph,
@@ -198,9 +198,8 @@ def test_orientation_start_leaves_little_to_repair(monkeypatch):
     thin = thin_down(g, greedy_independent_set(g, 5), 3)
     A = relief_trim(g, thin, 1998 // 6).members
     H, _, _ = induced_subgraph(g, set(range(g.n)) - A)
-    module = sys.modules["stardecomp.decomp"]
-    unload, calls = module._unload, []
-    monkeypatch.setattr(module, "_unload", lambda *args: calls.append(1) or unload(*args))
+    unload, calls = decomp._unload, []
+    monkeypatch.setattr(decomp, "_unload", lambda *args: calls.append(1) or unload(*args))
     assert isinstance(in_regular_orientation(H, 2), Orientation)
     assert 1 <= len(calls) <= 10
 

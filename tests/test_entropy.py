@@ -7,7 +7,6 @@ digits and are frozen here as string-derived constants.
 
 import math
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -38,6 +37,7 @@ from stardecomp.entropy import (
 )
 
 import bisect_reference as ref
+import stardecomp.entropy as entropy
 from oracles import shannon_entropy
 
 # mpmath oracle values (30 digits, rounded to double precision on parse).
@@ -527,11 +527,10 @@ def test_alpha_fm_lane_independent_of_its_batch(degrees, rnd):
 def test_alpha_fm_solves_long_lane_arrays_in_blocks(monkeypatch):
     # Blocks of any size give the bits of one call on all lanes, for
     # alpha_fm and alpha_fc_estimate alike.
-    module = sys.modules["stardecomp.entropy"]
     d = np.arange(20, 20 + 9000)
     whole = alpha_fm(d).tobytes(), alpha_fc_estimate(d).tobytes()
     for block in (1000, 4096, 10**6):
-        monkeypatch.setattr(module, "LANE_BLOCK", block)
+        monkeypatch.setattr(entropy, "LANE_BLOCK", block)
         assert (alpha_fm(d).tobytes(), alpha_fc_estimate(d).tobytes()) == whole
 
 
