@@ -12,12 +12,11 @@ the pair rate at (alpha, beta, tau) is nonnegative, for beta > 0 and tau in
 alpha/(1 - alpha) (proofs in check_condition), so that region is
 {beta <= r(tau)} with r nonincreasing, and the check is one-dimensional: a
 branch-and-bound over tau on a rigorous upper bound r_hi(tau) of r(tau),
-found by halving and bisection on the computed rate with a stated bound on
-its float error.  beta_max is r_hi(tau_plus), and the search starts from
-that solve.  Errors are one-sided: the checker may under-certify, never
-over-certify.  The solves are replayed from a bracket about each root,
-checked against the rate's error bound, and evaluate the rate only inside
-it (see _roots), so every output keeps its bits.
+found by bisection on the computed rate with a stated bound on its float
+error, from a bracket about each root checked against that bound (see
+_roots).  beta_max is r_hi(tau_plus), and the search starts from that
+solve.  Errors are one-sided: the checker may under-certify, never
+over-certify.
 
 A sweep certifies its degrees in rounds, the only search over k here.  A
 round holds every pending (d, k) as numpy columns, which go through the
@@ -59,8 +58,8 @@ from .entropy import (
 # 40-digit arithmetic its error is at most 2.1e-16 * d on 6000 points near
 # the roots over d = 30..10^6, and a test bounds it by RATE_EPS * d / 2.
 RATE_EPS = 2e-15
-# The root solves are replayed from brackets checked against RATE_ERR * d,
-# the bound on the computed pair rate's error that the test above asserts.
+# The root solves start from brackets checked against RATE_ERR * d, the
+# bound on the computed pair rate's error that the test above asserts.
 RATE_ERR = RATE_EPS / 2
 # Roots are bracketed to a relative ROOT_REL_TOL, ROOT_POINTS points (three
 # halvings) a lane per round; a lane whose rate at beta = 0 lies within
@@ -205,18 +204,18 @@ def _cap(alpha, tau):
     return np.minimum(1.0 - 2.0 * alpha, alpha / np.maximum(tau, alpha))
 
 
-def _rates_at(d, alpha, tau, points, at):
-    """The pair rate at the flat indices `at` of points, a 2-d array of
-    rows x lanes whose lanes are those of the 1-d arrays d, alpha and tau,
-    RATE_CHUNK points at a time: yields (at, col, rates) for each chunk of
-    indices, col their lanes.  pair_rate is elementwise, so a point's rate
-    does not depend on its chunk, and the working memory on the number of
-    points."""
+def _rates_at(d, alpha, tau, points):
+    """The pair rate at points, a 2-d array of rows x lanes whose lanes are
+    those of the 1-d arrays d, alpha and tau, RATE_CHUNK points at a time.
+    pair_rate is elementwise, so a point's rate does not depend on its
+    chunk, and the working memory not on the number of points."""
     flat, n = points.ravel(), points.shape[1]
-    for start in range(0, len(at), RATE_CHUNK):
-        chunk = at[start : start + RATE_CHUNK]
-        col = chunk % n
-        yield chunk, col, pair_rate_grid(d[col], alpha[col], flat[chunk][None], tau[col])[0]
+    rates = np.empty(len(flat))
+    for start in range(0, len(flat), RATE_CHUNK):
+        chunk = slice(start, start + RATE_CHUNK)
+        col = np.arange(start, min(start + RATE_CHUNK, len(flat))) % n
+        rates[chunk] = pair_rate_grid(d[col], alpha[col], flat[chunk][None], tau[col])[0]
+    return rates.reshape(points.shape)
 
 
 def _roots(d, alpha, tau, top, f0):
@@ -225,55 +224,47 @@ def _roots(d, alpha, tau, top, f0):
     tau), is nonnegative; top is each lane's domain cap or a proven upper
     bound on r(tau).
 
-    A lane halves from top to the first point not surely negative (computed
-    rate >= -RATE_EPS * d), then bisects that factor-2 bracket to a relative
-    ROOT_REL_TOL; a round evaluates the next ROOT_POINTS halvings, or the
-    dyadic points inside the bracket, of all its lanes, RATE_CHUNK points at
-    a time (_rates_at), so that its working memory does not grow with them.
-    Returns (r_lo, r_hi): r_hi is the bracket's upper end, where the exact
-    rate is negative, or top if no point below it is surely negative; r_lo
-    is the largest point met whose computed rate is >= 0 (0 if none).  No
-    point leaves the domain, and a lane's points do not depend on other
-    lanes.
-
-    The rounds are replayed from a bracket [L, U] about each lane's root
-    (_root_bracket), in which the computed rate f, within E = RATE_ERR * d
-    of the exact one, has min(f(0), f(L)) >= 2E and f(U) < -RATE_EPS * d -
-    2E.  The exact rate is concave in beta (check_condition), so on [0, L]
-    it lies above its chord, at least E, and f >= 0; and, below f(0) at U,
-    it falls past U, so f < -RATE_EPS * d there.  A round evaluates the rate
-    only at its points strictly inside (L, U), and none if no lane has one;
-    at or below L it takes the rate to be >= 0 and not surely negative, at
-    or above U to be surely negative, as f is.  So every lane meets the
-    points, and returns the bits, that it would evaluating every point; a
-    lane whose bracket fails its check has L = -inf and U = inf, and is
-    evaluated everywhere.
+    A lane starts from its bracket [L, U] (_root_bracket), where the
+    computed rate is >= 0 at L and < -RATE_EPS * d at U, and bisects it to a
+    relative ROOT_REL_TOL, returning at once if it is that narrow already.
+    A lane whose bracket fails its check halves from top to the first point
+    not surely negative (computed rate >= -RATE_EPS * d), then bisects that
+    factor-2 bracket the same way.  A round evaluates the next ROOT_POINTS
+    halvings, or the dyadic points inside the bracket, of all its lanes,
+    RATE_CHUNK points at a time (_rates_at), so that its working memory
+    does not grow with them.  Returns (r_lo, r_hi): r_hi is the bracket's
+    upper end, where the exact rate is negative, or top if no point below
+    it is surely negative; r_lo is the largest point met, L included, whose
+    computed rate is >= 0 (0 if none).  No point leaves the domain, and a
+    lane's points do not depend on other lanes.
     """
-    lower, upper = _root_bracket(d, alpha, tau, top, f0)
-    r_lo, r_hi = np.zeros(len(d)), np.zeros(len(d))
     # The state of the lanes still running, run their indices.  lo = 0
-    # marks a lane still halving.  hi = 2 top is never evaluated: the first
-    # round's first point is top itself.
-    run, lo, hi, rl = np.arange(len(d)), np.zeros(len(d)), 2.0 * top, np.zeros(len(d))
-    lane = (d, alpha, tau, top, lower, upper, RATE_EPS * d)
+    # marks a lane still halving down from hi (from U where L is 0); one
+    # whose bracket failed halves from 2 top, so its first point is top.
+    lo, hi = _root_bracket(d, alpha, tau, top, f0)
+    run, rl, r_lo, r_hi = np.arange(len(d)), lo.copy(), np.zeros(len(d)), np.zeros(len(d))
+    lane = (d, alpha, tau, top, RATE_EPS * d)
     steps = np.arange(1, ROOT_POINTS + 1)[:, None]
     halves, fractions = 0.5 ** steps, steps / (ROOT_POINTS + 1.0)
     for _ in range(MAX_ROOT_ROUNDS):
-        dr, ar, tr, cap, low, up, eps = lane
+        going = (lo == 0.0) | (hi - lo > ROOT_REL_TOL * hi)
+        if not going.all():
+            done = ~going
+            r_lo[run[done]], r_hi[run[done]] = rl[done], hi[done]
+            run, lo, hi, rl = run[going], lo[going], hi[going], rl[going]
+            lane = tuple(v[going] for v in lane)
+        if not len(run):
+            break
+        dr, ar, tr, cap, eps = lane
         halving = lo == 0.0
         pts = (hi * halves if halving.all() else lo + (hi - lo) * fractions if not halving.any()
                else np.where(halving, hi * halves, lo + (hi - lo) * fractions))
-        # Whether each point's rate is >= 0 and < -RATE_EPS * d.
-        nonneg, neg = pts <= low, pts >= up
-        inside = ~(nonneg | neg)
-        if inside.any():
-            for at, col, rates in _rates_at(dr, ar, tr, pts, np.flatnonzero(inside)):
-                nonneg.ravel()[at], neg.ravel()[at] = rates >= 0.0, rates < -eps[col]
-        rl = np.maximum(rl, np.where(nonneg, pts, 0.0).max(axis=0))
+        rates = _rates_at(dr, ar, tr, pts)
+        rl = np.maximum(rl, np.where(rates >= 0.0, pts, 0.0).max(axis=0))
         # Halving goes down the rows to the first point not surely negative,
         # bisection up the rows to the first point that is; prev is the row
         # before that point, or the bracket's end.
-        hit = neg != halving
+        hit = (rates < -eps) != halving
         found, i = hit.any(axis=0), hit.argmax(axis=0)
         at = i * len(run) + np.arange(len(run))
         at_i = pts.ravel()[at]
@@ -281,20 +272,16 @@ def _roots(d, alpha, tau, top, f0):
         lo, hi = (np.where(halving, np.where(found, at_i, lo), np.where(found, prev, pts[-1])),
                   np.minimum(np.where(halving, np.where(found, prev, pts[-1]),
                                       np.where(found, at_i, hi)), cap))
-        going = (lo == 0.0) | (hi - lo > ROOT_REL_TOL * hi)
-        if not going.all():
-            done = ~going
-            r_lo[run[done]], r_hi[run[done]] = rl[done], hi[done]
-            run, lo, hi, rl = run[going], lo[going], hi[going], rl[going]
-            lane = tuple(v[going] for v in lane)
-            if not len(run):
-                break
     r_lo[run], r_hi[run] = rl, hi
     return r_lo, r_hi
 
 
 def _root_bracket(d, alpha, tau, top, f0):
-    """The bracket (L, U) of each lane for _roots, checked, or (-inf, inf).
+    """The bracket [L, U] each lane of _roots starts from, where the
+    computed rate f, within E = RATE_ERR * d of the exact one, has
+    min(f(0), f(L)) >= 2E and f(U) < -RATE_EPS * d - 2E, so that the exact
+    rate, concave in beta (check_condition), is above E on [0, L] and
+    negative at U; or (0, 2 top), a halving from top, where that fails.
 
     Newton steps on the rate f in beta, kept in [0, top]
     (entropy._newton), start from the root of f(0) + beta (1 - log beta +
@@ -324,13 +311,10 @@ def _root_bracket(d, alpha, tau, top, f0):
     lower, upper = _newton(rate, slope, (d, alpha, tau, c, ht), beta, 0.0, top, err,
                            RATE_EPS * d)
     lower, upper = np.clip(lower, 0.0, top), np.clip(upper, 0.0, top)
-    ends = np.stack([lower, upper])
-    f = np.empty_like(ends)
-    for at, _, rates in _rates_at(d, alpha, tau, ends, np.arange(ends.size)):
-        f.ravel()[at] = rates
+    f = _rates_at(d, alpha, tau, np.stack([lower, upper]))
     ok = ((np.minimum(f0, f[0]) >= 2.0 * err) & (f[1] < -RATE_EPS * d - 2.0 * err)
           & (lower < upper))
-    return np.where(ok, lower, -np.inf), np.where(ok, upper, np.inf)
+    return np.where(ok, lower, 0.0), np.where(ok, upper, 2.0 * top)
 
 
 def beta_max(d, alpha, tau_plus):

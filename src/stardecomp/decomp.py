@@ -38,6 +38,7 @@ from .graphs import (
     greedy_independent_set,
     induced_edges,
     induced_subgraph,
+    is_bipartite,
     is_independent,
     is_simple,
     read_ids,
@@ -482,6 +483,11 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
     is not regular, then DomainError if k <= d/2 or, for d >= 1, k > d (the
     target set would exceed n/2, more than any independent set holds), and
     DecompositionFailed with the failing stage after max_retries attempts.
+    At k = d >= 1 the target is ceil(n/2), and a d-regular graph has an
+    independent set that large only if n is even and the graph bipartite
+    (the set's d|A| edges then fill the other n/2 vertices' degrees); where
+    that fails, DecompositionFailed at stage "adjust_size" comes before any
+    attempt.
     """
     if not is_simple(g):
         raise ValueError("graph has loops or multi-edges; decompose needs a "
@@ -497,6 +503,10 @@ def decompose(g: Graph, k, seed=0, max_retries=10):
     # roundoff pushing the target one vertex too high.
     target = -(g.n * (2 * k - d) // -(2 * k))
     ell = d - k
+    if k == d > 0 and (g.n % 2 or not is_bipartite(g)):
+        raise DecompositionFailed(
+            "adjust_size", f"k = d needs {target} of the {g.n} vertices independent, which a "
+            f"{d}-regular graph has only with n even and bipartite", [])
     attempts = []
     for attempt in range(max_retries):
         attempt_seed = seed + attempt

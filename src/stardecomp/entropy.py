@@ -10,11 +10,11 @@ its own arguments alone, so it is the same in any array.  The roots of the
 first-moment bound, the average-degree ceiling and its inverse come from one
 bisection that runs many brackets (lanes) in lockstep on those functions; a
 scalar argument is a lane of one, and a lane's result does not depend on the
-other lanes of its batch.  Those three callers replay the bisection (see
-bisect_root): a few Newton steps predict a bracket about each root, the rate
-at its ends proves the sign the bisection would compute at every midpoint
-outside it, and the rate is evaluated only inside, so the roots keep their
-bits.
+other lanes of its batch.  Those three callers start the bisection from a
+bracket about each root (see bisect_root): a few Newton steps predict it,
+and the rate computed at its ends, beyond twice its error bound on either
+side of 0, checks it; a lane whose bracket fails the check bisects the whole
+range.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ MAX_BISECT_ITER = 200
 # avg_degree_ceiling_inv's roots reach down to about 1e-15, where an absolute
 # ROOT_TOL would be no tolerance at all; below this density it is relative.
 INV_TOL_SCALE = 1e-3
-# The replayed bisections take the computed rates to lie within these
-# bounds of the exact ones.  ind_set_rate: IND_SET_ERR * d, 16 times the
+# The bisections' brackets are checked against these bounds on the
+# computed rates' errors.  ind_set_rate: IND_SET_ERR * d, 16 times the
 # largest error measured against 40-digit arithmetic near its root,
 # 5.6e-17 * d.  subset_rate, a rate divided by d/2, so that its error does
 # not grow with d: SUBSET_ERR, 3 times the largest error measured near the
@@ -39,12 +39,12 @@ INV_TOL_SCALE = 1e-3
 # with t within 1e-9 of 1).
 IND_SET_ERR = 16 * 5.6e-17
 SUBSET_ERR = 1.5e-14
-# Newton steps that predict a replayed bisection's bracket.
+# Newton steps that predict a bisection's bracket.
 NEWTON_STEPS = 5
-# Lanes that alpha_fm and alpha_fc_estimate solve at once.  A replayed
-# bisection keeps some 30 arrays a lane alive (the guess, the checked
-# bracket, the loop's compacted state), so longer lane arrays are solved a
-# block at a time.
+# Lanes that alpha_fm and alpha_fc_estimate solve at once.  A bisection
+# peaks at some 34 float64 values a lane under tracemalloc, mostly the
+# rate's temporaries at the Newton steps and at both ends of the bracket, so
+# longer lane arrays are solved a block at a time.
 LANE_BLOCK = 4096
 
 
@@ -242,7 +242,7 @@ def _in_blocks(solve, lanes):
     return out
 
 
-def bisect_root(f, lo, hi, args=(), tol_scale=None, guess=None):
+def bisect_root(f, lo, hi, args=(), tol_scale=None, bracket=None):
     """Plain bisection for a sign change of f on [lo, hi], run on many
     brackets (lanes) in lockstep.
 
@@ -252,32 +252,21 @@ def bisect_root(f, lo, hi, args=(), tol_scale=None, guess=None):
     makes the same steps, and returns the same bits, in any batch.  In every
     lane f(lo) and f(hi) must have opposite (non-strict) signs, else
     RuntimeError; a lane returns where f is 0 or the midpoint 0.5*(lo + hi)
-    of its final bracket, with absolute tolerance ROOT_TOL, after at most
+    of its final bracket, once that is within ROOT_TOL, or after
     MAX_BISECT_ITER steps.  With tol_scale, for positive brackets, the
-    tolerance is relative to hi while hi lies below tol_scale, so a lane
-    whose root lies at or above it takes the same steps as without.  Float
+    tolerance is relative to hi while hi lies below tol_scale.  Float
     brackets return a float.
 
-    guess, if given, replays the bisection from a predicted bracket: it
-    holds arrays (L, U, err) of a bracket about each lane's root and a
-    bound on the error of f's computed values.  A lane keeps its L and U if
-    _checked finds lo < L < U < hi, f(lo)'s sign at P1 = 0.5*(lo + L) and
-    at L, and the other sign at U and at P4 = 0.5*(U + hi), each computed
-    more than 2 err from 0; other lanes take (-inf, inf).  Every midpoint
-    lies in [P1, P4]: it is 0.5*(lo' + hi') for a bracket [lo', hi'] of the
-    loop, where lo' >= lo and hi' > L, as a point at most L is taken to lie
-    left of the root and never becomes hi'; rounding is monotone; and
-    likewise at the other end.  Each caller proves that on [P1, L] its
-    exact rate has f(lo)'s sign and lies at least as far from 0 as at one
-    of the two ends, and likewise on [U, P4]; within err of it, the
-    computed rate then has that sign there.  So the loop evaluates f only
-    at midpoints strictly inside (L, U) of lanes still going, takes the
-    known sign at the others, and makes the steps, and returns the bits,
-    that it would make evaluating f everywhere.
+    bracket, if given, holds arrays (L, U, err) of a bracket about each
+    lane's root and a bound on the error of f's computed values.  A lane
+    whose lo < L < U < hi, with f computed at L beyond 2 err on f(lo)'s side
+    of 0 and at U beyond 2 err on the other side, bisects [L, U] in place of
+    [lo, hi]: the computed signs at L and U bracket a sign change as f(lo)
+    and f(hi) do, and the exact f, within err of them, has its root inside.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (a.astype(float) for a in _lanes(lo, hi))
-    flo, fhi = f(*args, lo), f(*args, hi)
+    flo, fhi = f(*args, np.stack([lo, hi]))
     root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     active = (flo != 0.0) & (fhi != 0.0)
     pos = flo > 0.0
@@ -285,49 +274,32 @@ def bisect_root(f, lo, hi, args=(), tol_scale=None, guess=None):
     if bad.any():
         i = np.argmax(bad)
         raise RuntimeError(f"no sign change on [{lo[i].item()}, {hi[i].item()}]")
-    lower, upper = ((np.full(len(lo), -np.inf), np.full(len(lo), np.inf)) if guess is None
-                    else _checked(f, args, lo, hi, active & pos, active & ~pos, guess))
+    if bracket is not None:
+        L, U, err = np.clip(bracket[0], lo, hi), np.clip(bracket[1], lo, hi), bracket[2]
+        side = np.where(pos, 1.0, -1.0)
+        fL, fU = side * f(*args, np.stack([L, U]))
+        ok = active & (lo < L) & (L < U) & (U < hi) & (fL > 2.0 * err) & (fU < -2.0 * err)
+        lo, hi = np.where(ok, L, lo), np.where(ok, U, hi)
     # The lanes still going, as run, and their state.
     run = np.flatnonzero(active)
-    l, h, lane = lo[run], hi[run], [v[run] for v in (pos, lower, upper, *args)]
+    l, h, lane = lo[run], hi[run], [v[run] for v in (pos, *args)]
     for _ in range(MAX_BISECT_ITER):
-        if not len(run):
-            break
-        p, low, up, *arg = lane
-        mid = 0.5 * (l + h)
-        # Whether mid replaces lo and whether it replaces hi: a zero closes
-        # the bracket on mid, and 0.5*(mid + mid) is mid.
-        left, right = mid <= low, mid >= up
-        inside = ~(left | right)
-        if inside.any():
-            fmid = f(*(a[inside] for a in arg), mid[inside])
-            same, zero = (fmid > 0.0) == p[inside], fmid == 0.0
-            left[inside], right[inside] = same | zero, ~same | zero
-        l, h = np.where(left, mid, l), np.where(right, mid, h)
         width = ROOT_TOL * (1.0 if tol_scale is None else np.where(h < tol_scale, h, 1.0))
         going = h - l > width
         if not going.all():
             lo[run], hi[run] = l, h
             run, l, h, lane = run[going], l[going], h[going], [v[going] for v in lane]
+        if not len(run):
+            break
+        p, *arg = lane
+        mid = 0.5 * (l + h)
+        fmid = f(*arg, mid)
+        # A zero closes the bracket on mid, and 0.5*(mid + mid) is mid.
+        same, zero = (fmid > 0.0) == p, fmid == 0.0
+        l, h = np.where(same | zero, mid, l), np.where(~same | zero, mid, h)
     lo[run], hi[run] = l, h
     root = np.where(np.isnan(root), 0.5 * (lo + hi), root)
     return root.item() if scalar else root
-
-
-def _checked(f, args, lo, hi, pos, neg, guess):
-    """bisect_root's bracket (lower, upper) from guess (L, U, err): (L, U)
-    where lo < L < U < hi and f computed at P1 = 0.5*(lo + L) and at L is
-    > 2 err (pos) or < -2 err (neg), and at U and at P4 = 0.5*(U + hi) the
-    other way round, else (-inf, inf); pos and neg mark the lanes where
-    f(lo) > 0 and where f(lo) < 0."""
-    L, U = np.clip(guess[0], lo, hi), np.clip(guess[1], lo, hi)
-    margin, side = 2.0 * guess[2], np.where(pos, 1.0, -1.0)
-    ok = (pos | neg) & (lo < L) & (L < U) & (U < hi)
-    for x in (0.5 * (lo + L), L):
-        ok &= side * f(*args, x) > margin
-    for x in (U, 0.5 * (U + hi)):
-        ok &= side * f(*args, x) < -margin
-    return np.where(ok, L, -np.inf), np.where(ok, U, np.inf)
 
 
 def _newton(f, slope, args, x, lo, hi, err, drop=0.0):
@@ -358,12 +330,9 @@ def alpha_fm(d):
     the independent-set rate on (0, 1/2).  An array of degrees is solved as
     lanes of one bisection, LANE_BLOCK lanes at a time.
 
-    The bisection is replayed (see bisect_root) from Newton steps started at
-    2(log d - log log d + 1 - log 2)/d, with error bound IND_SET_ERR * d.
-    The rate f(a) = h(a) + (d/2) h(1 - 2a) - (d - 1) h(1 - a) has f''(a) =
-    -1/a - 2d/(1 - 2a) + (d - 1)/(1 - a) < 0, as 2d/(1 - 2a) > (d - 1)/(1 - a),
-    so it is concave: on [P1, L] it is at least the smaller of its values at
-    the ends, and past U, as f(L) > f(U), it falls.
+    The bisection starts (see bisect_root) from a bracket [L, U] predicted
+    by Newton steps from 2(log d - log log d + 1 - log 2)/d, where the rate
+    computes above 2 IND_SET_ERR * d at L and below -2 IND_SET_ERR * d at U.
     """
     (ds,) = _lanes(d)
     if (ds < 3).any():
@@ -382,8 +351,8 @@ def _alpha_fm(ds):
     start = np.minimum(2.0 * (ln - np.log(ln) + 1.0 - math.log(2.0)) / ds, 0.4)
     slope = lambda d, a: -np.log(a) + d * np.log1p(-2.0 * a) - (d - 1) * np.log1p(-a)
     err = IND_SET_ERR * ds
-    guess = (*_newton(ind_set_rate, slope, (ds,), start, lo, hi, err), err)
-    return bisect_root(ind_set_rate, lo, hi, (ds,), guess=guess)
+    bracket = (*_newton(ind_set_rate, slope, (ds,), start, lo, hi, err), err)
+    return bisect_root(ind_set_rate, lo, hi, (ds,), bracket=bracket)
 
 
 def alpha_fc_estimate(d):
@@ -421,11 +390,10 @@ def avg_degree_ceiling(d, x):
 
     Strictly increasing in x; maps (0, 1) onto (2/d, 1).
 
-    The bisection is replayed (see bisect_root) from Newton steps started at
-    6(log(1/x) + 1) / (d (log(1/x) - 1)), 0.95 to 1.55 times the root on
-    the lanes of sweep(30, 3000), with error bound SUBSET_ERR.  The rate is strictly
-    decreasing in t, so its sign is that of the nearer end on [P1, L] and
-    on [U, P4].
+    The bisection starts (see bisect_root) from a bracket [L, U] predicted
+    by Newton steps from 6(log(1/x) + 1) / (d (log(1/x) - 1)), 0.95 to 1.55
+    times the root on the lanes of sweep(30, 3000), where the rate computes
+    above 2 SUBSET_ERR at L and below -2 SUBSET_ERR at U.
     """
     ds, xs = _lanes(d, np.asarray(x, dtype=float))
     bad = ~((0.0 < xs) & (xs < 1.0))
@@ -443,8 +411,8 @@ def avg_degree_ceiling(d, x):
         slope = lambda d, x, t: x * (2.0 * np.log1p(-t) + np.log(x) - np.log(t)
                                      - np.log1p(-(2.0 - t) * x))
         err = np.full(len(d_), SUBSET_ERR)
-        guess = (*_newton(subset_rate, slope, (d_, x_), start, x_, 1.0, err), err)
-        t[todo] = bisect_root(subset_rate, x_, 1.0, (d_, x_), guess=guess)
+        bracket = (*_newton(subset_rate, slope, (d_, x_), start, x_, 1.0, err), err)
+        t[todo] = bisect_root(subset_rate, x_, 1.0, (d_, x_), bracket=bracket)
     return _as_given(t, d, x)
 
 
@@ -477,21 +445,11 @@ def _ceiling_inv(d, t):
     ceiling tends to 2/d only like 1/log(1/x), so it is about 1.1 to 1.4
     times 2/d.  Only the other lanes are solved.
 
-    The bisection is replayed (see bisect_root) from Newton steps started where
-    1 - (2 - t) x = 3 (1 - t)^2 (the root has 2.7 to 10 there on the
-    sweeps' lanes), with error bound SUBSET_ERR.  In x, the rate
-    g(x) = subset_rate(d, x, t) is 0 at x = 0, negative up to the root and
-    not monotone there, but
-
-        g''(x) = [(t - 2/d) - (2 - t)(1 - 2/d) x] / [x (1 - x)(1 - (2 - t) x)],
-
-    so g is convex up to x* = (t - 2/d) / ((2 - t)(1 - 2/d)) and concave
-    past it.  On [P1, L], g is at most the larger of its values at the ends:
-    by convexity if L <= x*; else g rises on [x*, L], its slope falling
-    there and positive at L (g is concave on [L, U] and g(U) > g(L)), and
-    convexity bounds it by max(g(P1), g(x*)) on the rest.  On [U, P4], g
-    is at least the smaller of its values at the ends: by concavity past
-    x*, and below x* it lies above its chord from (0, 0) through (U, g(U)).
+    The bisection starts (see bisect_root) from a bracket [L, U] predicted
+    by Newton steps from where 1 - (2 - t) x = 3 (1 - t)^2 (the root has
+    2.7 to 10 there on the sweeps' lanes), where the rate
+    g(x) = subset_rate(d, x, t), 0 at x = 0 and negative up to the root,
+    computes below -2 SUBSET_ERR at L and above 2 SUBSET_ERR at U.
     """
     # For fixed t the map x -> subset_rate(d, x, t) is negative left of the
     # inverse point and positive right of it.
@@ -513,8 +471,8 @@ def _ceiling_inv(d, t):
                              + (2.0 - 2.0 / d) * (np.log(x) - np.log1p(-x)))
     start = (1.0 - 3.0 * (1.0 - t) ** 2) / (2.0 - t)
     err = np.full(len(d), SUBSET_ERR)
-    guess = (*_newton(f, slope, (d, t), start, lo, t, err), err)
-    root = bisect_root(f, lo, t, (d, t), tol_scale=INV_TOL_SCALE, guess=guess)
+    bracket = (*_newton(f, slope, (d, t), start, lo, t, err), err)
+    root = bisect_root(f, lo, t, (d, t), tol_scale=INV_TOL_SCALE, bracket=bracket)
     if not errors:
         return root, errors
     x = np.full(len(bad), np.nan)

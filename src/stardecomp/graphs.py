@@ -173,6 +173,27 @@ def is_simple(g: Graph) -> bool:
     return not np.any(p[:, 0] == p[:, 1]) and _pairs_distinct(p, g.n)
 
 
+def is_bipartite(g: Graph) -> bool:
+    """True iff g's vertices 2-colour with no edge inside a colour: one
+    depth-first pass over the CSR arrays.  A loop makes g not bipartite."""
+    colour = bytearray(g.n)  # 0 while uncoloured, then 1 or 2
+    indptr, nbrs = memoryview(g.indptr), memoryview(g.nbrs)
+    for s in range(g.n):
+        if colour[s]:
+            continue
+        colour[s], stack = 1, [s]
+        while stack:
+            v = stack.pop()
+            other = 3 - colour[v]
+            for w in nbrs[indptr[v]:indptr[v + 1]]:
+                if not colour[w]:
+                    colour[w] = other
+                    stack.append(w)
+                elif colour[w] != other:
+                    return False
+    return True
+
+
 def sample_simple(n, d, seed, max_tries=100000):
     """Rejection-sample the configuration model until the graph is simple.
 

@@ -322,6 +322,26 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _near_scan(got, lane):
+    """Whether got, a lane's beta_max outcome, agrees with the scalar scan's
+    (bisect_reference.beta_max) for the lane (d, alpha, tau): the same
+    exception or 0, else a bound where the rate computes surely negative
+    (or the domain cap) within the solves' tolerance of the scan's value:
+    ROOT_REL_TOL relative, and the band, 2 (RATE_EPS + RATE_ERR) d over the
+    rate's slope wide, in which the computed rate crosses -RATE_EPS * d."""
+    want = _outcome(bisect_reference.beta_max, *lane)
+    if got == want or not (isinstance(got, float) and isinstance(want, float)) or want == 0.0:
+        return got == want
+    d, alpha, tau = lane
+    with np.errstate(all="ignore"):  # the slope is infinite at the cap alpha / tau
+        slope = (-np.log(want) - (d - 1) * np.log1p(-alpha - want)
+                 + d * (h(tau) + h(1.0 - tau) + tau * np.log(alpha - tau * want)
+                        + (1.0 - tau) * np.log(1.0 - 2.0 * alpha - (1.0 - tau) * want)))
+    band = ROOT_REL_TOL * max(got, want) + 2.0 * (RATE_EPS + certify.RATE_ERR) * d / abs(slope)
+    return abs(got - want) <= band and (pair_rate(d, alpha, got, tau) < -RATE_EPS * d
+                                        or got == min(1.0 - 2.0 * alpha, alpha / tau))
+
+
 @given(
     d=st.one_of(st.integers(30, 99), st.integers(100, 3000)),
     rel=st.floats(-0.05, 0.05),
@@ -339,8 +359,7 @@ def test_beta_max_matches_scalar_scan(d, rel, tau_plus, drop):
             tau_plus = derive_dhat(CertifyInput(d=d, k=k, alpha=alpha)).tau_plus
         except CertifyError:
             pass
-    assert (_outcome(beta_max, d, alpha, tau_plus)
-            == _outcome(bisect_reference.beta_max, d, alpha, tau_plus))
+    assert _near_scan(_outcome(beta_max, d, alpha, tau_plus), (d, alpha, tau_plus))
 
 
 # The earlier absolute-step scan (grid_reference.beta_max), with its first
@@ -564,7 +583,7 @@ def test_beta_max_lanes_match_scalar_scan(lanes):
     args = [(d, a, t if frac is None else t + frac * (1.0 - t))
             for d, a, t, _, _, frac in _sweep_lanes(lanes)]
     got = _beta_max(*_columns(args))[0].tolist() if args else []
-    assert got == [_outcome(bisect_reference.beta_max, *lane) for lane in args]
+    assert all(map(_near_scan, got, args))
 
 
 def test_beta_max_scan_failures_match_scalar_scan():
@@ -574,10 +593,10 @@ def test_beta_max_scan_failures_match_scalar_scan():
     # (10, 0.1, 0.1) and (4, 0.4, 1.0); (30, 0.1, 1.0) brackets a root below
     # its cap.
     lanes = [(3, 0.2, 0.5), (10, 0.1, 0.1), (4, 0.4, 1.0), (30, 0.1, 1.0)]
-    expected = [bisect_reference.beta_max(*lane) for lane in lanes]
-    assert _beta_max(*_columns(lanes))[0].tolist() == expected
-    assert expected[:3] == [min(1.0 - 2.0 * a, a / t) for _, a, t in lanes[:3]]
-    assert expected[3] < min(1.0 - 2.0 * 0.1, 0.1 / 1.0)
+    got = _beta_max(*_columns(lanes))[0].tolist()
+    assert all(map(_near_scan, got, lanes))
+    assert got[:3] == [min(1.0 - 2.0 * a, a / t) for _, a, t in lanes[:3]]
+    assert got[3] < min(1.0 - 2.0 * 0.1, 0.1 / 1.0)
 
 
 def test_beta_max_lane_independent_of_its_batch():
@@ -626,8 +645,7 @@ def test_beta_max_keeps_each_failing_lane():
     capped = [(3, 0.2, 0.5), (10, 0.1, 0.1), (4, 0.4, 1.0)]
     good = [lane[:3] for lane in _sweep_lanes([(d, d % 2) for d in range(40, 40 + 2 * LANES)])]
     for lanes in (good[:3] + negative + capped + good[3:], negative, negative[:1] + good[:1]):
-        expected = [bisect_reference.beta_max(*lane) for lane in lanes]
-        assert _beta_max(*_columns(lanes))[0].tolist() == expected
+        assert all(map(_near_scan, _beta_max(*_columns(lanes))[0].tolist(), lanes))
     assert [ind_set_rate(d, a) < 0.0 for d, a, _ in negative] == [True, True]
     assert [v.tolist() for v in _beta_max(*_columns(negative))] == [[0.0, 0.0], [0.0, 0.0]]
 
@@ -647,7 +665,7 @@ def test_sweep_payload_is_pinned(monkeypatch, rate_chunk):
         1798, 1800, 1802, 1804]
     payload = json.dumps(report.as_dict(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "13265da2427d9d7fe7b2b747db4e0775a5a07d910af77cb74275fa82df7910da")
+        "a66ae3401786cfdb8724eab62783b7104a81f760e512e650f1c083510e0e0086")
 
 
 def _assert_same_columns(got, want):
@@ -792,14 +810,28 @@ def _reference_outcome(inp):
         return _dhat_outcome(exc)
 
 
+def _same_failure(got, expected):
+    """Whether two failures (type, message) agree: the same, or both x2
+    nonpositive with the x1s they print within one final bracket of the
+    inverse of each other."""
+    if got == expected:
+        return True
+    x1s = [re.fullmatch(r"x2 nonpositive: x1=(\S+) >= 1 - alpha_dk", message)
+           for _, message in (got, expected)]
+    return (got[0] == expected[0] and all(x1s)
+            and bisect_reference.within_bracket(*(float(m[1]) for m in x1s), INV_TOL_SCALE))
+
+
 def _matches_reference(res, inp):
     """Whether a lane's derive_dhat outcome agrees with the reference's: the
     same exception, or x1 within one final bracket of the reference's
     inverse, t2 within one of the reference's ceiling at the lane's own x2,
     and the rest derived from them as the reference derives it."""
     got, expected = _dhat_outcome(res), _reference_outcome(inp)
+    if isinstance(res, Exception) and isinstance(expected[0], type):
+        return _same_failure(got, expected)
     if isinstance(res, Exception) or isinstance(expected[0], type):
-        return got == expected
+        return False
     t1, x1, x2, t2, d_hat, tau_plus = got
     d, k = inp.d, inp.k
     return (t1 == expected[0]

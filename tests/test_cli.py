@@ -331,14 +331,14 @@ def test_decompose_k_at_most_half_d_is_usage_error(tmp_path, capsys, k):
 
 
 def test_decompose_failure_exit_code(tmp_path, capsys):
-    # Petersen graph with k = 3 cannot have a large enough independent set.
-    graph = tmp_path / "petersen.txt"
-    from stardecomp.graphs import petersen_graph, write_graph
-
-    with open(graph, "w") as fh:
-        write_graph(petersen_graph(), fh)
-    assert run(["decompose", str(graph), "--k", "3", "--max-retries", "2"]) == 1
-    # The failure report is a diagnostic: stderr, nothing on stdout.
+    # The failure report is a diagnostic: stderr, nothing on stdout.  On a
+    # sampled 5-regular graph of 12 vertices every attempt's greedy set
+    # falls short of the 5 that k = 4 needs.
+    graph = tmp_path / "g.txt"
+    assert run(["sample", "--n", "12", "--d", "5", "--simple", "--seed", "0",
+                "--out", str(graph)]) == 0
+    capsys.readouterr()
+    assert run(["decompose", str(graph), "--k", "4", "--max-retries", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
@@ -346,6 +346,34 @@ def test_decompose_failure_exit_code(tmp_path, capsys):
         "  seed 0: adjust_size: have 4, need 5",
         "  seed 1: adjust_size: have 4, need 5",
     ]
+
+
+@pytest.mark.parametrize("name, n, edges, code", [
+    ("petersen", None, None, 1),
+    ("K3,3", 6, [(a, b) for a in range(3) for b in range(3, 6)], 0),
+    ("C5", 5, [(i, (i + 1) % 5) for i in range(5)], 1),
+])
+def test_decompose_at_k_equal_d_attempts_only_bipartite_graphs(tmp_path, capsys, name, n,
+                                                                edges, code):
+    # At k = d the target is half the vertices, rounded up, which a
+    # d-regular graph holds independent only if n is even and it is
+    # bipartite: the Petersen graph (10 vertices, odd cycles) and C5 fail
+    # before any attempt, with no seed lines, and K3,3 decomposes.
+    from stardecomp.graphs import Graph, petersen_graph, write_graph
+
+    g = petersen_graph() if edges is None else Graph(n, edges)
+    d = g.degree(0)
+    graph = tmp_path / "g.txt"
+    with open(graph, "w") as fh:
+        write_graph(g, fh)
+    assert run(["decompose", str(graph), "--k", str(d)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert err == [f"decompose: failed at stage adjust_size: k = d needs {-(-g.n // 2)} of "
+                       f"the {g.n} vertices independent, which a {d}-regular graph has only "
+                       f"with n even and bipartite"]
+    else:
+        assert err == ["decomposed into 3 stars, leftover 0"]
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -24,6 +24,7 @@ from stardecomp.graphs import (
     independence_number_bruteforce,
     induced_edges,
     induced_subgraph,
+    is_bipartite,
     is_independent,
     is_simple,
     petersen_graph,
@@ -493,6 +494,28 @@ def test_greedy_holds_little_per_vertex(n):
     # lists of the CSR arrays took 450, a Python int per edge end alone 200.
     g = config_model_sample(n, 5, seed=0)
     assert _traced_peak(lambda: greedy_independent_set(g, 0)) < 250 * n
+
+
+def _bipartite_bruteforce(g):
+    """Whether some 2-colouring of g's vertices puts the ends of every edge
+    in different colours, trying all 2^n."""
+    return any(all((c >> u & 1) != (c >> v & 1) for u, v in g.pairs.tolist())
+               for c in range(1 << g.n))
+
+
+def test_is_bipartite_matches_bruteforce():
+    # Random multigraphs (loops, repeated edges, isolated vertices and
+    # several components among them), and fixed graphs of both kinds.
+    seen = set()
+    for seed in range(30):
+        g = random_multigraph(seed)
+        seen.add(is_bipartite(g))
+        assert is_bipartite(g) == _bipartite_bruteforce(g)
+    assert seen == {False, True}
+    k33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    for g, want in ((petersen_graph(), False), (k33, True), (cycle_graph(6), True),
+                    (cycle_graph(5), False), (Graph(2, [(0, 0)]), False), (Graph(3, []), True)):
+        assert is_bipartite(g) == want == _bipartite_bruteforce(g)
 
 
 def test_petersen_structure():

@@ -1,23 +1,36 @@
-"""Differential tests of the replayed root solves: alpha_fm, the ceiling, its
-inverse and certify._roots, which evaluate their rates only inside checked
-brackets, against the lockstep loops of bisect_reference, which evaluate
-every point.  Every root, r_lo and r_hi must keep its bits."""
+"""Tests of the root solves that start from a checked bracket: alpha_fm, the
+ceiling, its inverse (entropy.bisect_root) and certify._roots.  Each lands
+within its tolerance of the root computed by mpmath at 50 digits, a lane's
+result does not depend on its batch, and a lane whose bracket fails its
+check solves the whole range as a solve given no bracket does."""
 
 import warnings
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bisect_reference as ref
 import stardecomp.certify as certify
-import stardecomp.entropy as entropy
-from stardecomp.certify import RATE_EPS, _cap, _root_bracket, _roots, beta_max, pair_rate_grid
+from stardecomp.certify import (
+    RATE_EPS,
+    RATE_ERR,
+    ROOT_REL_TOL,
+    _cap,
+    _root_bracket,
+    _roots,
+    beta_max,
+    pair_rate_grid,
+)
 from stardecomp.entropy import (
+    IND_SET_ERR,
     INV_TOL_SCALE,
+    ROOT_TOL,
+    SUBSET_ERR,
     alpha_fm,
     avg_degree_ceiling,
     avg_degree_ceiling_inv,
+    bisect_root,
     ind_set_rate,
     subset_rate,
 )
@@ -30,21 +43,36 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-def _plain_alpha_fm(ds):
-    return ref.lockstep_bisect(ind_set_rate, np.full(len(ds), 1e-12),
-                               np.full(len(ds), 0.5 - 1e-12), (ds,))
+# The rates at 50 digits, their float arguments taken as exact.
+
+def _h(x):
+    return -x * mpmath.log(x) if x > 0 else mpmath.mpf(0)
 
 
-def _plain_ceiling(ds, xs):
-    t, todo = xs.copy(), subset_rate(ds, xs, xs) > 0.0
-    if todo.any():
-        t[todo] = ref.lockstep_bisect(subset_rate, xs[todo], 1.0, (ds[todo], xs[todo]))
-    return t
+def _ind_set_rate(d, a):
+    return _h(a) + mpmath.mpf(d) / 2 * _h(1 - 2 * a) - (d - 1) * _h(1 - a)
 
 
-def _plain_inverse(ds, ts):
-    return ref.lockstep_bisect(lambda d, t, x: subset_rate(d, x, t), np.full(len(ts), 1e-15),
-                               ts, (ds, ts), tol_scale=INV_TOL_SCALE)
+def _subset_rate(d, x, t):
+    return (_h(t * x) + 2 * _h((1 - t) * x) + _h(1 - (2 - t) * x)
+            - (2 - mpmath.mpf(2) / d) * (_h(x) + _h(1 - x)))
+
+
+def _pair_rate(d, a, b, t):
+    c = 1 - 2 * a
+    edge = 2 * _h(b) + 2 * b * (_h(t) + _h(1 - t)) + 2 * _h(a - t * b) + 2 * _h(c - (1 - t) * b) - _h(c)
+    return mpmath.mpf(d) / 2 * edge - (d - 1) * (_h(a) + _h(b) + _h(1 - a - b))
+
+
+def _assert_near_root(got, f, err, width, lo, hi):
+    """f, a function of one mpf at 50 digits on [lo, hi], changes sign
+    within width plus twice err over f's slope of got: the bracket's
+    tolerance, and the band in which a rate computed within err of f may
+    change sign.  Each root solved here is f's only sign change inside."""
+    with mpmath.workdps(50):
+        tol = width + 2 * err / abs(mpmath.diff(f, got))
+        left, right = f(max(got - tol, lo)), f(min(got + tol, hi))
+        assert left * right <= 0, (got, tol, left, right)
 
 
 def _inverse_lanes(ds, ts):
@@ -55,22 +83,23 @@ def _inverse_lanes(ds, ts):
     return ds[keep], ts[keep]
 
 
-def _check_bisections(ds, xs, ts):
-    assert _bits(alpha_fm(ds)) == _bits(_plain_alpha_fm(ds))
-    assert _bits(avg_degree_ceiling(ds, xs)) == _bits(_plain_ceiling(ds, xs))
-    ds, ts = _inverse_lanes(ds, ts)
-    if len(ds):
-        assert _bits(avg_degree_ceiling_inv(ds, ts)) == _bits(_plain_inverse(ds, ts))
-
-
 @given(st.lists(st.tuples(degrees, unit, unit, st.integers(1, 15)), min_size=1, max_size=8))
-@settings(max_examples=40, deadline=None)
-def test_replayed_bisections_keep_the_bits_of_the_plain_loop(lanes):
+@settings(max_examples=25, deadline=None)
+def test_bisections_land_within_tolerance_of_the_mpmath_root(lanes):
     # x log-uniform over (1e-14, 1), and t near 1 at the scale of 10^-e.
     ds = np.array([d for d, *_ in lanes])
     xs = np.array([1e-14 ** max(u, 1e-3) for _, u, _, _ in lanes])
     ts = np.array([1.0 - v * 10.0 ** -e for *_, v, e in lanes])
-    _check_bisections(ds, xs, ts)
+    tiny = mpmath.mpf(10) ** -300
+    for d, a in zip(ds.tolist(), alpha_fm(ds).tolist()):
+        _assert_near_root(a, lambda y: _ind_set_rate(d, y), IND_SET_ERR * d, ROOT_TOL, tiny, 0.5)
+    for d, x, t in zip(ds.tolist(), xs.tolist(), avg_degree_ceiling(ds, xs).tolist()):
+        if t > x:  # else the rate is <= 0 at t = x, the answer
+            _assert_near_root(t, lambda y: _subset_rate(d, x, y), SUBSET_ERR, ROOT_TOL, x, 1)
+    ds, ts = _inverse_lanes(ds, ts)
+    for d, t, x in zip(ds.tolist(), ts.tolist(), avg_degree_ceiling_inv(ds, ts).tolist()):
+        width = ROOT_TOL * (x if x < INV_TOL_SCALE else 1.0)
+        _assert_near_root(x, lambda y: _subset_rate(d, y, t), SUBSET_ERR, 2.0 * width, tiny, t)
 
 
 def _root_lanes(ds, us, taus):
@@ -85,21 +114,39 @@ def _f0(d, alpha, tau):
     return pair_rate_grid(d, alpha, [0.0], tau)[0]
 
 
-def _check_roots(d, alpha, tau):
+def _assert_roots_bracket_the_mpmath_root(d, alpha, tau):
+    """_roots' (r_lo, r_hi) on the lanes: a computed rate >= 0 at r_lo (or
+    r_lo = 0) and < -RATE_EPS * d at r_hi (or r_hi = top).  The exact rate
+    is negative and falling at r_hi, so the mpmath root, the end of {rate
+    >= 0}, lies below it; and, where it falls there too, at least
+    -(RATE_EPS + RATE_ERR) * d a relative ROOT_REL_TOL below r_hi, as at
+    the final bracket's lower end, where the rate computes >= -RATE_EPS * d."""
     top = _cap(alpha, tau)
-    got = _roots(d, alpha, tau, top, _f0(d, alpha, tau))
-    want = ref.lockstep_roots(d, alpha, tau, top)
-    assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
-    return got
+    r_lo, r_hi = _roots(d, alpha, tau, top, _f0(d, alpha, tau))
+    at_lo, at_hi = pair_rate_grid(d, alpha, np.stack([r_lo, r_hi]), tau)
+    assert ((at_lo >= 0.0) | (r_lo == 0.0)).all()
+    assert ((at_hi < -RATE_EPS * d) | (r_hi == top)).all()
+    assert (r_lo <= r_hi).all()
+    for lane in zip(d.tolist(), alpha.tolist(), tau.tolist(), r_hi.tolist(), top.tolist()):
+        n, a, t, hi, cap = lane
+        if hi == cap:
+            continue
+        f = lambda b: _pair_rate(n, a, b, t)
+        with mpmath.workdps(50):
+            assert f(hi) < 0 and mpmath.diff(f, hi) < 0, lane
+            below = hi * (1 - ROOT_REL_TOL)
+            if mpmath.diff(f, below) < 0:
+                assert f(below) >= -(RATE_EPS + RATE_ERR) * n, lane
+    return r_lo, r_hi
 
 
 @given(st.lists(st.tuples(degrees, unit | st.sampled_from([1 - 1e-9, 1 - 1e-13]),
                           unit | st.just(1.0)), min_size=1, max_size=8))
-@settings(max_examples=40, deadline=None)
-def test_replayed_root_solves_keep_the_bits_of_the_plain_loop(lanes):
+@settings(max_examples=25, deadline=None)
+def test_root_solves_bracket_the_mpmath_root(lanes):
     d, alpha, tau = _root_lanes(*map(np.array, zip(*lanes)))
     if len(d):
-        _check_roots(d, alpha, tau)
+        _assert_roots_bracket_the_mpmath_root(d, alpha, tau)
 
 
 def _mixed_root_lanes():
@@ -109,43 +156,7 @@ def _mixed_root_lanes():
     return _root_lanes(ds, us, rnd.uniform(0.05, 1.0, len(ds)))
 
 
-def test_root_solves_mixing_checked_and_fallen_back_lanes_keep_their_bits(monkeypatch):
-    # Lanes whose rate at beta = 0 lies within RATE_EPS * d of 0 fall back,
-    # and a larger error margin fails lanes whose rate at beta = 0 is small.
-    d, alpha, tau = _mixed_root_lanes()
-    f0 = _f0(d, alpha, tau)
-    assert (np.abs(f0) < RATE_EPS * d).any()
-    for margin in (certify.RATE_ERR, float(np.median(f0 / (2.0 * d))), 1.0):
-        monkeypatch.setattr(certify, "RATE_ERR", margin)
-        checked = np.isfinite(_root_bracket(d, alpha, tau, _cap(alpha, tau), f0)[0])
-        assert checked.any() or margin == 1.0
-        assert not checked.all()
-        _check_roots(d, alpha, tau)
-
-
-def test_bisections_mixing_checked_and_fallen_back_lanes_keep_their_bits(monkeypatch):
-    ds = np.array([30, 100, 3000, 10**4, 10**6, 10**9])
-    xs = np.array([1e-13, 1e-5, 4.5e-5, 0.01, 0.3, 0.9])
-    ts = np.array([0.9, 0.99, 0.996, 0.9999, 0.999978, 1 - 1e-8])
-    guesses = []
-    newton = entropy._newton
-    monkeypatch.setattr(entropy, "_newton", lambda *a: guesses.append(newton(*a)) or guesses[-1])
-    for ind_set_err, subset_err in ((0.0, 0.0), (1e-5, 1e-9), (1e-7, 1e-6)):
-        monkeypatch.setattr(entropy, "IND_SET_ERR", ind_set_err)
-        monkeypatch.setattr(entropy, "SUBSET_ERR", subset_err)
-        guesses.clear()
-        _check_bisections(ds, xs, ts)
-        lo, hi = np.full(len(ds), 1e-12), np.full(len(ds), 0.5 - 1e-12)
-        positive = np.ones(len(ds), dtype=bool)
-        guess = (*guesses[0], ind_set_err * ds)
-        lower, _ = entropy._checked(ind_set_rate, (ds,), lo, hi, positive, ~positive, guess)
-        if ind_set_err == 1e-5:
-            assert np.isfinite(lower).any() and not np.isfinite(lower).all()
-        elif ind_set_err == 0.0:
-            assert not np.isfinite(lower).any()
-
-
-def test_replayed_lanes_are_independent_of_their_batch():
+def test_root_solve_lanes_are_independent_of_their_batch():
     d, alpha, tau = _mixed_root_lanes()
     top, f0 = _cap(alpha, tau), _f0(d, alpha, tau)
     batch = _roots(d, alpha, tau, top, f0)
@@ -155,6 +166,49 @@ def test_replayed_lanes_are_independent_of_their_batch():
     ds = np.array([3, 30, 31, 3000, 10**6, 10**9])
     batch = alpha_fm(ds)
     assert _bits(batch) == _bits([alpha_fm(int(x)) for x in ds])
+
+
+def test_bisection_lanes_whose_bracket_fails_fall_back():
+    # Brackets about the roots of ind_set_rate: good ones, and ones that
+    # fail the check, each in its own way: an end outside (lo, hi), L not
+    # below U, nan, an end on the wrong side of the root, and an end whose
+    # rate lies within 2 err of 0.  A lane that fails bisects [lo, hi] as a
+    # solve given no bracket does; one that passes lands inside [L, U].
+    ds = np.full(8, 1000)
+    lo, hi = np.full(8, 1e-12), np.full(8, 0.5 - 1e-12)
+    root = bisect_root(ind_set_rate, lo, hi, (ds,))
+    err = np.full(8, IND_SET_ERR * 1000)
+    L = root - np.array([1e-6, 1e-9, 1.0, 1e-6, np.nan, -1e-6, 1e-6, 1e-18])
+    U = root + np.array([1e-6, 1e-9, 1e-6, -2e-6, 1e-6, 2e-6, 1.0, 1e-6])
+    good = np.array([True, True] + [False] * 6)
+    got = bisect_root(ind_set_rate, lo, hi, (ds,), bracket=(L, U, err))
+    assert _bits(got[~good]) == _bits(root[~good])
+    assert ((L[good] <= got[good]) & (got[good] <= U[good])).all()
+    for a in got.tolist():
+        _assert_near_root(a, lambda y: _ind_set_rate(1000, y), IND_SET_ERR * 1000, ROOT_TOL,
+                          0.0, 0.5)
+
+
+def test_root_solve_lanes_whose_bracket_fails_fall_back(monkeypatch):
+    # With a larger error margin the check fails lanes whose rate at beta =
+    # 0 is small, so the batches mix checked and fallen-back lanes; the
+    # fallen-back lanes return what they return when every lane falls back.
+    d, alpha, tau = _mixed_root_lanes()
+    top, f0 = _cap(alpha, tau), _f0(d, alpha, tau)
+    newton = certify._newton
+    monkeypatch.setattr(certify, "_newton", lambda *args: (np.nan, np.nan))
+    assert (_root_bracket(d, alpha, tau, top, f0)[0] == 0.0).all()
+    plain = _roots(d, alpha, tau, top, f0)
+    monkeypatch.setattr(certify, "_newton", newton)
+    for margin in (RATE_ERR, float(np.median(f0 / (2.0 * d)))):
+        monkeypatch.setattr(certify, "RATE_ERR", margin)
+        lower, upper = _root_bracket(d, alpha, tau, top, f0)
+        failed = upper == 2.0 * top
+        assert failed.any() and not failed.all()
+        assert (lower[failed] == 0.0).all()
+        got = _assert_roots_bracket_the_mpmath_root(d, alpha, tau)
+        for a, b in zip(got, plain):
+            assert _bits(a[failed]) == _bits(b[failed])
 
 
 def test_predictors_warn_of_nothing():
@@ -180,34 +234,40 @@ def _moved(rate, at, err, marked):
     return moved
 
 
-def test_replays_fall_back_where_a_bracket_end_is_within_2e_of_the_root(monkeypatch):
+def test_solves_fall_back_where_a_bracket_end_is_within_2e_of_the_root(monkeypatch):
     # The predictor puts L just past the root, and an adversary moves the
     # rate by up to the error bound E: up at L (and at the bisection's lo,
     # where the rate is below E), down everywhere else.  The bracket then
-    # passes its check only without the 2E margins, and a replay that took
-    # it would take the points at or below L to lie left of a root that the
-    # moved rate has moved left of L.  With the margins both solves fall
-    # back and keep the plain loops' bits on the same rate.
+    # passes its check only without the 2E margins, and a solve that took
+    # it would land at L, right of a root that the moved rate has moved
+    # left of L.  With the margins both solves fall back, and return what
+    # they return given no bracket on the same rate.
     ds = np.full(3, 100)
     lo, hi, err = np.full(3, 1e-12), np.full(3, 0.5 - 1e-12), 1e-7
-    root = ref.lockstep_bisect(ind_set_rate, lo, hi, (ds,))
+    root = bisect_root(ind_set_rate, lo, hi, (ds,))
     lower = root + np.array([1e-13, 1e-12, 1e-11])
     assert ((-err < ind_set_rate(ds, lower)) & (ind_set_rate(ds, lower) < 0.0)).all()
     rate = _moved(ind_set_rate, 1, err, np.r_[lo, lower])
-    guess = (lower, root + 1e-6, np.full(3, err))
-    assert _bits(entropy.bisect_root(rate, lo, hi, (ds,), guess=guess)) == _bits(
-        ref.lockstep_bisect(rate, lo, hi, (ds,)))
+    plain = bisect_root(rate, lo, hi, (ds,))
+    for margin, fell_back in ((err, True), (0.0, False)):
+        bracket = (lower, root + 1e-6, np.full(3, margin))
+        got = bisect_root(rate, lo, hi, (ds,), bracket=bracket)
+        assert (_bits(got) == _bits(plain)) == fell_back
+        assert fell_back or (got >= lower).all()
 
     d = np.full(3, 1000)
     alpha, tau = alpha_fm(d) * np.array([0.5, 0.9, 0.99]), np.array([0.3, 0.6, 0.9])
-    top = _cap(alpha, tau)
-    r_hi = ref.lockstep_roots(d, alpha, tau, top)[1]
+    top, f0 = _cap(alpha, tau), _f0(d, alpha, tau)
+    r_hi = _roots(d, alpha, tau, top, f0)[1]
     lower, upper = r_hi * (1.0 + 1e-9), np.minimum(2.0 * r_hi, top)
     assert ((-1e-6 < pair_rate_grid(d, alpha, lower[None], tau)) & (lower > r_hi)).all()
-    monkeypatch.setattr(certify, "RATE_ERR", 1e-9)
     rate = _moved(pair_rate_grid, 2, 1e-9 * 1000, lower)
-    for module in (certify, ref):
-        monkeypatch.setattr(module, "pair_rate_grid", rate)
+    monkeypatch.setattr(certify, "pair_rate_grid", rate)
+    monkeypatch.setattr(certify, "_newton", lambda *args: (np.nan, np.nan))
+    plain = _roots(d, alpha, tau, top, f0)
     monkeypatch.setattr(certify, "_newton", lambda *args: (lower, upper))
-    _check_roots(d, alpha, tau)
-    assert not np.isfinite(_root_bracket(d, alpha, tau, top, _f0(d, alpha, tau))[0]).any()
+    for margin, fell_back in ((1e-9, True), (0.0, False)):
+        monkeypatch.setattr(certify, "RATE_ERR", margin)
+        assert (_root_bracket(d, alpha, tau, top, f0)[0] == 0.0).all() == fell_back
+        got = _roots(d, alpha, tau, top, f0)
+        assert (_bits(got[1]) == _bits(plain[1])) == fell_back
