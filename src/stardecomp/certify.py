@@ -12,11 +12,11 @@ the pair rate at (alpha, beta, tau) is nonnegative, for beta > 0 and tau in
 alpha/(1 - alpha) (proofs in check_condition), so that region is
 {beta <= r(tau)} with r nonincreasing, and the check is one-dimensional: a
 branch-and-bound over tau on a rigorous upper bound r_hi(tau) of r(tau),
-found by bisection on the computed rate with a stated bound on its float
-error, from a bracket about each root checked against that bound (see
-_roots).  beta_max is r_hi(tau_plus), and the search starts from that
-solve.  Errors are one-sided: the checker may under-certify, never
-over-certify.
+found by the bisection loop of every root solve (entropy._bisect) on the
+computed rate with a stated bound on its float error, from a bracket about
+each root checked against that bound (see _roots).  beta_max is
+r_hi(tau_plus), and the search starts from that solve.  Errors are
+one-sided: the checker may under-certify, never over-certify.
 
 A sweep certifies its degrees in rounds, the only search over k here.  A
 round holds every pending (d, k) as numpy columns, which go through the
@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import (
+    _bisect,
     _ceiling_inv,
     _lanes,
     _newton,
@@ -56,17 +57,16 @@ from .entropy import (
 
 # A computed pair rate below -RATE_EPS * d is surely negative: against
 # 40-digit arithmetic its error is at most 2.1e-16 * d on 6000 points near
-# the roots over d = 30..10^6, and a test bounds it by RATE_EPS * d / 2.
+# the roots over d = 30..10^6, and a test bounds it by RATE_ERR * d.
 RATE_EPS = 2e-15
-# The root solves start from brackets checked against RATE_ERR * d, the
-# bound on the computed pair rate's error that the test above asserts.
+# The bound on the computed pair rate's error that the test above asserts,
+# against which the root solves check their brackets.  It is half of
+# RATE_EPS: a point where the rate computes exactly -RATE_EPS * d closes a
+# lane's bracket on it (entropy._bisect), and the exact rate there is at
+# most -RATE_EPS * d / 2 < 0, so r_hi stays an upper bound on the root.
 RATE_ERR = RATE_EPS / 2
-# Roots are bracketed to a relative ROOT_REL_TOL, ROOT_POINTS points (three
-# halvings) a lane per round; a lane whose rate at beta = 0 lies within
-# RATE_EPS * d of 0 may stop at MAX_ROOT_ROUNDS, its bracket still valid.
+# Roots are bracketed to a relative ROOT_REL_TOL.
 ROOT_REL_TOL = 1e-9
-ROOT_POINTS = 7
-MAX_ROOT_ROUNDS = 200
 # Depth at which a tau interval still open leaves its degree uncertified.
 MAX_DEPTH = 20
 # A sweep report's k_certified where no k certifies.
@@ -79,8 +79,9 @@ NO_K = -1
 # lockstep solves.
 SWEEP_BLOCK = 4096
 # Points at which the root solves evaluate the pair rate at once.  Its
-# temporaries take about 0.16 KB a point, and a round has up to ROOT_POINTS
-# points a lane, so 2048 points bound them near 0.33 MB at any block size.
+# temporaries take about 0.16 KB a point, and a round has one point a lane
+# (the bracket check two), so 2048 points bound them near 0.33 MB at any
+# block size.
 RATE_CHUNK = 2048
 
 
@@ -205,16 +206,21 @@ def _cap(alpha, tau):
 
 
 def _rates_at(d, alpha, tau, points):
-    """The pair rate at points, a 2-d array of rows x lanes whose lanes are
-    those of the 1-d arrays d, alpha and tau, RATE_CHUNK points at a time.
-    pair_rate is elementwise, so a point's rate does not depend on its
-    chunk, and the working memory not on the number of points."""
-    flat, n = points.ravel(), points.shape[1]
-    rates = np.empty(len(flat))
-    for start in range(0, len(flat), RATE_CHUNK):
-        chunk = slice(start, start + RATE_CHUNK)
-        col = np.arange(start, min(start + RATE_CHUNK, len(flat))) % n
-        rates[chunk] = pair_rate_grid(d[col], alpha[col], flat[chunk][None], tau[col])[0]
+    """The pair rate at points, an array whose last axis holds the lanes of
+    the 1-d arrays d, alpha and tau, at most RATE_CHUNK points (and at least
+    a lane's) at a time.  pair_rate is elementwise, so a point's rate does
+    not depend on its chunk, and the working memory not on the lanes; and
+    it gives a scalar the bits it gives in an array, so a lone lane takes
+    the scalar rate, at a fifth of the cost."""
+    if len(d) == 1:
+        d, alpha, tau = d.item(), alpha.item(), tau.item()
+        rates = [pair_rate(d, alpha, p, tau) for p in points.ravel().tolist()]
+        return np.reshape(rates, points.shape)
+    rows = points.reshape(-1, len(d))
+    rates, step = np.empty(rows.shape), max(1, RATE_CHUNK // len(rows))
+    for start in range(0, len(d), step):
+        lanes = slice(start, start + step)
+        rates[:, lanes] = pair_rate_grid(d[lanes], alpha[lanes], rows[:, lanes], tau[lanes])
     return rates.reshape(points.shape)
 
 
@@ -224,78 +230,40 @@ def _roots(d, alpha, tau, top, f0):
     tau), is nonnegative; top is each lane's domain cap or a proven upper
     bound on r(tau).
 
-    A lane starts from its bracket [L, U] (_root_bracket), where the
-    computed rate is >= 0 at L and < -RATE_EPS * d at U, and bisects it to a
-    relative ROOT_REL_TOL, returning at once if it is that narrow already.
-    A lane whose bracket fails its check halves from top to the first point
-    not surely negative (computed rate >= -RATE_EPS * d), then bisects that
-    factor-2 bracket the same way.  A round evaluates the next ROOT_POINTS
-    halvings, or the dyadic points inside the bracket, of all its lanes,
-    RATE_CHUNK points at a time (_rates_at), so that its working memory
-    does not grow with them.  Returns (r_lo, r_hi): r_hi is the bracket's
-    upper end, where the exact rate is negative, or top if no point below
-    it is surely negative; r_lo is the largest point met, L included, whose
-    computed rate is >= 0 (0 if none).  No point leaves the domain, and a
+    Each lane bisects [0, top] on the computed rate (_rates_at) to a
+    relative ROOT_REL_TOL in entropy._bisect, from its bracket [L, U]
+    (_root_bracket) where that passes the check against the rate's error
+    bound RATE_ERR * d; a point is past the root where the rate computes
+    below -RATE_EPS * d.  Returns (r_lo, r_hi).  r_hi is the final
+    bracket's upper end, top or a point where the rate computes at most
+    -RATE_EPS * d, so that the exact rate, within RATE_ERR * d = RATE_EPS *
+    d / 2 of it, is negative there and r_hi lies past r(tau) (see
+    check_condition); r_lo is the largest point met, L included, whose
+    computed rate is >= 0 (0 if none).  No point leaves [0, top], and a
     lane's points do not depend on other lanes.
     """
-    # The state of the lanes still running, run their indices.  lo = 0
-    # marks a lane still halving down from hi (from U where L is 0); one
-    # whose bracket failed halves from 2 top, so its first point is top.
-    lo, hi = _root_bracket(d, alpha, tau, top, f0)
-    run, rl, r_lo, r_hi = np.arange(len(d)), lo.copy(), np.zeros(len(d)), np.zeros(len(d))
-    lane = (d, alpha, tau, top, RATE_EPS * d)
-    steps = np.arange(1, ROOT_POINTS + 1)[:, None]
-    halves, fractions = 0.5 ** steps, steps / (ROOT_POINTS + 1.0)
-    for _ in range(MAX_ROOT_ROUNDS):
-        going = (lo == 0.0) | (hi - lo > ROOT_REL_TOL * hi)
-        if not going.all():
-            done = ~going
-            r_lo[run[done]], r_hi[run[done]] = rl[done], hi[done]
-            run, lo, hi, rl = run[going], lo[going], hi[going], rl[going]
-            lane = tuple(v[going] for v in lane)
-        if not len(run):
-            break
-        dr, ar, tr, cap, eps = lane
-        halving = lo == 0.0
-        pts = (hi * halves if halving.all() else lo + (hi - lo) * fractions if not halving.any()
-               else np.where(halving, hi * halves, lo + (hi - lo) * fractions))
-        rates = _rates_at(dr, ar, tr, pts)
-        rl = np.maximum(rl, np.where(rates >= 0.0, pts, 0.0).max(axis=0))
-        # Halving goes down the rows to the first point not surely negative,
-        # bisection up the rows to the first point that is; prev is the row
-        # before that point, or the bracket's end.
-        hit = (rates < -eps) != halving
-        found, i = hit.any(axis=0), hit.argmax(axis=0)
-        at = i * len(run) + np.arange(len(run))
-        at_i = pts.ravel()[at]
-        prev = np.where(i > 0, pts.ravel()[at - len(run)], np.where(halving, hi, lo))
-        lo, hi = (np.where(halving, np.where(found, at_i, lo), np.where(found, prev, pts[-1])),
-                  np.minimum(np.where(halving, np.where(found, prev, pts[-1]),
-                                      np.where(found, at_i, hi)), cap))
-    r_lo[run], r_hi[run] = rl, hi
+    if not len(d):
+        return np.zeros(0), np.zeros(0)
+    bracket = (*_root_bracket(d, alpha, tau, top, f0), RATE_ERR * d)
+    _, r_hi, r_lo = _bisect(_rates_at, (d, alpha, tau), np.zeros(len(d)), top, ROOT_REL_TOL,
+                            np.inf, bracket, RATE_EPS * d)
     return r_lo, r_hi
 
 
 def _root_bracket(d, alpha, tau, top, f0):
-    """The bracket [L, U] each lane of _roots starts from, where the
-    computed rate f, within E = RATE_ERR * d of the exact one, has
-    min(f(0), f(L)) >= 2E and f(U) < -RATE_EPS * d - 2E, so that the exact
-    rate, concave in beta (check_condition), is above E on [0, L] and
-    negative at U; or (0, 2 top), a halving from top, where that fails.
-
-    Newton steps on the rate f in beta, kept in [0, top]
-    (entropy._newton), start from the root of f(0) + beta (1 - log beta +
-    K(0)), f's expansion at 0, where f'(beta) = -log beta + K(beta) and
+    """The bracket [L, U] about each lane's root that _roots starts from,
+    unchecked: Newton steps on the rate f in beta, kept in [0, top]
+    (entropy._newton), from the root of f(0) + beta (1 - log beta + K(0)),
+    f's expansion at 0, where f'(beta) = -log beta + K(beta) and
 
         K = d (h(tau) + h(1-tau) + tau log(alpha - tau beta)
                + (1-tau) log(1 - 2 alpha - (1-tau) beta)) - (d-1) log(1 - alpha - beta).
 
     L lies 4E and U RATE_EPS * d + 4E past the steps' root, in units of
-    |f'|.
+    |f'|, with E = RATE_ERR * d.
     """
-    err = RATE_ERR * d
     c, ht = 1.0 - 2.0 * alpha, h(tau) + h(1.0 - tau)
-    rate = lambda d, alpha, tau, c, ht, beta: pair_rate(d, alpha, beta, tau)
+    rate = lambda d, alpha, tau, c, ht, beta: _rates_at(d, alpha, tau, beta)
 
     def slope(d, alpha, tau, c, ht, beta):
         return -np.log(beta) + (d * (ht + tau * np.log(alpha - tau * beta)
@@ -308,13 +276,8 @@ def _root_bracket(d, alpha, tau, top, f0):
         for _ in range(2):
             beta = f0 / (np.log(beta) - 1.0 - k0)
         beta = np.where(beta > 0.0, np.minimum(beta, top), top)
-    lower, upper = _newton(rate, slope, (d, alpha, tau, c, ht), beta, 0.0, top, err,
-                           RATE_EPS * d)
-    lower, upper = np.clip(lower, 0.0, top), np.clip(upper, 0.0, top)
-    f = _rates_at(d, alpha, tau, np.stack([lower, upper]))
-    ok = ((np.minimum(f0, f[0]) >= 2.0 * err) & (f[1] < -RATE_EPS * d - 2.0 * err)
-          & (lower < upper))
-    return np.where(ok, lower, 0.0), np.where(ok, upper, 2.0 * top)
+    return _newton(rate, slope, (d, alpha, tau, c, ht), beta, 0.0, top, RATE_ERR * d,
+                   RATE_EPS * d)
 
 
 def beta_max(d, alpha, tau_plus):

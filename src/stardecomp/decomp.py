@@ -378,17 +378,18 @@ def stars_from_orientation(g: Graph, A, orientation: Orientation, k):
     H = orientation.graph
     if H.n != len(comp):
         raise ValueError("orientation is not of the complement of A")
+    # Each edge-length array goes once used, so that only a few are held.
     u, v = g.pairs[:, 0], g.pairs[:, 1]
     in_u, in_v = mask[u], mask[v]
     if np.any(in_u & in_v):
         raise ValueError("independent set has an internal edge")
-    inner = ~(in_u | in_v)
-    relabel = np.cumsum(~mask) - 1
-    if not np.array_equal(H.pairs, relabel[g.pairs[inner]]):
+    tails, inner = np.where(in_u, v, u), ~(in_u | in_v)
+    del in_u, in_v
+    if not np.array_equal(H.pairs, (np.cumsum(~mask) - 1)[g.pairs[inner]]):
         raise ValueError("orientation is not of the complement of A")
-    tails = np.where(in_u, v, u)
     head = comp[np.asarray(orientation.heads, dtype=np.int64)]
     tails[inner] = np.where(head == u[inner], v[inner], u[inner])
+    del inner, head
     outdeg = np.bincount(tails, minlength=g.n)
     short = np.flatnonzero(outdeg[comp] < k)
     if short.size:
@@ -397,10 +398,12 @@ def stars_from_orientation(g: Graph, A, orientation: Orientation, k):
     # Out-edges grouped by tail, each group in edge-id order; the first k of
     # a group make its star.
     order = np.argsort(tails, kind="stable")
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(outdeg) - outdeg, outdeg)
-    first = order[rank < k]
+    rank = np.arange(len(order))
+    rank -= np.repeat(np.cumsum(outdeg) - outdeg, outdeg)
+    first, rest = order[rank < k], order[rank >= k]
+    del order, rank
     leaves = u[first] + v[first] - tails[first]
-    return StarDecomposition(k, comp, _star_rows(leaves, len(comp)), g.pairs[order[rank >= k]])
+    return StarDecomposition(k, comp, _star_rows(leaves, len(comp)), g.pairs[rest])
 
 
 def _vertex_ids(ends, n):

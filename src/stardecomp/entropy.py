@@ -6,15 +6,14 @@ All logarithms are natural.
 
 Each rate has one implementation, a numpy function of scalars or broadcast
 arrays: a scalar input gives a float, and each element's value comes from
-its own arguments alone, so it is the same in any array.  The roots of the
-first-moment bound, the average-degree ceiling and its inverse come from one
-bisection that runs many brackets (lanes) in lockstep on those functions; a
-scalar argument is a lane of one, and a lane's result does not depend on the
-other lanes of its batch.  Those three callers start the bisection from a
-bracket about each root (see bisect_root): a few Newton steps predict it,
-and the rate computed at its ends, beyond twice its error bound on either
-side of 0, checks it; a lane whose bracket fails the check bisects the whole
-range.
+its own arguments alone, so it is the same in any array.  Every root solve
+runs on one bisection loop (_bisect) over many brackets (lanes) in lockstep:
+the first-moment bound, the average-degree ceiling and its inverse here,
+and certify's pair-rate roots.  A scalar argument is a lane of one, and a
+lane's result does not depend on the other lanes of its batch.  Each solve
+starts from a bracket about each root: a few Newton steps predict it, and
+the rate computed at its ends, beyond twice its error bound on either side
+of the root, checks it; a lane whose bracket fails bisects the whole range.
 """
 
 from __future__ import annotations
@@ -25,6 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 CLAMP_TOL = 1e-12
+# The bisection loop (_bisect) stops a lane at its tolerance, ROOT_TOL here
+# and ROOT_REL_TOL in certify, or after MAX_BISECT_ITER rounds with its
+# bracket valid but wider.  Only a pair-rate lane that bisects [0, cap] to a
+# root below 2^-170 of the cap, one whose rate at beta = 0 is near 0, meets
+# the cap: its r_hi stays an upper bound, only a looser one.
 ROOT_TOL = 1e-12
 MAX_BISECT_ITER = 200
 # avg_degree_ceiling_inv's roots reach down to about 1e-15, where an absolute
@@ -243,26 +247,17 @@ def _in_blocks(solve, lanes):
 
 
 def bisect_root(f, lo, hi, args=(), tol_scale=None, bracket=None):
-    """Plain bisection for a sign change of f on [lo, hi], run on many
-    brackets (lanes) in lockstep.
+    """Bisection for a sign change of f on [lo, hi], on many brackets
+    (lanes) in lockstep: _bisect on f signed to be positive at lo.
 
-    lo and hi hold one bracket per lane (floats are one lane), args one array
-    of parameters per lane each, and f(*args, x) the values of all lanes at
-    their points x, each from its own lane's arguments alone, so that a lane
-    makes the same steps, and returns the same bits, in any batch.  In every
-    lane f(lo) and f(hi) must have opposite (non-strict) signs, else
-    RuntimeError; a lane returns where f is 0 or the midpoint 0.5*(lo + hi)
-    of its final bracket, once that is within ROOT_TOL, or after
-    MAX_BISECT_ITER steps.  With tol_scale, for positive brackets, the
-    tolerance is relative to hi while hi lies below tol_scale.  Float
-    brackets return a float.
-
-    bracket, if given, holds arrays (L, U, err) of a bracket about each
-    lane's root and a bound on the error of f's computed values.  A lane
-    whose lo < L < U < hi, with f computed at L beyond 2 err on f(lo)'s side
-    of 0 and at U beyond 2 err on the other side, bisects [L, U] in place of
-    [lo, hi]: the computed signs at L and U bracket a sign change as f(lo)
-    and f(hi) do, and the exact f, within err of them, has its root inside.
+    lo and hi hold one bracket per lane (floats are one lane, and return a
+    float), args one array of parameters per lane each, and f(*args, x) the
+    values of all lanes at their points x.  In every lane f(lo) and f(hi)
+    must have opposite (non-strict) signs, else RuntimeError.  A lane
+    returns where f is 0 or the midpoint of its final bracket, ROOT_TOL
+    wide (relative to hi while hi lies below tol_scale, if given) or after
+    MAX_BISECT_ITER steps.  bracket, if given, holds arrays (L, U, err) of a
+    bracket about each lane's root and a bound on f's error (see _bisect).
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (a.astype(float) for a in _lanes(lo, hi))
@@ -274,32 +269,68 @@ def bisect_root(f, lo, hi, args=(), tol_scale=None, bracket=None):
     if bad.any():
         i = np.argmax(bad)
         raise RuntimeError(f"no sign change on [{lo[i].item()}, {hi[i].item()}]")
+    run = np.flatnonzero(active)
+    g, lanes = f, [a[run] for a in args]
+    if not pos.all():
+        # A sign flip is exact, so the signed f keeps f's bits.
+        g, lanes = (lambda side, *x: side * f(*x)), [np.where(pos, 1.0, -1.0)[run], *lanes]
+    bracket = None if bracket is None else [v[run] for v in bracket]
+    l, h, _ = _bisect(g, lanes, lo[run], hi[run], ROOT_TOL, tol_scale, bracket)
+    root[run] = 0.5 * (l + h)
+    return root.item() if scalar else root
+
+
+def _bisect(f, args, lo, hi, tol, scale=None, bracket=None, margin=0.0):
+    """The bisection loop of every root solve, on lanes in lockstep: a
+    bracket [lo, hi] a lane (1-d arrays), args one array of parameters per
+    lane each, and f(*args, x) the values of all lanes at their points x,
+    each from its own lane's arguments alone, so that a lane takes the same
+    steps in any batch.  f computes >= 0 at lo, and a point is past the
+    root where f computes below -margin (a float, or one a lane).
+
+    bracket, if given, holds arrays (L, U, err): a bracket about each
+    lane's root, clipped to [lo, hi], and a bound on the error of f's
+    values.  A lane with lo < L < U < hi, f computed above 2 err at L and
+    below -margin - 2 err at U, bisects [L, U] in place of [lo, hi]: the
+    exact f is above err at L and below -margin - err at U, so that any
+    value computed within err of it falls on the check's side there.
+
+    A round evaluates f at each lane's midpoint, which becomes hi where it
+    is past the root and lo where not; where f computes exactly -margin,
+    both, as on a zero of f for margin 0.  A lane stops once hi - lo <= tol,
+    relative to hi while hi lies below scale (None: absolute), or after
+    MAX_BISECT_ITER rounds, its bracket valid but wider.  Returns (lo, hi,
+    r_lo), r_lo the largest point met where f computes >= 0 (lo and L
+    included); at once, given no lane.
+    """
+    if not len(lo):
+        return lo, hi, lo
+    cut = np.broadcast_to(-margin, lo.shape)
     if bracket is not None:
         L, U, err = np.clip(bracket[0], lo, hi), np.clip(bracket[1], lo, hi), bracket[2]
-        side = np.where(pos, 1.0, -1.0)
-        fL, fU = side * f(*args, np.stack([L, U]))
-        ok = active & (lo < L) & (L < U) & (U < hi) & (fL > 2.0 * err) & (fU < -2.0 * err)
+        fL, fU = f(*args, np.stack([L, U]))
+        ok = (lo < L) & (L < U) & (U < hi) & (fL > 2.0 * err) & (fU < cut - 2.0 * err)
         lo, hi = np.where(ok, L, lo), np.where(ok, U, hi)
-    # The lanes still going, as run, and their state.
-    run = np.flatnonzero(active)
-    l, h, lane = lo[run], hi[run], [v[run] for v in (pos, *args)]
+    # The lanes still going, as run, and their state; a lane's last goes
+    # into the returned arrays.
+    run, l, h, rl, lane = np.arange(len(lo)), lo, hi, lo, [cut, *args]
+    lo, hi, r_lo = np.empty(len(run)), np.empty(len(run)), np.empty(len(run))
     for _ in range(MAX_BISECT_ITER):
-        width = ROOT_TOL * (1.0 if tol_scale is None else np.where(h < tol_scale, h, 1.0))
+        width = tol if scale is None else tol * np.where(h < scale, h, 1.0)
         going = h - l > width
         if not going.all():
-            lo[run], hi[run] = l, h
-            run, l, h, lane = run[going], l[going], h[going], [v[going] for v in lane]
-        if not len(run):
-            break
-        p, *arg = lane
+            lo[run], hi[run], r_lo[run] = l, h, rl
+            run, l, h, rl = run[going], l[going], h[going], rl[going]
+            lane = [v[going] for v in lane]
+            if not len(run):
+                break
+        c, *arg = lane
         mid = 0.5 * (l + h)
         fmid = f(*arg, mid)
-        # A zero closes the bracket on mid, and 0.5*(mid + mid) is mid.
-        same, zero = (fmid > 0.0) == p, fmid == 0.0
-        l, h = np.where(same | zero, mid, l), np.where(~same | zero, mid, h)
-    lo[run], hi[run] = l, h
-    root = np.where(np.isnan(root), 0.5 * (lo + hi), root)
-    return root.item() if scalar else root
+        rl = np.where(fmid >= 0.0, mid, rl)
+        l, h = np.where(fmid < c, l, mid), np.where(fmid <= c, mid, h)
+    lo[run], hi[run], r_lo[run] = l, h, rl
+    return lo, hi, r_lo
 
 
 def _newton(f, slope, args, x, lo, hi, err, drop=0.0):

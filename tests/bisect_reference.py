@@ -1,13 +1,15 @@
-"""Reference oracles for the differential tests of the lockstep bisection:
-the scalar bisection, and the one-degree-at-a-time first-moment bound,
-average-degree ceiling, its inverse and d_hat derivation, which evaluate
-every point with the earlier scalar rates below (math.log, one point a
-call); and the pair rate's root solve scanning one point at a time.
+"""Reference oracles for the differential tests of the root solves, which
+run on one lockstep bisection loop (entropy._bisect): the scalar
+bisection, and the one-degree-at-a-time first-moment bound, average-degree
+ceiling, its inverse and d_hat derivation, which evaluate every point with
+the earlier scalar rates below (math.log, one point a call); and the pair
+rate's root solve, bisecting from the domain cap one point at a time.
 
 The library's rates may differ from the scalar ones in the last bits, which
 can flip a sign only where a rate lies within rounding of zero, so each lane
 of the library's bisections must end within one final bracket of these
-(within_bracket).  The root scan evaluates the library's own pair rate, and
+(within_bracket).  The pair rate's solve evaluates the library's own pair
+rate, but from [0, cap] where the library starts from a checked bracket, so
 each lane of beta_max must return what it returns for that lane, or a bound
 within the root solves' tolerance of it."""
 
@@ -15,7 +17,6 @@ import math
 
 from stardecomp.certify import (
     RATE_EPS,
-    ROOT_POINTS,
     ROOT_REL_TOL,
     CertifyError,
     CertifyResult,
@@ -155,32 +156,25 @@ def derive_dhat(inp):
 
 
 def beta_max(d, alpha, tau):
-    """r_hi(tau) scanned one point at a time: down the halvings of the
-    domain cap to the first point not surely negative, then, round by
-    round, up the bracket's dyadic points to the first one that is.  Each
-    point's rate is the library's kernel on that point alone."""
+    """r_hi(tau) by bisection of [0, cap] one point at a time, as a lane
+    whose bracket fails its check takes it: a point is past the root where
+    the rate computes at most -RATE_EPS * d, and the bracket stops at a
+    relative ROOT_REL_TOL or after MAX_BISECT_ITER points.  Each point's
+    rate is the library's kernel on that point alone."""
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha {alpha} outside (0, 1/2)")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau_plus {tau} outside (0, 1]")
     if pair_rate(d, alpha, 0.0, tau) < 0.0:
         return 0.0
-
-    def negative(beta):
-        return pair_rate_grid([d], [alpha], [[beta]], [tau])[0, 0] < -RATE_EPS * d
-
-    hi = min(1.0 - 2.0 * alpha, alpha / tau)
-    if not negative(hi):
-        return hi
-    lo = 0.5 * hi
-    while negative(lo):
-        hi, lo = lo, 0.5 * lo
-    while hi - lo > ROOT_REL_TOL * hi:
-        base, width = lo, hi - lo
-        for j in range(1, ROOT_POINTS + 1):
-            beta = base + width * (j / (ROOT_POINTS + 1.0))
-            if negative(beta):
-                hi = beta
-                break
+    lo, hi = 0.0, min(1.0 - 2.0 * alpha, alpha / tau)
+    for _ in range(MAX_BISECT_ITER):
+        if hi - lo <= ROOT_REL_TOL * hi:
+            break
+        beta = 0.5 * (lo + hi)
+        rate = pair_rate_grid([d], [alpha], [[beta]], [tau])[0, 0]
+        if rate <= -RATE_EPS * d:
+            hi = beta
+        if rate >= -RATE_EPS * d:
             lo = beta
     return hi

@@ -305,7 +305,7 @@ def test_beta_max_at_a_subnormal_tau_plus_warns_of_nothing():
     # 1 - 2 alpha, found without overflowing alpha / tau.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert beta_max(30, 0.1, 5e-324) == bisect_reference.beta_max(30, 0.1, 5e-324)
+        assert _near_scan(beta_max(30, 0.1, 5e-324), (30, 0.1, 5e-324))
 
 
 def test_beta_max_rejects_bad_arguments():
@@ -665,7 +665,7 @@ def test_sweep_payload_is_pinned(monkeypatch, rate_chunk):
         1798, 1800, 1802, 1804]
     payload = json.dumps(report.as_dict(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == (
-        "a66ae3401786cfdb8724eab62783b7104a81f760e512e650f1c083510e0e0086")
+        "5c324fb9c030c18bafe83dcb4a6597a3f6c4e443d41ab32e0bdbd0be934142e1")
 
 
 def _assert_same_columns(got, want):

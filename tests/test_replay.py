@@ -1,8 +1,9 @@
 """Tests of the root solves that start from a checked bracket: alpha_fm, the
-ceiling, its inverse (entropy.bisect_root) and certify._roots.  Each lands
-within its tolerance of the root computed by mpmath at 50 digits, a lane's
-result does not depend on its batch, and a lane whose bracket fails its
-check solves the whole range as a solve given no bracket does."""
+ceiling, its inverse (entropy.bisect_root) and certify._roots, all on the
+one bisection loop entropy._bisect.  Each lands within its tolerance of the
+root computed by mpmath at 50 digits, a lane's result does not depend on
+its batch, and a lane whose bracket fails its check solves the whole range
+as a solve given no bracket does."""
 
 import warnings
 
@@ -17,6 +18,7 @@ from stardecomp.certify import (
     RATE_ERR,
     ROOT_REL_TOL,
     _cap,
+    _rates_at,
     _root_bracket,
     _roots,
     beta_max,
@@ -27,6 +29,7 @@ from stardecomp.entropy import (
     INV_TOL_SCALE,
     ROOT_TOL,
     SUBSET_ERR,
+    _bisect,
     alpha_fm,
     avg_degree_ceiling,
     avg_degree_ceiling_inv,
@@ -189,26 +192,73 @@ def test_bisection_lanes_whose_bracket_fails_fall_back():
                           0.0, 0.5)
 
 
+def test_the_loop_checks_a_bracket_end_against_its_margin():
+    # f = c - x, past the root where it computes below -m, with error bound
+    # e.  A bracket end U where f lies between -m - 2e and -2e is not past
+    # by the check, so that lane bisects [lo, hi] as given no bracket; the
+    # lanes whose f(U) is below -m - 2e start from [L, U].
+    c, m, e = np.full(3, 0.3), 0.01, 1e-6
+    lo, hi, L = np.zeros(3), np.ones(3), np.full(3, 0.2)
+    U = c + m + np.array([-m / 2, 3 * e, 1e-3])
+    f = lambda c, x: c - x
+    plain = _bisect(f, (c,), lo, hi, ROOT_TOL, None, None, m)
+    got = _bisect(f, (c,), lo, hi, ROOT_TOL, None, (L, U, np.full(3, e)), m)
+    assert [_bits(a[i]) == _bits(b[i]) for a, b in zip(got, plain) for i in range(3)] == [
+        True, False, False] * 3
+    assert (f(c, got[1]) <= -m).all() and (f(c, got[0]) >= -m).all()
+
+
+def _root_solve(rate, d, alpha, tau, bracket=None):
+    """_roots' call of the bisection loop on rate, as (lo, hi, r_lo)."""
+    return _bisect(rate, (d, alpha, tau), np.zeros(len(d)), _cap(alpha, tau), ROOT_REL_TOL,
+                   np.inf, bracket, RATE_EPS * d)
+
+
+def _passes(rate, d, alpha, tau, bracket):
+    """The lanes whose bracket (L, U, err), clipped to [0, top], passes the
+    loop's check: 0 < L < U < top, the rate computed above 2 err at L and
+    below -RATE_EPS d - 2 err at U."""
+    top = _cap(alpha, tau)
+    L, U = np.clip(bracket[0], 0.0, top), np.clip(bracket[1], 0.0, top)
+    fL, fU = (rate(d, alpha, tau, x) for x in (L, U))
+    return ((0.0 < L) & (L < U) & (U < top) & (fL > 2.0 * bracket[2])
+            & (fU < -RATE_EPS * d - 2.0 * bracket[2]))
+
+
 def test_root_solve_lanes_whose_bracket_fails_fall_back(monkeypatch):
-    # With a larger error margin the check fails lanes whose rate at beta =
-    # 0 is small, so the batches mix checked and fallen-back lanes; the
-    # fallen-back lanes return what they return when every lane falls back.
+    # The check fails lanes whose rate at beta = 0 is small, and more of
+    # them with a larger error margin, so the batches mix checked and
+    # fallen-back lanes.  A lane that falls back returns what it returns
+    # given no bracket, one that passes stays inside [L, U], and every lane
+    # brackets the mpmath root.
     d, alpha, tau = _mixed_root_lanes()
     top, f0 = _cap(alpha, tau), _f0(d, alpha, tau)
-    newton = certify._newton
-    monkeypatch.setattr(certify, "_newton", lambda *args: (np.nan, np.nan))
-    assert (_root_bracket(d, alpha, tau, top, f0)[0] == 0.0).all()
-    plain = _roots(d, alpha, tau, top, f0)
-    monkeypatch.setattr(certify, "_newton", newton)
+    plain = _root_solve(_rates_at, d, alpha, tau)
     for margin in (RATE_ERR, float(np.median(f0 / (2.0 * d)))):
         monkeypatch.setattr(certify, "RATE_ERR", margin)
-        lower, upper = _root_bracket(d, alpha, tau, top, f0)
-        failed = upper == 2.0 * top
-        assert failed.any() and not failed.all()
-        assert (lower[failed] == 0.0).all()
-        got = _assert_roots_bracket_the_mpmath_root(d, alpha, tau)
+        bracket = (*_root_bracket(d, alpha, tau, top, f0), margin * d)
+        ok = _passes(_rates_at, d, alpha, tau, bracket)
+        assert ok.any() and not ok.all()
+        got = _root_solve(_rates_at, d, alpha, tau, bracket)
         for a, b in zip(got, plain):
-            assert _bits(a[failed]) == _bits(b[failed])
+            assert _bits(a[~ok]) == _bits(b[~ok])
+        L, U = bracket[0][ok], bracket[1][ok]
+        assert ((L <= got[0][ok]) & (got[2][ok] >= L) & (got[1][ok] <= U)).all()
+        _assert_roots_bracket_the_mpmath_root(d, alpha, tau)
+
+
+def test_root_solve_of_no_lanes_returns_at_once(monkeypatch):
+    calls = []
+    for name in ("pair_rate", "pair_rate_grid"):
+        rate = getattr(certify, name)
+        monkeypatch.setattr(certify, name, lambda *args, rate=rate: calls.append(1) or rate(*args))
+    none = np.zeros(0)
+    r_lo, r_hi = _roots(none.astype(int), none, none, none, none)
+    assert r_lo.shape == r_hi.shape == (0,) and len(calls) <= 1
+    # The loop itself, given no lane, evaluates nothing.
+    calls.clear()
+    got = _bisect(lambda x: calls.append(1) or x, (), none, none, ROOT_TOL)
+    assert [a.shape for a in got] == [(0,)] * 3 and not calls
 
 
 def test_predictors_warn_of_nothing():
@@ -234,7 +284,7 @@ def _moved(rate, at, err, marked):
     return moved
 
 
-def test_solves_fall_back_where_a_bracket_end_is_within_2e_of_the_root(monkeypatch):
+def test_solves_fall_back_where_a_bracket_end_is_within_2e_of_the_root():
     # The predictor puts L just past the root, and an adversary moves the
     # rate by up to the error bound E: up at L (and at the bisection's lo,
     # where the rate is below E), down everywhere else.  The bracket then
@@ -257,17 +307,14 @@ def test_solves_fall_back_where_a_bracket_end_is_within_2e_of_the_root(monkeypat
 
     d = np.full(3, 1000)
     alpha, tau = alpha_fm(d) * np.array([0.5, 0.9, 0.99]), np.array([0.3, 0.6, 0.9])
-    top, f0 = _cap(alpha, tau), _f0(d, alpha, tau)
-    r_hi = _roots(d, alpha, tau, top, f0)[1]
-    lower, upper = r_hi * (1.0 + 1e-9), np.minimum(2.0 * r_hi, top)
+    r_hi = _roots(d, alpha, tau, _cap(alpha, tau), _f0(d, alpha, tau))[1]
+    lower, upper = r_hi * (1.0 + 1e-9), np.minimum(2.0 * r_hi, _cap(alpha, tau))
     assert ((-1e-6 < pair_rate_grid(d, alpha, lower[None], tau)) & (lower > r_hi)).all()
-    rate = _moved(pair_rate_grid, 2, 1e-9 * 1000, lower)
-    monkeypatch.setattr(certify, "pair_rate_grid", rate)
-    monkeypatch.setattr(certify, "_newton", lambda *args: (np.nan, np.nan))
-    plain = _roots(d, alpha, tau, top, f0)
-    monkeypatch.setattr(certify, "_newton", lambda *args: (lower, upper))
+    rate = _moved(_rates_at, 3, 1e-9 * 1000, lower)
+    plain = _root_solve(rate, d, alpha, tau)
     for margin, fell_back in ((1e-9, True), (0.0, False)):
-        monkeypatch.setattr(certify, "RATE_ERR", margin)
-        assert (_root_bracket(d, alpha, tau, top, f0)[0] == 0.0).all() == fell_back
-        got = _roots(d, alpha, tau, top, f0)
+        bracket = (lower, upper, np.full(3, margin * 1000))
+        assert (~_passes(rate, d, alpha, tau, bracket)).all() == fell_back
+        got = _root_solve(rate, d, alpha, tau, bracket)
         assert (_bits(got[1]) == _bits(plain[1])) == fell_back
+        assert fell_back or (got[1] > lower).all()

@@ -167,11 +167,11 @@ def test_certify_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, records_
         monkeypatch.setattr(stardecomp.cli, "RECORDS_PER_WRITE", records_per_write)
     assert main(["certify", "--d-min", "30", "--d-max", "3000"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == (
-        "860dedf11891a418bbffc0703469415b544c011b218eb13cf49afa238c1293e0")
+        "27004f529c2baab4fb21a8602334a2d0e1fe000b6fe86e8088f5a8bf596a509b")
     out = tmp_path / "sweep.csv"
     assert main(["certify", "--d-min", "30", "--d-max", "3000", "--format", "csv",
                  "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == (
-        "87f7e3ac01deef424f974891241c80d305278abdfbde488389244f8d0015bf9b")
+        "38b9e1184768d4637f91f6f6a2fefd860922873590e2d83f06bf907b85a48f29")
     assert _sha256(Path(str(out) + ".exceptional.csv").read_bytes()) == (
         "d60c8e4b2ed98fc049d045d01dd8ce8da91386bb257d70188de724ad1e140f9a")
