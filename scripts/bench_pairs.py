@@ -27,6 +27,14 @@ ties count for neither side).  It also holds the machine, both provenance
 records and both src/ line counts.  The file, BENCH_<pr>.json in the change
 checkout, is rewritten after every pair, so an interrupted run keeps the
 pairs it finished.
+
+Each workload also lists as `worse` every end-to-end metric whose change
+median is worse than the parent's by more than its BENCHMARK.json bound (a
+fraction of the parent's median), and as `unresolved` every metric whose
+parent spread, the interquartile range over the median, exceeds that bound.
+Given --claim, `claim.met` is true when the change won at least 9 in 10 of
+the claimed workload's pairs on the claimed metric and its median is better
+than the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# The share of pairs a claimed gain must win.
+CLAIM_WIN_SHARE = 0.9
 # What a perfbench run reads from a checkout.
 COPIED = ("src", "perfbench", "schemas", "BENCHMARK.json")
 
@@ -92,6 +102,33 @@ def change_wins(parent, change, better):
     return wins
 
 
+def judge(entry, better, bounds):
+    """The metrics of a workload's entry that are worse at the change than
+    the parent's median by more than their bound, and those whose parent
+    spread exceeds it, as (worse, unresolved)."""
+    worse, unresolved = [], []
+    for name, way in better.items():
+        parent, change = entry["parent"]["median"][name], entry["change"]["median"][name]
+        q1, q3 = entry["parent"]["quartiles"][name]
+        sign = 1 if way == "lower" else -1
+        if sign * (change - parent) > bounds[name] * abs(parent):
+            worse.append(name)
+        if q3 - q1 > bounds[name] * abs(parent):
+            unresolved.append(name)
+    return worse, unresolved
+
+
+def claim_met(entry, metric, way):
+    """Whether the change won at least CLAIM_WIN_SHARE of the pairs on
+    metric and its median is better than the parent's by more than the
+    parent's interquartile range."""
+    parent, change = entry["parent"]["median"][metric], entry["change"]["median"][metric]
+    q1, q3 = entry["parent"]["quartiles"][metric]
+    gain = (parent - change) if way == "lower" else (change - parent)
+    pairs = len(entry["parent"]["runs"])
+    return entry["change_won_pairs"][metric] >= CLAIM_WIN_SHARE * pairs and gain > q3 - q1
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -99,7 +136,7 @@ def main(argv=None):
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--claim", help="WORKLOAD:METRIC:EXPECTED, recorded as given")
+    ap.add_argument("--claim", help="WORKLOAD:METRIC:EXPECTED, EXPECTED recorded as given")
     ap.add_argument("--summary", help="what the change does, recorded as given")
     ap.add_argument("--run-dir", type=Path,
                     default=Path(tempfile.gettempdir()) / "stardecomp-bench",
@@ -110,6 +147,7 @@ def main(argv=None):
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = args.change / f"BENCH_{args.pr}.json"
 
@@ -118,7 +156,10 @@ def main(argv=None):
         doc["change"] = args.summary
     if args.claim:
         workload, metric, expected = args.claim.split(":", 2)
-        doc["claim"] = {"workload": workload, "metric": metric, "expected": expected}
+        if metric not in better:
+            ap.error(f"--claim metric {metric} is not an end-to-end metric")
+        doc["claim"] = {"workload": workload, "metric": metric, "expected": expected,
+                        "met": None}
     doc["method"] = (
         "scripts/bench_pairs.py: python3 perfbench/run.py --workload W --seed 0 "
         f"--seconds {seconds:g} --trace 0, {args.pairs} pairs a workload, the parent first "
@@ -157,6 +198,11 @@ def main(argv=None):
                 name: (entry["change"]["median"][name] / entry["parent"]["median"][name] - 1
                        if entry["parent"]["median"][name] else None)
                 for name in better}
+            entry["worse"], entry["unresolved"] = judge(entry, better, bounds)
+            claim = doc.get("claim")
+            if claim and claim["workload"] == workload:
+                claim["pairs"] = pair + 1
+                claim["met"] = claim_met(entry, claim["metric"], better[claim["metric"]])
             write()
             print(f"{workload} pair {pair + 1}/{args.pairs}: " + ", ".join(
                 f"{side} wall_s {runs[side][-1]['wall_s']:.4f}" for side in SIDES),

@@ -15,8 +15,10 @@ branch-and-bound over tau on a rigorous upper bound r_hi(tau) of r(tau),
 found by the bisection loop of every root solve (entropy._bisect) on the
 computed rate with a stated bound on its float error, from a bracket about
 each root checked against that bound (see _roots).  beta_max is
-r_hi(tau_plus), and the search starts from that solve.  Errors are
-one-sided: the checker may under-certify, never over-certify.
+r_hi(tau_plus), and the search starts from that solve; each of its levels
+splits every open interval 2^SPLIT_LEVELS ways and solves all the new points
+in one _roots call.  Errors are one-sided: the checker may under-certify,
+never over-certify.
 
 A sweep certifies its degrees in rounds, the only search over k here.  A
 round holds every pending (d, k) as numpy columns, which go through the
@@ -69,6 +71,11 @@ RATE_ERR = RATE_EPS / 2
 ROOT_REL_TOL = 1e-9
 # Depth at which a tau interval still open leaves its degree uncertified.
 MAX_DEPTH = 20
+# Depths the search descends a level: each open tau interval splits into
+# 2^SPLIT_LEVELS parts, whose inner points take one root solve for all lanes.
+# A smaller value pays numpy's per-call cost in more rounds, a larger one
+# solves points that a coarser level would have discharged.
+SPLIT_LEVELS = 3
 # A sweep report's k_certified where no k certifies.
 NO_K = -1
 # Degrees certified in one set of rounds.  A degree's row takes about 0.1 KB
@@ -322,8 +329,14 @@ def check_condition(d, k, d_hat, alpha, bmax, tau_plus):
     weak: [a, b] is discharged when (b*d - d_hat)^+ * r_hi(a) < rhs (r_hi
     from _roots); it fails the check when (a*d - d_hat) * r_hi(a) >= rhs,
     as no interval from a can be discharged, or when still open at depth
-    MAX_DEPTH; else it splits at m, which needs only r(m), solved down from
-    r_hi(a).  Each level solves all its roots, across lanes, in one _roots.
+    MAX_DEPTH, [a, b] being 2^-depth of [tau_plus, 1]; else it splits into
+    2^s equal parts, s = SPLIT_LEVELS or, on the last level, what is left
+    to MAX_DEPTH, so that the finest intervals are those of the depth cap.
+    Its 2^s - 1 inner points p need only r(p), each solved down from
+    min(r_hi(a), cap(p)): as r is nonincreasing (below), r(p) <= r(a) <
+    r_hi(a) for every p > a, a valid top for each point however far it lies
+    from a.  The points are repeated midpoints, the bits of a binary search,
+    and each level solves all its roots, across lanes, in one _roots call.
 
     The region is {beta <= r(tau)}.  Fix tau, let c = 1 - 2 alpha, and
     write f(beta) for the rate:
@@ -419,8 +432,8 @@ def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus, roots):
     lane, a, b = np.arange(len(d)), tau_plus.astype(float), np.ones(len(d))
     f0 = pair_rate(d, alpha, 0.0, a)
     r_lo, r_hi = _roots(d, alpha, a, _cap(alpha, a), f0) if roots is None else roots
-    seen = []
-    for depth in range(MAX_DEPTH + 1):
+    seen, depth = [], 0
+    while True:
         dl, dh, rl = d[lane], d_hat[lane], rhs[lane]
         seen.append((lane, rl - (a * dl - dh) * r_lo, r_lo, a))
         is_open = np.maximum(b * dl - dh, 0.0) * r_hi >= rl
@@ -430,12 +443,24 @@ def _branch_and_bound(d, d_hat, alpha, rhs, tau_plus, roots):
         lane, a, b, r_lo, r_hi = (v[keep] for v in (lane, a, b, r_lo, r_hi))
         if not len(lane):
             break
-        # r(m) <= r(a) < r_hi(a) for m > a.
-        m = 0.5 * (a + b)
-        m_lo, m_hi = _roots(d[lane], alpha[lane], m, np.minimum(r_hi, _cap(alpha[lane], m)),
-                            f0[lane])
-        lane, a, b = np.r_[lane, lane], np.r_[a, m], np.r_[m, b]
-        r_lo, r_hi = np.r_[r_lo, m_lo], np.r_[r_hi, m_hi]
+        # Split each [a, b] into 2^levels parts by repeated halving, which
+        # gives the midpoints' bits, and solve the inner points at once.
+        levels = min(SPLIT_LEVELS, MAX_DEPTH - depth)
+        grid = np.stack([a, b], axis=1)
+        for _ in range(levels):
+            finer = np.empty((len(lane), 2 * grid.shape[1] - 1))
+            finer[:, ::2], finer[:, 1::2] = grid, 0.5 * (grid[:, :-1] + grid[:, 1:])
+            grid = finer
+        # r(p) <= r(a) < r_hi(a) for p > a.
+        inner = grid.shape[1] - 2
+        at = np.repeat(lane, inner)
+        p = grid[:, 1:-1].ravel()
+        p_lo, p_hi = _roots(d[at], alpha[at], p,
+                            np.minimum(np.repeat(r_hi, inner), _cap(alpha[at], p)), f0[at])
+        lane, a, b = np.repeat(lane, inner + 1), grid[:, :-1].ravel(), grid[:, 1:].ravel()
+        r_lo = np.column_stack([r_lo, p_lo.reshape(-1, inner)]).ravel()
+        r_hi = np.column_stack([r_hi, p_hi.reshape(-1, inner)]).ravel()
+        depth += levels
     # Each lane's point of least slack, the smallest tau among equals.
     lane, slack, beta, tau = map(np.concatenate, zip(*seen))
     order = np.lexsort((tau, slack, lane))

@@ -56,6 +56,7 @@ from stardecomp.entropy import (
 import bisect_reference
 import grid_reference as ref
 import rounds_reference
+import search_reference
 import stardecomp.certify as certify
 import stardecomp.entropy as entropy
 from stardecomp.cli import _emit, main
@@ -184,6 +185,31 @@ def test_check_condition_certifies_wherever_the_full_grid_does(d, drop, rel, coa
     if not weak:
         steps = (1e-5, 1e-2) if coarse else (1e-6, 1e-3)
         assert _full_grid(d, k, alpha, res, steps) == (False, False)
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(30, 3000), st.integers(3000, 10**5)),
+                          st.integers(0, 1), st.floats(-0.05, 0.05)), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_search_decides_as_the_binary_search(cases):
+    # At k_ind and k_ind - 1 around the sweep's densities, as lanes of one
+    # batch, each starting from its beta_max solve as in a sweep's rounds.
+    d = np.array([c[0] for c in cases])
+    alpha = alpha_fc_estimate(d) * (1.0 + np.array([c[2] for c in cases]))
+    k = np.floor(d / (2.0 * (1.0 - alpha))).astype(int) - [c[1] for c in cases]
+    _, _, _, _, d_hat, tau_plus, errors = _derive(d, k)
+    lanes = certify._live(len(d), errors)
+    d, k, alpha, d_hat, tau_plus = (v[lanes] for v in (d, k, alpha, d_hat, tau_plus))
+    bmax, r_lo = _beta_max(d, alpha, tau_plus)
+    args = (d, k, d_hat, alpha, bmax, tau_plus, r_lo)
+    strong, weak, witness, failed = _check(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_branch_and_bound", search_reference._branch_and_bound)
+        assert _check(*args)[1].tolist() == weak.tolist()
+    rhs = alpha - (1.0 - d / (2.0 * k))
+    for i in np.flatnonzero(~np.isnan(witness[:, 0])).tolist():
+        beta, tau, slack = witness[i].tolist()
+        assert pair_rate(d.item(i), alpha.item(i), beta, tau) >= 0.0
+        assert slack == rhs.item(i) - (tau * d.item(i) - d_hat.item(i)) * beta
 
 
 # The premises of check_condition's proofs and the bound RATE_EPS, against
@@ -390,14 +416,29 @@ def test_check_condition_needs_tau_plus_past_alpha_over_one_minus_alpha():
 
 
 def test_open_interval_at_the_depth_cap_fails_the_degree(monkeypatch):
-    # (30, 17) certifies only through the search, which splits [tau_plus, 1].
+    # (30, 17) certifies only through the search, which splits [tau_plus, 1],
+    # from depth 10 on.  Caps that are not multiples of SPLIT_LEVELS cut the
+    # last level short, and the verdict at each is the binary search's.
     d, k = 30, 17
     alpha = alpha_fc_estimate(d)
     res, bmax = _sweep_case(d, k, alpha)
     args = (d, k, res.d_hat, alpha, bmax, res.tau_plus)
     assert check_condition(*args)[:2] == (False, True)
-    monkeypatch.setattr(certify, "MAX_DEPTH", 0)
-    assert check_condition(*args)[:2] == (False, False)
+    roots = certify._roots
+    for max_depth in (0, 1, 2, 4, 5, 9, 10):
+        monkeypatch.setattr(certify, "MAX_DEPTH", max_depth)
+        monkeypatch.setattr(search_reference, "MAX_DEPTH", max_depth)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "_branch_and_bound", search_reference._branch_and_bound)
+            expected = check_condition(*args)[:2]
+        assert expected == (False, max_depth >= 10)
+        taus = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "_roots", lambda *a: taus.append(a[2]) or roots(*a))
+            assert check_condition(*args)[:2] == expected
+        # The first solve is at tau_plus, where the search starts.
+        assert taus[0].tolist() == [res.tau_plus]
+        assert len(taus) - 1 <= math.ceil(max_depth / certify.SPLIT_LEVELS)
 
 
 def test_check_condition_rejects_dhat_at_k():
